@@ -33,6 +33,9 @@ class DeletionPattern:
     def __post_init__(self):
         prev_start = 0
         for win in self.windows:
+            if win.start < 1:
+                raise InvalidPatternError(
+                    f"window start {win.start}: starts are 1-based and must be at least 1")
             if win.start <= prev_start:
                 raise InvalidPatternError("window starts must be strictly increasing")
             prev_start = win.start

@@ -1,11 +1,16 @@
 """Systematic MDS parity layer: generator construction, parity encoding,
 erasure solving, and parity verification over a shared field context.
 
+The decoders solve the same small erasure systems again and again: which
+blocks are erased fixes the system, the received word only fixes its
+right-hand side. erasure_solver inverts each system once per generator and
+keeps the result, so a decoder's case loop does products, not elimination.
+
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf2e import FieldContext
 
@@ -31,6 +36,8 @@ class Generator:
     kind: str
     ctx: FieldContext
     rows: tuple
+    # erased blocks -> erasure_solver result, filled on first request
+    _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def cauchy_generator(m, c, ctx):
@@ -134,6 +141,52 @@ def solve_square(matrix, rhs, ctx):
                 a[r] = [x ^ mul(f, y) for x, y in zip(a[r], a[col])]
                 b[r] ^= mul(f, b[col])
     return b
+
+
+def erasure_solver(gen, erased):
+    """The erasure system of the blocks in erased, solved once per generator.
+
+    erased is an ascending tuple of t <= c block numbers (from 1); the
+    system is parities 1..t restricted to those blocks. The result is c
+    rows of t weights. With syn the syndromes (each parity xor the
+    contribution of the intact blocks) and dot(row) = xor_r
+    mul(row[r], syn[r]) over r < t:
+
+      * dot(solver[j]) is the value of block erased[j], for j < t: the
+        first t rows are the inverse of the system;
+      * dot(solver[q]) is what syn[q] must equal, for q >= t: a spare
+        parity check costs t products and no solve.
+
+    Built with solve_square on the first request and kept on the
+    generator, one entry per erased set a decoder tries. A singular system
+    raises SingularSystemError on every request and is never cached.
+    """
+    solver = gen._solvers.get(erased)
+    if solver is not None:
+        return solver
+    t = len(erased)
+    if not 1 <= t <= gen.c:
+        raise ValueError(f"{t} erased blocks need 1..c = {gen.c} parities")
+    cols = [gen.rows[e - 1] for e in erased]
+    transposed = [col[:t] for col in cols]
+    try:
+        inverse = [solve_square(transposed, [int(r == j) for j in range(t)], gen.ctx)
+                   for r in range(t)]
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            f"blocks {erased} are not erasure-decodable with this generator"
+        ) from exc
+    mul = gen.ctx.mul
+    spare = []
+    for q in range(t, gen.c):
+        row = [0] * t
+        for col, inv_row in zip(cols, inverse):
+            for r, v in enumerate(inv_row):
+                row[r] ^= mul(col[q], v)
+        spare.append(row)
+    solver = tuple(tuple(row) for row in inverse + spare)
+    gen._solvers[erased] = solver
+    return solver
 
 
 def erasure_decode(symbols, erased, parity_values, parity_nums, gen):

@@ -201,11 +201,13 @@ class _MultiContext:
         return tuple(h ^ l for h, l in zip(hi, lo))
 
     def candidate(self, pairs, deltas):
-        """Candidate message for one case, or None."""
+        """Candidate message for one case, or None. The spare parities are
+        checked first, straight from the syndromes with the cached solver
+        of the case's erased blocks; only a case that passes them is
+        solved and checked for padding and supersequences."""
         mp = self.mp
         z, ell, c, m, last = mp.z, mp.ell, mp.c, mp.m, mp.last_block_len
         mul = mp.ctx.mul
-        rows = mp.gen.rows
         s = self.s
 
         syn = list(self.parities)
@@ -222,33 +224,37 @@ class _MultiContext:
             for r in range(c):
                 syn[r] ^= contrib[r]
 
-        erased = []
-        for i in pairs:
-            erased.extend((i, i + 1))
-        matrix = [[rows[e - 1][r] for e in erased] for r in range(2 * z)]
-        sol = mds.solve_square(matrix, syn[:2 * z], mp.ctx)
-
-        if erased[-1] == m and sol[-1] & ((1 << (ell - last)) - 1):
-            return None
-        for r in range(2 * z, c):
+        t = 2 * z
+        erased = tuple(e for i in pairs for e in (i, i + 1))
+        solver = mds.erasure_solver(mp.gen, erased)
+        head = syn[:t]
+        for r in range(t, c):
             acc = 0
-            for e, v in zip(erased, sol):
-                acc ^= mul(v, rows[e - 1][r])
+            for a, v in zip(solver[r], head):
+                acc ^= mul(a, v)
             if acc != syn[r]:
                 return None
+        sol = []
+        for row in solver[:t]:
+            acc = 0
+            for a, v in zip(row, head):
+                acc ^= mul(a, v)
+            sol.append(acc)
+        if erased[-1] == m and sol[-1] & ((1 << (ell - last)) - 1):
+            return None
 
         width = f"0{ell}b"
         pieces = []
         cum = 0
         prev_end = 0  # bits of s consumed so far
-        for t, (i, d) in enumerate(zip(pairs, deltas)):
+        for j, (i, d) in enumerate(zip(pairs, deltas)):
             seg_start = prev_end
             region_start = (i - 1) * ell - cum
             pieces.append(s[seg_start:region_start])
             cum += d
             pair_len = ell + (last if i + 1 == m else ell)
             region = s[region_start:(i + 1) * ell - cum] if i + 1 < m else s[region_start:]
-            dec = (format(sol[2 * t], width) + format(sol[2 * t + 1], width))[:pair_len]
+            dec = (format(sol[2 * j], width) + format(sol[2 * j + 1], width))[:pair_len]
             if not is_subsequence(region, dec):
                 return None
             pieces.append(dec)

@@ -79,11 +79,13 @@ def _make_params(k, cfg):
     return multi_params(k, w, cfg.c, cfg.z, cfg.kind)
 
 
-def _run_block(args):
+def _run_block(args, params=None):
     """Trials [t0, t1) for one k. Top-level so worker processes can pick it
-    up; rebuilding the parameter tables per block costs microseconds."""
+    up; a worker rebuilds the parameter tables, the serial loop passes its
+    own params so their cached erasure solvers are built once per k."""
     k, cfg, t0, t1 = args
-    params = _make_params(k, cfg)
+    if params is None:
+        params = _make_params(k, cfg)
     delta = resolve_delta(cfg, params.w)
     enc = encode if cfg.z == 1 else encode_multi
     dec = decode if cfg.z == 1 else decode_multi
@@ -104,7 +106,10 @@ def _run_block(args):
                 miscorrections += 1
         else:
             # InvalidInput counts as a failure too: the decoder gave no
-            # answer. It cannot occur under the default sampling modes.
+            # answer. Under the default sampling modes it occurs in the
+            # multi-window code when no enumerated case explains the word:
+            # two windows share a block, or deletions behind the message
+            # bits (more than w of them, say) leave a shift no case covers.
             failures += 1
     return failures, miscorrections
 
@@ -129,7 +134,7 @@ def run_trials(cfg, workers=1, progress=False):
             results = []
             done = 0
             for b in blocks:
-                results.append(_run_block(b))
+                results.append(_run_block(b, params))
                 done += b[3] - b[2]
                 if progress:
                     print(f"k={k}: {done}/{cfg.trials} trials", file=sys.stderr, flush=True)

@@ -209,25 +209,26 @@ class _GuessContext:
             right[j] = tuple(right[j + 1][r] ^ mul(v, row[r]) for r in range(c))
         self.right = right
 
-    def solve_pair(self, i):
-        """Erasure-decode blocks (i, i+1) from parities 1 and 2, assuming
-        every other block is intact. Returns (Ui, Uj, syndromes)."""
-        p = self.p
-        mul = p.ctx.mul
-        rows = p.gen.rows
+    def pair_system(self, i):
+        """Syndromes of the guess that blocks (i, i+1) are damaged and every
+        other block is intact, and the cached solver for that pair."""
         lp = self.left[i - 1]
         rp = self.right[i + 2]
         syn = [pr ^ lp[r] ^ rp[r] for r, pr in enumerate(self.parities)]
-        ri, rj = rows[i - 1], rows[i]
-        det = mul(ri[0], rj[1]) ^ mul(ri[1], rj[0])
-        if det == 0:
-            raise mds.SingularSystemError(
-                f"pair ({i}, {i + 1}) is not erasure-decodable with this generator"
-            )
-        inv_det = p.ctx.inv(det)
-        ui = mul(mul(syn[0], rj[1]) ^ mul(syn[1], rj[0]), inv_det)
-        uj = mul(mul(ri[0], syn[1]) ^ mul(ri[1], syn[0]), inv_det)
-        return ui, uj, syn
+        return syn, mds.erasure_solver(self.p.gen, (i, i + 1))
+
+    def solve_pair(self, syn, solver):
+        """Erasure-decode the pair from syndromes 1 and 2."""
+        mul = self.p.ctx.mul
+        s0, s1 = syn[0], syn[1]
+        return (mul(solver[0][0], s0) ^ mul(solver[0][1], s1),
+                mul(solver[1][0], s0) ^ mul(solver[1][1], s1))
+
+    def spare_ok(self, syn, solver, r):
+        """True iff syndrome r agrees with what syndromes 1 and 2 predict."""
+        mul = self.p.ctx.mul
+        row = solver[r]
+        return mul(row[0], syn[0]) ^ mul(row[1], syn[1]) == syn[r]
 
     def pair_len(self, i):
         p = self.p
@@ -241,18 +242,17 @@ class _GuessContext:
         return self.s[(i - 1) * p.ell: len(self.s) - tail], tail
 
     def candidate(self, i):
-        """Fast path: candidate message for guess i, or None. Checks run
-        cheapest first and stop at the first failure."""
+        """Fast path: candidate message for guess i, or None. The spare
+        parities are checked before the pair is solved, and checks stop at
+        the first failure."""
         p = self.p
-        mul = p.ctx.mul
-        rows = p.gen.rows
-        ui, uj, syn = self.solve_pair(i)
+        syn, solver = self.pair_system(i)
+        for r in range(2, p.c):
+            if not self.spare_ok(syn, solver, r):
+                return None
+        ui, uj = self.solve_pair(syn, solver)
         if i + 1 == p.m and uj & ((1 << (p.ell - p.last_block_len)) - 1):
             return None
-        ri, rj = rows[i - 1], rows[i]
-        for r in range(2, p.c):
-            if mul(ri[r], ui) ^ mul(rj[r], uj) != syn[r]:
-                return None
         e, tail = self.region(i)
         width = f"0{p.ell}b"
         dec = (format(ui, width) + format(uj, width))[:self.pair_len(i)]
@@ -263,14 +263,10 @@ class _GuessContext:
     def evaluate(self, i):
         """Slow path: every check is run and reported, nothing short-circuits."""
         p = self.p
-        mul = p.ctx.mul
-        rows = p.gen.rows
-        ui, uj, syn = self.solve_pair(i)
+        syn, solver = self.pair_system(i)
+        ui, uj = self.solve_pair(syn, solver)
         padding_ok = not (i + 1 == p.m and uj & ((1 << (p.ell - p.last_block_len)) - 1))
-        ri, rj = rows[i - 1], rows[i]
-        parities_ok = all(
-            mul(ri[r], ui) ^ mul(rj[r], uj) == syn[r] for r in range(2, p.c)
-        )
+        parities_ok = all(self.spare_ok(syn, solver, r) for r in range(2, p.c))
         e, tail = self.region(i)
         width = f"0{p.ell}b"
         dec = (format(ui, width) + format(uj, width))[:self.pair_len(i)]

@@ -65,6 +65,17 @@ def test_malformed_pattern_text(bad):
         pattern_from_text(bad)
 
 
+@pytest.mark.parametrize("start", [0, -1])
+def test_window_start_below_one_names_the_rule(start):
+    with pytest.raises(InvalidPatternError, match="1-based and must be at least 1"):
+        DeletionPattern((Window(start, (0,)),))
+    with pytest.raises(InvalidPatternError, match="1-based and must be at least 1"):
+        pattern_from_text(f"{start}:1")
+    # starts out of order still name the ordering rule
+    with pytest.raises(InvalidPatternError, match="strictly increasing"):
+        pattern_from_text("5:0;3:0")
+
+
 def test_validate_against_code():
     p = gc_params(16, 4, 3)
     pattern_from_text("7:0,2,3").validate(p.n, p.w)

@@ -111,6 +111,18 @@ def test_invalid_pattern_exits_1(tmp_path):
         assert "error:" in r.stderr, bad
 
 
+def test_window_start_below_one_exits_1(tmp_path):
+    write(tmp_path / "cw.bits", CODEWORD)
+    for bad in ("0:1", "-1:0"):
+        r = run_cli("corrupt", f"--pattern={bad}", "--in", "cw.bits",
+                    "--out", "rx.bits", cwd=tmp_path)
+        assert r.returncode == 1, bad
+        start = bad.split(":")[0]
+        assert (f"gccodes: error: window start {start}: starts are 1-based "
+                "and must be at least 1") in r.stderr, bad
+        assert not (tmp_path / "rx.bits").exists()
+
+
 def test_corrupt_random_deterministic(tmp_path):
     write(tmp_path / "cw.bits", CODEWORD)
     args = ["corrupt", "--random", "--delta", "2", "--seed", "11", *VAND,

@@ -5,16 +5,21 @@ routine so the claim does not rest on the library's own solver.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 from gccodes.gf2e import FieldContext, bits_to_symbols
+from gccodes.multi_window import multi_params
+from gccodes.single_window import gc_params
 from gccodes.mds import (
     FieldTooSmallError,
     SingularSystemError,
+    Generator,
     cauchy_generator,
     encode_parities,
     erasure_decode,
+    erasure_solver,
     make_generator,
     solve_square,
     vandermonde_generator,
@@ -155,3 +160,81 @@ def test_solve_square_golden():
     a, b = sol
     assert a ^ b == 9
     assert a ^ GF16.mul(2, b) == 8
+
+
+def matmul(a, b, ctx):
+    """Product of two matrices given as row lists, local to the tests."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = 0
+            for v, b_row in zip(row, b):
+                acc ^= ctx.mul(v, b_row[j])
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def check_solver(gen, erased, rng):
+    t = len(erased)
+    solver = erasure_solver(gen, erased)
+    assert len(solver) == gen.c and all(len(row) == t for row in solver)
+    # weights of the erased blocks in every parity: row r is parity r+1
+    block_cols = [[gen.rows[e - 1][r] for e in erased] for r in range(gen.c)]
+    identity = [[int(i == j) for j in range(t)] for i in range(t)]
+    assert matmul(solver[:t], block_cols[:t], gen.ctx) == identity
+    assert matmul(solver[t:], block_cols[:t], gen.ctx) == block_cols[t:]
+    for _ in range(5):
+        rhs = [rng.randrange(1 << gen.ctx.ell) for _ in range(t)]
+        via_solver = [row[0] for row in matmul(solver[:t], [[v] for v in rhs], gen.ctx)]
+        assert via_solver == solve_square(block_cols[:t], rhs, gen.ctx), erased
+
+
+@pytest.mark.parametrize("params, placements", [
+    # every z = 2 placement of disjoint adjacent pairs
+    (multi_params(64, 4, 8, 2), "pairs"),
+    # every adjacent pair of the single-window code
+    (gc_params(128, 7, 3), "single"),
+    (multi_params(96, 2, 6, 2, kind="vandermonde"), "pairs"),
+    (gc_params(64, 4, 5, kind="vandermonde"), "single"),
+])
+def test_erasure_solver_against_oracle(params, placements):
+    rng = random.Random(17)
+    gen = params.gen
+    if placements == "single":
+        cases = [(i, i + 1) for i in range(1, gen.m)]
+    else:
+        z = params.z
+        cases = [tuple(e for t, q in enumerate(picked) for e in (q + t, q + t + 1))
+                 for picked in combinations(range(1, gen.m - z + 1), z)]
+    for erased in cases:
+        check_solver(gen, erased, rng)
+    assert len(gen._solvers) == len(cases)
+
+
+def test_erasure_solver_is_cached_per_generator():
+    ctx = FieldContext(8)
+    gen = cauchy_generator(6, 4, ctx)
+    assert gen._solvers == {}
+    first = erasure_solver(gen, (2, 3))
+    assert erasure_solver(gen, (2, 3)) is first
+    assert list(gen._solvers) == [(2, 3)]
+    # the table is not part of the generator's value
+    twin = cauchy_generator(6, 4, ctx)
+    assert twin._solvers == {}
+    assert gen == twin and hash(gen) == hash(twin)
+    assert "_solvers" not in repr(gen)
+    with pytest.raises(ValueError):
+        erasure_solver(gen, (1, 2, 3, 4, 5))
+
+
+def test_erasure_solver_singular_raises_every_time():
+    # blocks 1 and 2 carry the same weights in parities 1 and 2
+    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
+                    rows=((1, 1, 1), (1, 1, 2), (1, 2, 4)))
+    for _ in range(2):
+        with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
+            erasure_solver(gen, (1, 2))
+    assert gen._solvers == {}
+    check_solver(gen, (2, 3), random.Random(1))

@@ -2,9 +2,11 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from gccodes import mds
 from gccodes.channel import (
     DeletionPattern,
     Window,
@@ -249,4 +251,47 @@ def test_decode_multi_never_wrong_tiny_exhaustive():
                         assert res.message == u, (s1, s2, o1, o2)
                     if pair_feasible(pat, mp):
                         assert res.status == SUCCESS, (s1, s2, o1, o2)
-    assert outcomes[SUCCESS] > 0
+    assert outcomes == {SUCCESS: 4375, FAILURE: 0, INVALID_INPUT: 2294}
+
+
+def feasible_words(mp, count, seed):
+    """Seeded (message, received) pairs whose windows sit in distinct,
+    disjoint block pairs of the message."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        while True:
+            pat = sample_pattern(mp, tuple(rng.randrange(mp.w + 1) for _ in range(mp.z)),
+                                 rng, mode="systematic-only")
+            if pair_feasible(pat, mp):
+                break
+        out.append((u, delete_localized(encode_multi(u, mp), pat, w=mp.w, z=mp.z)))
+    return out
+
+
+def test_decode_multi_three_windows():
+    mp = multi_params(64, 2, 7, 3)
+    assert (mp.ell, mp.m, mp.r) == (6, 11, 7)
+    for u, y in feasible_words(mp, 40, seed=53):
+        res = decode_multi(y, mp)
+        assert res.status == SUCCESS and res.message == u, y
+
+
+def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
+    mp = multi_params(64, 4, 8, 2)
+    assert mp.gen._solvers == {}          # building params builds no solver
+    words = feasible_words(mp, 6, seed=5)
+    u, y = words[0]
+    assert decode_multi(y, mp).message == u
+    placements = comb(mp.m - mp.z, mp.z)
+    assert len(mp.gen._solvers) == placements
+
+    def no_elimination(*args):
+        raise AssertionError("solve_square called on a cached placement")
+
+    monkeypatch.setattr(mds, "solve_square", no_elimination)
+    for u, y in words[1:]:
+        res = decode_multi(y, mp)
+        assert res.status == SUCCESS and res.message == u
+    assert len(mp.gen._solvers) == placements

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gccodes import mds
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
 from gccodes.gf2e import bits_to_symbols
 from gccodes.single_window import (
@@ -223,3 +224,26 @@ def test_is_subsequence_against_dp_oracle():
         assert is_subsequence(sub, sup) == dp(sub, sup)
     assert is_subsequence("", "") and is_subsequence("", "0")
     assert not is_subsequence("1", "")
+
+
+def test_pair_solvers_cached_and_bounded(monkeypatch):
+    p = gc_params(128, 7, 3)
+    assert p.gen._solvers == {}           # building params builds no solver
+    rng = random.Random(12)
+    words = []
+    for _ in range(8):
+        u = format(rng.getrandbits(p.k), f"0{p.k}b")
+        pat = sample_pattern(p, p.w, rng, "systematic-only")
+        words.append((u, delete_localized(encode(u, p), pat)))
+    u, y = words[0]
+    assert decode(y, p).message == u
+    assert len(p.gen._solvers) == p.m - 1
+
+    def no_elimination(*args):
+        raise AssertionError("solve_square called on a cached pair")
+
+    monkeypatch.setattr(mds, "solve_square", no_elimination)
+    for u, y in words[1:]:
+        res = decode(y, p)
+        assert res.status != SUCCESS or res.message == u
+    assert len(p.gen._solvers) == p.m - 1
