@@ -19,9 +19,15 @@ from .single_window import (
     INVALID_INPUT,
     InvalidConfigError,
     decode,
+    derive_dims,
     encode,
     gc_params,
 )
+
+# Largest field the CLI builds. The GF(2^20) tables take a few tenths of a
+# second to build, and each step up doubles their size and build time: at the
+# library's limit of 24 the antilog table alone holds 33M entries.
+MAX_CLI_ELL = 20
 
 
 class CliError(Exception):
@@ -67,7 +73,15 @@ def _add_code_args(sub, need_z=True):
                      help="parity generator kind")
 
 
+def _check_field(k, w, c):
+    """Refuse, before anything is built, parameters whose field is too large."""
+    ell = derive_dims(k, w, c)[0]
+    if ell > MAX_CLI_ELL:
+        raise CliError(f"k={k}, w={w} need ell={ell}; the CLI supports ell <= {MAX_CLI_ELL}")
+
+
 def _params(args):
+    _check_field(args.k, args.w, args.c)
     if getattr(args, "z", 1) == 1:
         return gc_params(args.k, args.w, args.c, args.gen)
     return multi_params(args.k, args.w, args.c, args.z, args.gen)
@@ -122,6 +136,7 @@ def _cmd_decode(args):
 
 
 def _cmd_bound(args):
+    _check_field(args.k, args.w, args.c)
     rep = (bound_single(args.k, args.w, args.c) if args.z == 1
            else bound_multi(args.k, args.w, args.c, args.z))
     print(f"redundancy_bits={rep.redundancy_bits}")
@@ -137,6 +152,8 @@ def _cmd_simulate(args):
         k_list = tuple(int(x) for x in args.k_list.split(","))
     except ValueError as exc:
         raise CliError(f"bad --k-list {args.k_list!r}") from exc
+    for k in k_list:
+        _check_field(k, (k - 1).bit_length(), args.c)  # sim ties w to k
     cfg = sim.SimConfig(
         k_list=k_list, c=args.c, z=args.z, trials=args.trials,
         delta=args.delta, delta_frac=args.delta_frac,

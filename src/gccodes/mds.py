@@ -6,6 +6,11 @@ blocks are erased fixes the system, the received word only fixes its
 right-hand side. erasure_solver inverts each system once per generator and
 keeps the result, so a decoder's case loop does products, not elimination.
 
+A vector of c parity values, or of partial sums towards them, is kept
+packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
+vectors is one xor, and parity_sums builds the running sums that encoding
+and both decoders' syndrome tables read.
+
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
 """
@@ -82,18 +87,43 @@ def make_generator(m, c, ctx, kind="cauchy"):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def parity_sums(gen, blocks):
+    """Running packed parity sums over (block, symbol) pairs.
+
+    blocks yields (j, v) with j a block number (from 1) and v its symbol.
+    The result has one more entry than blocks has pairs: entry 0 is 0 and
+    entry n packs, for every parity r, the xor of mul(v, rows[j-1][r]) over
+    the first n pairs, with parity r+1 in bits [r*ell, (r+1)*ell).
+    """
+    exp, log = gen.ctx.exp, gen.ctx.log
+    rows = gen.rows
+    shifts = range(0, gen.c * gen.ctx.ell, gen.ctx.ell)
+    acc = 0
+    out = [0]
+    for j, v in blocks:
+        if v:
+            lv = log[v]
+            for g, sh in zip(rows[j - 1], shifts):
+                if g:  # mul(v, g), inlined
+                    acc ^= exp[lv + log[g]] << sh
+        out.append(acc)
+    return out
+
+
+def pack(values, ell):
+    """values[r] in bits [r*ell, (r+1)*ell) of one int, the layout of
+    parity_sums."""
+    return sum(v << (r * ell) for r, v in enumerate(values))
+
+
 def encode_parities(symbols, gen):
     """All c parity symbols for a full systematic vector."""
     if len(symbols) != gen.m:
         raise ValueError(f"expected {gen.m} symbols, got {len(symbols)}")
-    mul = gen.ctx.mul
-    out = []
-    for r in range(gen.c):
-        acc = 0
-        for i, v in enumerate(symbols):
-            acc ^= mul(v, gen.rows[i][r])
-        out.append(acc)
-    return out
+    packed = parity_sums(gen, enumerate(symbols, 1))[-1]
+    ell = gen.ctx.ell
+    mask = (1 << ell) - 1
+    return [(packed >> (r * ell)) & mask for r in range(gen.c)]
 
 
 def verify_parities(symbols, parity_values, parity_nums, gen):

@@ -7,6 +7,13 @@ off the tail, then jointly guesses which z adjacent block pairs absorbed
 the deletions and how many went to each window, erasure-decoding all 2z
 suspect blocks from the first 2z parities and keeping a case only when the
 spare parities, padding, and per-region supersequence tests all agree.
+
+The c parities of a word and the partial sums of the intact blocks are
+packed ints, parity r+1 in bits [r*ell, (r+1)*ell) (mds.parity_sums), so a
+case's syndromes are the parities xor one table difference per intact
+segment. Only the 2z solving syndromes, and each spare one as it is
+checked, are taken out with a shift and a mask. The erasure solver is
+looked up once per pair placement and shared by all its splits.
 """
 
 from dataclasses import dataclass
@@ -135,6 +142,18 @@ def _compositions(total, parts, cap):
             yield (head,) + rest
 
 
+def _placements(mp, delta):
+    """Every placement of z pairwise non-overlapping adjacent block pairs
+    (named by their lower block, ascending), each with the list of splits
+    of delta over the windows, every share in [0, w]."""
+    if not 0 <= delta <= mp.z * mp.w:
+        raise ValueError(f"delta={delta} must be in [0, {mp.z * mp.w}]")
+    m, z, w = mp.m, mp.z, mp.w
+    splits = list(_compositions(delta, z, w))
+    for picked in combinations(range(1, m - z + 1), z):
+        yield tuple(q + t for t, q in enumerate(picked)), splits
+
+
 def enumerate_cases(mp, delta):
     """Every explanation the decoder must try for delta missing bits:
     z pairwise non-overlapping adjacent block pairs (named by their lower
@@ -142,105 +161,80 @@ def enumerate_cases(mp, delta):
     with each share in [0, w]. Zero shares are included; a window may have
     swallowed nothing.
     """
-    if not 0 <= delta <= mp.z * mp.w:
-        raise ValueError(f"delta={delta} must be in [0, {mp.z * mp.w}]")
-    m, z, w = mp.m, mp.z, mp.w
-    splits = list(_compositions(delta, z, w))
-    for picked in combinations(range(1, m - z + 1), z):
-        pairs = tuple(q + t for t, q in enumerate(picked))
+    for pairs, splits in _placements(mp, delta):
         for deltas in splits:
             yield pairs, deltas
 
 
 class _MultiContext:
-    """Scratch state for one received word: chunked symbols and parity
-    partial sums per alignment shift, built lazily per shift."""
+    """Scratch state for one received word: the packed parities and, per
+    alignment shift, a table of packed parity partial sums, built lazily."""
 
-    def __init__(self, s, parities, mp):
+    def __init__(self, s, parities, mp, delta):
         self.s = s
-        self.parities = parities
+        self.parities = mds.pack(parities, mp.ell)
         self.mp = mp
-        self._prefix = {}
+        self._tabs = [None] * (delta + 1)
 
     def _prefix_tab(self, shift):
-        """tab[j] = parity contributions of blocks jmin..j when block bits
-        start at (j-1)*ell - shift; tab[jmin-1] is the zero tuple."""
-        cached = self._prefix.get(shift)
-        if cached is not None:
-            return cached
-        mp = self.mp
-        ell, m, c, last = mp.ell, mp.m, mp.c, mp.last_block_len
-        mul = mp.ctx.mul
-        rows = mp.gen.rows
+        """Build and keep the table of one shift: tab[j] = packed parity
+        contributions of blocks jmin..j when block bits start at
+        (j-1)*ell - shift, and 0 for j < jmin. The table ends at the last
+        block whole inside s, so a read past it raises IndexError instead
+        of giving a wrong syndrome."""
+        p = self.mp.base
+        ell, m, k = p.ell, p.m, p.k
         s = self.s
         jmin = -(-shift // ell) + 1
-        tab = {jmin - 1: (0,) * c}
-        acc = tab[jmin - 1]
-        for j in range(jmin, m + 1):
-            start = (j - 1) * ell - shift
-            blen = last if j == m else ell
-            if start + blen > len(s):
-                break
-            v = int(s[start:start + blen], 2)
-            if j == m:
-                v <<= ell - last
-            row = rows[j - 1]
-            acc = tuple(acc[r] ^ mul(v, row[r]) for r in range(c))
-            tab[j] = acc
-        self._prefix[shift] = (jmin, tab)
-        return jmin, tab
+        # block j < m ends at j*ell - shift, block m at k - shift
+        top = m if k - shift <= len(s) else min(m - 1, (len(s) + shift) // ell)
+        symbols = bits_to_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], p.ctx)
+        tab = [0] * (jmin - 1) + mds.parity_sums(p.gen, zip(range(jmin, top + 1), symbols))
+        self._tabs[shift] = tab
+        return tab
 
-    def _segment(self, a, b, shift):
-        """Contribution of intact blocks a..b at the given shift (zero when
-        the range is empty)."""
-        if a > b:
-            return (0,) * self.mp.c
-        jmin, tab = self._prefix_tab(shift)
-        hi = tab[b]
-        lo = tab[a - 1] if a - 1 >= jmin - 1 else tab[jmin - 1]
-        return tuple(h ^ l for h, l in zip(hi, lo))
-
-    def candidate(self, pairs, deltas):
-        """Candidate message for one case, or None. The spare parities are
-        checked first, straight from the syndromes with the cached solver
-        of the case's erased blocks; only a case that passes them is
-        solved and checked for padding and supersequences."""
-        mp = self.mp
-        z, ell, c, m, last = mp.z, mp.ell, mp.c, mp.m, mp.last_block_len
-        mul = mp.ctx.mul
+    def candidate(self, pairs, deltas, solver):
+        """Candidate message for one case, or None. solver is the cached
+        erasure solver of the case's 2z blocks. The spare parities are
+        checked first, straight from the syndromes; only a case that
+        passes them is solved and checked for padding and supersequences."""
+        p = self.mp.base  # plain fields, not MultiParams' forwarding properties
+        z, ell, c, m, last = self.mp.z, p.ell, p.c, p.m, p.last_block_len
+        mul = p.ctx.mul
         s = self.s
 
-        syn = list(self.parities)
-        cum = 0
-        seg_bounds = []
-        prev_block_end = 0
+        # Syndromes: the parities xor the intact segments between the
+        # pairs, each read at the shift of the deletions before it. Every
+        # read is in range: the last segment's shift is delta, so block m
+        # ends at k - delta = len(s).
+        tabs = self._tabs
+        syn = self.parities
+        a = 1
+        shift = 0
         for i, d in zip(pairs, deltas):
-            seg_bounds.append((prev_block_end + 1, i - 1, cum))
-            cum += d
-            prev_block_end = i + 1
-        seg_bounds.append((prev_block_end + 1, m, cum))
-        for a, b, shift in seg_bounds:
-            contrib = self._segment(a, b, shift)
-            for r in range(c):
-                syn[r] ^= contrib[r]
+            tab = tabs[shift] or self._prefix_tab(shift)
+            syn ^= tab[i - 1] ^ tab[a - 1]
+            a = i + 2
+            shift += d
+        tab = tabs[shift] or self._prefix_tab(shift)
+        syn ^= tab[m] ^ tab[a - 1]
 
         t = 2 * z
-        erased = tuple(e for i in pairs for e in (i, i + 1))
-        solver = mds.erasure_solver(mp.gen, erased)
-        head = syn[:t]
+        mask = (1 << ell) - 1
+        head = [(syn >> sh) & mask for sh in range(0, t * ell, ell)]
         for r in range(t, c):
             acc = 0
-            for a, v in zip(solver[r], head):
-                acc ^= mul(a, v)
-            if acc != syn[r]:
+            for g, v in zip(solver[r], head):
+                acc ^= mul(g, v)
+            if acc != (syn >> (r * ell)) & mask:
                 return None
         sol = []
         for row in solver[:t]:
             acc = 0
-            for a, v in zip(row, head):
-                acc ^= mul(a, v)
+            for g, v in zip(row, head):
+                acc ^= mul(g, v)
             sol.append(acc)
-        if erased[-1] == m and sol[-1] & ((1 << (ell - last)) - 1):
+        if pairs[-1] + 1 == m and sol[-1] & ((1 << (ell - last)) - 1):
             return None
 
         width = f"0{ell}b"
@@ -277,12 +271,15 @@ def decode_multi(y, mp):
     tail_len = mp.c * mp.ell * mp.r - delta
     parity_bits = repetition_decode(y[len(y) - tail_len:], mp.c * mp.ell, mp.r, delta)
     parities = bits_to_symbols(parity_bits, mp.ctx)
-    ctx = _MultiContext(y[:mp.k - delta], parities, mp)
+    ctx = _MultiContext(y[:mp.k - delta], parities, mp, delta)
     winners = {}
-    for pairs, deltas in enumerate_cases(mp, delta):
-        cand = ctx.candidate(pairs, deltas)
-        if cand is not None and cand not in winners:
-            winners[cand] = (pairs, deltas)
+    for pairs, splits in _placements(mp, delta):
+        erased = tuple(e for i in pairs for e in (i, i + 1))
+        solver = mds.erasure_solver(mp.gen, erased)
+        for deltas in splits:
+            cand = ctx.candidate(pairs, deltas, solver)
+            if cand is not None and cand not in winners:
+                winners[cand] = (pairs, deltas)
     if not winners:
         return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
     if len(winners) == 1:

@@ -173,62 +173,51 @@ class _GuessContext:
 
     Chunking the prefix once left-aligned and the suffix once right-aligned,
     plus running parity partial sums from both ends, makes each guess cost
-    O(c) field operations instead of O(m * c).
+    O(c) field operations instead of O(m * c). Parities and partial sums
+    are packed ints in the layout of mds.parity_sums, so a guess's
+    syndromes are two xors.
     """
 
     def __init__(self, s, parities, p):
         self.s = s
-        self.parities = parities
+        ell, m = p.ell, p.m
+        self.parities = mds.pack(parities, ell)
         self.p = p
-        ell, m, c = p.ell, p.m, p.c
-        rows = p.gen.rows
-        mul = p.ctx.mul
-        zero = (0,) * c
+        self.mask = (1 << ell) - 1
 
         # left[i]: parity contributions of blocks 1..i read at their nominal
         # offsets (valid while those blocks are undamaged, i.e. i < guess).
-        left = [zero]
-        for j in range(m - 2):
-            v = int(s[j * ell:(j + 1) * ell], 2)
-            row = rows[j]
-            left.append(tuple(left[-1][r] ^ mul(v, row[r]) for r in range(c)))
-        self.left = left
+        self.left = mds.parity_sums(
+            p.gen, enumerate(bits_to_symbols(s[:(m - 2) * ell], p.ctx), 1))
 
         # right[j]: contributions of blocks j..m read right-aligned against
-        # the end of s (valid when the deletions happened before block j).
-        last = p.last_block_len
-        right = {m + 2: zero, m + 1: zero}
-        end = len(s)
-        for j in range(m, 2, -1):
-            blen = last if j == m else ell
-            start = end - (m - j) * ell - last
-            v = int(s[start:start + blen], 2)
-            if j == m:
-                v <<= ell - last
-            row = rows[j - 1]
-            right[j] = tuple(right[j + 1][r] ^ mul(v, row[r]) for r in range(c))
-        self.right = right
+        # the end of s (valid when the deletions happened before block j),
+        # for 3 <= j <= m + 2; the unused entries 0..2 are None.
+        tail = bits_to_symbols(s[len(s) - p.last_block_len - (m - 3) * ell:], p.ctx)
+        sums = mds.parity_sums(p.gen, zip(range(m, 2, -1), reversed(tail)))
+        self.right = [None] * 3 + sums[::-1] + [0]
 
     def pair_system(self, i):
-        """Syndromes of the guess that blocks (i, i+1) are damaged and every
-        other block is intact, and the cached solver for that pair."""
-        lp = self.left[i - 1]
-        rp = self.right[i + 2]
-        syn = [pr ^ lp[r] ^ rp[r] for r, pr in enumerate(self.parities)]
+        """Packed syndromes of the guess that blocks (i, i+1) are damaged
+        and every other block is intact, and the cached solver for that
+        pair."""
+        syn = self.parities ^ self.left[i - 1] ^ self.right[i + 2]
         return syn, mds.erasure_solver(self.p.gen, (i, i + 1))
 
     def solve_pair(self, syn, solver):
         """Erasure-decode the pair from syndromes 1 and 2."""
         mul = self.p.ctx.mul
-        s0, s1 = syn[0], syn[1]
+        s0, s1 = syn & self.mask, (syn >> self.p.ell) & self.mask
         return (mul(solver[0][0], s0) ^ mul(solver[0][1], s1),
                 mul(solver[1][0], s0) ^ mul(solver[1][1], s1))
 
     def spare_ok(self, syn, solver, r):
         """True iff syndrome r agrees with what syndromes 1 and 2 predict."""
         mul = self.p.ctx.mul
+        ell, mask = self.p.ell, self.mask
         row = solver[r]
-        return mul(row[0], syn[0]) ^ mul(row[1], syn[1]) == syn[r]
+        return (mul(row[0], syn & mask) ^ mul(row[1], (syn >> ell) & mask)
+                == (syn >> (r * ell)) & mask)
 
     def pair_len(self, i):
         p = self.p

@@ -123,6 +123,27 @@ def test_window_start_below_one_exits_1(tmp_path):
         assert not (tmp_path / "rx.bits").exists()
 
 
+def test_field_above_ell_20_exits_1(tmp_path):
+    # ell = max(w, ceil(log2 k)); 21 is the smallest field the CLI refuses,
+    # and it refuses before building one (bound builds none, so w=24 is safe)
+    write(tmp_path / "msg.bits", "0" * 64)
+    code = ["--k", "64", "--w", "21", "--c", "3"]
+    for args in (("encode", *code, "--in", "msg.bits", "--out", "cw.bits"),
+                 ("decode", *code, "--z", "2", "--in", "msg.bits", "--out", "dec.bits"),
+                 ("corrupt", "--random", "--delta", "1", "--seed", "1", *code,
+                  "--in", "msg.bits", "--out", "rx.bits"),
+                 ("bound", "--k", "64", "--w", "24", "--c", "3"),
+                 ("simulate", "--k-list", "64,1048577", "--c", "3", "--delta", "1",
+                  "--trials", "1")):
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 1, args
+        assert "gccodes: error:" in r.stderr and "ell <= 20" in r.stderr, args
+        assert r.stdout == "", args
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["msg.bits"]
+    r = run_cli("bound", "--k", "64", "--w", "20", "--c", "3", cwd=tmp_path)
+    assert r.returncode == 0 and "redundancy_bits=81" in r.stdout
+
+
 def test_corrupt_random_deterministic(tmp_path):
     write(tmp_path / "cw.bits", CODEWORD)
     args = ["corrupt", "--random", "--delta", "2", "--seed", "11", *VAND,

@@ -21,6 +21,8 @@ from gccodes.mds import (
     erasure_decode,
     erasure_solver,
     make_generator,
+    pack,
+    parity_sums,
     solve_square,
     vandermonde_generator,
     verify_parities,
@@ -66,6 +68,43 @@ def test_parities_of_worked_example():
     gen = vandermonde_generator(4, 3, GF16)
     # alpha^14, alpha^3, alpha^0
     assert encode_parities(U_EXAMPLE, gen) == [9, 8, 1]
+
+
+def loop_parities(symbols, gen):
+    """c parities of the leading symbols, one field product at a time."""
+    out = []
+    for r in range(gen.c):
+        acc = 0
+        for i, v in enumerate(symbols):
+            acc = gen.ctx.add(acc, gen.ctx.mul(v, gen.rows[i][r]))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("gen", [
+    gc_params(100, 7, 5).gen,                     # ell 7, last block 2 bits
+    gc_params(64, 4, 5, "vandermonde").gen,
+    Generator(m=3, c=3, kind="test", ctx=GF16,    # zero weights
+              rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
+], ids=["cauchy-short-last", "vandermonde", "zero-weights"])
+def test_parity_sums_unpack_to_loop(gen):
+    ell = gen.ctx.ell
+    rng = random.Random(gen.m)
+    for _ in range(20):
+        u = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(gen.m)]
+        sums = parity_sums(gen, enumerate(u, 1))
+        assert len(sums) == gen.m + 1
+        for n, packed in enumerate(sums):
+            want = loop_parities(u[:n], gen)
+            assert packed == pack(want, ell)
+            assert [(packed >> (r * ell)) % (1 << ell) for r in range(gen.c)] == want
+        assert encode_parities(u, gen) == loop_parities(u, gen)
+    # blocks may come in any order and any subset
+    picked = [(j, rng.randrange(1 << ell)) for j in (gen.m, 1)]
+    want = [a ^ b for a, b in zip(
+        loop_parities([picked[1][1]] + [0] * (gen.m - 1), gen),
+        loop_parities([0] * (gen.m - 1) + [picked[0][1]], gen))]
+    assert parity_sums(gen, picked)[-1] == pack(want, ell)
 
 
 def test_verify_parities_subsets():

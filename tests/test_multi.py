@@ -15,9 +15,16 @@ from gccodes.channel import (
     sample_pattern,
 )
 from gccodes.gf2e import symbols_to_bits
-from gccodes.mds import encode_parities
+from gccodes.mds import (
+    SingularSystemError,
+    encode_parities,
+    erasure_decode,
+    erasure_solver,
+    verify_parities,
+)
 from gccodes.multi_window import (
     MultiParams,
+    _MultiContext,
     decode_multi,
     encode_multi,
     enumerate_cases,
@@ -29,6 +36,7 @@ from gccodes.single_window import (
     FAILURE,
     INVALID_INPUT,
     SUCCESS,
+    DecodeResult,
     InvalidConfigError,
     gc_params,
 )
@@ -295,3 +303,113 @@ def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
     assert len(mp.gen._solvers) == placements
+
+
+def subsequence(sub, sup):
+    """Greedy two-pointer test, local to the tests."""
+    i = 0
+    for ch in sup:
+        if i < len(sub) and sub[i] == ch:
+            i += 1
+    return i == len(sub)
+
+
+def reference_decode_multi(y, mp):
+    """decode_multi by the definition, one case at a time: read every
+    intact block at the shift of the windows before it, erasure-decode the
+    2z damaged blocks from parities 1..2z, check the spare parities, the
+    padding and each pair's supersequence test, and rebuild the message
+    from the blocks."""
+    k, w, c, z, ell, m = mp.k, mp.w, mp.c, mp.z, mp.ell, mp.m
+    last, n, t = mp.last_block_len, mp.n, 2 * mp.z
+    if len(y) > n:
+        return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
+    if len(y) < n - z * w:
+        return DecodeResult(
+            INVALID_INPUT, reason=f"{n - len(y)} deletions exceed the budget z*w = {z * w}")
+    delta = n - len(y)
+    # y[k:] is the repetition tail short of delta < r bits, so its bit q*r
+    # still lies in the run of r copies of parity bit q
+    parity_bits = y[k::mp.r][:c * ell]
+    parities = [int(parity_bits[q * ell:(q + 1) * ell], 2) for q in range(c)]
+    s = y[:k - delta]
+    winners = {}
+    for pairs, deltas in enumerate_cases(mp, delta):
+        erased = [e for i in pairs for e in (i, i + 1)]
+        symbols = [None] * m
+        for j in range(1, m + 1):
+            if j not in erased:
+                shift = sum(d for i, d in zip(pairs, deltas) if i < j)
+                start, blen = (j - 1) * ell - shift, last if j == m else ell
+                bits = s[start:start + blen]
+                assert start >= 0 and len(bits) == blen, (pairs, deltas, j)
+                symbols[j - 1] = int(bits, 2) << (ell - blen)
+        filled = erasure_decode(symbols, erased, parities[:t], range(1, t + 1), mp.gen)
+        if not verify_parities(filled, parities[t:], range(t + 1, c + 1), mp.gen):
+            continue
+        if erased[-1] == m and filled[m - 1] % (1 << (ell - last)):
+            continue
+        blocks = "".join(format(v, f"0{ell}b") for v in filled)
+        cum = 0
+        for i, d in zip(pairs, deltas):
+            region = s[(i - 1) * ell - cum:min((i + 1) * ell, k) - cum - d]
+            cum += d
+            if not subsequence(region, blocks[(i - 1) * ell:min((i + 1) * ell, k)]):
+                break
+        else:
+            winners.setdefault(blocks[:k], (pairs, deltas))
+    if not winners:
+        return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
+    if len(winners) == 1:
+        (cand, case), = winners.items()
+        return DecodeResult(SUCCESS, message=cand, guess=case)
+    return DecodeResult(FAILURE, candidates=tuple(winners))
+
+
+def test_decode_multi_matches_reference():
+    statuses = {}
+    for args, count in (
+        ((16, 4, 3, 1, "cauchy"), 400),      # ell 4, m 4: some words fail
+        ((40, 3, 5, 1, "cauchy"), 40),       # ell 6, last block 4 bits
+        ((30, 3, 4, 1, "vandermonde"), 40),  # ell 5, whole blocks
+        ((64, 4, 8, 2, "cauchy"), 40),       # ell 6, last block 4 bits
+        ((50, 3, 6, 2, "vandermonde"), 40),  # ell 6, last block 2 bits
+        ((48, 2, 7, 3, "cauchy"), 40),       # ell 6, whole blocks
+        ((45, 2, 8, 3, "vandermonde"), 40),  # ell 6, last block 3 bits
+    ):
+        mp = multi_params(*args)
+        rng = random.Random(f"reference/{args}")
+        words = []
+        for t in range(count):
+            u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+            deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
+            mode = ("whole-codeword", "systematic-only")[t % 2]
+            pat = sample_pattern(mp, deltas if mp.z > 1 else deltas[0], rng, mode)
+            words.append(delete_localized(encode_multi(u, mp), pat, w=mp.w, z=mp.z))
+        for _ in range(8):      # not from the channel, lengths in and around the range
+            length = mp.n - rng.randrange(-1, mp.z * mp.w + 2)
+            words.append(format(rng.getrandbits(length), f"0{length}b"))
+        for y in words:
+            try:
+                want = reference_decode_multi(y, mp)
+            except SingularSystemError:
+                want = SingularSystemError
+                with pytest.raises(SingularSystemError):
+                    decode_multi(y, mp)
+            else:
+                assert decode_multi(y, mp) == want, (args, y)
+                want = want.status
+            statuses[want] = statuses.get(want, 0) + 1
+    assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
+
+
+def test_case_off_the_last_shift_raises():
+    # the table at shift 2 ends at block 10, so a case whose shares leave
+    # the last segment at shift 2 < delta reads past it and must not get 0
+    mp = multi_params(64, 4, 8, 2)        # ell 6, m 11
+    delta = 5
+    ctx = _MultiContext(U64[:mp.k - delta], [0] * mp.c, mp, delta)
+    solver = erasure_solver(mp.gen, (2, 3, 6, 7))
+    assert len(ctx._prefix_tab(2)) == 11
+    with pytest.raises(IndexError):
+        ctx.candidate((2, 6), (1, 1), solver)

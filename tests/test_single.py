@@ -12,6 +12,7 @@ from gccodes.single_window import (
     FAILURE,
     INVALID_INPUT,
     SUCCESS,
+    DecodeResult,
     InvalidConfigError,
     TooLongError,
     TooManyDeletionsError,
@@ -209,19 +210,21 @@ def test_failure_reports_all_candidates():
     assert u in res.candidates
 
 
-def test_is_subsequence_against_dp_oracle():
-    def dp(sub, sup):
-        i = 0
-        for ch in sup:
-            if i < len(sub) and sub[i] == ch:
-                i += 1
-        return i == len(sub)
+def subsequence(sub, sup):
+    """Greedy two-pointer test, local to the tests."""
+    i = 0
+    for ch in sup:
+        if i < len(sub) and sub[i] == ch:
+            i += 1
+    return i == len(sub)
 
+
+def test_is_subsequence_against_dp_oracle():
     rng = random.Random(3)
     for _ in range(500):
         sup = "".join(rng.choice("01") for _ in range(rng.randrange(12)))
         sub = "".join(rng.choice("01") for _ in range(rng.randrange(8)))
-        assert is_subsequence(sub, sup) == dp(sub, sup)
+        assert is_subsequence(sub, sup) == subsequence(sub, sup)
     assert is_subsequence("", "") and is_subsequence("", "0")
     assert not is_subsequence("1", "")
 
@@ -247,3 +250,76 @@ def test_pair_solvers_cached_and_bounded(monkeypatch):
         res = decode(y, p)
         assert res.status != SUCCESS or res.message == u
     assert len(p.gen._solvers) == p.m - 1
+
+
+def reference_decode(y, p):
+    """decode by the definition, one guess at a time: read the blocks
+    before the pair at their nominal offsets and those after it delta bits
+    earlier, erasure-decode the pair from parities 1 and 2, check the spare
+    parities, the padding and the supersequence test, and rebuild the
+    message from the blocks."""
+    k, w, c, ell, m, last, n = p.k, p.w, p.c, p.ell, p.m, p.last_block_len, p.n
+    if len(y) > n:
+        return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
+    if len(y) < n - w:
+        return DecodeResult(
+            INVALID_INPUT, reason=f"{n - len(y)} deletions exceed the window size {w}")
+    delta = n - len(y)
+    if delta == 0 or y[k + w - delta] == "0":
+        return DecodeResult(SUCCESS, message=y[:k], guess=None)
+    tail = y[len(y) - c * ell:]
+    parities = [int(tail[q * ell:(q + 1) * ell], 2) for q in range(c)]
+    s = y[:k - delta]
+    winners = {}
+    for i in range(1, m):
+        symbols = [None] * m
+        for j in range(1, m + 1):
+            if j not in (i, i + 1):
+                start = (j - 1) * ell - (delta if j > i else 0)
+                blen = last if j == m else ell
+                bits = s[start:start + blen]
+                assert len(bits) == blen, (i, j)
+                symbols[j - 1] = int(bits, 2) << (ell - blen)
+        filled = mds.erasure_decode(symbols, [i, i + 1], parities[:2], [1, 2], p.gen)
+        if not mds.verify_parities(filled, parities[2:], range(3, c + 1), p.gen):
+            continue
+        if i + 1 == m and filled[m - 1] % (1 << (ell - last)):
+            continue
+        blocks = "".join(format(v, f"0{ell}b") for v in filled)
+        pair_end = min((i + 1) * ell, k)
+        if subsequence(s[(i - 1) * ell:pair_end - delta], blocks[(i - 1) * ell:pair_end]):
+            winners.setdefault(blocks[:k], i)
+    if not winners:
+        return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
+    if len(winners) == 1:
+        (cand, i), = winners.items()
+        return DecodeResult(SUCCESS, message=cand, guess=i)
+    return DecodeResult(FAILURE, candidates=tuple(winners))
+
+
+def test_decode_matches_reference():
+    statuses = {}
+    for args in (
+        (16, 4, 3, "vandermonde"),   # ell 4, whole blocks
+        (16, 4, 3, "cauchy"),
+        (37, 5, 3, "cauchy"),        # ell 6, last block 1 bit
+        (100, 7, 5, "cauchy"),       # ell 7, last block 2 bits
+        (64, 4, 4, "vandermonde"),   # ell 6, last block 4 bits
+        (128, 7, 3, "cauchy"),       # ell 7, last block 2 bits
+    ):
+        p = gc_params(*args)
+        rng = random.Random(f"reference/{args}")
+        words = []
+        for t in range(250):
+            u = format(rng.getrandbits(p.k), f"0{p.k}b")
+            mode = ("whole-codeword", "systematic-only")[t % 2]
+            pat = sample_pattern(p, rng.randrange(p.w + 1), rng, mode)
+            words.append(delete_localized(encode(u, p), pat, w=p.w, z=1))
+        for _ in range(10):     # not from the channel, lengths in and around the range
+            length = p.n - rng.randrange(-1, p.w + 2)
+            words.append(format(rng.getrandbits(length), f"0{length}b"))
+        for y in words:
+            want = reference_decode(y, p)
+            assert decode(y, p) == want, (args, y)
+            statuses[want.status] = statuses.get(want.status, 0) + 1
+    assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
