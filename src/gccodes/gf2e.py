@@ -51,8 +51,10 @@ class FieldContext:
 
     Construction walks alpha^0, alpha^1, ... and fails if the walk returns
     to 1 before visiting every nonzero element, so a non-primitive modulus
-    cannot produce a usable context. The antilog table is stored at double
-    length so products never need a modular reduction of the exponent sum.
+    cannot produce a usable context. The antilog table holds alpha^i at
+    double length, so products never need a modular reduction of the
+    exponent sum, and then zeros: log[0] = 2 * order points into them, so
+    exp[log[a] + log[b]] == mul(a, b) for every a and b, zero included.
     """
 
     def __init__(self, ell, primitive_poly=None):
@@ -67,7 +69,8 @@ class FieldContext:
         self.ell = ell
         self.poly = primitive_poly
         self.order = (1 << ell) - 1
-        exp = [0] * (2 * self.order)
+        zero_log = 2 * self.order
+        exp = [0] * (2 * zero_log + 1)
         log = [None] * (1 << ell)
         x = 1
         for i in range(self.order):
@@ -83,6 +86,7 @@ class FieldContext:
                 x ^= primitive_poly
         if x != 1:
             raise NonPrimitivePolynomialError(f"0x{primitive_poly:x} is not primitive")
+        log[0] = zero_log
         self.exp = exp
         self.log = log
 
@@ -90,8 +94,6 @@ class FieldContext:
         return a ^ b
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
         return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a):
@@ -111,14 +113,18 @@ def bits_to_symbols(bits, ctx):
     """Chunk a '0'/'1' string into field symbols of ell bits each.
 
     A short final chunk keeps its bits in the high coefficient positions;
-    the missing low positions read as zero.
+    the missing low positions read as zero. The string is read as one int,
+    padded on the right to whole chunks, and each chunk is taken out with
+    a shift and a mask.
     """
     ell = ctx.ell
-    out = []
-    for pos in range(0, len(bits), ell):
-        chunk = bits[pos:pos + ell]
-        out.append(int(chunk, 2) << (ell - len(chunk)))
-    return out
+    count = -(-len(bits) // ell)
+    if not count:
+        return []
+    top = (count - 1) * ell
+    word = int(bits, 2) << (top + ell - len(bits))
+    mask = (1 << ell) - 1
+    return [(word >> sh) & mask for sh in range(top, -1, -ell)]
 
 
 def symbols_to_bits(symbols, ctx):

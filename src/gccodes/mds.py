@@ -11,6 +11,11 @@ packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
 vectors is one xor, and parity_sums builds the running sums that encoding
 and both decoders' syndrome tables read.
 
+The hot loops multiply in log form: log_rows keeps the generator's weights
+as logs, pair_checks the single-window spare checks, and the field's
+antilog table is padded so that exp[log[a] + log[b]] is a product even
+when a or b is zero. Each product is then one table lookup.
+
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
 """
@@ -41,8 +46,13 @@ class Generator:
     kind: str
     ctx: FieldContext
     rows: tuple
-    # erased blocks -> erasure_solver result, filled on first request
+    # Filled on first request, so building a generator builds none of them:
+    # log_rows result
+    _log_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # erased blocks -> erasure_solver result
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # pair_checks result
+    _pair_checks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def cauchy_generator(m, c, ctx):
@@ -87,6 +97,21 @@ def make_generator(m, c, ctx, kind="cauchy"):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def log_rows(gen):
+    """The generator's rows in log form, kept on the generator.
+
+    Entry i holds the (log g, r*ell) pair of each nonzero weight
+    g = rows[i][r], zero weights left out, so that weight's product with v,
+    shifted into the packed layout, is exp[log[v] + log g] << r*ell.
+    """
+    out = gen._log_rows
+    if not out:
+        log, ell = gen.ctx.log, gen.ctx.ell
+        out.extend(tuple((log[g], r * ell) for r, g in enumerate(row) if g)
+                   for row in gen.rows)
+    return out
+
+
 def parity_sums(gen, blocks):
     """Running packed parity sums over (block, symbol) pairs.
 
@@ -96,16 +121,13 @@ def parity_sums(gen, blocks):
     the first n pairs, with parity r+1 in bits [r*ell, (r+1)*ell).
     """
     exp, log = gen.ctx.exp, gen.ctx.log
-    rows = gen.rows
-    shifts = range(0, gen.c * gen.ctx.ell, gen.ctx.ell)
+    rows = log_rows(gen)
     acc = 0
     out = [0]
     for j, v in blocks:
-        if v:
-            lv = log[v]
-            for g, sh in zip(rows[j - 1], shifts):
-                if g:  # mul(v, g), inlined
-                    acc ^= exp[lv + log[g]] << sh
+        lv = log[v]
+        for lg, sh in rows[j - 1]:
+            acc ^= exp[lv + lg] << sh
         out.append(acc)
     return out
 
@@ -143,34 +165,37 @@ def verify_parities(symbols, parity_values, parity_nums, gen):
     return True
 
 
-def solve_square(matrix, rhs, ctx):
-    """Solve A x = b over the field by Gaussian elimination.
+def _eliminate(matrix, right, ctx):
+    """Gauss-Jordan elimination on [A | R] over the field.
 
-    matrix is a list of row lists (consumed destructively on copies),
-    rhs a parallel list. Raises SingularSystemError when no unique
-    solution exists.
+    matrix is A as a list of row lists, right is R as a parallel list of
+    row lists; neither is modified. Returns the rows of A^-1 R. Raises
+    SingularSystemError when A is singular.
     """
-    size = len(rhs)
-    a = [list(row) for row in matrix]
-    b = list(rhs)
+    size = len(matrix)
+    rows = [list(a) + list(b) for a, b in zip(matrix, right)]
     mul = ctx.mul
-    inv = ctx.inv
     for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col]), None)
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
             raise SingularSystemError("erasure system has no unique solution")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        scale = inv(a[col][col])
-        a[col] = [mul(scale, v) for v in a[col]]
-        b[col] = mul(scale, b[col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = ctx.inv(rows[col][col])
+        top = rows[col] = [mul(scale, v) for v in rows[col]]
         for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x ^ mul(f, y) for x, y in zip(a[r], a[col])]
-                b[r] ^= mul(f, b[col])
-    return b
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x ^ mul(f, y) for x, y in zip(rows[r], top)]
+    return [row[size:] for row in rows]
+
+
+def solve_square(matrix, rhs, ctx):
+    """Solve A x = b over the field by Gauss-Jordan elimination.
+
+    matrix is a list of row lists, rhs a parallel list; neither is
+    modified. Raises SingularSystemError when no unique solution exists.
+    """
+    return [row[0] for row in _eliminate(matrix, [[v] for v in rhs], ctx)]
 
 
 def erasure_solver(gen, erased):
@@ -187,9 +212,10 @@ def erasure_solver(gen, erased):
       * dot(solver[q]) is what syn[q] must equal, for q >= t: a spare
         parity check costs t products and no solve.
 
-    Built with solve_square on the first request and kept on the
-    generator, one entry per erased set a decoder tries. A singular system
-    raises SingularSystemError on every request and is never cached.
+    The inverse comes from one Gauss-Jordan pass on [system | identity] on
+    the first request and is kept on the generator, one entry per erased
+    set a decoder tries. A singular system raises SingularSystemError on
+    every request and is never cached.
     """
     solver = gen._solvers.get(erased)
     if solver is not None:
@@ -198,10 +224,10 @@ def erasure_solver(gen, erased):
     if not 1 <= t <= gen.c:
         raise ValueError(f"{t} erased blocks need 1..c = {gen.c} parities")
     cols = [gen.rows[e - 1] for e in erased]
-    transposed = [col[:t] for col in cols]
+    system = [[col[q] for col in cols] for q in range(t)]
+    identity = [[int(q == j) for j in range(t)] for q in range(t)]
     try:
-        inverse = [solve_square(transposed, [int(r == j) for j in range(t)], gen.ctx)
-                   for r in range(t)]
+        inverse = _eliminate(system, identity, gen.ctx)
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"blocks {erased} are not erasure-decodable with this generator"
@@ -217,6 +243,30 @@ def erasure_solver(gen, erased):
     solver = tuple(tuple(row) for row in inverse + spare)
     gen._solvers[erased] = solver
     return solver
+
+
+def pair_checks(gen):
+    """The spare-parity checks of every adjacent block pair, in log form.
+
+    Entry i, for 1 <= i < m, holds one triple (log a, log b, r*ell) per
+    spare parity r+1 > 2, where (a, b) is row r of erasure_solver(gen,
+    (i, i+1)). With s0 and s1 syndromes 1 and 2, the guess that blocks i
+    and i+1 absorbed the deletions passes check r exactly when
+    exp[log s0 + log a] ^ exp[log s1 + log b] equals syndrome r+1. Entry
+    0 is empty. Filled on the first request, which also fills the m - 1
+    pair solvers; a singular pair raises SingularSystemError and nothing
+    is kept.
+    """
+    checks = gen._pair_checks
+    if not checks:
+        log, ell = gen.ctx.log, gen.ctx.ell
+        built = [()]
+        for i in range(1, gen.m):
+            solver = erasure_solver(gen, (i, i + 1))
+            built.append(tuple((log[a], log[b], r * ell)
+                               for r, (a, b) in enumerate(solver[2:], 2)))
+        checks.extend(built)
+    return checks
 
 
 def erasure_decode(symbols, erased, parity_values, parity_nums, gen):

@@ -20,6 +20,13 @@ parity side):
     parities, the zero padding of a short final block, and a supersequence
     test against the received bits all agree.
 
+The guesses run in one fused loop: per guess, two xors of packed partial
+sums give the syndromes, and the spare parities are checked inline with
+one antilog lookup per product, against log-form rows kept on the
+generator. Only the few guesses that pass them are solved and given the
+padding and supersequence checks. evaluate_guess reports a single guess
+through the same two steps.
+
 Distinct surviving candidates mean the decoder refuses to choose (Failure);
 a single surviving candidate is provably the sent message when the channel
 respected the window contract.
@@ -176,6 +183,13 @@ class _GuessContext:
     O(c) field operations instead of O(m * c). Parities and partial sums
     are packed ints in the layout of mds.parity_sums, so a guess's
     syndromes are two xors.
+
+    The guess loop, passing(), is fused: per guess it forms the syndromes,
+    takes out syndromes 1 and 2 and checks every spare parity inline
+    against the log-form rows of mds.pair_checks, making no function call.
+    Only a guess that passes them (the true one, and about 2^-ell of the
+    others at c = 3) reaches verdict(), which solves the pair and runs the padding and
+    supersequence checks. decode and evaluate share both.
     """
 
     def __init__(self, s, parities, p):
@@ -183,7 +197,7 @@ class _GuessContext:
         ell, m = p.ell, p.m
         self.parities = mds.pack(parities, ell)
         self.p = p
-        self.mask = (1 << ell) - 1
+        self.checks = mds.pair_checks(p.gen)
 
         # left[i]: parity contributions of blocks 1..i read at their nominal
         # offsets (valid while those blocks are undamaged, i.e. i < guess).
@@ -197,76 +211,56 @@ class _GuessContext:
         sums = mds.parity_sums(p.gen, zip(range(m, 2, -1), reversed(tail)))
         self.right = [None] * 3 + sums[::-1] + [0]
 
-    def pair_system(self, i):
-        """Packed syndromes of the guess that blocks (i, i+1) are damaged
-        and every other block is intact, and the cached solver for that
-        pair."""
-        syn = self.parities ^ self.left[i - 1] ^ self.right[i + 2]
-        return syn, mds.erasure_solver(self.p.gen, (i, i + 1))
+    def passing(self, guesses):
+        """Yield (i, syn) for each guess i whose spare parities all agree
+        with what syndromes 1 and 2 predict. syn packs the syndromes of the
+        guess that blocks (i, i+1) are damaged and every other block is
+        intact."""
+        parities, left, right, checks = self.parities, self.left, self.right, self.checks
+        exp, log = self.p.ctx.exp, self.p.ctx.log
+        ell = self.p.ell
+        mask = (1 << ell) - 1
+        for i in guesses:
+            syn = parities ^ left[i - 1] ^ right[i + 2]
+            l0 = log[syn & mask]
+            l1 = log[(syn >> ell) & mask]
+            for la, lb, sh in checks[i]:
+                if exp[l0 + la] ^ exp[l1 + lb] != (syn >> sh) & mask:
+                    break
+            else:
+                yield i, syn
 
-    def solve_pair(self, syn, solver):
-        """Erasure-decode the pair from syndromes 1 and 2."""
-        mul = self.p.ctx.mul
-        s0, s1 = syn & self.mask, (syn >> self.p.ell) & self.mask
-        return (mul(solver[0][0], s0) ^ mul(solver[0][1], s1),
-                mul(solver[1][0], s0) ^ mul(solver[1][1], s1))
-
-    def spare_ok(self, syn, solver, r):
-        """True iff syndrome r agrees with what syndromes 1 and 2 predict."""
-        mul = self.p.ctx.mul
-        ell, mask = self.p.ell, self.mask
-        row = solver[r]
-        return (mul(row[0], syn & mask) ^ mul(row[1], (syn >> ell) & mask)
-                == (syn >> (r * ell)) & mask)
-
-    def pair_len(self, i):
+    def verdict(self, i, syn, parities_ok):
+        """Solve the pair of guess i from syndromes 1 and 2, run the padding
+        and supersequence checks, and report them with parities_ok; the
+        candidate is set only when all three hold."""
         p = self.p
-        return p.ell + (p.last_block_len if i + 1 == p.m else p.ell)
-
-    def region(self, i):
-        """Received bits the guess treats as the damaged pair, plus the
-        nominal bit length of the intact blocks i+2..m behind them."""
-        p = self.p
-        tail = (p.m - i - 2) * p.ell + p.last_block_len if i + 1 < p.m else 0
-        return self.s[(i - 1) * p.ell: len(self.s) - tail], tail
-
-    def candidate(self, i):
-        """Fast path: candidate message for guess i, or None. The spare
-        parities are checked before the pair is solved, and checks stop at
-        the first failure."""
-        p = self.p
-        syn, solver = self.pair_system(i)
-        for r in range(2, p.c):
-            if not self.spare_ok(syn, solver, r):
-                return None
-        ui, uj = self.solve_pair(syn, solver)
-        if i + 1 == p.m and uj & ((1 << (p.ell - p.last_block_len)) - 1):
-            return None
-        e, tail = self.region(i)
-        width = f"0{p.ell}b"
-        dec = (format(ui, width) + format(uj, width))[:self.pair_len(i)]
-        if not is_subsequence(e, dec):
-            return None
-        return self.s[:(i - 1) * p.ell] + dec + (self.s[len(self.s) - tail:] if tail else "")
-
-    def evaluate(self, i):
-        """Slow path: every check is run and reported, nothing short-circuits."""
-        p = self.p
-        syn, solver = self.pair_system(i)
-        ui, uj = self.solve_pair(syn, solver)
-        padding_ok = not (i + 1 == p.m and uj & ((1 << (p.ell - p.last_block_len)) - 1))
-        parities_ok = all(self.spare_ok(syn, solver, r) for r in range(2, p.c))
-        e, tail = self.region(i)
-        width = f"0{p.ell}b"
-        dec = (format(ui, width) + format(uj, width))[:self.pair_len(i)]
+        ell, mask, mul = p.ell, (1 << p.ell) - 1, p.ctx.mul
+        solver = mds.erasure_solver(p.gen, (i, i + 1))
+        s0, s1 = syn & mask, (syn >> ell) & mask
+        ui = mul(solver[0][0], s0) ^ mul(solver[0][1], s1)
+        uj = mul(solver[1][0], s0) ^ mul(solver[1][1], s1)
+        padding_ok = not (i + 1 == p.m and uj & ((1 << (ell - p.last_block_len)) - 1))
+        # the guessed region, and the intact blocks i+2..m behind it
+        tail = (p.m - i - 2) * ell + p.last_block_len if i + 1 < p.m else 0
+        e = self.s[(i - 1) * ell: len(self.s) - tail]
+        pair_len = ell + (p.last_block_len if i + 1 == p.m else ell)
+        width = f"0{ell}b"
+        dec = (format(ui, width) + format(uj, width))[:pair_len]
         superseq_ok = is_subsequence(e, dec)
         cand = None
         if padding_ok and parities_ok and superseq_ok:
-            cand = self.s[:(i - 1) * p.ell] + dec + (self.s[len(self.s) - tail:] if tail else "")
+            cand = self.s[:(i - 1) * ell] + dec + (self.s[len(self.s) - tail:] if tail else "")
         return GuessEval(guess=i, decoded_pair=(ui, uj), erased_region=e,
                          decoded_bits=dec, padding_ok=padding_ok,
                          parities_ok=parities_ok, supersequence_ok=superseq_ok,
                          candidate=cand)
+
+    def evaluate(self, i):
+        """Every check of guess i, run and reported; nothing short-circuits."""
+        syn = self.parities ^ self.left[i - 1] ^ self.right[i + 2]
+        parities_ok = next(self.passing((i,)), None) is not None
+        return self.verdict(i, syn, parities_ok)
 
 
 def evaluate_guess(s, i, parities, p):
@@ -308,8 +302,8 @@ def decode(y, p):
     parities = bits_to_symbols(y[len(y) - p.c * p.ell:], p.ctx)
     ctx = _GuessContext(y[:p.k - delta], parities, p)
     winners = {}
-    for i in range(1, p.m):
-        cand = ctx.candidate(i)
+    for i, syn in ctx.passing(range(1, p.m)):
+        cand = ctx.verdict(i, syn, True).candidate
         if cand is not None and cand not in winners:
             winners[cand] = i
     if not winners:

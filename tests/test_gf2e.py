@@ -1,6 +1,8 @@
 """Field arithmetic checked against a bit-twiddling oracle that shares no
 code with the table implementation."""
 
+import random
+
 import pytest
 
 from gccodes.gf2e import (
@@ -148,3 +150,30 @@ def test_short_final_chunk_fills_high_bits():
 
 def test_symbols_to_bits_width():
     assert symbols_to_bits([1, 15], GF16) == "00011111"
+
+
+def chunked_symbols(bits, ell):
+    """One int per ell-bit chunk, a short last chunk padded with low zeros;
+    local to the tests."""
+    out = []
+    for pos in range(0, len(bits), ell):
+        chunk = bits[pos:pos + ell]
+        out.append(int(chunk, 2) << (ell - len(chunk)))
+    return out
+
+
+@pytest.mark.parametrize("ell", [2, 4, 7, 12])
+def test_bits_to_symbols_matches_per_chunk_reading(ell):
+    ctx = FieldContext(ell)
+    rng = random.Random(ell)
+    for length in range(1, 3 * ell + 2):
+        for bits in ("0" * length, "1" * length,
+                     format(rng.getrandbits(length), f"0{length}b")):
+            assert bits_to_symbols(bits, ctx) == chunked_symbols(bits, ell), bits
+
+
+def test_bits_to_symbols_edges():
+    assert bits_to_symbols("", GF16) == []
+    for bad in ("x", "0x01", "0101x", "01010101x"):
+        with pytest.raises(ValueError):
+            bits_to_symbols(bad, GF16)

@@ -9,9 +9,11 @@ from itertools import combinations
 
 import pytest
 
+from gccodes import mds
+from gccodes.channel import delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext, bits_to_symbols
-from gccodes.multi_window import multi_params
-from gccodes.single_window import gc_params
+from gccodes.multi_window import decode_multi, encode_multi, multi_params
+from gccodes.single_window import SUCCESS, decode, encode, gc_params
 from gccodes.mds import (
     FieldTooSmallError,
     SingularSystemError,
@@ -20,8 +22,10 @@ from gccodes.mds import (
     encode_parities,
     erasure_decode,
     erasure_solver,
+    log_rows,
     make_generator,
     pack,
+    pair_checks,
     parity_sums,
     solve_square,
     vandermonde_generator,
@@ -81,12 +85,16 @@ def loop_parities(symbols, gen):
     return out
 
 
-@pytest.mark.parametrize("gen", [
+GENERATORS = [
     gc_params(100, 7, 5).gen,                     # ell 7, last block 2 bits
     gc_params(64, 4, 5, "vandermonde").gen,
     Generator(m=3, c=3, kind="test", ctx=GF16,    # zero weights
               rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
-], ids=["cauchy-short-last", "vandermonde", "zero-weights"])
+]
+GENERATOR_IDS = ["cauchy-short-last", "vandermonde", "zero-weights"]
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=GENERATOR_IDS)
 def test_parity_sums_unpack_to_loop(gen):
     ell = gen.ctx.ell
     rng = random.Random(gen.m)
@@ -105,6 +113,49 @@ def test_parity_sums_unpack_to_loop(gen):
         loop_parities([picked[1][1]] + [0] * (gen.m - 1), gen),
         loop_parities([0] * (gen.m - 1) + [picked[0][1]], gen))]
     assert parity_sums(gen, picked)[-1] == pack(want, ell)
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=GENERATOR_IDS)
+def test_log_rows_reproduce_rows(gen):
+    ctx, ell = gen.ctx, gen.ctx.ell
+    rows = log_rows(gen)
+    assert log_rows(gen) is rows                  # kept on the generator
+    assert len(rows) == gen.m
+    for row, log_row in zip(gen.rows, rows):
+        want = [(r * ell, g) for r, g in enumerate(row) if g]
+        assert [(sh, ctx.exp[lg]) for lg, sh in log_row] == want
+    assert "_log_rows" not in repr(gen)
+
+
+def test_log_rows_skip_zero_weights():
+    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
+                    rows=((1, 0, 1), (0, 1, 2), (1, 2, 0)))
+    assert gen._log_rows == []                    # nothing until requested
+    assert [[sh for _, sh in row] for row in log_rows(gen)] == [[0, 8], [4, 8], [0, 4]]
+
+
+@pytest.mark.parametrize("params", [gc_params(100, 7, 5), gc_params(64, 4, 5, "vandermonde"),
+                                    gc_params(16, 4, 3)])
+def test_pair_checks_are_spare_solver_rows(params):
+    gen, ctx, ell = params.gen, params.ctx, params.ell
+    assert gen._pair_checks == []
+    checks = pair_checks(gen)
+    assert pair_checks(gen) is checks
+    assert len(checks) == gen.m and checks[0] == ()
+    assert len(gen._solvers) == gen.m - 1
+    for i in range(1, gen.m):
+        solver = erasure_solver(gen, (i, i + 1))
+        assert [(ctx.exp[la], ctx.exp[lb], sh) for la, lb, sh in checks[i]] == [
+            (a, b, r * ell) for r, (a, b) in enumerate(solver[2:], 2)]
+
+
+def test_pair_checks_singular_pair_keeps_nothing():
+    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
+                    rows=((1, 1, 1), (1, 2, 2), (1, 2, 4)))   # pair (2, 3) singular
+    for _ in range(2):
+        with pytest.raises(SingularSystemError, match=r"\(2, 3\)"):
+            pair_checks(gen)
+    assert gen._pair_checks == []
 
 
 def test_verify_parities_subsets():
@@ -277,3 +328,28 @@ def test_erasure_solver_singular_raises_every_time():
             erasure_solver(gen, (1, 2))
     assert gen._solvers == {}
     check_solver(gen, (2, 3), random.Random(1))
+
+
+def test_filled_solvers_make_decoders_eliminate_nothing(monkeypatch):
+    rng = random.Random(31)
+    cases = []
+    for params, enc, dec in ((gc_params(128, 7, 3), encode, decode),
+                             (multi_params(64, 4, 8, 2), encode_multi, decode_multi)):
+        words = []
+        for _ in range(4):
+            u = format(rng.getrandbits(params.k), f"0{params.k}b")
+            pat = sample_pattern(params, params.w, rng, "systematic-only")
+            words.append((u, delete_localized(enc(u, params), pat)))
+        cases.append((params, dec, words))
+        dec(words[0][1], params)                  # fills every solver it uses
+
+    def no_elimination(*args):
+        raise AssertionError("elimination after the solvers were filled")
+
+    monkeypatch.setattr(mds, "_eliminate", no_elimination)
+    for params, dec, words in cases:
+        filled = dict(params.gen._solvers)
+        for u, y in words:
+            res = dec(y, params)
+            assert res.status != SUCCESS or res.message == u
+        assert params.gen._solvers == filled

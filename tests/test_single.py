@@ -323,3 +323,36 @@ def test_decode_matches_reference():
             assert decode(y, p) == want, (args, y)
             statuses[want.status] = statuses.get(want.status, 0) + 1
     assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
+
+
+def test_evaluate_guess_survivors_are_decode_candidates():
+    statuses = set()
+    for args in (
+        (37, 5, 3, "cauchy"),        # ell 6, last block 1 bit
+        (100, 7, 5, "cauchy"),       # ell 7, last block 2 bits
+        (64, 4, 4, "vandermonde"),   # ell 6, last block 4 bits
+        (16, 4, 3, "vandermonde"),
+        (16, 4, 3, "cauchy"),
+    ):
+        p = gc_params(*args)
+        rng = random.Random(f"one spare check/{args}")
+        for t in range(150):
+            u = format(rng.getrandbits(p.k), f"0{p.k}b")
+            mode = ("whole-codeword", "systematic-only")[t % 2]
+            pat = sample_pattern(p, rng.randrange(1, p.w + 1), rng, mode)
+            y = delete_localized(encode(u, p), pat, w=p.w, z=1)
+            res = decode(y, p)
+            if res.guess is None and res.status == SUCCESS:
+                continue                      # parity path: no guesses
+            statuses.add(res.status)
+            s, parities, _ = strip_received(y, p)
+            survivors = {}
+            for i in range(1, p.m):
+                cand = evaluate_guess(s, i, parities, p).candidate
+                if cand is not None:
+                    survivors.setdefault(cand, i)
+            if res.status == SUCCESS:
+                assert list(survivors.items()) == [(res.message, res.guess)], (args, y)
+            else:
+                assert tuple(survivors) == res.candidates, (args, y)
+    assert statuses == {SUCCESS, FAILURE}, statuses
