@@ -12,9 +12,11 @@ vectors is one xor, and parity_sums builds the running sums that encoding
 and both decoders' syndrome tables read.
 
 The hot loops multiply in log form: log_rows keeps the generator's weights
-as logs, pair_checks the single-window spare checks, and the field's
-antilog table is padded so that exp[log[a] + log[b]] is a product even
-when a or b is zero. Each product is then one table lookup.
+as logs, log_solver an erasure solver's rows for any erased set (the
+multi-window case loop reads it), pair_checks the single-window spare
+checks as its z = 1 case, and the field's antilog table is padded so that
+exp[log[a] + log[b]] is a product even when a or b is zero. Each product
+is then one table lookup.
 
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
@@ -51,6 +53,8 @@ class Generator:
     _log_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
     # erased blocks -> erasure_solver result
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # erased blocks -> log_solver result
+    _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # pair_checks result
     _pair_checks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -245,27 +249,43 @@ def erasure_solver(gen, erased):
     return solver
 
 
+def log_solver(gen, erased):
+    """erasure_solver(gen, erased) in log form, kept on the generator.
+
+    The result is a pair (solve, spare). solve[j], for j < t, holds the
+    logs of row j's t weights, so with lv[r] = log syn[r] block erased[j]
+    is xor_r exp[solve[j][r] + lv[r]]. spare holds one row per spare
+    parity q+1 > t: the logs of its t weights followed by q*ell, the bit
+    where syndrome q+1 sits in the packed syndromes. The case passes that
+    check exactly when xor_r exp[row[r] + lv[r]] equals syndrome q+1.
+    Zero weights keep log[0], which the padded antilog table turns into
+    zero products. A singular system raises SingularSystemError, as
+    erasure_solver does, and nothing is kept.
+    """
+    view = gen._log_solvers.get(erased)
+    if view is None:
+        log, ell, t = gen.ctx.log.__getitem__, gen.ctx.ell, len(erased)
+        solver = erasure_solver(gen, erased)
+        view = (tuple(tuple(map(log, row)) for row in solver[:t]),
+                tuple((*map(log, row), q * ell) for q, row in enumerate(solver[t:], t)))
+        gen._log_solvers[erased] = view
+    return view
+
+
 def pair_checks(gen):
     """The spare-parity checks of every adjacent block pair, in log form.
 
-    Entry i, for 1 <= i < m, holds one triple (log a, log b, r*ell) per
-    spare parity r+1 > 2, where (a, b) is row r of erasure_solver(gen,
-    (i, i+1)). With s0 and s1 syndromes 1 and 2, the guess that blocks i
-    and i+1 absorbed the deletions passes check r exactly when
-    exp[log s0 + log a] ^ exp[log s1 + log b] equals syndrome r+1. Entry
-    0 is empty. Filled on the first request, which also fills the m - 1
-    pair solvers; a singular pair raises SingularSystemError and nothing
-    is kept.
+    Entry i, for 1 <= i < m, is the spare rows of log_solver(gen, (i, i+1)):
+    one triple (log a, log b, r*ell) per spare parity r+1 > 2. With s0 and
+    s1 syndromes 1 and 2, the guess that blocks i and i+1 absorbed the
+    deletions passes check r exactly when exp[log s0 + log a] ^
+    exp[log s1 + log b] equals syndrome r+1. Entry 0 is empty. Filled on
+    the first request, which also fills the m - 1 pair solvers; a singular
+    pair raises SingularSystemError and nothing is kept.
     """
     checks = gen._pair_checks
     if not checks:
-        log, ell = gen.ctx.log, gen.ctx.ell
-        built = [()]
-        for i in range(1, gen.m):
-            solver = erasure_solver(gen, (i, i + 1))
-            built.append(tuple((log[a], log[b], r * ell)
-                               for r, (a, b) in enumerate(solver[2:], 2)))
-        checks.extend(built)
+        checks.extend([()] + [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)])
     return checks
 
 

@@ -8,15 +8,21 @@ the deletions and how many went to each window, erasure-decoding all 2z
 suspect blocks from the first 2z parities and keeping a case only when the
 spare parities, padding, and per-region supersequence tests all agree.
 
-The c parities of a word and the partial sums of the intact blocks are
-packed ints, parity r+1 in bits [r*ell, (r+1)*ell) (mds.parity_sums), so a
-case's syndromes are the parities xor one table difference per intact
-segment. Only the 2z solving syndromes, and each spare one as it is
-checked, are taken out with a shift and a mask. The erasure solver is
-looked up once per pair placement and shared by all its splits.
+The case loop is fused, like the single-window guess loop. The c parities
+of a word and the partial sums of the intact blocks are packed ints,
+parity r+1 in bits [r*ell, (r+1)*ell) (mds.parity_sums), so a case's
+syndromes are the parities xor one table difference per intact segment.
+The first and last segments do not depend on the split and are xored in
+once per placement; a split adds only its middle segments. The logs of
+the 2z solving syndromes are taken once per case, and every spare parity
+is checked inline against the placement's log-form solver rows
+(mds.log_solver) with one antilog lookup per product and no function
+call. Only the cases that pass are solved and given the padding and
+supersequence checks. The placements, each with its solver, are listed
+once per params on the first decode; the splits once per delta.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import mds
@@ -24,11 +30,13 @@ from .gf2e import bits_to_symbols, symbols_to_bits
 from .single_window import (
     FAILURE,
     INVALID_INPUT,
+    NOT_BINARY,
     SUCCESS,
     CodeParams,
     DecodeResult,
     InvalidConfigError,
     gc_params,
+    is_binary,
     is_subsequence,
 )
 
@@ -42,6 +50,11 @@ class MultiParams:
     base: CodeParams
     z: int
     r: int
+    # Filled by the first decode, so building params builds neither:
+    # _placement_table result
+    _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # delta -> _splits result
+    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self):
@@ -142,16 +155,11 @@ def _compositions(total, parts, cap):
             yield (head,) + rest
 
 
-def _placements(mp, delta):
+def _pair_placements(m, z):
     """Every placement of z pairwise non-overlapping adjacent block pairs
-    (named by their lower block, ascending), each with the list of splits
-    of delta over the windows, every share in [0, w]."""
-    if not 0 <= delta <= mp.z * mp.w:
-        raise ValueError(f"delta={delta} must be in [0, {mp.z * mp.w}]")
-    m, z, w = mp.m, mp.z, mp.w
-    splits = list(_compositions(delta, z, w))
+    among m blocks, each named by its lower block, ascending."""
     for picked in combinations(range(1, m - z + 1), z):
-        yield tuple(q + t for t, q in enumerate(picked)), splits
+        yield tuple(q + t for t, q in enumerate(picked))
 
 
 def enumerate_cases(mp, delta):
@@ -161,105 +169,94 @@ def enumerate_cases(mp, delta):
     with each share in [0, w]. Zero shares are included; a window may have
     swallowed nothing.
     """
-    for pairs, splits in _placements(mp, delta):
-        for deltas in splits:
+    if not 0 <= delta <= mp.z * mp.w:
+        raise ValueError(f"delta={delta} must be in [0, {mp.z * mp.w}]")
+    splits = _splits(mp, delta)
+    for pairs in _pair_placements(mp.m, mp.z):
+        for deltas, _ in splits:
             yield pairs, deltas
 
 
-class _MultiContext:
-    """Scratch state for one received word: the packed parities and, per
-    alignment shift, a table of packed parity partial sums, built lazily."""
+def _splits(mp, delta):
+    """Every split of delta over the z windows, each share in [0, w], kept
+    on mp per delta. Each comes with the shifts of its z - 1 middle
+    segments: segment j, between pairs j and j+1, is read d_1 + ... + d_j
+    bits early."""
+    splits = mp._splits.get(delta)
+    if splits is None:
+        splits = tuple((deltas, tuple(sum(deltas[:j]) for j in range(1, mp.z)))
+                       for deltas in _compositions(delta, mp.z, mp.w))
+        mp._splits[delta] = splits
+    return splits
 
-    def __init__(self, s, parities, mp, delta):
-        self.s = s
-        self.parities = mds.pack(parities, mp.ell)
-        self.mp = mp
-        self._tabs = [None] * (delta + 1)
 
-    def _prefix_tab(self, shift):
-        """Build and keep the table of one shift: tab[j] = packed parity
-        contributions of blocks jmin..j when block bits start at
-        (j-1)*ell - shift, and 0 for j < jmin. The table ends at the last
-        block whole inside s, so a read past it raises IndexError instead
-        of giving a wrong syndrome."""
-        p = self.mp.base
-        ell, m, k = p.ell, p.m, p.k
-        s = self.s
-        jmin = -(-shift // ell) + 1
-        # block j < m ends at j*ell - shift, block m at k - shift
-        top = m if k - shift <= len(s) else min(m - 1, (len(s) + shift) // ell)
-        symbols = bits_to_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], p.ctx)
-        tab = [0] * (jmin - 1) + mds.parity_sums(p.gen, zip(range(jmin, top + 1), symbols))
-        self._tabs[shift] = tab
-        return tab
+def _placement_table(mp):
+    """Every pair placement with the log-form solver of its 2z blocks
+    (mds.log_solver), in enumerate_cases order. Built on the first decode
+    and kept on mp; a singular placement raises SingularSystemError on
+    every request and nothing is kept."""
+    table = mp._placements
+    if not table:
+        gen = mp.gen
+        table.extend([(pairs, mds.log_solver(gen, tuple(e for i in pairs for e in (i, i + 1))))
+                      for pairs in _pair_placements(mp.m, mp.z)])
+    return table
 
-    def candidate(self, pairs, deltas, solver):
-        """Candidate message for one case, or None. solver is the cached
-        erasure solver of the case's 2z blocks. The spare parities are
-        checked first, straight from the syndromes; only a case that
-        passes them is solved and checked for padding and supersequences."""
-        p = self.mp.base  # plain fields, not MultiParams' forwarding properties
-        z, ell, c, m, last = self.mp.z, p.ell, p.c, p.m, p.last_block_len
-        mul = p.ctx.mul
-        s = self.s
 
-        # Syndromes: the parities xor the intact segments between the
-        # pairs, each read at the shift of the deletions before it. Every
-        # read is in range: the last segment's shift is delta, so block m
-        # ends at k - delta = len(s).
-        tabs = self._tabs
-        syn = self.parities
-        a = 1
-        shift = 0
-        for i, d in zip(pairs, deltas):
-            tab = tabs[shift] or self._prefix_tab(shift)
-            syn ^= tab[i - 1] ^ tab[a - 1]
-            a = i + 2
-            shift += d
-        tab = tabs[shift] or self._prefix_tab(shift)
-        syn ^= tab[m] ^ tab[a - 1]
+def _shift_table(s, mp, shift):
+    """Packed parity partial sums of the blocks of s read shift bits early:
+    tab[j] covers blocks jmin..j, whose bits start at (j-1)*ell - shift,
+    and is 0 for j < jmin. The table ends at the last block whole inside
+    s, so a read past it raises IndexError instead of giving a wrong
+    syndrome."""
+    p = mp.base
+    ell, m, k = p.ell, p.m, p.k
+    jmin = -(-shift // ell) + 1
+    # block j < m ends at j*ell - shift, block m at k - shift
+    top = m if k - shift <= len(s) else min(m - 1, (len(s) + shift) // ell)
+    symbols = bits_to_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], p.ctx)
+    return [0] * (jmin - 1) + mds.parity_sums(p.gen, zip(range(jmin, top + 1), symbols))
 
-        t = 2 * z
-        mask = (1 << ell) - 1
-        head = [(syn >> sh) & mask for sh in range(0, t * ell, ell)]
-        for r in range(t, c):
-            acc = 0
-            for g, v in zip(solver[r], head):
-                acc ^= mul(g, v)
-            if acc != (syn >> (r * ell)) & mask:
-                return None
-        sol = []
-        for row in solver[:t]:
-            acc = 0
-            for g, v in zip(row, head):
-                acc ^= mul(g, v)
-            sol.append(acc)
-        if pairs[-1] + 1 == m and sol[-1] & ((1 << (ell - last)) - 1):
+
+def _candidate(s, mp, pairs, deltas, solve, lh):
+    """The message of a case that passed the spare checks, or None. The
+    2z blocks are solved from the logs lh of the solving syndromes with
+    the solve rows of mds.log_solver; then the padding of a short last
+    block and each pair's supersequence test must hold."""
+    p = mp.base
+    ell, m, last, exp = p.ell, p.m, p.last_block_len, p.ctx.exp
+    sol = []
+    for lws in solve:
+        acc = 0
+        for lw, lv in zip(lws, lh):
+            acc ^= exp[lw + lv]
+        sol.append(acc)
+    if pairs[-1] + 1 == m and sol[-1] & ((1 << (ell - last)) - 1):
+        return None
+    width = f"0{ell}b"
+    pieces = []
+    cum = 0
+    prev_end = 0  # bits of s consumed so far
+    for j, (i, d) in enumerate(zip(pairs, deltas)):
+        region_start = (i - 1) * ell - cum
+        pieces.append(s[prev_end:region_start])
+        cum += d
+        pair_len = ell + (last if i + 1 == m else ell)
+        region = s[region_start:(i + 1) * ell - cum] if i + 1 < m else s[region_start:]
+        dec = (format(sol[2 * j], width) + format(sol[2 * j + 1], width))[:pair_len]
+        if not is_subsequence(region, dec):
             return None
-
-        width = f"0{ell}b"
-        pieces = []
-        cum = 0
-        prev_end = 0  # bits of s consumed so far
-        for j, (i, d) in enumerate(zip(pairs, deltas)):
-            seg_start = prev_end
-            region_start = (i - 1) * ell - cum
-            pieces.append(s[seg_start:region_start])
-            cum += d
-            pair_len = ell + (last if i + 1 == m else ell)
-            region = s[region_start:(i + 1) * ell - cum] if i + 1 < m else s[region_start:]
-            dec = (format(sol[2 * j], width) + format(sol[2 * j + 1], width))[:pair_len]
-            if not is_subsequence(region, dec):
-                return None
-            pieces.append(dec)
-            prev_end = region_start + len(region)
-        pieces.append(s[prev_end:])
-        return "".join(pieces)
+        pieces.append(dec)
+        prev_end = region_start + len(region)
+    pieces.append(s[prev_end:])
+    return "".join(pieces)
 
 
 def decode_multi(y, mp):
     """Counterpart of decode for the multi-window construction."""
     n = mp.n
+    if not is_binary(y):
+        return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
     if len(y) > n:
         return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
     if len(y) < n - mp.z * mp.w:
@@ -267,19 +264,51 @@ def decode_multi(y, mp):
             INVALID_INPUT,
             reason=f"{n - len(y)} deletions exceed the budget z*w = {mp.z * mp.w}",
         )
+    p = mp.base  # plain fields, not MultiParams' forwarding properties
+    z, ell, m = mp.z, p.ell, p.m
     delta = n - len(y)
-    tail_len = mp.c * mp.ell * mp.r - delta
-    parity_bits = repetition_decode(y[len(y) - tail_len:], mp.c * mp.ell, mp.r, delta)
-    parities = bits_to_symbols(parity_bits, mp.ctx)
-    ctx = _MultiContext(y[:mp.k - delta], parities, mp, delta)
+    tail_len = p.c * ell * mp.r - delta
+    parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, mp.r, delta)
+    parities = mds.pack(bits_to_symbols(parity_bits, p.ctx), ell)
+    table = _placement_table(mp)
+    splits = _splits(mp, delta)
+    s = y[:p.k - delta]
+
+    # One table per shift some segment is read at: the first segment at 0,
+    # the last at delta (block m ends at k - delta = len(s)), the middle
+    # ones at their splits' shifts.
+    tabs = [None] * (delta + 1)
+    for shift in {0, delta}.union(*(shifts for _, shifts in splits)):
+        tabs[shift] = _shift_table(s, mp, shift)
+    first, last = tabs[0], tabs[delta]
+    split_tabs = [(deltas, [tabs[sh] for sh in shifts]) for deltas, shifts in splits]
+
+    exp, log = p.ctx.exp, p.ctx.log
+    mask = (1 << ell) - 1
+    t = 2 * z
+    heads = range(0, t * ell, ell)
     winners = {}
-    for pairs, splits in _placements(mp, delta):
-        erased = tuple(e for i in pairs for e in (i, i + 1))
-        solver = mds.erasure_solver(mp.gen, erased)
-        for deltas in splits:
-            cand = ctx.candidate(pairs, deltas, solver)
-            if cand is not None and cand not in winners:
-                winners[cand] = (pairs, deltas)
+    for pairs, (solve, spare) in table:
+        # Syndromes: the parities xor the intact segments between the
+        # pairs, each read at the shift of the deletions before it. Only
+        # the middle segments depend on the split.
+        base = parities ^ first[pairs[0] - 1] ^ last[m] ^ last[pairs[-1] + 1]
+        bounds = [(pairs[j] + 1, pairs[j + 1] - 1) for j in range(z - 1)]
+        for deltas, mids in split_tabs:
+            syn = base
+            for tab, (lo, hi) in zip(mids, bounds):
+                syn ^= tab[hi] ^ tab[lo]
+            lh = [log[(syn >> sh) & mask] for sh in heads]
+            for row in spare:
+                acc = 0
+                for lw, lv in zip(row, lh):  # t products; row[t] is the shift
+                    acc ^= exp[lw + lv]
+                if acc != (syn >> row[t]) & mask:
+                    break
+            else:
+                cand = _candidate(s, mp, pairs, deltas, solve, lh)
+                if cand is not None and cand not in winners:
+                    winners[cand] = (pairs, deltas)
     if not winners:
         return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
     if len(winners) == 1:

@@ -141,6 +141,16 @@ def detect_affected_region(y, p):
     return RegionReport(y[p.k + p.w - delta] == "1", delta)
 
 
+def is_binary(y):
+    """True iff y holds only '0' and '1'. Deleting both from the ASCII
+    bytes is one C pass, about twice as fast as counting them; isascii,
+    a flag check, refuses first what encode could not turn into ASCII."""
+    return y.isascii() and not y.encode().translate(None, b"01")
+
+
+NOT_BINARY = "the received word must contain only '0' and '1'"
+
+
 def is_subsequence(sub, sup):
     """True iff sub can be obtained from sup by deleting characters."""
     it = iter(sup)
@@ -287,8 +297,10 @@ def decode(y, p):
     Success carries the recovered message and how it was reached (a pair
     index, or None for the parity path). Failure carries every distinct
     surviving candidate. InvalidInput flags a word no compliant channel
-    could have produced.
+    could have produced, or a word with characters other than 0 and 1.
     """
+    if not is_binary(y):
+        return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
     if len(y) > p.n:
         return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {p.n}")
     if len(y) < p.n - p.w:

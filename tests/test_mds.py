@@ -23,6 +23,7 @@ from gccodes.mds import (
     erasure_decode,
     erasure_solver,
     log_rows,
+    log_solver,
     make_generator,
     pack,
     pair_checks,
@@ -147,6 +148,51 @@ def test_pair_checks_are_spare_solver_rows(params):
         solver = erasure_solver(gen, (i, i + 1))
         assert [(ctx.exp[la], ctx.exp[lb], sh) for la, lb, sh in checks[i]] == [
             (a, b, r * ell) for r, (a, b) in enumerate(solver[2:], 2)]
+
+
+@pytest.mark.parametrize("z", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["cauchy", "vandermonde"])
+def test_log_solver_reproduces_erasure_solver(kind, z):
+    mp = multi_params(64, 4, 8, z, kind)          # ell 6, m 11, last block 4 bits
+    gen, ctx, ell, t = mp.gen, mp.ctx, mp.ell, 2 * z
+    rng = random.Random(f"{kind}/{z}")
+    placements = [tuple(e for t_, q in enumerate(picked) for e in (q + t_, q + t_ + 1))
+                  for picked in combinations(range(1, gen.m - z + 1), z)]
+    for erased in placements:
+        solver = erasure_solver(gen, erased)
+        view = log_solver(gen, erased)
+        assert log_solver(gen, erased) is view     # kept on the generator
+        solve, spare = view
+        assert len(solve) == t and [row[t] for row in spare] == [q * ell for q in range(t, gen.c)]
+        rows = list(solve) + [row[:t] for row in spare]
+        for _ in range(4):
+            syn = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(t)]
+            for logs, row in zip(rows, solver):
+                want = 0
+                for g, v in zip(row, syn):
+                    want ^= ctx.mul(g, v)
+                got = 0
+                for lg, v in zip(logs, syn):
+                    got ^= ctx.exp[lg + ctx.log[v]]
+                assert got == want, (erased, syn)
+    assert len(gen._log_solvers) == len(placements)
+    assert "_log_solvers" not in repr(gen)
+    if z == 1:                                    # pair_checks holds the spare rows
+        log = ctx.log
+        assert pair_checks(gen) == [()] + [
+            tuple((log[a], log[b], r * ell)
+                  for r, (a, b) in enumerate(erasure_solver(gen, erased)[2:], 2))
+            for erased in placements]
+        assert all(pair_checks(gen)[i] is log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m))
+
+
+def test_log_solver_singular_keeps_nothing():
+    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
+                    rows=((1, 1, 1), (1, 1, 2), (1, 2, 4)))   # pair (1, 2) singular
+    for _ in range(2):
+        with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
+            log_solver(gen, (1, 2))
+    assert gen._log_solvers == {} and gen._solvers == {}
 
 
 def test_pair_checks_singular_pair_keeps_nothing():

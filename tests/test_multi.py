@@ -1,6 +1,7 @@
 """Multi-window codec: repetition-coded parities, case enumeration, decode."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -16,15 +17,15 @@ from gccodes.channel import (
 )
 from gccodes.gf2e import symbols_to_bits
 from gccodes.mds import (
+    Generator,
     SingularSystemError,
     encode_parities,
     erasure_decode,
-    erasure_solver,
     verify_parities,
 )
 from gccodes.multi_window import (
     MultiParams,
-    _MultiContext,
+    _shift_table,
     decode_multi,
     encode_multi,
     enumerate_cases,
@@ -296,9 +297,9 @@ def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
     assert len(mp.gen._solvers) == placements
 
     def no_elimination(*args):
-        raise AssertionError("solve_square called on a cached placement")
+        raise AssertionError("elimination on a cached placement")
 
-    monkeypatch.setattr(mds, "solve_square", no_elimination)
+    monkeypatch.setattr(mds, "_eliminate", no_elimination)
     for u, y in words[1:]:
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
@@ -404,12 +405,61 @@ def test_decode_multi_matches_reference():
 
 
 def test_case_off_the_last_shift_raises():
-    # the table at shift 2 ends at block 10, so a case whose shares leave
-    # the last segment at shift 2 < delta reads past it and must not get 0
+    # with delta = 5 the table at shift 2 ends at block 10, so a case whose
+    # shares left the last segment at shift 2 < delta would read past it:
+    # that read must raise, not give 0
     mp = multi_params(64, 4, 8, 2)        # ell 6, m 11
     delta = 5
-    ctx = _MultiContext(U64[:mp.k - delta], [0] * mp.c, mp, delta)
-    solver = erasure_solver(mp.gen, (2, 3, 6, 7))
-    assert len(ctx._prefix_tab(2)) == 11
+    s = U64[:mp.k - delta]
+    tab = _shift_table(s, mp, 2)
+    assert len(tab) == 11
     with pytest.raises(IndexError):
-        ctx.candidate((2, 6), (1, 1), solver)
+        tab[mp.m]
+    assert len(_shift_table(s, mp, delta)) == mp.m + 1
+
+
+def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
+    mp = multi_params(64, 4, 8, 2)
+    assert mp._placements == []           # building params builds no table
+    words = feasible_words(mp, 8, seed=9)
+    u, y = words[0]
+    assert decode_multi(y, mp).message == u
+    table = list(mp._placements)
+    assert [pairs for pairs, _ in table] == sorted({pairs for pairs, _ in enumerate_cases(mp, 3)})
+
+    def no_solver(*args):
+        raise AssertionError("solver requested after the first decode")
+
+    for name in ("erasure_solver", "log_solver", "_eliminate"):
+        monkeypatch.setattr(mds, name, no_solver)
+    for u, y in words[1:]:
+        res = decode_multi(y, mp)
+        assert res.status == SUCCESS and res.message == u
+    assert mp._placements == table
+
+
+def test_singular_placement_raises_every_decode_and_keeps_no_table():
+    mp0 = multi_params(24, 2, 5, 2)
+    assert (mp0.ell, mp0.m) == (5, 5)
+    # blocks 4 and 5 carry equal weights, so placements (1, 4) and (2, 4)
+    # are singular; (1, 3) comes first and is not
+    rows = mp0.gen.rows[:4] + mp0.gen.rows[3:4]
+    gen = Generator(m=5, c=5, kind="test", ctx=mp0.ctx, rows=rows)
+    mp = MultiParams(base=replace(mp0.base, gen=gen), z=2, r=mp0.r)
+    y = encode_multi("10" * 12, mp)
+    for _ in range(2):
+        with pytest.raises(SingularSystemError, match=r"\(1, 2, 4, 5\)"):
+            decode_multi(y, mp)
+        assert mp._placements == []
+
+
+@pytest.mark.parametrize("bad", ["_", "2", " "])
+def test_decode_multi_refuses_non_binary_words(bad):
+    mp = multi_params(64, 4, 8, 2)
+    x = encode_multi(U64, mp)
+    y = delete_localized(x, pattern_from_text("10:0,2;40:1"), w=4, z=2)
+    assert decode_multi(y, mp).message == U64
+    for word in (x, y):
+        for pos in (5, mp.k + 20):        # in the message, in the parity tail
+            res = decode_multi(word[:pos] + bad + word[pos + 1:], mp)
+            assert res.status == INVALID_INPUT and "only '0' and '1'" in res.reason

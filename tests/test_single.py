@@ -144,6 +144,16 @@ def test_decode_length_contract():
     assert decode(CODEWORD + "0", PV).status == INVALID_INPUT
 
 
+@pytest.mark.parametrize("bad", ["_", "2", " "])
+def test_decode_refuses_non_binary_words(bad):
+    # CODEWORD takes the parity path and RECEIVED the guess path; one
+    # character in the message or the parities is replaced
+    for word in (CODEWORD, RECEIVED):
+        for pos in (3, len(word) - 2):
+            res = decode(word[:pos] + bad + word[pos + 1:], PV)
+            assert res.status == INVALID_INPUT and "only '0' and '1'" in res.reason
+
+
 def test_all_single_deletions_recover():
     for i in range(33):
         y = CODEWORD[:i] + CODEWORD[i + 1:]
@@ -243,9 +253,9 @@ def test_pair_solvers_cached_and_bounded(monkeypatch):
     assert len(p.gen._solvers) == p.m - 1
 
     def no_elimination(*args):
-        raise AssertionError("solve_square called on a cached pair")
+        raise AssertionError("elimination on a cached pair")
 
-    monkeypatch.setattr(mds, "solve_square", no_elimination)
+    monkeypatch.setattr(mds, "_eliminate", no_elimination)
     for u, y in words[1:]:
         res = decode(y, p)
         assert res.status != SUCCESS or res.message == u
