@@ -13,6 +13,7 @@ import sys
 
 from . import channel, sim
 from .analysis import bound_multi, bound_single
+from .gf2e import MAX_ELL
 from .multi_window import decode_multi, encode_multi, multi_params
 from .single_window import (
     FAILURE,
@@ -23,12 +24,6 @@ from .single_window import (
     encode,
     gc_params,
 )
-
-# Largest field the CLI builds. The GF(2^20) tables take a few tenths of a
-# second to build, and each step up doubles their size and build time: at the
-# library's limit of 24 the antilog table alone holds 33M entries.
-MAX_CLI_ELL = 20
-
 
 class CliError(Exception):
     pass
@@ -76,8 +71,8 @@ def _add_code_args(sub, need_z=True):
 def _check_field(k, w, c):
     """Refuse, before anything is built, parameters whose field is too large."""
     ell = derive_dims(k, w, c)[0]
-    if ell > MAX_CLI_ELL:
-        raise CliError(f"k={k}, w={w} need ell={ell}; the CLI supports ell <= {MAX_CLI_ELL}")
+    if ell > MAX_ELL:
+        raise CliError(f"k={k}, w={w} need ell={ell}; the CLI supports ell <= {MAX_ELL}")
 
 
 def _params(args):

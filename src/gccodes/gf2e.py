@@ -7,7 +7,9 @@ through discrete-log tables built once per context.
 """
 
 MIN_ELL = 2
-MAX_ELL = 24
+# The GF(2^20) tables (4M antilog entries) take a few tenths of a second to
+# build, and each step up would double their size and build time.
+MAX_ELL = 20
 
 # Lowest-weight primitive polynomial per degree, leading term included
 # (0x13 is x^4 + x + 1). Each entry is re-verified at construction time.
@@ -31,10 +33,6 @@ DEFAULT_POLYS = {
     18: 0x40081,
     19: 0x80027,
     20: 0x100009,
-    21: 0x200005,
-    22: 0x400003,
-    23: 0x800021,
-    24: 0x100001B,
 }
 
 

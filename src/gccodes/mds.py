@@ -3,16 +3,20 @@ erasure solving, and parity verification over a shared field context.
 
 The decoders solve the same small erasure systems again and again: which
 blocks are erased fixes the system, the received word only fixes its
-right-hand side. erasure_solver inverts each system once per generator and
-keeps the result, so a decoder's case loop does products, not elimination.
+right-hand side. log_solver inverts each system (erasure_solver) once per
+generator and keeps the result in log form, so a decoder's case loop does
+products, not elimination.
 
 A vector of c parity values, or of partial sums towards them, is kept
 packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
 vectors is one xor, and parity_sums builds the running sums that encoding
-and both decoders' syndrome tables read.
+and both decoders' syndrome tables read. A block's packed contribution is
+GF(2)-linear in its symbol, so sum_tables keeps it in split tables, one per
+chunk of at most 6 symbol bits (the "split table" method of GF-Complete):
+a block costs one lookup per chunk, two up to ell = 12, and no product.
 
-The hot loops multiply in log form: log_rows keeps the generator's weights
-as logs, log_solver an erasure solver's rows for any erased set (the
+The decoders' solves and spare checks multiply in log form: log_solver
+keeps an erasure solver's rows for any erased set as logs (the
 multi-window case loop reads it), pair_checks the single-window spare
 checks as its z = 1 case, and the field's antilog table is padded so that
 exp[log[a] + log[b]] is a product even when a or b is zero. Each product
@@ -49,10 +53,8 @@ class Generator:
     ctx: FieldContext
     rows: tuple
     # Filled on first request, so building a generator builds none of them:
-    # log_rows result
-    _log_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # erased blocks -> erasure_solver result
-    _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # sum_tables result
+    _sum_tables: list = field(default_factory=list, init=False, repr=False, compare=False)
     # erased blocks -> log_solver result
     _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # pair_checks result
@@ -101,18 +103,42 @@ def make_generator(m, c, ctx, kind="cauchy"):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def log_rows(gen):
-    """The generator's rows in log form, kept on the generator.
+def _chunk_bits(ell):
+    """Width of the low chunks a symbol is split into for sum_tables: the
+    fewest chunks of at most 6 bits, and at least two, as even as they go;
+    the top chunk takes what is left."""
+    count = max(2, -(-ell // 6))
+    return -(-ell // count)
 
-    Entry i holds the (log g, r*ell) pair of each nonzero weight
-    g = rows[i][r], zero weights left out, so that weight's product with v,
-    shifted into the packed layout, is exp[log[v] + log g] << r*ell.
+
+def sum_tables(gen):
+    """Split tables of every block's packed parity contribution, kept on the
+    generator.
+
+    Entry i holds one table per chunk of a symbol v of block i+1, the chunk
+    at bit b covering v's bits [b, b + _chunk_bits(ell)). Entry x of a
+    chunk's table packs mul(x << b, rows[i][r]) over the parities r, so the
+    packed contribution of v is the xor of its chunks' entries. A table is
+    built from the chunk's single-bit contributions by xor and has at most
+    64 entries.
     """
-    out = gen._log_rows
+    out = gen._sum_tables
     if not out:
-        log, ell = gen.ctx.log, gen.ctx.ell
-        out.extend(tuple((log[g], r * ell) for r, g in enumerate(row) if g)
-                   for row in gen.rows)
+        exp, log, ell = gen.ctx.exp, gen.ctx.log, gen.ctx.ell
+        width = _chunk_bits(ell)
+        for row in gen.rows:
+            logs = [(log[g], r * ell) for r, g in enumerate(row)]
+            tables = []
+            for lo in range(0, ell, width):
+                table = [0]
+                for b in range(lo, min(lo + width, ell)):
+                    lb = log[1 << b]
+                    bit = 0
+                    for lg, sh in logs:
+                        bit ^= exp[lb + lg] << sh
+                    table += [x ^ bit for x in table]
+                tables.append(table)
+            out.append(tuple(tables))
     return out
 
 
@@ -122,17 +148,33 @@ def parity_sums(gen, blocks):
     blocks yields (j, v) with j a block number (from 1) and v its symbol.
     The result has one more entry than blocks has pairs: entry 0 is 0 and
     entry n packs, for every parity r, the xor of mul(v, rows[j-1][r]) over
-    the first n pairs, with parity r+1 in bits [r*ell, (r+1)*ell).
+    the first n pairs, with parity r+1 in bits [r*ell, (r+1)*ell). Each
+    pair costs one sum_tables lookup per chunk of v.
     """
-    exp, log = gen.ctx.exp, gen.ctx.log
-    rows = log_rows(gen)
+    tables = sum_tables(gen)
+    ell = gen.ctx.ell
+    w1 = _chunk_bits(ell)
+    w2, w3 = 2 * w1, 3 * w1
+    mask = (1 << w1) - 1
     acc = 0
     out = [0]
-    for j, v in blocks:
-        lv = log[v]
-        for lg, sh in rows[j - 1]:
-            acc ^= exp[lv + lg] << sh
-        out.append(acc)
+    # One loop per chunk count, unrolled: a loop over a block's tables
+    # costs more than the log-form products it replaces.
+    if w2 >= ell:
+        for j, v in blocks:
+            t0, t1 = tables[j - 1]
+            acc ^= t0[v & mask] ^ t1[v >> w1]
+            out.append(acc)
+    elif w3 >= ell:
+        for j, v in blocks:
+            t0, t1, t2 = tables[j - 1]
+            acc ^= t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2]
+            out.append(acc)
+    else:
+        for j, v in blocks:
+            t0, t1, t2, t3 = tables[j - 1]
+            acc ^= t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2 & mask] ^ t3[v >> w3]
+            out.append(acc)
     return out
 
 
@@ -203,7 +245,7 @@ def solve_square(matrix, rhs, ctx):
 
 
 def erasure_solver(gen, erased):
-    """The erasure system of the blocks in erased, solved once per generator.
+    """The erasure system of the blocks in erased, solved.
 
     erased is an ascending tuple of t <= c block numbers (from 1); the
     system is parities 1..t restricted to those blocks. The result is c
@@ -216,14 +258,10 @@ def erasure_solver(gen, erased):
       * dot(solver[q]) is what syn[q] must equal, for q >= t: a spare
         parity check costs t products and no solve.
 
-    The inverse comes from one Gauss-Jordan pass on [system | identity] on
-    the first request and is kept on the generator, one entry per erased
-    set a decoder tries. A singular system raises SingularSystemError on
-    every request and is never cached.
+    The inverse comes from one Gauss-Jordan pass on [system | identity].
+    Nothing is kept: the decoders read log_solver's cached log form. A
+    singular system raises SingularSystemError.
     """
-    solver = gen._solvers.get(erased)
-    if solver is not None:
-        return solver
     t = len(erased)
     if not 1 <= t <= gen.c:
         raise ValueError(f"{t} erased blocks need 1..c = {gen.c} parities")
@@ -244,9 +282,7 @@ def erasure_solver(gen, erased):
             for r, v in enumerate(inv_row):
                 row[r] ^= mul(col[q], v)
         spare.append(row)
-    solver = tuple(tuple(row) for row in inverse + spare)
-    gen._solvers[erased] = solver
-    return solver
+    return tuple(tuple(row) for row in inverse + spare)
 
 
 def log_solver(gen, erased):
@@ -259,8 +295,9 @@ def log_solver(gen, erased):
     where syndrome q+1 sits in the packed syndromes. The case passes that
     check exactly when xor_r exp[row[r] + lv[r]] equals syndrome q+1.
     Zero weights keep log[0], which the padded antilog table turns into
-    zero products. A singular system raises SingularSystemError, as
-    erasure_solver does, and nothing is kept.
+    zero products. The first request for erased runs erasure_solver, so
+    each system is inverted once per generator. A singular system raises
+    SingularSystemError on every request, and nothing is kept.
     """
     view = gen._log_solvers.get(erased)
     if view is None:

@@ -10,6 +10,7 @@ message length: w = ceil(log2 k).
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 from .analysis import bound_multi, bound_single
@@ -72,20 +73,23 @@ def resolve_delta(cfg, w):
     return d
 
 
-def _make_params(k, cfg):
+@lru_cache(maxsize=16)
+def _make_params(k, c, z, kind):
+    """The code for one k, kept across run_trials calls: its tables (parity
+    sums, solvers) fill on the first decode and are reused by every later
+    trial in this process."""
     w = (k - 1).bit_length()
-    if cfg.z == 1:
-        return gc_params(k, w, cfg.c, cfg.kind)
-    return multi_params(k, w, cfg.c, cfg.z, cfg.kind)
+    if z == 1:
+        return gc_params(k, w, c, kind)
+    return multi_params(k, w, c, z, kind)
 
 
-def _run_block(args, params=None):
+def _run_block(args):
     """Trials [t0, t1) for one k. Top-level so worker processes can pick it
-    up; a worker rebuilds the parameter tables, the serial loop passes its
-    own params so their cached erasure solvers are built once per k."""
+    up; params come from the per-process cache, so a worker builds each k
+    once, not once per block."""
     k, cfg, t0, t1 = args
-    if params is None:
-        params = _make_params(k, cfg)
+    params = _make_params(k, cfg.c, cfg.z, cfg.kind)
     delta = resolve_delta(cfg, params.w)
     enc = encode if cfg.z == 1 else encode_multi
     dec = decode if cfg.z == 1 else decode_multi
@@ -122,7 +126,7 @@ def run_trials(cfg, workers=1, progress=False):
     """
     rows = []
     for k in cfg.k_list:
-        params = _make_params(k, cfg)
+        params = _make_params(k, cfg.c, cfg.z, cfg.kind)
         delta = resolve_delta(cfg, params.w)
         blocks = _split_blocks(k, cfg, workers)
         failures = 0
@@ -134,7 +138,7 @@ def run_trials(cfg, workers=1, progress=False):
             results = []
             done = 0
             for b in blocks:
-                results.append(_run_block(b, params))
+                results.append(_run_block(b))
                 done += b[3] - b[2]
                 if progress:
                     print(f"k={k}: {done}/{cfg.trials} trials", file=sys.stderr, flush=True)

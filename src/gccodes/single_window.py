@@ -191,14 +191,17 @@ class _GuessContext:
     Chunking the prefix once left-aligned and the suffix once right-aligned,
     plus running parity partial sums from both ends, makes each guess cost
     O(c) field operations instead of O(m * c). Parities and partial sums
-    are packed ints in the layout of mds.parity_sums, so a guess's
-    syndromes are two xors.
+    are packed ints in the layout of mds.parity_sums, which reads each
+    block's contribution off the generator's split tables (mds.sum_tables),
+    two lookups up to ell = 12 and no product. A guess's syndromes are
+    then two xors.
 
     The guess loop, passing(), is fused: per guess it forms the syndromes,
     takes out syndromes 1 and 2 and checks every spare parity inline
     against the log-form rows of mds.pair_checks, making no function call.
     Only a guess that passes them (the true one, and about 2^-ell of the
-    others at c = 3) reaches verdict(), which solves the pair and runs the padding and
+    others at c = 3) reaches verdict(), which solves the pair from the
+    log-form solve rows of mds.log_solver and runs the padding and
     supersequence checks. decode and evaluate share both.
     """
 
@@ -245,11 +248,11 @@ class _GuessContext:
         and supersequence checks, and report them with parities_ok; the
         candidate is set only when all three hold."""
         p = self.p
-        ell, mask, mul = p.ell, (1 << p.ell) - 1, p.ctx.mul
-        solver = mds.erasure_solver(p.gen, (i, i + 1))
-        s0, s1 = syn & mask, (syn >> ell) & mask
-        ui = mul(solver[0][0], s0) ^ mul(solver[0][1], s1)
-        uj = mul(solver[1][0], s0) ^ mul(solver[1][1], s1)
+        ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
+        (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
+        l0, l1 = log[syn & mask], log[(syn >> ell) & mask]
+        ui = exp[a0 + l0] ^ exp[a1 + l1]
+        uj = exp[b0 + l0] ^ exp[b1 + l1]
         padding_ok = not (i + 1 == p.m and uj & ((1 << (ell - p.last_block_len)) - 1))
         # the guessed region, and the intact blocks i+2..m behind it
         tail = (p.m - i - 2) * ell + p.last_block_len if i + 1 < p.m else 0

@@ -22,13 +22,13 @@ from gccodes.mds import (
     encode_parities,
     erasure_decode,
     erasure_solver,
-    log_rows,
     log_solver,
     make_generator,
     pack,
     pair_checks,
     parity_sums,
     solve_square,
+    sum_tables,
     vandermonde_generator,
     verify_parities,
 )
@@ -91,8 +91,9 @@ GENERATORS = [
     gc_params(64, 4, 5, "vandermonde").gen,
     Generator(m=3, c=3, kind="test", ctx=GF16,    # zero weights
               rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
+    gc_params(300, 13, 3).gen,                    # ell 13: three table chunks
 ]
-GENERATOR_IDS = ["cauchy-short-last", "vandermonde", "zero-weights"]
+GENERATOR_IDS = ["cauchy-short-last", "vandermonde", "zero-weights", "three-chunks"]
 
 
 @pytest.mark.parametrize("gen", GENERATORS, ids=GENERATOR_IDS)
@@ -116,23 +117,57 @@ def test_parity_sums_unpack_to_loop(gen):
     assert parity_sums(gen, picked)[-1] == pack(want, ell)
 
 
-@pytest.mark.parametrize("gen", GENERATORS, ids=GENERATOR_IDS)
-def test_log_rows_reproduce_rows(gen):
+@pytest.mark.parametrize("make", [
+    lambda: gc_params(100, 7, 5).gen,             # ell 7: chunks of 4 and 3 bits
+    lambda: gc_params(64, 4, 5, "vandermonde").gen,
+    lambda: Generator(m=3, c=3, kind="test", ctx=GF16,
+                      rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
+    lambda: vandermonde_generator(4, 3, GF16),    # two 2-bit chunks
+    lambda: gc_params(300, 13, 3).gen,            # ell 13: three chunks
+    lambda: cauchy_generator(3, 3, FieldContext(19)),   # four chunks, 5, 5, 5 and 4 bits
+], ids=GENERATOR_IDS[:3] + ["gf16", "three-chunks", "four-chunks"])
+def test_sum_tables_reproduce_products(make):
+    gen = make()                                  # fresh, so no table is filled yet
     ctx, ell = gen.ctx, gen.ctx.ell
-    rows = log_rows(gen)
-    assert log_rows(gen) is rows                  # kept on the generator
-    assert len(rows) == gen.m
-    for row, log_row in zip(gen.rows, rows):
-        want = [(r * ell, g) for r, g in enumerate(row) if g]
-        assert [(sh, ctx.exp[lg]) for lg, sh in log_row] == want
-    assert "_log_rows" not in repr(gen)
+    assert gen._sum_tables == []                  # nothing until requested
+    tables = sum_tables(gen)
+    first = tables[0]
+    assert sum_tables(gen) is tables and tables[0] is first   # kept, not rebuilt
+    assert gen._sum_tables is tables
+    assert "_sum_tables" not in repr(gen)
+    assert len(tables) == gen.m
+    rng = random.Random(ell)
+    for row, chunks in zip(gen.rows, tables):
+        # chunk j covers the bits of v above the chunks before it
+        widths = [len(t).bit_length() - 1 for t in chunks]
+        assert [len(t) for t in chunks] == [1 << b for b in widths]
+        assert sum(widths) == ell and max(len(t) for t in chunks) <= 64
+        assert len(chunks) == max(2, -(-ell // 6))
+        symbols = range(1 << ell) if ell <= 13 else (
+            [1 << b for b in range(ell)] + [rng.randrange(1 << ell) for _ in range(2000)])
+        for v in symbols:
+            got, lo = 0, 0
+            for t, b in zip(chunks, widths):
+                got ^= t[(v >> lo) % (1 << b)]
+                lo += b
+            assert got == pack([ctx.mul(v, g) for g in row], ell), (v, row)
+    for _ in range(20):                           # and parity_sums reads them so
+        u = [rng.randrange(1 << ell) for _ in range(gen.m)]
+        assert parity_sums(gen, enumerate(u, 1))[-1] == pack(loop_parities(u, gen), ell)
 
 
-def test_log_rows_skip_zero_weights():
+def test_sum_tables_leave_zero_weight_lanes_clear():
     gen = Generator(m=3, c=3, kind="test", ctx=GF16,
                     rows=((1, 0, 1), (0, 1, 2), (1, 2, 0)))
-    assert gen._log_rows == []                    # nothing until requested
-    assert [[sh for _, sh in row] for row in log_rows(gen)] == [[0, 8], [4, 8], [0, 4]]
+    ell = gen.ctx.ell
+    for row, chunks in zip(gen.rows, sum_tables(gen)):
+        lanes = [(x >> (r * ell)) % (1 << ell) for t in chunks for x in t[1:]
+                 for r in range(gen.c)]
+        assert len(lanes) == gen.c * sum(len(t) - 1 for t in chunks)
+        for r, g in enumerate(row):
+            mine = lanes[r::gen.c]
+            assert all(mine) if g else not any(mine), (row, r)
+        assert max(x for t in chunks for x in t) < 1 << (gen.c * ell)
 
 
 @pytest.mark.parametrize("params", [gc_params(100, 7, 5), gc_params(64, 4, 5, "vandermonde"),
@@ -143,7 +178,7 @@ def test_pair_checks_are_spare_solver_rows(params):
     checks = pair_checks(gen)
     assert pair_checks(gen) is checks
     assert len(checks) == gen.m and checks[0] == ()
-    assert len(gen._solvers) == gen.m - 1
+    assert len(gen._log_solvers) == gen.m - 1
     for i in range(1, gen.m):
         solver = erasure_solver(gen, (i, i + 1))
         assert [(ctx.exp[la], ctx.exp[lb], sh) for la, lb, sh in checks[i]] == [
@@ -192,7 +227,7 @@ def test_log_solver_singular_keeps_nothing():
     for _ in range(2):
         with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
             log_solver(gen, (1, 2))
-    assert gen._log_solvers == {} and gen._solvers == {}
+    assert gen._log_solvers == {}
 
 
 def test_pair_checks_singular_pair_keeps_nothing():
@@ -346,23 +381,24 @@ def test_erasure_solver_against_oracle(params, placements):
                  for picked in combinations(range(1, gen.m - z + 1), z)]
     for erased in cases:
         check_solver(gen, erased, rng)
-    assert len(gen._solvers) == len(cases)
+    assert gen._log_solvers == {}                 # erasure_solver keeps nothing
 
 
-def test_erasure_solver_is_cached_per_generator():
+def test_log_solver_is_cached_per_generator():
     ctx = FieldContext(8)
     gen = cauchy_generator(6, 4, ctx)
-    assert gen._solvers == {}
-    first = erasure_solver(gen, (2, 3))
-    assert erasure_solver(gen, (2, 3)) is first
-    assert list(gen._solvers) == [(2, 3)]
+    assert gen._log_solvers == {}
+    first = log_solver(gen, (2, 3))
+    assert log_solver(gen, (2, 3)) is first
+    assert erasure_solver(gen, (3, 4)) is not erasure_solver(gen, (3, 4))
+    assert list(gen._log_solvers) == [(2, 3)]
     # the table is not part of the generator's value
     twin = cauchy_generator(6, 4, ctx)
-    assert twin._solvers == {}
+    assert twin._log_solvers == {}
     assert gen == twin and hash(gen) == hash(twin)
-    assert "_solvers" not in repr(gen)
+    assert "_log_solvers" not in repr(gen)
     with pytest.raises(ValueError):
-        erasure_solver(gen, (1, 2, 3, 4, 5))
+        log_solver(gen, (1, 2, 3, 4, 5))
 
 
 def test_erasure_solver_singular_raises_every_time():
@@ -372,7 +408,6 @@ def test_erasure_solver_singular_raises_every_time():
     for _ in range(2):
         with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
             erasure_solver(gen, (1, 2))
-    assert gen._solvers == {}
     check_solver(gen, (2, 3), random.Random(1))
 
 
@@ -394,8 +429,8 @@ def test_filled_solvers_make_decoders_eliminate_nothing(monkeypatch):
 
     monkeypatch.setattr(mds, "_eliminate", no_elimination)
     for params, dec, words in cases:
-        filled = dict(params.gen._solvers)
+        filled = dict(params.gen._log_solvers)
         for u, y in words:
             res = dec(y, params)
             assert res.status != SUCCESS or res.message == u
-        assert params.gen._solvers == filled
+        assert params.gen._log_solvers == filled

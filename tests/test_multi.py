@@ -289,12 +289,12 @@ def test_decode_multi_three_windows():
 
 def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
     mp = multi_params(64, 4, 8, 2)
-    assert mp.gen._solvers == {}          # building params builds no solver
+    assert mp.gen._log_solvers == {}      # building params builds no solver
     words = feasible_words(mp, 6, seed=5)
     u, y = words[0]
     assert decode_multi(y, mp).message == u
     placements = comb(mp.m - mp.z, mp.z)
-    assert len(mp.gen._solvers) == placements
+    assert len(mp.gen._log_solvers) == placements
 
     def no_elimination(*args):
         raise AssertionError("elimination on a cached placement")
@@ -303,7 +303,7 @@ def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
     for u, y in words[1:]:
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
-    assert len(mp.gen._solvers) == placements
+    assert len(mp.gen._log_solvers) == placements
 
 
 def subsequence(sub, sup):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from gccodes import sim
 from gccodes.sim import SimConfig, report_to_csv, resolve_delta, run_trials
+from gccodes.single_window import gc_params
 
 
 def small_cfg(**kw):
@@ -35,6 +37,21 @@ def test_deterministic_across_runs_and_workers():
     csv2 = report_to_csv(run_trials(cfg))
     csv3 = report_to_csv(run_trials(cfg, workers=2))
     assert csv1 == csv2 == csv3
+
+
+def test_params_built_once_across_calls(monkeypatch):
+    sim._make_params.cache_clear()
+    built = []
+
+    def counting_gc_params(*args):
+        built.append(args)
+        return gc_params(*args)
+
+    monkeypatch.setattr(sim, "gc_params", counting_gc_params)
+    cfg = small_cfg(trials=100)
+    first = report_to_csv(run_trials(cfg))
+    assert report_to_csv(run_trials(cfg)) == first
+    assert built == [(64, 6, 3, "cauchy")]
 
 
 def test_seed_changes_results():

@@ -241,7 +241,7 @@ def test_is_subsequence_against_dp_oracle():
 
 def test_pair_solvers_cached_and_bounded(monkeypatch):
     p = gc_params(128, 7, 3)
-    assert p.gen._solvers == {}           # building params builds no solver
+    assert p.gen._log_solvers == {}       # building params builds no solver
     rng = random.Random(12)
     words = []
     for _ in range(8):
@@ -250,7 +250,7 @@ def test_pair_solvers_cached_and_bounded(monkeypatch):
         words.append((u, delete_localized(encode(u, p), pat)))
     u, y = words[0]
     assert decode(y, p).message == u
-    assert len(p.gen._solvers) == p.m - 1
+    assert len(p.gen._log_solvers) == p.m - 1
 
     def no_elimination(*args):
         raise AssertionError("elimination on a cached pair")
@@ -259,7 +259,7 @@ def test_pair_solvers_cached_and_bounded(monkeypatch):
     for u, y in words[1:]:
         res = decode(y, p)
         assert res.status != SUCCESS or res.message == u
-    assert len(p.gen._solvers) == p.m - 1
+    assert len(p.gen._log_solvers) == p.m - 1
 
 
 def reference_decode(y, p):
