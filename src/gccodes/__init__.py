@@ -43,7 +43,6 @@ from .mds import (
     erasure_decode,
     make_generator,
     vandermonde_generator,
-    verify_parities,
 )
 from .multi_window import (
     DEFAULT_MAX_Z,
@@ -88,7 +87,7 @@ __all__ = [
     "bits_to_symbols", "symbols_to_bits",
     "FieldTooSmallError", "Generator", "SingularSystemError",
     "cauchy_generator", "encode_parities", "erasure_decode",
-    "make_generator", "vandermonde_generator", "verify_parities",
+    "make_generator", "vandermonde_generator",
     "DEFAULT_MAX_Z", "MultiParams", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",

@@ -1,5 +1,5 @@
-"""Systematic MDS parity layer: generator construction, parity encoding,
-erasure solving, and parity verification over a shared field context.
+"""Systematic MDS parity layer: generator construction, parity encoding
+and erasure solving over a shared field context.
 
 The decoders solve the same small erasure systems again and again: which
 blocks are erased fixes the system, the received word only fixes its
@@ -9,11 +9,16 @@ products, not elimination.
 
 A vector of c parity values, or of partial sums towards them, is kept
 packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
-vectors is one xor, and parity_sums builds the running sums that encoding
-and both decoders' syndrome tables read. A block's packed contribution is
-GF(2)-linear in its symbol, so sum_tables keeps it in split tables, one per
-chunk of at most 6 symbol bits (the "split table" method of GF-Complete):
-a block costs one lookup per chunk, two up to ell = 12, and no product.
+vectors is one xor. Every packed parity bit is GF(2)-linear in the message
+bits, so the encoder is bit-sliced: parity_planes keeps one mask per
+packed bit over the message read as one int, and packed_parities takes
+bit p as the parity of the popcount of x & planes[p], c*ell popcounts per
+message. encode_parities and both encoders go through it. parity_sums
+builds the running sums that both decoders' syndrome tables read. A
+block's packed contribution is GF(2)-linear in its symbol, so sum_tables
+keeps it in split tables, one per chunk of at most 6 symbol bits (the
+"split table" method of GF-Complete): a block costs one lookup per chunk,
+two up to ell = 12, and no product.
 
 The decoders' solves and spare checks multiply in log form: log_solver
 keeps an erasure solver's rows for any erased set as logs (the
@@ -26,6 +31,8 @@ Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .gf2e import FieldContext
@@ -59,6 +66,8 @@ class Generator:
     _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # pair_checks result
     _pair_checks: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # parity_planes result
+    _planes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def cauchy_generator(m, c, ctx):
@@ -184,31 +193,64 @@ def pack(values, ell):
     return sum(v << (r * ell) for r, v in enumerate(values))
 
 
+# Byte -> b"0" or b"1" by one of its bits, one table per bit: parity_planes
+# reads a bit of every column at once with bytes.translate.
+_BIT_CHARS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def parity_planes(gen):
+    """The c*ell masks that encode by popcount, kept on the generator.
+
+    The padded message int x holds block i's symbol in bits
+    [(m-i)*ell, (m-i+1)*ell); a short last block is zero-padded low, as in
+    bits_to_symbols. Every parity bit is GF(2)-linear in x, so bit p of the
+    packed parities (parity r+1 in bits [r*ell, (r+1)*ell)) is the parity
+    of x & planes[p]. Bit b of block i contributes mul(1 << b, g) to parity
+    r+1, g = rows[i-1][r]; alpha is x, so that is exp[log g + b], and the
+    ell bits of a block read one slice of the antilog table (zeros for
+    g = 0, whose log points into the padding). Plane r*ell + j collects bit
+    j of those contributions: the columns of parity r+1 go into one array,
+    and one strided slice per byte, one translate and one int() turn bit j
+    of every column into the plane.
+    """
+    planes = gen._planes
+    if not planes:
+        exp, log, ell = gen.ctx.exp, gen.ctx.log, gen.ctx.ell
+        for r in range(gen.c):
+            cols = array("L")                   # bit 0 of x first
+            for row in reversed(gen.rows):
+                lg = log[row[r]]
+                cols.extend(exp[lg:lg + ell])
+            cols.reverse()                      # int() reads the top bit first
+            if sys.byteorder == "big":
+                cols.byteswap()
+            raw, size = cols.tobytes(), cols.itemsize
+            planes.extend(int(raw[j >> 3::size].translate(_BIT_CHARS[j & 7]), 2)
+                          for j in range(ell))
+    return planes
+
+
+def packed_parities(x, gen):
+    """Packed parities of the padded message int x (see parity_planes)."""
+    acc = 0
+    for plane in reversed(parity_planes(gen)):
+        acc = acc << 1 | (x & plane).bit_count() & 1
+    return acc
+
+
 def encode_parities(symbols, gen):
     """All c parity symbols for a full systematic vector."""
     if len(symbols) != gen.m:
         raise ValueError(f"expected {gen.m} symbols, got {len(symbols)}")
-    packed = parity_sums(gen, enumerate(symbols, 1))[-1]
     ell = gen.ctx.ell
+    x = 0
+    for v in symbols:
+        if not 0 <= v < 1 << ell:
+            raise ValueError(f"symbol {v} is not an element of GF(2^{ell})")
+        x = x << ell | v
+    packed = packed_parities(x, gen)
     mask = (1 << ell) - 1
     return [(packed >> (r * ell)) & mask for r in range(gen.c)]
-
-
-def verify_parities(symbols, parity_values, parity_nums, gen):
-    """True iff the selected parities recomputed from symbols match
-    parity_values (parallel to parity_nums, numbered from 1)."""
-    if len(symbols) != gen.m:
-        raise ValueError(f"expected {gen.m} symbols, got {len(symbols)}")
-    if len(parity_values) != len(parity_nums):
-        raise ValueError("parity_values and parity_nums differ in length")
-    mul = gen.ctx.mul
-    for val, num in zip(parity_values, parity_nums):
-        acc = 0
-        for i, v in enumerate(symbols):
-            acc ^= mul(v, gen.rows[i][num - 1])
-        if acc != val:
-            return False
-    return True
 
 
 def _eliminate(matrix, right, ctx):

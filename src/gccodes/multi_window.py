@@ -18,15 +18,18 @@ the 2z solving syndromes are taken once per case, and every spare parity
 is checked inline against the placement's log-form solver rows
 (mds.log_solver) with one antilog lookup per product and no function
 call. Only the cases that pass are solved and given the padding and
-supersequence checks. The placements, each with its solver, are listed
-once per params on the first decode; the splits once per delta.
+supersequence checks; a pair with a zero share is checked by equality,
+and the supersequence tests of the pairs with a share run once per
+decode for each distinct set of them (_candidate). The placements, each
+with its solver, are listed once per params on the first decode; the
+splits once per delta.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import mds
-from .gf2e import bits_to_symbols, symbols_to_bits
+from .gf2e import bits_to_symbols
 from .single_window import (
     FAILURE,
     INVALID_INPUT,
@@ -38,6 +41,7 @@ from .single_window import (
     gc_params,
     is_binary,
     is_subsequence,
+    parity_bits,
 )
 
 # Enumerated cases grow combinatorially with z; past 3 windows the decoder
@@ -136,13 +140,7 @@ def repetition_decode(bits, m_bits, r, d):
 
 
 def encode_multi(u, mp):
-    p = mp.base
-    if len(u) != p.k:
-        raise ValueError(f"message must be {p.k} bits, got {len(u)}")
-    if set(u) - {"0", "1"}:
-        raise ValueError("message must contain only '0' and '1'")
-    parities = mds.encode_parities(bits_to_symbols(u, p.ctx), p.gen)
-    return u + repetition_encode(symbols_to_bits(parities, p.ctx), mp.r)
+    return u + repetition_encode(parity_bits(u, mp.base), mp.r)
 
 
 def _compositions(total, parts, cap):
@@ -218,38 +216,71 @@ def _shift_table(s, mp, shift):
     return [0] * (jmin - 1) + mds.parity_sums(p.gen, zip(range(jmin, top + 1), symbols))
 
 
-def _candidate(s, mp, pairs, deltas, solve, lh):
+def _candidate(s, mp, pairs, deltas, solve, lh, seen):
     """The message of a case that passed the spare checks, or None. The
     2z blocks are solved from the logs lh of the solving syndromes with
-    the solve rows of mds.log_solver; then the padding of a short last
-    block and each pair's supersequence test must hold."""
+    the solve rows of mds.log_solver.
+
+    A pair with a zero share lost nothing, so its supersequence test is
+    region == dec; that, and the padding of a short last block when the
+    last pair has a zero share, is checked case by case. The pairs with a
+    share fix the rest: their (i, d, solved pair) tuple decides the
+    padding when the last pair is among them, their supersequence tests
+    and the message. seen maps that tuple to its outcome for one decode,
+    because every intact pair placed at a zero share next to the same
+    damaged pairs repeats it.
+    """
     p = mp.base
-    ell, m, last, exp = p.ell, p.m, p.last_block_len, p.ctx.exp
+    ell, m, exp = p.ell, p.m, p.ctx.exp
+    low = ell - p.last_block_len  # padding bits of a short last block
     sol = []
     for lws in solve:
         acc = 0
         for lw, lv in zip(lws, lh):
             acc ^= exp[lw + lv]
         sol.append(acc)
-    if pairs[-1] + 1 == m and sol[-1] & ((1 << (ell - last)) - 1):
-        return None
-    width = f"0{ell}b"
+    key = []
+    cum = 0
+    for i, d, a, b in zip(pairs, deltas, sol[::2], sol[1::2]):
+        if d:
+            key.append((i, d, a, b))
+            cum += d
+            continue
+        # region == dec, compared as ints: a zero-share region always
+        # holds the pair's full 2*ell bits (ell + last for the last pair,
+        # whose bits shifted up to whole blocks leave the padding zero)
+        start = (i - 1) * ell - cum
+        if i + 1 < m:
+            if int(s[start:(i + 1) * ell - cum], 2) != a << ell | b:
+                return None
+        elif int(s[start:], 2) << low != a << ell | b:
+            return None
+    key = tuple(key)
+    if key in seen:
+        return seen[key]
+    seen[key] = None
     pieces = []
     cum = 0
     prev_end = 0  # bits of s consumed so far
-    for j, (i, d) in enumerate(zip(pairs, deltas)):
-        region_start = (i - 1) * ell - cum
-        pieces.append(s[prev_end:region_start])
+    width = f"0{ell}b"
+    for i, d, a, b in key:
+        start = (i - 1) * ell - cum
+        pieces.append(s[prev_end:start])
         cum += d
-        pair_len = ell + (last if i + 1 == m else ell)
-        region = s[region_start:(i + 1) * ell - cum] if i + 1 < m else s[region_start:]
-        dec = (format(sol[2 * j], width) + format(sol[2 * j + 1], width))[:pair_len]
+        dec = format(a, width) + format(b, width)
+        if i + 1 < m:
+            region = s[start:(i + 1) * ell - cum]
+        elif b & ((1 << low) - 1):
+            return None
+        else:
+            region, dec = s[start:], dec[:ell + p.last_block_len]
         if not is_subsequence(region, dec):
             return None
         pieces.append(dec)
-        prev_end = region_start + len(region)
+        prev_end = start + len(region)
     pieces.append(s[prev_end:])
-    return "".join(pieces)
+    seen[key] = cand = "".join(pieces)
+    return cand
 
 
 def decode_multi(y, mp):
@@ -288,6 +319,7 @@ def decode_multi(y, mp):
     t = 2 * z
     heads = range(0, t * ell, ell)
     winners = {}
+    seen = {}
     for pairs, (solve, spare) in table:
         # Syndromes: the parities xor the intact segments between the
         # pairs, each read at the shift of the deletions before it. Only
@@ -306,7 +338,7 @@ def decode_multi(y, mp):
                 if acc != (syn >> row[t]) & mask:
                     break
             else:
-                cand = _candidate(s, mp, pairs, deltas, solve, lh)
+                cand = _candidate(s, mp, pairs, deltas, solve, lh, seen)
                 if cand is not None and cand not in winners:
                     winners[cand] = (pairs, deltas)
     if not winners:

@@ -35,7 +35,7 @@ respected the window contract.
 from dataclasses import dataclass
 
 from . import mds
-from .gf2e import FieldContext, bits_to_symbols, symbols_to_bits
+from .gf2e import FieldContext, bits_to_symbols
 
 
 class InvalidConfigError(ValueError):
@@ -105,13 +105,26 @@ def gc_params(k, w, c, kind="cauchy"):
                       kind=kind, ctx=ctx, gen=gen)
 
 
-def encode(u, p):
+def parity_bits(u, p):
+    """The c parity blocks of message u as one bit string, parity 1 first.
+
+    u is checked first: k characters, each '0' or '1' (is_binary, so
+    nothing int() would also take, such as '_', spaces or a sign, gets
+    through). The parities are read off the message int by popcounts
+    (mds.packed_parities); encode and encode_multi share this path.
+    """
     if len(u) != p.k:
         raise ValueError(f"message must be {p.k} bits, got {len(u)}")
-    if set(u) - {"0", "1"}:
+    if not is_binary(u):
         raise ValueError("message must contain only '0' and '1'")
-    parities = mds.encode_parities(bits_to_symbols(u, p.ctx), p.gen)
-    return u + "0" * p.w + "1" + symbols_to_bits(parities, p.ctx)
+    ell = p.ell
+    packed = mds.packed_parities(int(u, 2) << (p.m * ell - p.k), p.gen)
+    mask, width = (1 << ell) - 1, f"0{ell}b"
+    return "".join([format(packed >> sh & mask, width) for sh in range(0, p.c * ell, ell)])
+
+
+def encode(u, p):
+    return u + "0" * p.w + "1" + parity_bits(u, p)
 
 
 @dataclass(frozen=True)

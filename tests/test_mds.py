@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from gccodes import mds
+from gccodes import mds, multi_window, single_window
 from gccodes.channel import delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext, bits_to_symbols
 from gccodes.multi_window import decode_multi, encode_multi, multi_params
@@ -25,13 +25,15 @@ from gccodes.mds import (
     log_solver,
     make_generator,
     pack,
+    packed_parities,
     pair_checks,
+    parity_planes,
     parity_sums,
     solve_square,
     sum_tables,
     vandermonde_generator,
-    verify_parities,
 )
+from oracles import loop_parities, message_parity_bits, verify_parities
 
 GF16 = FieldContext(4)
 
@@ -73,17 +75,6 @@ def test_parities_of_worked_example():
     gen = vandermonde_generator(4, 3, GF16)
     # alpha^14, alpha^3, alpha^0
     assert encode_parities(U_EXAMPLE, gen) == [9, 8, 1]
-
-
-def loop_parities(symbols, gen):
-    """c parities of the leading symbols, one field product at a time."""
-    out = []
-    for r in range(gen.c):
-        acc = 0
-        for i, v in enumerate(symbols):
-            acc = gen.ctx.add(acc, gen.ctx.mul(v, gen.rows[i][r]))
-        out.append(acc)
-    return out
 
 
 GENERATORS = [
@@ -228,6 +219,97 @@ def test_log_solver_singular_keeps_nothing():
         with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
             log_solver(gen, (1, 2))
     assert gen._log_solvers == {}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gc_params(128, 7, 3).gen,             # Cauchy, the sim_grid code at k = 128
+    lambda: gc_params(64, 4, 5, "vandermonde").gen,
+    lambda: Generator(m=3, c=3, kind="test", ctx=GF16,
+                      rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
+    lambda: gc_params(100, 7, 5).gen,             # last block 2 of 7 bits
+    lambda: vandermonde_generator(4, 3, GF16),
+    lambda: gc_params(300, 13, 3).gen,            # ell 13, last block 1 bit
+    lambda: cauchy_generator(3, 3, FieldContext(19)),
+], ids=["cauchy", "vandermonde", "zero-weights", "short-last", "gf16", "ell13", "ell19"])
+def test_parity_planes_reproduce_products(make, monkeypatch):
+    gen = make()                                  # fresh, so no plane is built yet
+    ctx, ell, m, c = gen.ctx, gen.ctx.ell, gen.m, gen.c
+    assert gen._planes == []                      # nothing until requested
+    planes = parity_planes(gen)
+    monkeypatch.setattr(mds, "array", None)      # a rebuild would need it
+    assert parity_planes(gen) is planes and gen._planes is planes
+    assert "_planes" not in repr(gen)
+    assert len(planes) == c * ell
+    assert all(0 <= plane < 1 << (m * ell) for plane in planes)
+    # bit q of the padded message int is bit q % ell of block m - q // ell,
+    # whose products with that block's weights are the packed column
+    for q in range(m * ell):
+        row = gen.rows[m - 1 - q // ell]
+        column = pack([ctx.mul(1 << (q % ell), g) for g in row], ell)
+        assert [planes[bit] >> q & 1 for bit in range(c * ell)] == \
+            [column >> bit & 1 for bit in range(c * ell)], q
+    rng = random.Random(ell)
+    for _ in range(20):
+        u = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(m)]
+        x = sum(v << ((m - 1 - i) * ell) for i, v in enumerate(u))
+        assert packed_parities(x, gen) == pack(loop_parities(u, gen), ell)
+        assert encode_parities(u, gen) == loop_parities(u, gen)
+    assert gen._planes is planes and len(planes) == c * ell   # kept, never rebuilt
+
+
+ENCODER_CODES = [gc_params(k, (k - 1).bit_length(), 3) for k in (128, 256, 512, 1024, 4096)] + [
+    gc_params(100, 7, 5, "vandermonde"), multi_params(64, 4, 8, 2),
+    multi_params(100, 7, 7, 3), multi_params(256, 4, 8, 3, "vandermonde")]
+ENCODER_IDS = ["k128", "k256", "k512", "k1024", "k4096", "short-last",
+               "z2", "z3-short-last", "z3-vandermonde"]
+
+
+@pytest.mark.parametrize("params", ENCODER_CODES, ids=ENCODER_IDS)
+def test_encoders_match_product_loop(params):
+    rng = random.Random(params.k)
+    multi = hasattr(params, "z")
+    for _ in range(4):
+        u = format(rng.getrandbits(params.k), f"0{params.k}b")
+        tail = message_parity_bits(u, params.gen)
+        if multi:
+            want = u + "".join(ch * params.r for ch in tail)
+            assert encode_multi(u, params) == want
+        else:
+            assert encode(u, params) == u + "0" * params.w + "1" + tail
+
+
+@pytest.mark.parametrize("bad", [16, -1, 1 << 40])
+def test_encode_parities_refuses_non_field_symbols(bad):
+    gen = vandermonde_generator(4, 3, GF16)
+    with pytest.raises(ValueError, match="not an element of GF"):
+        encode_parities(U_EXAMPLE[:3] + [bad], gen)
+
+
+def test_encoders_read_only_the_planes(monkeypatch):
+    def banned(*args):
+        raise AssertionError("encoding goes through the parity planes only")
+
+    for name in ("parity_sums", "sum_tables"):
+        monkeypatch.setattr(mds, name, banned)
+    monkeypatch.setattr(single_window, "bits_to_symbols", banned)
+    monkeypatch.setattr(multi_window, "bits_to_symbols", banned)
+    for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
+        (encode_multi if hasattr(params, "z") else encode)("01" * (params.k // 2), params)
+        assert params.gen._sum_tables == [] and params.gen._log_solvers == {}
+        assert len(params.gen._planes) == params.c * params.ell
+
+
+@pytest.mark.parametrize("head, tail", [
+    ("1_", ""), (" ", ""), ("", " "), ("\t", ""), ("", "\n"), ("+", ""),
+    ("\u0661", ""),                              # ARABIC-INDIC DIGIT ONE
+], ids=["underscore", "leading-space", "trailing-space", "tab", "newline", "plus", "arabic-one"])
+@pytest.mark.parametrize("multi", [False, True], ids=["encode", "encode_multi"])
+def test_encoders_refuse_what_int_accepts(head, tail, multi):
+    params = multi_params(64, 4, 8, 2) if multi else gc_params(64, 6, 3)
+    u = head + "1" * (params.k - len(head) - len(tail)) + tail
+    assert len(u) == params.k and int(u, 2) > 0   # int() alone would take it
+    with pytest.raises(ValueError, match=r"^message must contain only '0' and '1'$"):
+        (encode_multi if multi else encode)(u, params)
 
 
 def test_pair_checks_singular_pair_keeps_nothing():

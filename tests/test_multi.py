@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from gccodes import mds
+from gccodes import mds, multi_window
 from gccodes.channel import (
     DeletionPattern,
     Window,
@@ -21,7 +21,6 @@ from gccodes.mds import (
     SingularSystemError,
     encode_parities,
     erasure_decode,
-    verify_parities,
 )
 from gccodes.multi_window import (
     MultiParams,
@@ -40,7 +39,9 @@ from gccodes.single_window import (
     DecodeResult,
     InvalidConfigError,
     gc_params,
+    is_subsequence,
 )
+from oracles import verify_parities
 
 
 def test_repetition_encode_golden():
@@ -402,6 +403,56 @@ def test_decode_multi_matches_reference():
                 want = want.status
             statuses[want] = statuses.get(want, 0) + 1
     assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
+
+
+def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
+    # A pair placed at a zero share lost nothing, so it is checked by
+    # equality and never reaches the supersequence test; the cases that
+    # differ only in such pairs share the outcome of one set of tests of
+    # their damaged pairs, so there are fewer tests than checked cases.
+    mp = multi_params(64, 4, 8, 2)
+    rng = random.Random(97)
+    calls, cases = [], []
+
+    def counted(region, dec):
+        calls.append((region, dec))
+        return is_subsequence(region, dec)
+
+    real_candidate = multi_window._candidate
+
+    def candidate(*args):
+        cases.append(args[2:4])
+        return real_candidate(*args)
+
+    monkeypatch.setattr(multi_window, "is_subsequence", counted)
+    monkeypatch.setattr(multi_window, "_candidate", candidate)
+    for _ in range(200):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        deltas = (rng.randrange(mp.w + 1), rng.randrange(mp.w + 1))
+        y = delete_localized(encode_multi(u, mp), sample_pattern(mp, deltas, rng))
+        res = decode_multi(y, mp)
+        assert res.status != SUCCESS or res.message == u
+    assert all(len(region) < len(dec) for region, dec in calls)
+    assert 0 < 3 * len(calls) < 2 * len(cases), (len(calls), len(cases))
+
+
+@pytest.mark.parametrize("pairs, deltas, cut", [
+    ((1, 10), (0, 3), (55, 58)),          # the last pair lost bits 55..57
+    ((1, 10), (3, 0), (2, 5)),            # the first pair lost bits 2..4
+], ids=["last-pair-damaged", "last-pair-intact"])
+def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
+    mp = multi_params(64, 4, 8, 2)        # ell 6, m 11, last block 4 bits
+    ell, log = mp.ell, mp.ctx.log
+    blocks = [int(U64[j:j + ell].ljust(ell, "0"), 2) for j in range(0, mp.k, ell)]
+    s = U64[:cut[0]] + U64[cut[1]:]
+    # solve row j copies the logs of syndrome j through, so with the logs
+    # of the true blocks the case solves to exactly those blocks
+    solve = [tuple(0 if r == j else log[0] for r in range(4)) for j in range(4)]
+    true = [blocks[i - 1 + e] for i in pairs for e in (0, 1)]
+    for padding, want in ((0, U64), (1, None), (0b10, None)):
+        sol = true[:3] + [true[3] | padding]
+        lh = [log[v] for v in sol]
+        assert multi_window._candidate(s, mp, pairs, deltas, solve, lh, {}) == want
 
 
 def test_case_off_the_last_shift_raises():

@@ -24,6 +24,7 @@ from gccodes.single_window import (
     is_subsequence,
     try_guess,
 )
+from oracles import verify_parities
 
 U = "1100101001111000"
 CODEWORD = "110010100111100000001100110000001"
@@ -291,7 +292,7 @@ def reference_decode(y, p):
                 assert len(bits) == blen, (i, j)
                 symbols[j - 1] = int(bits, 2) << (ell - blen)
         filled = mds.erasure_decode(symbols, [i, i + 1], parities[:2], [1, 2], p.gen)
-        if not mds.verify_parities(filled, parities[2:], range(3, c + 1), p.gen):
+        if not verify_parities(filled, parities[2:], range(3, c + 1), p.gen):
             continue
         if i + 1 == m and filled[m - 1] % (1 << (ell - last)):
             continue
