@@ -40,7 +40,6 @@ from .mds import (
     SingularSystemError,
     cauchy_generator,
     encode_parities,
-    erasure_decode,
     make_generator,
     vandermonde_generator,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "FieldContext", "NonPrimitivePolynomialError", "UnsupportedExponentError",
     "bits_to_symbols", "symbols_to_bits",
     "FieldTooSmallError", "Generator", "SingularSystemError",
-    "cauchy_generator", "encode_parities", "erasure_decode",
+    "cauchy_generator", "encode_parities",
     "make_generator", "vandermonde_generator",
     "DEFAULT_MAX_Z", "MultiParams", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",

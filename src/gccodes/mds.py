@@ -13,12 +13,13 @@ vectors is one xor. Every packed parity bit is GF(2)-linear in the message
 bits, so the encoder is bit-sliced: parity_planes keeps one mask per
 packed bit over the message read as one int, and packed_parities takes
 bit p as the parity of the popcount of x & planes[p], c*ell popcounts per
-message. encode_parities and both encoders go through it. parity_sums
-builds the running sums that both decoders' syndrome tables read. A
-block's packed contribution is GF(2)-linear in its symbol, so sum_tables
-keeps it in split tables, one per chunk of at most 6 symbol bits (the
-"split table" method of GF-Complete): a block costs one lookup per chunk,
-two up to ell = 12, and no product.
+message. encode_parities and both encoders go through it. The decoders
+read a block's packed contribution instead (block_sums): it is GF(2)-linear
+in the block's symbol, so sum_tables keeps it in split tables, one per
+chunk of at most 6 symbol bits (the "split table" method of GF-Complete),
+and a block costs one lookup per chunk, two up to ell = 12, and no
+product. The single-window scan xors contributions step by step;
+parity_sums gives the running sums the multi-window case loop reads.
 
 The decoders' solves and spare checks multiply in log form: log_solver
 keeps an erasure solver's rows for any erased set as logs (the
@@ -34,6 +35,8 @@ matching the way code blocks are counted everywhere else in this package.
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import xor
 
 from .gf2e import FieldContext
 
@@ -151,45 +154,44 @@ def sum_tables(gen):
     return out
 
 
-def parity_sums(gen, blocks):
-    """Running packed parity sums over (block, symbol) pairs.
+def block_sums(gen, first, symbols):
+    """Packed parity contribution of each symbol, for consecutive blocks.
 
-    blocks yields (j, v) with j a block number (from 1) and v its symbol.
-    The result has one more entry than blocks has pairs: entry 0 is 0 and
-    entry n packs, for every parity r, the xor of mul(v, rows[j-1][r]) over
-    the first n pairs, with parity r+1 in bits [r*ell, (r+1)*ell). Each
-    pair costs one sum_tables lookup per chunk of v.
+    symbols[n] is the symbol of block first + n (blocks numbered from 1).
+    Entry n of the result packs mul(symbols[n], rows[first+n-1][r]) over
+    the parities r, parity r+1 in bits [r*ell, (r+1)*ell). Each symbol
+    costs one sum_tables lookup per chunk.
     """
     tables = sum_tables(gen)
-    ell = gen.ctx.ell
-    w1 = _chunk_bits(ell)
+    chunks = tables[0]
+    w1 = len(chunks[0]).bit_length() - 1        # width of all chunks but the top one
     w2, w3 = 2 * w1, 3 * w1
     mask = (1 << w1) - 1
-    acc = 0
-    out = [0]
-    # One loop per chunk count, unrolled: a loop over a block's tables
-    # costs more than the log-form products it replaces.
-    if w2 >= ell:
-        for j, v in blocks:
-            t0, t1 = tables[j - 1]
-            acc ^= t0[v & mask] ^ t1[v >> w1]
-            out.append(acc)
-    elif w3 >= ell:
-        for j, v in blocks:
-            t0, t1, t2 = tables[j - 1]
-            acc ^= t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2]
-            out.append(acc)
-    else:
-        for j, v in blocks:
-            t0, t1, t2, t3 = tables[j - 1]
-            acc ^= t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2 & mask] ^ t3[v >> w3]
-            out.append(acc)
+    if first > 1:
+        tables = tables[first - 1:]
+    # One comprehension per chunk count, unrolled: a loop over a block's
+    # tables costs more than the log-form products it replaces.
+    if len(chunks) == 2:
+        return [t0[v & mask] ^ t1[v >> w1] for (t0, t1), v in zip(tables, symbols)]
+    if len(chunks) == 3:
+        return [t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2]
+                for (t0, t1, t2), v in zip(tables, symbols)]
+    return [t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2 & mask] ^ t3[v >> w3]
+            for (t0, t1, t2, t3), v in zip(tables, symbols)]
+
+
+def parity_sums(gen, first, symbols):
+    """Running packed parity sums of block_sums(gen, first, symbols),
+    indexed by block number: entry j is the xor of the contributions of
+    blocks first..j, and 0 for j < first."""
+    out = [0] * first
+    out += accumulate(block_sums(gen, first, symbols), xor)
     return out
 
 
 def pack(values, ell):
     """values[r] in bits [r*ell, (r+1)*ell) of one int, the layout of
-    parity_sums."""
+    block_sums."""
     return sum(v << (r * ell) for r, v in enumerate(values))
 
 
@@ -277,15 +279,6 @@ def _eliminate(matrix, right, ctx):
     return [row[size:] for row in rows]
 
 
-def solve_square(matrix, rhs, ctx):
-    """Solve A x = b over the field by Gauss-Jordan elimination.
-
-    matrix is a list of row lists, rhs a parallel list; neither is
-    modified. Raises SingularSystemError when no unique solution exists.
-    """
-    return [row[0] for row in _eliminate(matrix, [[v] for v in rhs], ctx)]
-
-
 def erasure_solver(gen, erased):
     """The erasure system of the blocks in erased, solved.
 
@@ -366,36 +359,3 @@ def pair_checks(gen):
     if not checks:
         checks.extend([()] + [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)])
     return checks
-
-
-def erasure_decode(symbols, erased, parity_values, parity_nums, gen):
-    """Fill in erased symbol positions from the given parities.
-
-    symbols: full-length sequence; entries at erased positions are ignored
-    (None is fine). erased: block numbers (from 1), one per unknown.
-    parity_values is parallel to parity_nums and must have the same length
-    as erased, making the system square.
-    """
-    if len(symbols) != gen.m:
-        raise ValueError(f"expected {gen.m} symbols, got {len(symbols)}")
-    erased = sorted(erased)
-    if len(set(erased)) != len(erased):
-        raise ValueError("erased positions must be distinct")
-    if len(erased) != len(parity_nums) or len(parity_values) != len(parity_nums):
-        raise ValueError("need exactly one parity per erased position")
-    mul = gen.ctx.mul
-    erased_set = set(erased)
-    syndromes = []
-    matrix = []
-    for val, num in zip(parity_values, parity_nums):
-        acc = val
-        for i, v in enumerate(symbols):
-            if i + 1 not in erased_set:
-                acc ^= mul(v, gen.rows[i][num - 1])
-        syndromes.append(acc)
-        matrix.append([gen.rows[e - 1][num - 1] for e in erased])
-    solution = solve_square(matrix, syndromes, gen.ctx)
-    filled = list(symbols)
-    for e, v in zip(erased, solution):
-        filled[e - 1] = v
-    return filled

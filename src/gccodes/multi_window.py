@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import mds
-from .gf2e import bits_to_symbols
+from .gf2e import is_binary, read_symbols
 from .single_window import (
     FAILURE,
     INVALID_INPUT,
@@ -39,7 +39,6 @@ from .single_window import (
     DecodeResult,
     InvalidConfigError,
     gc_params,
-    is_binary,
     is_subsequence,
     parity_bits,
 )
@@ -212,8 +211,8 @@ def _shift_table(s, mp, shift):
     jmin = -(-shift // ell) + 1
     # block j < m ends at j*ell - shift, block m at k - shift
     top = m if k - shift <= len(s) else min(m - 1, (len(s) + shift) // ell)
-    symbols = bits_to_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], p.ctx)
-    return [0] * (jmin - 1) + mds.parity_sums(p.gen, zip(range(jmin, top + 1), symbols))
+    symbols = read_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], ell)
+    return mds.parity_sums(p.gen, jmin, symbols)
 
 
 def _candidate(s, mp, pairs, deltas, solve, lh, seen):
@@ -300,7 +299,7 @@ def decode_multi(y, mp):
     delta = n - len(y)
     tail_len = p.c * ell * mp.r - delta
     parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, mp.r, delta)
-    parities = mds.pack(bits_to_symbols(parity_bits, p.ctx), ell)
+    parities = mds.pack(read_symbols(parity_bits, ell), ell)
     table = _placement_table(mp)
     splits = _splits(mp, delta)
     s = y[:p.k - delta]

@@ -76,7 +76,7 @@ def resolve_delta(cfg, w):
 @lru_cache(maxsize=16)
 def _make_params(k, c, z, kind):
     """The code for one k, kept across run_trials calls: its parity planes
-    fill on the first encode, its decoder tables (parity sums, solvers) on
+    fill on the first encode, its decoder tables (split tables, solvers) on
     the first decode, and every later trial in this process reuses them."""
     w = (k - 1).bit_length()
     if z == 1:

@@ -20,12 +20,18 @@ parity side):
     parities, the zero padding of a short final block, and a supersequence
     test against the received bits all agree.
 
-The guesses run in one fused loop: per guess, two xors of packed partial
-sums give the syndromes, and the spare parities are checked inline with
-one antilog lookup per product, against log-form rows kept on the
-generator. Only the few guesses that pass them are solved and given the
-padding and supersequence checks. evaluate_guess reports a single guess
-through the same two steps.
+The guesses run as one scan. Guess 1's syndromes are the parities xor
+the packed contributions (mds.block_sums) of blocks 3..m read against the
+end of the received word; each later guess moves one block from that
+right-aligned side to the left-aligned front, so its syndromes are the
+previous ones xor two contributions. Each received block is read once per
+side, in time linear in the word's length (gf2e.read_symbols). Per guess
+the spare parities are checked inline with one antilog lookup per
+product, against log-form rows kept on the generator. Only the few
+guesses that pass them are solved and given the padding and supersequence
+checks. evaluate_guess reports a single guess through the same checks,
+with its syndromes computed directly from the message planes
+(mds.packed_parities), so the tests can hold the scan against them.
 
 Distinct surviving candidates mean the decoder refuses to choose (Failure);
 a single surviving candidate is provably the sent message when the channel
@@ -33,9 +39,12 @@ respected the window contract.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import xor
 
 from . import mds
-from .gf2e import FieldContext, bits_to_symbols
+from .gf2e import FieldContext, is_binary, read_symbols
 
 
 class InvalidConfigError(ValueError):
@@ -154,13 +163,6 @@ def detect_affected_region(y, p):
     return RegionReport(y[p.k + p.w - delta] == "1", delta)
 
 
-def is_binary(y):
-    """True iff y holds only '0' and '1'. Deleting both from the ASCII
-    bytes is one C pass, about twice as fast as counting them; isascii,
-    a flag check, refuses first what encode could not turn into ASCII."""
-    return y.isascii() and not y.encode().translate(None, b"01")
-
-
 NOT_BINARY = "the received word must contain only '0' and '1'"
 
 
@@ -198,108 +200,104 @@ class GuessEval:
     candidate: str | None
 
 
-class _GuessContext:
-    """Per-received-word scratch state shared across all guesses.
+def _scan(s, parities, p):
+    """The packed syndromes of guesses 1, 2, ..., m-1, in order.
 
-    Chunking the prefix once left-aligned and the suffix once right-aligned,
-    plus running parity partial sums from both ends, makes each guess cost
-    O(c) field operations instead of O(m * c). Parities and partial sums
-    are packed ints in the layout of mds.parity_sums, which reads each
-    block's contribution off the generator's split tables (mds.sum_tables),
-    two lookups up to ell = 12 and no product. A guess's syndromes are
-    then two xors.
-
-    The guess loop, passing(), is fused: per guess it forms the syndromes,
-    takes out syndromes 1 and 2 and checks every spare parity inline
-    against the log-form rows of mds.pair_checks, making no function call.
-    Only a guess that passes them (the true one, and about 2^-ell of the
-    others at c = 3) reaches verdict(), which solves the pair from the
-    log-form solve rows of mds.log_solver and runs the padding and
-    supersequence checks. decode and evaluate share both.
+    s is the received word cut to its first k - delta bits, parities the
+    packed parities. Guess i holds blocks (i, i+1) damaged, so its
+    syndromes are the parities xor the contributions of blocks 1..i-1 read
+    at their nominal offsets and of blocks i+2..m read delta bits early
+    (right-aligned against the end of s). Guess 1's are the parities xor
+    the right-aligned blocks 3..m; each later guess xors in one left block
+    and one right block, syn[i+1] = syn[i] ^ L[i] ^ R[i+2]. Both block
+    lists are read once (gf2e.read_symbols) and turned into contributions
+    by two table lookups each up to ell = 12 (mds.block_sums); the running
+    xor is one accumulate.
     """
+    ell, m, gen = p.ell, p.m, p.gen
+    left = mds.block_sums(gen, 1, read_symbols(s[:(m - 2) * ell], ell))
+    right = mds.block_sums(gen, 3, read_symbols(s[2 * ell - (p.k - len(s)):], ell))
+    return accumulate(map(xor, left, right), xor, initial=parities ^ reduce(xor, right, 0))
 
-    def __init__(self, s, parities, p):
-        self.s = s
-        ell, m = p.ell, p.m
-        self.parities = mds.pack(parities, ell)
-        self.p = p
-        self.checks = mds.pair_checks(p.gen)
 
-        # left[i]: parity contributions of blocks 1..i read at their nominal
-        # offsets (valid while those blocks are undamaged, i.e. i < guess).
-        self.left = mds.parity_sums(
-            p.gen, enumerate(bits_to_symbols(s[:(m - 2) * ell], p.ctx), 1))
+def _syndromes(s, i, parities, p):
+    """The packed syndromes of guess i alone, read off the message planes
+    (mds.packed_parities) instead of the scan: blocks 1..i-1 from the
+    front of s and blocks i+2..m from its end, with blocks i and i+1
+    zero."""
+    ell, m = p.ell, p.m
+    front = s[:(i - 1) * ell]
+    back = s[(i + 1) * ell - (p.k - len(s)):]
+    x = int(front or "0", 2) << (m - i + 1) * ell
+    x |= int(back or "0", 2) << (ell - p.last_block_len)
+    return parities ^ mds.packed_parities(x, p.gen)
 
-        # right[j]: contributions of blocks j..m read right-aligned against
-        # the end of s (valid when the deletions happened before block j),
-        # for 3 <= j <= m + 2; the unused entries 0..2 are None.
-        tail = bits_to_symbols(s[len(s) - p.last_block_len - (m - 3) * ell:], p.ctx)
-        sums = mds.parity_sums(p.gen, zip(range(m, 2, -1), reversed(tail)))
-        self.right = [None] * 3 + sums[::-1] + [0]
 
-    def passing(self, guesses):
-        """Yield (i, syn) for each guess i whose spare parities all agree
-        with what syndromes 1 and 2 predict. syn packs the syndromes of the
-        guess that blocks (i, i+1) are damaged and every other block is
-        intact."""
-        parities, left, right, checks = self.parities, self.left, self.right, self.checks
-        exp, log = self.p.ctx.exp, self.p.ctx.log
-        ell = self.p.ell
-        mask = (1 << ell) - 1
-        for i in guesses:
-            syn = parities ^ left[i - 1] ^ right[i + 2]
-            l0 = log[syn & mask]
-            l1 = log[(syn >> ell) & mask]
-            for la, lb, sh in checks[i]:
-                if exp[l0 + la] ^ exp[l1 + lb] != (syn >> sh) & mask:
-                    break
-            else:
-                yield i, syn
+def _passing(guesses, p):
+    """Yield (i, syn) for each pair in guesses whose spare parities all
+    agree with what syndromes 1 and 2 of syn predict.
 
-    def verdict(self, i, syn, parities_ok):
-        """Solve the pair of guess i from syndromes 1 and 2, run the padding
-        and supersequence checks, and report them with parities_ok; the
-        candidate is set only when all three hold."""
-        p = self.p
-        ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
-        (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
-        l0, l1 = log[syn & mask], log[(syn >> ell) & mask]
-        ui = exp[a0 + l0] ^ exp[a1 + l1]
-        uj = exp[b0 + l0] ^ exp[b1 + l1]
-        padding_ok = not (i + 1 == p.m and uj & ((1 << (ell - p.last_block_len)) - 1))
-        # the guessed region, and the intact blocks i+2..m behind it
-        tail = (p.m - i - 2) * ell + p.last_block_len if i + 1 < p.m else 0
-        e = self.s[(i - 1) * ell: len(self.s) - tail]
-        pair_len = ell + (p.last_block_len if i + 1 == p.m else ell)
-        width = f"0{ell}b"
-        dec = (format(ui, width) + format(uj, width))[:pair_len]
-        superseq_ok = is_subsequence(e, dec)
-        cand = None
-        if padding_ok and parities_ok and superseq_ok:
-            cand = self.s[:(i - 1) * ell] + dec + (self.s[len(self.s) - tail:] if tail else "")
-        return GuessEval(guess=i, decoded_pair=(ui, uj), erased_region=e,
-                         decoded_bits=dec, padding_ok=padding_ok,
-                         parities_ok=parities_ok, supersequence_ok=superseq_ok,
-                         candidate=cand)
+    Each check is inline, in log form against mds.pair_checks, with one
+    antilog lookup per product and no function call, so a rejected guess
+    (all but about 2^-ell of the wrong ones at c = 3) costs a few lookups.
+    """
+    checks = mds.pair_checks(p.gen)
+    exp, log = p.ctx.exp, p.ctx.log
+    ell = p.ell
+    mask = (1 << ell) - 1
+    for i, syn in guesses:
+        l0 = log[syn & mask]
+        l1 = log[(syn >> ell) & mask]
+        for la, lb, sh in checks[i]:
+            if exp[l0 + la] ^ exp[l1 + lb] != (syn >> sh) & mask:
+                break
+        else:
+            yield i, syn
 
-    def evaluate(self, i):
-        """Every check of guess i, run and reported; nothing short-circuits."""
-        syn = self.parities ^ self.left[i - 1] ^ self.right[i + 2]
-        parities_ok = next(self.passing((i,)), None) is not None
-        return self.verdict(i, syn, parities_ok)
+
+def _verdict(s, i, syn, p):
+    """Solve the pair of guess i from syndromes 1 and 2 of syn and run the
+    padding and supersequence checks. Returns the decoded pair, the guessed
+    region of s, the decoded bits, both outcomes and the message they give,
+    None unless both hold; the spare parities are _passing's to check."""
+    ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
+    (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
+    l0, l1 = log[syn & mask], log[(syn >> ell) & mask]
+    ui = exp[a0 + l0] ^ exp[a1 + l1]
+    uj = exp[b0 + l0] ^ exp[b1 + l1]
+    padding_ok = not (i + 1 == p.m and uj & ((1 << (ell - p.last_block_len)) - 1))
+    # the guessed region, and the intact blocks i+2..m behind it
+    tail = (p.m - i - 2) * ell + p.last_block_len if i + 1 < p.m else 0
+    region = s[(i - 1) * ell: len(s) - tail]
+    pair_len = ell + (p.last_block_len if i + 1 == p.m else ell)
+    width = f"0{ell}b"
+    dec = (format(ui, width) + format(uj, width))[:pair_len]
+    superseq_ok = is_subsequence(region, dec)
+    message = None
+    if padding_ok and superseq_ok:
+        message = s[:(i - 1) * ell] + dec + (s[len(s) - tail:] if tail else "")
+    return (ui, uj), region, dec, padding_ok, superseq_ok, message
 
 
 def evaluate_guess(s, i, parities, p):
     """Verdict for the guess that blocks (i, i+1) absorbed the deletions.
 
     s is the received word truncated to its first k - delta bits, parities
-    the c parity symbols read off the intact tail. 1 <= i <= m - 1.
+    the c parity symbols read off the intact tail. 1 <= i <= m - 1. Every
+    check is run and reported; nothing short-circuits. The syndromes come
+    from the message planes, not from decode's scan.
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"guess index must be in [1, {p.m - 1}], got {i}")
     if not p.k - p.w <= len(s) <= p.k:
         raise ValueError(f"systematic part must hold k - w .. k bits, got {len(s)}")
-    return _GuessContext(s, list(parities), p).evaluate(i)
+    syn = _syndromes(s, i, mds.pack(parities, p.ell), p)
+    parities_ok = next(_passing([(i, syn)], p), None) is not None
+    pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, syn, p)
+    return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
+                     decoded_bits=dec, padding_ok=padding_ok,
+                     parities_ok=parities_ok, supersequence_ok=superseq_ok,
+                     candidate=message if parities_ok else None)
 
 
 def try_guess(s, i, parities, p):
@@ -327,11 +325,11 @@ def decode(y, p):
     delta = p.n - len(y)
     if delta == 0 or y[p.k + p.w - delta] == "0":
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
-    parities = bits_to_symbols(y[len(y) - p.c * p.ell:], p.ctx)
-    ctx = _GuessContext(y[:p.k - delta], parities, p)
+    parities = mds.pack(read_symbols(y[len(y) - p.c * p.ell:], p.ell), p.ell)
+    s = y[:p.k - delta]
     winners = {}
-    for i, syn in ctx.passing(range(1, p.m)):
-        cand = ctx.verdict(i, syn, True).candidate
+    for i, syn in _passing(zip(range(1, p.m), _scan(s, parities, p)), p):
+        cand = _verdict(s, i, syn, p)[-1]
         if cand is not None and cand not in winners:
             winners[cand] = i
     if not winners:

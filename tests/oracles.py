@@ -1,9 +1,13 @@
 """Reference computations for the tests.
 
 They share no code with the encoder or the decoders: symbols are sliced
-off bit strings by hand and every parity is built one field product at a
-time (FieldContext.mul).
+off bit strings by hand, every parity is built one field product at a
+time (FieldContext.mul), and erasure systems are solved by elimination
+with those products. Only the field and the error type come from the
+package.
 """
+
+from gccodes.mds import SingularSystemError
 
 
 def loop_parities(symbols, gen):
@@ -34,3 +38,54 @@ def message_parity_bits(u, gen):
     ell = gen.ctx.ell
     symbols = [int(u[j:j + ell].ljust(ell, "0"), 2) for j in range(0, len(u), ell)]
     return "".join(format(v, f"0{ell}b") for v in loop_parities(symbols, gen))
+
+
+def solve_square(matrix, rhs, ctx):
+    """Solve A x = b over the field by Gauss-Jordan elimination, one
+    FieldContext product at a time. matrix is a list of row lists, rhs a
+    parallel list; neither is modified. Raises SingularSystemError when no
+    unique solution exists."""
+    size = len(matrix)
+    rows = [list(row) + [v] for row, v in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise SingularSystemError("erasure system has no unique solution")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = ctx.inv(rows[col][col])
+        rows[col] = [ctx.mul(scale, v) for v in rows[col]]
+        for r in range(size):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [ctx.add(x, ctx.mul(f, y)) for x, y in zip(rows[r], rows[col])]
+    return [row[size] for row in rows]
+
+
+def erasure_decode(symbols, erased, parity_values, parity_nums, gen):
+    """Fill in erased symbol positions from the given parities.
+
+    symbols: full-length sequence; entries at erased positions are ignored
+    (None is fine). erased: block numbers (from 1), one per unknown.
+    parity_values is parallel to parity_nums and must have the same length
+    as erased, making the system square.
+    """
+    if len(symbols) != gen.m:
+        raise ValueError(f"expected {gen.m} symbols, got {len(symbols)}")
+    erased = sorted(erased)
+    if len(set(erased)) != len(erased):
+        raise ValueError("erased positions must be distinct")
+    if len(erased) != len(parity_nums) or len(parity_values) != len(parity_nums):
+        raise ValueError("need exactly one parity per erased position")
+    syndromes = []
+    matrix = []
+    for val, num in zip(parity_values, parity_nums):
+        acc = val
+        for i, v in enumerate(symbols):
+            if i + 1 not in erased:
+                acc = gen.ctx.add(acc, gen.ctx.mul(v, gen.rows[i][num - 1]))
+        syndromes.append(acc)
+        matrix.append([gen.rows[e - 1][num - 1] for e in erased])
+    filled = list(symbols)
+    for e, v in zip(erased, solve_square(matrix, syndromes, gen.ctx)):
+        filled[e - 1] = v
+    return filled

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
+from gccodes import gf2e, multi_window, single_window
 from gccodes.gf2e import (
     DEFAULT_POLYS,
     MAX_ELL,
     MIN_ELL,
     FieldContext,
+    SEGMENT,
     NonPrimitivePolynomialError,
     UnsupportedExponentError,
     bits_to_symbols,
+    read_symbols,
     symbols_to_bits,
 )
 
@@ -166,7 +169,9 @@ def chunked_symbols(bits, ell):
 def test_bits_to_symbols_matches_per_chunk_reading(ell):
     ctx = FieldContext(ell)
     rng = random.Random(ell)
-    for length in range(1, 3 * ell + 2):
+    span = SEGMENT * ell      # longer strings are read a segment at a time
+    for length in [*range(1, 3 * ell + 2), span - 1, span, span + 1,
+                   2 * span, 2 * span + ell - 1, 3 * span + ell + 1]:
         for bits in ("0" * length, "1" * length,
                      format(rng.getrandbits(length), f"0{length}b")):
             assert bits_to_symbols(bits, ctx) == chunked_symbols(bits, ell), bits
@@ -177,3 +182,49 @@ def test_bits_to_symbols_edges():
     for bad in ("x", "0x01", "0101x", "01010101x"):
         with pytest.raises(ValueError):
             bits_to_symbols(bad, GF16)
+
+
+@pytest.mark.parametrize("bad", ["1_01", " 101", "+101", "\u0661\u0660\u0661"],
+                         ids=["underscore", "leading-space", "plus", "arabic-digits"])
+def test_bits_to_symbols_refuses_what_int_accepts(bad):
+    assert int(bad, 2) in (5, 10)       # int() alone would read a number
+    with pytest.raises(ValueError, match=r"^bits must contain only '0' and '1'$"):
+        bits_to_symbols(bad, GF16)
+
+
+def test_read_symbols_reads_bounded_segments(monkeypatch):
+    """Each int() in the read covers at most SEGMENT symbols, so no shift
+    copies more than a segment and the read is linear in the length."""
+    lengths = []
+
+    def counting_int(text, base):
+        lengths.append(len(text))
+        return int(text, base)
+
+    monkeypatch.setattr(gf2e, "int", counting_int, raising=False)
+    ell = 12
+    bits = format(random.Random(3).getrandbits(10 * SEGMENT * ell + 7), "b")
+    assert read_symbols(bits, ell) == chunked_symbols(bits, ell)
+    assert max(lengths) == SEGMENT * ell and len(lengths) == -(-len(bits) // (SEGMENT * ell))
+    lengths.clear()
+    read_symbols(bits[:SEGMENT * ell], ell)        # a short string is one int
+    assert lengths == [SEGMENT * ell]
+
+
+def test_decoders_check_the_word_once(monkeypatch):
+    """decode and decode_multi validate the received word themselves and
+    then read it through read_symbols, not the checking bits_to_symbols."""
+    p = single_window.gc_params(64, 6, 3)
+    mp = multi_window.multi_params(64, 4, 8, 2)
+    u = format(random.Random(4).getrandbits(64), "064b")
+    y = single_window.encode(u, p)
+    y = y[:10] + y[13:]                             # three deletions in the message
+    ym = multi_window.encode_multi(u, mp)
+    ym = ym[:10] + ym[12:40] + ym[41:]              # two windows
+
+    def banned(bits):
+        raise AssertionError("a decoder checked the word twice")
+
+    monkeypatch.setattr(gf2e, "is_binary", banned)
+    assert single_window.decode(y, p).message == u
+    assert multi_window.decode_multi(ym, mp).message == u

@@ -18,9 +18,9 @@ from gccodes.mds import (
     FieldTooSmallError,
     SingularSystemError,
     Generator,
+    block_sums,
     cauchy_generator,
     encode_parities,
-    erasure_decode,
     erasure_solver,
     log_solver,
     make_generator,
@@ -29,11 +29,16 @@ from gccodes.mds import (
     pair_checks,
     parity_planes,
     parity_sums,
-    solve_square,
     sum_tables,
     vandermonde_generator,
 )
-from oracles import loop_parities, message_parity_bits, verify_parities
+from oracles import (
+    erasure_decode,
+    loop_parities,
+    message_parity_bits,
+    solve_square,
+    verify_parities,
+)
 
 GF16 = FieldContext(4)
 
@@ -93,19 +98,25 @@ def test_parity_sums_unpack_to_loop(gen):
     rng = random.Random(gen.m)
     for _ in range(20):
         u = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(gen.m)]
-        sums = parity_sums(gen, enumerate(u, 1))
+        sums = parity_sums(gen, 1, u)
         assert len(sums) == gen.m + 1
         for n, packed in enumerate(sums):
             want = loop_parities(u[:n], gen)
             assert packed == pack(want, ell)
             assert [(packed >> (r * ell)) % (1 << ell) for r in range(gen.c)] == want
         assert encode_parities(u, gen) == loop_parities(u, gen)
-    # blocks may come in any order and any subset
-    picked = [(j, rng.randrange(1 << ell)) for j in (gen.m, 1)]
-    want = [a ^ b for a, b in zip(
-        loop_parities([picked[1][1]] + [0] * (gen.m - 1), gen),
-        loop_parities([0] * (gen.m - 1) + [picked[0][1]], gen))]
-    assert parity_sums(gen, picked)[-1] == pack(want, ell)
+    # a run may start at any block: entry n of block_sums is the share of
+    # block first + n alone, and entry j of the sums covers blocks first..j
+    for first in range(1, gen.m + 1):
+        run = [rng.randrange(1 << ell) for _ in range(first, gen.m + 1)]
+        for n, got in enumerate(block_sums(gen, first, run)):
+            alone = [0] * gen.m
+            alone[first - 1 + n] = run[n]
+            assert got == pack(loop_parities(alone, gen), ell), (first, n)
+        sums = parity_sums(gen, first, run)
+        assert len(sums) == gen.m + 1 and sums[:first] == [0] * first
+        want = loop_parities([0] * (first - 1) + run, gen)
+        assert sums[-1] == pack(want, ell)
 
 
 @pytest.mark.parametrize("make", [
@@ -144,7 +155,7 @@ def test_sum_tables_reproduce_products(make):
             assert got == pack([ctx.mul(v, g) for g in row], ell), (v, row)
     for _ in range(20):                           # and parity_sums reads them so
         u = [rng.randrange(1 << ell) for _ in range(gen.m)]
-        assert parity_sums(gen, enumerate(u, 1))[-1] == pack(loop_parities(u, gen), ell)
+        assert parity_sums(gen, 1, u)[-1] == pack(loop_parities(u, gen), ell)
 
 
 def test_sum_tables_leave_zero_weight_lanes_clear():
@@ -289,10 +300,10 @@ def test_encoders_read_only_the_planes(monkeypatch):
     def banned(*args):
         raise AssertionError("encoding goes through the parity planes only")
 
-    for name in ("parity_sums", "sum_tables"):
+    for name in ("block_sums", "parity_sums", "sum_tables"):
         monkeypatch.setattr(mds, name, banned)
-    monkeypatch.setattr(single_window, "bits_to_symbols", banned)
-    monkeypatch.setattr(multi_window, "bits_to_symbols", banned)
+    monkeypatch.setattr(single_window, "read_symbols", banned)
+    monkeypatch.setattr(multi_window, "read_symbols", banned)
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
         (encode_multi if hasattr(params, "z") else encode)("01" * (params.k // 2), params)
         assert params.gen._sum_tables == [] and params.gen._log_solvers == {}

@@ -20,7 +20,6 @@ from gccodes.mds import (
     Generator,
     SingularSystemError,
     encode_parities,
-    erasure_decode,
 )
 from gccodes.multi_window import (
     MultiParams,
@@ -41,7 +40,7 @@ from gccodes.single_window import (
     gc_params,
     is_subsequence,
 )
-from oracles import verify_parities
+from oracles import erasure_decode, verify_parities
 
 
 def test_repetition_encode_golden():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gccodes import mds
+from gccodes import mds, single_window
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
 from gccodes.gf2e import bits_to_symbols
 from gccodes.single_window import (
@@ -24,7 +24,7 @@ from gccodes.single_window import (
     is_subsequence,
     try_guess,
 )
-from oracles import verify_parities
+from oracles import erasure_decode, verify_parities
 
 U = "1100101001111000"
 CODEWORD = "110010100111100000001100110000001"
@@ -291,7 +291,7 @@ def reference_decode(y, p):
                 bits = s[start:start + blen]
                 assert len(bits) == blen, (i, j)
                 symbols[j - 1] = int(bits, 2) << (ell - blen)
-        filled = mds.erasure_decode(symbols, [i, i + 1], parities[:2], [1, 2], p.gen)
+        filled = erasure_decode(symbols, [i, i + 1], parities[:2], [1, 2], p.gen)
         if not verify_parities(filled, parities[2:], range(3, c + 1), p.gen):
             continue
         if i + 1 == m and filled[m - 1] % (1 << (ell - last)):
@@ -310,18 +310,21 @@ def reference_decode(y, p):
 
 def test_decode_matches_reference():
     statuses = {}
-    for args in (
-        (16, 4, 3, "vandermonde"),   # ell 4, whole blocks
-        (16, 4, 3, "cauchy"),
-        (37, 5, 3, "cauchy"),        # ell 6, last block 1 bit
-        (100, 7, 5, "cauchy"),       # ell 7, last block 2 bits
-        (64, 4, 4, "vandermonde"),   # ell 6, last block 4 bits
-        (128, 7, 3, "cauchy"),       # ell 7, last block 2 bits
+    for *args, count in (
+        (16, 4, 3, "vandermonde", 250),   # ell 4, whole blocks
+        (16, 4, 3, "cauchy", 250),
+        (37, 5, 3, "cauchy", 250),        # ell 6, last block 1 bit
+        (100, 7, 5, "cauchy", 250),       # ell 7, last block 2 bits
+        (64, 4, 4, "vandermonde", 250),   # ell 6, last block 4 bits
+        (128, 7, 3, "cauchy", 250),       # ell 7, last block 2 bits
+        (1024, 10, 3, "cauchy", 16),      # ell 10, 103 blocks, last 4 bits
+        (300, 13, 4, "cauchy", 40),       # ell 13: three table chunks
+        (200, 19, 3, "cauchy", 40),       # ell 19: four table chunks
     ):
         p = gc_params(*args)
         rng = random.Random(f"reference/{args}")
         words = []
-        for t in range(250):
+        for t in range(count):
             u = format(rng.getrandbits(p.k), f"0{p.k}b")
             mode = ("whole-codeword", "systematic-only")[t % 2]
             pat = sample_pattern(p, rng.randrange(p.w + 1), rng, mode)
@@ -334,6 +337,32 @@ def test_decode_matches_reference():
             assert decode(y, p) == want, (args, y)
             statuses[want.status] = statuses.get(want.status, 0) + 1
     assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
+
+
+@pytest.mark.parametrize("args", [
+    (16, 4, 3, "vandermonde"),
+    (37, 5, 3, "cauchy"),             # last block 1 bit
+    (100, 7, 5, "cauchy"),            # three spare parities
+    (1024, 10, 3, "cauchy"),
+    (300, 13, 4, "cauchy"),           # three table chunks
+    (200, 19, 3, "cauchy"),           # four table chunks
+], ids=["k16", "k37", "k100-c5", "k1024", "ell13", "ell19"])
+def test_scan_reaches_the_direct_syndromes(args):
+    """Every guess's syndromes from decode's incremental scan equal the ones
+    evaluate_guess computes for that guess alone from the message planes."""
+    p = gc_params(*args)
+    rng = random.Random(f"scan/{args}")
+    for t in range(12):
+        u = format(rng.getrandbits(p.k), f"0{p.k}b")
+        mode = ("whole-codeword", "systematic-only")[t % 2]
+        y = delete_localized(encode(u, p), sample_pattern(p, rng.randrange(p.w + 1), rng, mode))
+        if t % 3 == 2:                # any bits of the right lengths will do
+            y = format(rng.getrandbits(len(y)), f"0{len(y)}b")
+        s, parities, _ = strip_received(y, p)
+        packed = mds.pack(parities, p.ell)
+        scanned = list(single_window._scan(s, packed, p))
+        direct = [single_window._syndromes(s, i, packed, p) for i in range(1, p.m)]
+        assert scanned == direct, (args, y)
 
 
 def test_evaluate_guess_survivors_are_decode_candidates():
