@@ -82,7 +82,13 @@ def _split_count(total, parts, cap):
 
 
 def max_case_count(k, w, c, z):
-    """Exact worst-case number of decoder cases over all deletion counts."""
+    """Exact worst-case size of enumerate_cases over all deletion counts.
+
+    This is the set the failure bound takes its union over, not the number
+    of cases decode_multi checks: that checks each set of damaged pairs
+    and their shares once, at the first placement holding them, so it
+    checks fewer.
+    """
     ell, m, last = derive_dims(k, w, c)
     placements = comb(m - z, z)
     worst_splits = max(_split_count(d, z, w) for d in range(z * w + 1))

@@ -18,11 +18,16 @@ the 2z solving syndromes are taken once per case, and every spare parity
 is checked inline against the placement's log-form solver rows
 (mds.log_solver) with one antilog lookup per product and no function
 call. Only the cases that pass are solved and given the padding and
-supersequence checks; a pair with a zero share is checked by equality,
-and the supersequence tests of the pairs with a share run once per
-decode for each distinct set of them (_candidate). The placements, each
-with its solver, are listed once per params on the first decode; the
-splits once per delta.
+supersequence checks; a pair with a zero share is checked by equality.
+
+A case is checked once per set of damaged pairs and their shares. Call
+Q the pairs a split gives a positive share and E those shares: every
+placement that contains Q, with E on Q and zero elsewhere, yields the
+same candidate or none (decode_multi gives the argument), so only the
+first such placement in enumerate_cases order runs the case. The
+placements, each with its solver and the zero-share patterns it owns,
+are listed once per params on the first decode; the splits once per
+delta, grouped by the patterns that run them.
 """
 
 from dataclasses import dataclass, field
@@ -58,6 +63,8 @@ class MultiParams:
     _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
     # delta -> _splits result
     _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # delta -> _split_runs result
+    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self):
@@ -188,16 +195,42 @@ def _splits(mp, delta):
 
 
 def _placement_table(mp):
-    """Every pair placement with the log-form solver of its 2z blocks
-    (mds.log_solver), in enumerate_cases order. Built on the first decode
-    and kept on mp; a singular placement raises SingularSystemError on
-    every request and nothing is kept."""
+    """Every pair placement in enumerate_cases order, with the log-form
+    solver of its 2z blocks (mds.log_solver) and the zero-share patterns
+    it owns. A pattern is a z-bit mask, bit j set when pair j gets a zero
+    share; bit mask of the placement's owned int is set when it is the
+    first placement to contain the pairs the pattern leaves damaged.
+    Built on the first decode and kept on mp; a singular placement raises
+    SingularSystemError on every request and nothing is kept."""
     table = mp._placements
     if not table:
-        gen = mp.gen
-        table.extend([(pairs, mds.log_solver(gen, tuple(e for i in pairs for e in (i, i + 1))))
-                      for pairs in _pair_placements(mp.m, mp.z)])
+        gen, z = mp.gen, mp.z
+        rows = []
+        first = {}  # damaged pairs -> the first placement containing them
+        for pairs in _pair_placements(mp.m, z):
+            owned = 0
+            for mask in range(1 << z):
+                damaged = tuple(i for j, i in enumerate(pairs) if not mask >> j & 1)
+                if first.setdefault(damaged, pairs) == pairs:
+                    owned |= 1 << mask
+            rows.append((pairs, mds.log_solver(gen, tuple(e for i in pairs for e in (i, i + 1))),
+                         owned))
+        table.extend(rows)
     return table
+
+
+def _split_runs(mp, delta, table):
+    """The splits of delta that each owned int of the placement table
+    runs, in _splits order: those whose zero-share pattern it owns. Kept
+    on mp per delta."""
+    runs = mp._runs.get(delta)
+    if runs is None:
+        splits = _splits(mp, delta)
+        masks = [sum(1 << j for j, d in enumerate(deltas) if not d) for deltas, _ in splits]
+        runs = {owned: tuple(sp for sp, mask in zip(splits, masks) if owned >> mask & 1)
+                for owned in {owned for _, _, owned in table}}
+        mp._runs[delta] = runs
+    return runs
 
 
 def _shift_table(s, mp, shift):
@@ -215,19 +248,16 @@ def _shift_table(s, mp, shift):
     return mds.parity_sums(p.gen, jmin, symbols)
 
 
-def _candidate(s, mp, pairs, deltas, solve, lh, seen):
+def _candidate(s, mp, pairs, deltas, solve, lh):
     """The message of a case that passed the spare checks, or None. The
     2z blocks are solved from the logs lh of the solving syndromes with
     the solve rows of mds.log_solver.
 
     A pair with a zero share lost nothing, so its supersequence test is
-    region == dec; that, and the padding of a short last block when the
-    last pair has a zero share, is checked case by case. The pairs with a
-    share fix the rest: their (i, d, solved pair) tuple decides the
-    padding when the last pair is among them, their supersequence tests
-    and the message. seen maps that tuple to its outcome for one decode,
-    because every intact pair placed at a zero share next to the same
-    damaged pairs repeats it.
+    region == dec, compared as ints; that also checks the padding of a
+    short last block when the last pair has a zero share. A pair with a
+    share needs zero padding when it is the last pair, passes the
+    supersequence test, and puts its solved blocks into the message.
     """
     p = mp.base
     ell, m, exp = p.ell, p.m, p.ctx.exp
@@ -238,32 +268,22 @@ def _candidate(s, mp, pairs, deltas, solve, lh, seen):
         for lw, lv in zip(lws, lh):
             acc ^= exp[lw + lv]
         sol.append(acc)
-    key = []
-    cum = 0
-    for i, d, a, b in zip(pairs, deltas, sol[::2], sol[1::2]):
-        if d:
-            key.append((i, d, a, b))
-            cum += d
-            continue
-        # region == dec, compared as ints: a zero-share region always
-        # holds the pair's full 2*ell bits (ell + last for the last pair,
-        # whose bits shifted up to whole blocks leave the padding zero)
-        start = (i - 1) * ell - cum
-        if i + 1 < m:
-            if int(s[start:(i + 1) * ell - cum], 2) != a << ell | b:
-                return None
-        elif int(s[start:], 2) << low != a << ell | b:
-            return None
-    key = tuple(key)
-    if key in seen:
-        return seen[key]
-    seen[key] = None
     pieces = []
     cum = 0
     prev_end = 0  # bits of s consumed so far
     width = f"0{ell}b"
-    for i, d, a, b in key:
+    for i, d, a, b in zip(pairs, deltas, sol[::2], sol[1::2]):
         start = (i - 1) * ell - cum
+        if not d:
+            # a zero-share region always holds the pair's full 2*ell bits
+            # (ell + last for the last pair, whose bits shifted up to
+            # whole blocks leave the padding zero)
+            if i + 1 < m:
+                if int(s[start:(i + 1) * ell - cum], 2) != a << ell | b:
+                    return None
+            elif int(s[start:], 2) << low != a << ell | b:
+                return None
+            continue
         pieces.append(s[prev_end:start])
         cum += d
         dec = format(a, width) + format(b, width)
@@ -278,12 +298,29 @@ def _candidate(s, mp, pairs, deltas, solve, lh, seen):
         pieces.append(dec)
         prev_end = start + len(region)
     pieces.append(s[prev_end:])
-    seen[key] = cand = "".join(pieces)
-    return cand
+    return "".join(pieces)
 
 
 def decode_multi(y, mp):
-    """Counterpart of decode for the multi-window construction."""
+    """Counterpart of decode for the multi-window construction.
+
+    Each case (pairs, deltas) of enumerate_cases is checked at most once
+    per set Q of pairs with a positive share and their shares E, at the
+    first placement containing Q. That is exact:
+
+    * every intact block is read at the sum of the shares before it, and
+      a zero share adds nothing, so the syndrome with only Q erased is
+      the same for every placement containing Q;
+    * every 2z-block system is nonsingular (_placement_table raises
+      SingularSystemError otherwise), so a case's solve is unique;
+    * so a zero-share pair passes its equality check, and the spare
+      parities hold, exactly when that syndrome lies in the span of Q's
+      columns, and then Q's solved blocks are the same either way;
+    * so every case with the same (Q, E) yields the same candidate or
+      none. The first of them in enumeration order is the one checked, so
+      the first case to yield each candidate, which is the guess reported
+      and fixes the order of the candidates, is unchanged.
+    """
     n = mp.n
     if not is_binary(y):
         return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
@@ -311,15 +348,18 @@ def decode_multi(y, mp):
     for shift in {0, delta}.union(*(shifts for _, shifts in splits)):
         tabs[shift] = _shift_table(s, mp, shift)
     first, last = tabs[0], tabs[delta]
-    split_tabs = [(deltas, [tabs[sh] for sh in shifts]) for deltas, shifts in splits]
+    runs = {owned: [(deltas, [tabs[sh] for sh in shifts]) for deltas, shifts in run]
+            for owned, run in _split_runs(mp, delta, table).items()}
 
     exp, log = p.ctx.exp, p.ctx.log
     mask = (1 << ell) - 1
     t = 2 * z
     heads = range(0, t * ell, ell)
     winners = {}
-    seen = {}
-    for pairs, (solve, spare) in table:
+    for pairs, (solve, spare), owned in table:
+        split_tabs = runs[owned]
+        if not split_tabs:
+            continue
         # Syndromes: the parities xor the intact segments between the
         # pairs, each read at the shift of the deletions before it. Only
         # the middle segments depend on the split.
@@ -337,7 +377,7 @@ def decode_multi(y, mp):
                 if acc != (syn >> row[t]) & mask:
                     break
             else:
-                cand = _candidate(s, mp, pairs, deltas, solve, lh, seen)
+                cand = _candidate(s, mp, pairs, deltas, solve, lh)
                 if cand is not None and cand not in winners:
                     winners[cand] = (pairs, deltas)
     if not winners:

@@ -11,7 +11,6 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 
 from .analysis import bound_multi, bound_single
 from .channel import delete_localized, sample_pattern
@@ -132,6 +131,10 @@ def run_trials(cfg, workers=1, progress=False):
         failures = 0
         miscorrections = 0
         if workers > 1:
+            # imported here, so that importing the package does not
+            # import multiprocessing
+            from multiprocessing import Pool
+
             with Pool(workers) as pool:
                 results = pool.map(_run_block, blocks)
         else:

@@ -283,14 +283,19 @@ def evaluate_guess(s, i, parities, p):
     """Verdict for the guess that blocks (i, i+1) absorbed the deletions.
 
     s is the received word truncated to its first k - delta bits, parities
-    the c parity symbols read off the intact tail. 1 <= i <= m - 1. Every
-    check is run and reported; nothing short-circuits. The syndromes come
-    from the message planes, not from decode's scan.
+    the c parity symbols read off the intact tail, each an int in
+    [0, 2^ell). 1 <= i <= m - 1. Every check is run and reported; nothing
+    short-circuits. The syndromes come from the message planes, not from
+    decode's scan.
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"guess index must be in [1, {p.m - 1}], got {i}")
     if not p.k - p.w <= len(s) <= p.k:
         raise ValueError(f"systematic part must hold k - w .. k bits, got {len(s)}")
+    if len(parities) != p.c:
+        raise ValueError(f"expected {p.c} parities, got {len(parities)}")
+    if not all(isinstance(v, int) and 0 <= v < 1 << p.ell for v in parities):
+        raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
     syn = _syndromes(s, i, mds.pack(parities, p.ell), p)
     parities_ok = next(_passing([(i, syn)], p), None) is not None
     pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, syn, p)

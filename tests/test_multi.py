@@ -6,6 +6,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gccodes import mds, multi_window
 from gccodes.channel import (
@@ -404,11 +406,58 @@ def test_decode_multi_matches_reference():
     assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
 
 
+@st.composite
+def small_multi_words(draw):
+    """(received word, params) of a small multi-window code: z <= 3, the
+    per-window deletion counts each in 0..w, either sampling mode."""
+    z = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 4))
+    c = draw(st.integers(2 * z + 1, 2 * z + 3))
+    k = draw(st.integers(max(8, 12 * z - 8), 72))
+    kind = draw(st.sampled_from(["cauchy", "vandermonde"]))
+    deltas = tuple(draw(st.lists(st.integers(0, w), min_size=z, max_size=z)))
+    mode = draw(st.sampled_from(["whole-codeword", "systematic-only"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return word_for(k, w, c, z, kind, deltas, mode, seed)
+
+
+def word_for(k, w, c, z, kind, deltas, mode, seed):
+    try:
+        mp = multi_params(k, w, c, z, kind)
+    except InvalidConfigError:
+        assume(False)
+    rng = random.Random(seed)
+    u = format(rng.getrandbits(k), f"0{k}b")
+    pat = sample_pattern(mp, deltas, rng, mode)
+    return delete_localized(encode_multi(u, mp), pat, w=w, z=z), mp
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_multi_words())
+@example(word_for(16, 4, 3, 1, "cauchy", (0,), "whole-codeword", 1))         # delta = 0
+@example(word_for(64, 4, 8, 2, "cauchy", (0, 0), "systematic-only", 2))
+@example(word_for(48, 2, 7, 3, "vandermonde", (0, 0, 0), "whole-codeword", 3))
+@example(word_for(64, 4, 8, 2, "cauchy", (0, 3), "systematic-only", 4))      # one window deletes
+@example(word_for(50, 3, 6, 2, "vandermonde", (2, 0), "whole-codeword", 5))
+@example(word_for(48, 2, 7, 3, "cauchy", (0, 2, 0), "systematic-only", 6))
+@example(word_for(45, 2, 8, 3, "vandermonde", (0, 0, 1), "whole-codeword", 7))
+def test_decode_multi_matches_reference_property(word):
+    y, mp = word
+    try:
+        want = reference_decode_multi(y, mp)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            decode_multi(y, mp)
+    else:
+        assert decode_multi(y, mp) == want
+
+
 def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
-    # A pair placed at a zero share lost nothing, so it is checked by
-    # equality and never reaches the supersequence test; the cases that
-    # differ only in such pairs share the outcome of one set of tests of
-    # their damaged pairs, so there are fewer tests than checked cases.
+    # Every placement holding the same damaged pairs with the same shares
+    # yields the same candidate, so each (damaged pairs, shares) reaches
+    # _candidate at most once per decode, at the first case of
+    # enumerate_cases that holds it. A pair placed at a zero share is
+    # checked by equality and never reaches the supersequence test.
     mp = multi_params(64, 4, 8, 2)
     rng = random.Random(97)
     calls, cases = [], []
@@ -420,8 +469,11 @@ def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
     real_candidate = multi_window._candidate
 
     def candidate(*args):
-        cases.append(args[2:4])
+        cases[-1].append(args[2:4])
         return real_candidate(*args)
+
+    def damaged(case):
+        return tuple((i, d) for i, d in zip(*case) if d)
 
     monkeypatch.setattr(multi_window, "is_subsequence", counted)
     monkeypatch.setattr(multi_window, "_candidate", candidate)
@@ -429,10 +481,19 @@ def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
         u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
         deltas = (rng.randrange(mp.w + 1), rng.randrange(mp.w + 1))
         y = delete_localized(encode_multi(u, mp), sample_pattern(mp, deltas, rng))
+        cases.append([])
         res = decode_multi(y, mp)
         assert res.status != SUCCESS or res.message == u
+        keys = [damaged(case) for case in cases[-1]]
+        assert len(keys) == len(set(keys)), keys
+        if cases[-1]:
+            firsts = {}
+            for case in enumerate_cases(mp, mp.n - len(y)):
+                firsts.setdefault(damaged(case), case)
+            assert all(firsts[key] == case for key, case in zip(keys, cases[-1]))
     assert all(len(region) < len(dec) for region, dec in calls)
-    assert 0 < 3 * len(calls) < 2 * len(cases), (len(calls), len(cases))
+    checked = [case for per_word in cases for case in per_word]
+    assert calls and any(0 in deltas for _, deltas in checked), (len(calls), len(checked))
 
 
 @pytest.mark.parametrize("pairs, deltas, cut", [
@@ -451,7 +512,7 @@ def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
     for padding, want in ((0, U64), (1, None), (0b10, None)):
         sol = true[:3] + [true[3] | padding]
         lh = [log[v] for v in sol]
-        assert multi_window._candidate(s, mp, pairs, deltas, solve, lh, {}) == want
+        assert multi_window._candidate(s, mp, pairs, deltas, solve, lh) == want
 
 
 def test_case_off_the_last_shift_raises():
@@ -475,7 +536,7 @@ def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
     u, y = words[0]
     assert decode_multi(y, mp).message == u
     table = list(mp._placements)
-    assert [pairs for pairs, _ in table] == sorted({pairs for pairs, _ in enumerate_cases(mp, 3)})
+    assert [pairs for pairs, _, _ in table] == sorted({pairs for pairs, _ in enumerate_cases(mp, 3)})
 
     def no_solver(*args):
         raise AssertionError("solver requested after the first decode")
@@ -486,6 +547,26 @@ def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
     assert mp._placements == table
+
+
+@pytest.mark.parametrize("args", [(64, 4, 8, 2), (48, 2, 7, 3), (20, 2, 5, 2)])
+def test_placement_table_owners(args):
+    # a placement owns a zero-share pattern exactly when no earlier
+    # placement holds every pair that pattern leaves damaged; every
+    # pattern of every placement has exactly one owner
+    mp = multi_params(*args)
+    table = multi_window._placement_table(mp)
+    owners = {}
+    for t, (pairs, _, owned) in enumerate(table):
+        for mask in range(1 << mp.z):
+            damaged = {i for j, i in enumerate(pairs) if not mask >> j & 1}
+            earlier = any(damaged <= set(prev) for prev, _, _ in table[:t])
+            assert bool(owned >> mask & 1) == (not earlier), (pairs, mask)
+            if owned >> mask & 1:
+                assert frozenset(damaged) not in owners
+                owners[frozenset(damaged)] = pairs
+    assert owners.keys() == {frozenset(sub) for pairs, _, _ in table
+                             for r in range(mp.z + 1) for sub in combinations(pairs, r)}
 
 
 def test_singular_placement_raises_every_decode_and_keeps_no_table():

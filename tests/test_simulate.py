@@ -1,6 +1,13 @@
 """Monte Carlo harness: determinism, counting, CSV shape."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import gccodes
 
 from gccodes import sim
 from gccodes.sim import SimConfig, report_to_csv, resolve_delta, run_trials
@@ -37,6 +44,20 @@ def test_deterministic_across_runs_and_workers():
     csv2 = report_to_csv(run_trials(cfg))
     csv3 = report_to_csv(run_trials(cfg, workers=2))
     assert csv1 == csv2 == csv3
+
+
+def test_import_leaves_multiprocessing_out():
+    # the worker pool is imported only by a run with workers > 1, so
+    # importing the package (and building params) does not pay for it
+    root = str(Path(gccodes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, gccodes, gccodes.sim; "
+            "gccodes.sim._make_params(64, 3, 1, 'cauchy'); "
+            "print(gccodes.__file__); print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout.split()
+    assert out == [gccodes.__file__, "False"]
 
 
 def test_params_built_once_across_calls(monkeypatch):

@@ -127,6 +127,22 @@ def test_evaluate_guess_validation():
         evaluate_guess(s[:8], 1, parities, PV)
 
 
+@pytest.mark.parametrize("bad", [
+    lambda par: par[:2],                  # one parity short
+    lambda par: list(par) + [5],          # one parity too many
+    lambda par: [par[0], 16, par[2]],     # 16 is outside GF(2^4)
+    lambda par: [par[0], -1, par[2]],
+    lambda par: [par[0], "5", par[2]],
+], ids=["two", "four", "too-large", "negative", "not-an-int"])
+def test_evaluate_guess_refuses_bad_parities(bad):
+    # with the true guess, two parities used to report parities_ok=False
+    # and a fourth was ignored; neither may give a verdict
+    s, parities, _ = strip_received(RECEIVED, PV)
+    assert evaluate_guess(s, 2, parities, PV).candidate == U
+    with pytest.raises(ValueError, match="parities"):
+        evaluate_guess(s, 2, bad(parities), PV)
+
+
 def test_decode_golden():
     res = decode(RECEIVED, PV)
     assert res.status == SUCCESS
