@@ -45,7 +45,6 @@ from .mds import (
 )
 from .multi_window import (
     DEFAULT_MAX_Z,
-    MultiParams,
     decode_multi,
     encode_multi,
     enumerate_cases,
@@ -62,16 +61,11 @@ from .single_window import (
     DecodeResult,
     GuessEval,
     InvalidConfigError,
-    RegionReport,
-    TooLongError,
-    TooManyDeletionsError,
     decode,
-    detect_affected_region,
     encode,
     evaluate_guess,
     gc_params,
     is_subsequence,
-    try_guess,
 )
 
 __version__ = "0.1.0"
@@ -87,11 +81,10 @@ __all__ = [
     "FieldTooSmallError", "Generator", "SingularSystemError",
     "cauchy_generator", "encode_parities",
     "make_generator", "vandermonde_generator",
-    "DEFAULT_MAX_Z", "MultiParams", "decode_multi", "encode_multi",
+    "DEFAULT_MAX_Z", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",
     "FAILURE", "INVALID_INPUT", "SUCCESS", "CodeParams", "DecodeResult",
-    "GuessEval", "InvalidConfigError", "RegionReport", "TooLongError",
-    "TooManyDeletionsError", "decode", "detect_affected_region", "encode",
-    "evaluate_guess", "gc_params", "is_subsequence", "try_guess",
+    "GuessEval", "InvalidConfigError", "decode", "encode",
+    "evaluate_guess", "gc_params", "is_subsequence",
 ]

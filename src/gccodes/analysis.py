@@ -11,14 +11,8 @@ from itertools import combinations
 from math import comb
 
 from .channel import DeletionPattern, Window, delete_localized
-from .single_window import (
-    FAILURE,
-    SUCCESS,
-    InvalidConfigError,
-    decode,
-    derive_dims,
-    encode,
-)
+from .multi_window import multi_dims
+from .single_window import FAILURE, SUCCESS, decode, derive_dims, encode
 
 
 class ScopeTooLargeError(ValueError):
@@ -99,13 +93,7 @@ def bound_multi(k, w, c, z):
     """Report for the multi-window code: t_max * 2^-(ell (c - 3z)) clamped
     at 1, where t_max is the exact case count maximized over the number of
     missing bits."""
-    if z < 1:
-        raise InvalidConfigError(f"z={z} must be at least 1")
-    ell, m, last = derive_dims(k, w, c)
-    if c < 2 * z + 1:
-        raise InvalidConfigError(f"c={c} must be at least 2z + 1 = {2 * z + 1}")
-    if m < 2 * z:
-        raise InvalidConfigError(f"{m} blocks cannot host {z} disjoint block pairs")
+    ell, m, last = multi_dims(k, w, c, z)
     r = z * w + 1
     redundancy = c * ell * r
     rate = k / (k + redundancy)

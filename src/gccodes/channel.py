@@ -44,10 +44,6 @@ class DeletionPattern:
             if win.offsets and win.offsets[0] < 0:
                 raise InvalidPatternError("offsets must be non-negative")
 
-    @property
-    def total_deletions(self):
-        return sum(len(w.offsets) for w in self.windows)
-
     def positions(self):
         """Absolute 1-indexed deleted positions, ascending."""
         out = [w.start + o for w in self.windows for o in w.offsets]
@@ -130,8 +126,7 @@ def sample_pattern(p, delta, rng, mode="whole-codeword"):
     """
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    z = getattr(p, "z", 1)
-    w = p.w
+    z, w = p.z, p.w
     if mode == "whole-codeword":
         domain = p.n
     elif mode == "systematic-only":

@@ -5,7 +5,8 @@ text, the characters '0' and '1' with an optional trailing newline.
 
 Exit codes: 0 success; 1 malformed arguments or files; decode additionally
 uses 2 when the decoder ends with several candidates (listed on stderr)
-and 3 when the input could not have come from a compliant channel.
+and 3 when no deletion placement the decoder tries fits the input (at
+z >= 2 some compliant words end there too; see decode_multi).
 """
 
 import argparse
@@ -58,12 +59,11 @@ def write_bits(path, bits):
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _add_code_args(sub, need_z=True):
+def _add_code_args(sub):
     sub.add_argument("--k", type=int, required=True, help="message length in bits")
     sub.add_argument("--w", type=int, required=True, help="window size")
     sub.add_argument("--c", type=int, required=True, help="number of parity symbols")
-    if need_z:
-        sub.add_argument("--z", type=int, default=1, help="number of windows (default 1)")
+    sub.add_argument("--z", type=int, default=1, help="number of windows (default 1)")
     sub.add_argument("--gen", choices=("cauchy", "vandermonde"), default="cauchy",
                      help="parity generator kind")
 
@@ -77,7 +77,7 @@ def _check_field(k, w, c):
 
 def _params(args):
     _check_field(args.k, args.w, args.c)
-    if getattr(args, "z", 1) == 1:
+    if args.z == 1:
         return gc_params(args.k, args.w, args.c, args.gen)
     return multi_params(args.k, args.w, args.c, args.z, args.gen)
 
@@ -107,7 +107,7 @@ def _cmd_corrupt(args):
             raise CliError(f"{args.infile} holds {len(x)} bits, expected n={p.n}")
         pat = channel.sample_pattern(p, args.delta, args.seed, args.mode)
         print(f"pattern {channel.pattern_to_text(pat)}", file=sys.stderr)
-        y = channel.delete_localized(x, pat, w=p.w, z=getattr(p, "z", 1))
+        y = channel.delete_localized(x, pat, w=p.w, z=p.z)
     write_bits(args.out, y)
     return 0
 

@@ -30,19 +30,18 @@ are listed once per params on the first decode; the splits once per
 delta, grouped by the patterns that run them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from itertools import combinations
 
 from . import mds
 from .gf2e import is_binary, read_symbols
 from .single_window import (
-    FAILURE,
     INVALID_INPUT,
     NOT_BINARY,
-    SUCCESS,
-    CodeParams,
     DecodeResult,
     InvalidConfigError,
+    decide,
+    derive_dims,
     gc_params,
     is_subsequence,
     parity_bits,
@@ -53,75 +52,27 @@ from .single_window import (
 DEFAULT_MAX_Z = 3
 
 
-@dataclass(frozen=True)
-class MultiParams:
-    base: CodeParams
-    z: int
-    r: int
-    # Filled by the first decode, so building params builds neither:
-    # _placement_table result
-    _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # delta -> _splits result
-    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # delta -> _split_runs result
-    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def k(self):
-        return self.base.k
-
-    @property
-    def w(self):
-        return self.base.w
-
-    @property
-    def c(self):
-        return self.base.c
-
-    @property
-    def ell(self):
-        return self.base.ell
-
-    @property
-    def m(self):
-        return self.base.m
-
-    @property
-    def last_block_len(self):
-        return self.base.last_block_len
-
-    @property
-    def kind(self):
-        return self.base.kind
-
-    @property
-    def ctx(self):
-        return self.base.ctx
-
-    @property
-    def gen(self):
-        return self.base.gen
-
-    @property
-    def n(self):
-        return self.k + self.c * self.ell * self.r
+def multi_dims(k, w, c, z):
+    """The (ell, m, last_block_len) of derive_dims for z windows, after
+    the checks z windows add: at least one window, the 2z solving
+    parities plus a spare, and room for z disjoint block pairs."""
+    if z < 1:
+        raise InvalidConfigError(f"z={z} must be at least 1")
+    if c < 2 * z + 1:
+        raise InvalidConfigError(f"c={c} must be at least 2z + 1 = {2 * z + 1}")
+    ell, m, last = derive_dims(k, w, c)
+    if m < 2 * z:
+        raise InvalidConfigError(f"{m} blocks cannot host {z} disjoint block pairs")
+    return ell, m, last
 
 
 def multi_params(k, w, c, z, kind="cauchy", allow_large_z=False):
-    if z < 1:
-        raise InvalidConfigError(f"z={z} must be at least 1")
     if z > DEFAULT_MAX_Z and not allow_large_z:
         raise InvalidConfigError(
             f"z={z} exceeds the default cap {DEFAULT_MAX_Z}; pass allow_large_z=True"
         )
-    if c < 2 * z + 1:
-        raise InvalidConfigError(f"c={c} must be at least 2z + 1 = {2 * z + 1}")
-    base = gc_params(k, w, c, kind)
-    if base.m < 2 * z:
-        raise InvalidConfigError(
-            f"{base.m} blocks cannot host {z} disjoint block pairs"
-        )
-    return MultiParams(base=base, z=z, r=z * w + 1)
+    multi_dims(k, w, c, z)
+    return replace(gc_params(k, w, c, kind), z=z, r=z * w + 1)
 
 
 def repetition_encode(bits, r):
@@ -145,8 +96,8 @@ def repetition_decode(bits, m_bits, r, d):
     return "".join(bits[i * r] for i in range(m_bits))
 
 
-def encode_multi(u, mp):
-    return u + repetition_encode(parity_bits(u, mp.base), mp.r)
+def encode_multi(u, p):
+    return u + repetition_encode(parity_bits(u, p), p.r)
 
 
 def _compositions(total, parts, cap):
@@ -166,48 +117,48 @@ def _pair_placements(m, z):
         yield tuple(q + t for t, q in enumerate(picked))
 
 
-def enumerate_cases(mp, delta):
+def enumerate_cases(p, delta):
     """Every explanation the decoder must try for delta missing bits:
     z pairwise non-overlapping adjacent block pairs (named by their lower
     block, ascending) crossed with every split of delta over the windows
     with each share in [0, w]. Zero shares are included; a window may have
     swallowed nothing.
     """
-    if not 0 <= delta <= mp.z * mp.w:
-        raise ValueError(f"delta={delta} must be in [0, {mp.z * mp.w}]")
-    splits = _splits(mp, delta)
-    for pairs in _pair_placements(mp.m, mp.z):
+    if not 0 <= delta <= p.z * p.w:
+        raise ValueError(f"delta={delta} must be in [0, {p.z * p.w}]")
+    splits = _splits(p, delta)
+    for pairs in _pair_placements(p.m, p.z):
         for deltas, _ in splits:
             yield pairs, deltas
 
 
-def _splits(mp, delta):
+def _splits(p, delta):
     """Every split of delta over the z windows, each share in [0, w], kept
-    on mp per delta. Each comes with the shifts of its z - 1 middle
+    on p per delta. Each comes with the shifts of its z - 1 middle
     segments: segment j, between pairs j and j+1, is read d_1 + ... + d_j
     bits early."""
-    splits = mp._splits.get(delta)
+    splits = p._splits.get(delta)
     if splits is None:
-        splits = tuple((deltas, tuple(sum(deltas[:j]) for j in range(1, mp.z)))
-                       for deltas in _compositions(delta, mp.z, mp.w))
-        mp._splits[delta] = splits
+        splits = tuple((deltas, tuple(sum(deltas[:j]) for j in range(1, p.z)))
+                       for deltas in _compositions(delta, p.z, p.w))
+        p._splits[delta] = splits
     return splits
 
 
-def _placement_table(mp):
+def _placement_table(p):
     """Every pair placement in enumerate_cases order, with the log-form
     solver of its 2z blocks (mds.log_solver) and the zero-share patterns
     it owns. A pattern is a z-bit mask, bit j set when pair j gets a zero
     share; bit mask of the placement's owned int is set when it is the
     first placement to contain the pairs the pattern leaves damaged.
-    Built on the first decode and kept on mp; a singular placement raises
+    Built on the first decode and kept on p; a singular placement raises
     SingularSystemError on every request and nothing is kept."""
-    table = mp._placements
+    table = p._placements
     if not table:
-        gen, z = mp.gen, mp.z
+        gen, z = p.gen, p.z
         rows = []
         first = {}  # damaged pairs -> the first placement containing them
-        for pairs in _pair_placements(mp.m, z):
+        for pairs in _pair_placements(p.m, z):
             owned = 0
             for mask in range(1 << z):
                 damaged = tuple(i for j, i in enumerate(pairs) if not mask >> j & 1)
@@ -219,27 +170,26 @@ def _placement_table(mp):
     return table
 
 
-def _split_runs(mp, delta, table):
+def _split_runs(p, delta, table):
     """The splits of delta that each owned int of the placement table
     runs, in _splits order: those whose zero-share pattern it owns. Kept
-    on mp per delta."""
-    runs = mp._runs.get(delta)
+    on p per delta."""
+    runs = p._runs.get(delta)
     if runs is None:
-        splits = _splits(mp, delta)
+        splits = _splits(p, delta)
         masks = [sum(1 << j for j, d in enumerate(deltas) if not d) for deltas, _ in splits]
         runs = {owned: tuple(sp for sp, mask in zip(splits, masks) if owned >> mask & 1)
                 for owned in {owned for _, _, owned in table}}
-        mp._runs[delta] = runs
+        p._runs[delta] = runs
     return runs
 
 
-def _shift_table(s, mp, shift):
+def _shift_table(s, p, shift):
     """Packed parity partial sums of the blocks of s read shift bits early:
     tab[j] covers blocks jmin..j, whose bits start at (j-1)*ell - shift,
     and is 0 for j < jmin. The table ends at the last block whole inside
     s, so a read past it raises IndexError instead of giving a wrong
     syndrome."""
-    p = mp.base
     ell, m, k = p.ell, p.m, p.k
     jmin = -(-shift // ell) + 1
     # block j < m ends at j*ell - shift, block m at k - shift
@@ -248,7 +198,7 @@ def _shift_table(s, mp, shift):
     return mds.parity_sums(p.gen, jmin, symbols)
 
 
-def _candidate(s, mp, pairs, deltas, solve, lh):
+def _candidate(s, p, pairs, deltas, solve, lh):
     """The message of a case that passed the spare checks, or None. The
     2z blocks are solved from the logs lh of the solving syndromes with
     the solve rows of mds.log_solver.
@@ -259,7 +209,6 @@ def _candidate(s, mp, pairs, deltas, solve, lh):
     share needs zero padding when it is the last pair, passes the
     supersequence test, and puts its solved blocks into the message.
     """
-    p = mp.base
     ell, m, exp = p.ell, p.m, p.ctx.exp
     low = ell - p.last_block_len  # padding bits of a short last block
     sol = []
@@ -301,7 +250,7 @@ def _candidate(s, mp, pairs, deltas, solve, lh):
     return "".join(pieces)
 
 
-def decode_multi(y, mp):
+def decode_multi(y, p):
     """Counterpart of decode for the multi-window construction.
 
     Each case (pairs, deltas) of enumerate_cases is checked at most once
@@ -320,25 +269,29 @@ def decode_multi(y, mp):
       none. The first of them in enumeration order is the one checked, so
       the first case to yield each candidate, which is the guess reported
       and fixes the order of the candidates, is unchanged.
+
+    InvalidInput means no case tried is consistent. The cases assume that
+    every deletion hit the message bits and that no two windows share a
+    block pair, so some compliant words come out invalid: at k = 64,
+    w = 4, c = 8, z = 2, about half of whole-codeword draws with w each.
     """
-    n = mp.n
+    n = p.n
     if not is_binary(y):
         return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
     if len(y) > n:
         return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
-    if len(y) < n - mp.z * mp.w:
+    if len(y) < n - p.z * p.w:
         return DecodeResult(
             INVALID_INPUT,
-            reason=f"{n - len(y)} deletions exceed the budget z*w = {mp.z * mp.w}",
+            reason=f"{n - len(y)} deletions exceed the budget z*w = {p.z * p.w}",
         )
-    p = mp.base  # plain fields, not MultiParams' forwarding properties
-    z, ell, m = mp.z, p.ell, p.m
+    z, ell, m = p.z, p.ell, p.m
     delta = n - len(y)
-    tail_len = p.c * ell * mp.r - delta
-    parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, mp.r, delta)
+    tail_len = p.c * ell * p.r - delta
+    parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, p.r, delta)
     parities = mds.pack(read_symbols(parity_bits, ell), ell)
-    table = _placement_table(mp)
-    splits = _splits(mp, delta)
+    table = _placement_table(p)
+    splits = _splits(p, delta)
     s = y[:p.k - delta]
 
     # One table per shift some segment is read at: the first segment at 0,
@@ -346,10 +299,10 @@ def decode_multi(y, mp):
     # ones at their splits' shifts.
     tabs = [None] * (delta + 1)
     for shift in {0, delta}.union(*(shifts for _, shifts in splits)):
-        tabs[shift] = _shift_table(s, mp, shift)
+        tabs[shift] = _shift_table(s, p, shift)
     first, last = tabs[0], tabs[delta]
     runs = {owned: [(deltas, [tabs[sh] for sh in shifts]) for deltas, shifts in run]
-            for owned, run in _split_runs(mp, delta, table).items()}
+            for owned, run in _split_runs(p, delta, table).items()}
 
     exp, log = p.ctx.exp, p.ctx.log
     mask = (1 << ell) - 1
@@ -377,12 +330,7 @@ def decode_multi(y, mp):
                 if acc != (syn >> row[t]) & mask:
                     break
             else:
-                cand = _candidate(s, mp, pairs, deltas, solve, lh)
+                cand = _candidate(s, p, pairs, deltas, solve, lh)
                 if cand is not None and cand not in winners:
                     winners[cand] = (pairs, deltas)
-    if not winners:
-        return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
-    if len(winners) == 1:
-        cand, case = next(iter(winners.items()))
-        return DecodeResult(SUCCESS, message=cand, guess=case)
-    return DecodeResult(FAILURE, candidates=tuple(winners))
+    return decide(winners)

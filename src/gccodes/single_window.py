@@ -38,7 +38,7 @@ a single surviving candidate is provably the sent message when the channel
 respected the window contract.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 from operator import xor
@@ -51,14 +51,6 @@ class InvalidConfigError(ValueError):
     pass
 
 
-class TooManyDeletionsError(ValueError):
-    pass
-
-
-class TooLongError(ValueError):
-    pass
-
-
 SUCCESS = "success"
 FAILURE = "failure"
 INVALID_INPUT = "invalid-input"
@@ -66,6 +58,10 @@ INVALID_INPUT = "invalid-input"
 
 @dataclass(frozen=True)
 class CodeParams:
+    """Parameters of either code: z windows, each parity bit repeated r
+    times. r = 1 is the single-window code, its parities behind a buffer
+    of w zeros and a one; multi_params gives r = z*w + 1 and no buffer,
+    at any z including 1."""
     k: int
     w: int
     c: int
@@ -75,10 +71,19 @@ class CodeParams:
     kind: str
     ctx: FieldContext
     gen: mds.Generator
+    z: int = 1
+    r: int = 1
+    # decode_multi's tables, filled on its first call: the placement
+    # table, and per delta the splits and the splits each ownership runs
+    _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):
-        return self.k + self.c * self.ell + self.w + 1
+        if self.r == 1:
+            return self.k + self.c * self.ell + self.w + 1
+        return self.k + self.c * self.ell * self.r
 
 
 def derive_dims(k, w, c):
@@ -134,33 +139,6 @@ def parity_bits(u, p):
 
 def encode(u, p):
     return u + "0" * p.w + "1" + parity_bits(u, p)
-
-
-@dataclass(frozen=True)
-class RegionReport:
-    systematic_affected: bool
-    delta: int
-
-
-def detect_affected_region(y, p):
-    """Which side of the buffer lost bits, decided by one received bit.
-
-    With delta = n - |y| deletions all confined to one w-window, position
-    k + w - delta + 1 of y (1-indexed) reads 1 exactly when every deletion
-    happened left of the buffer's one, i.e. the message bits may be
-    damaged but the parity tail is intact. It reads 0 exactly when the
-    message bits are untouched.
-    """
-    if len(y) > p.n:
-        raise TooLongError(f"received {len(y)} bits but the code length is {p.n}")
-    if len(y) < p.n - p.w:
-        raise TooManyDeletionsError(
-            f"received {len(y)} bits; at most {p.w} deletions are correctable"
-        )
-    delta = p.n - len(y)
-    if delta == 0:
-        return RegionReport(False, 0)
-    return RegionReport(y[p.k + p.w - delta] == "1", delta)
 
 
 NOT_BINARY = "the received word must contain only '0' and '1'"
@@ -305,11 +283,6 @@ def evaluate_guess(s, i, parities, p):
                      candidate=message if parities_ok else None)
 
 
-def try_guess(s, i, parities, p):
-    """Candidate message under guess i, or None when the guess is impossible."""
-    return evaluate_guess(s, i, parities, p).candidate
-
-
 def decode(y, p):
     """Decode a received word missing up to w bits from one window.
 
@@ -318,16 +291,17 @@ def decode(y, p):
     surviving candidate. InvalidInput flags a word no compliant channel
     could have produced, or a word with characters other than 0 and 1.
     """
+    n = p.n
     if not is_binary(y):
         return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
-    if len(y) > p.n:
-        return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {p.n}")
-    if len(y) < p.n - p.w:
+    if len(y) > n:
+        return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
+    if len(y) < n - p.w:
         return DecodeResult(
             INVALID_INPUT,
-            reason=f"{p.n - len(y)} deletions exceed the window size {p.w}",
+            reason=f"{n - len(y)} deletions exceed the window size {p.w}",
         )
-    delta = p.n - len(y)
+    delta = n - len(y)
     if delta == 0 or y[p.k + p.w - delta] == "0":
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
     parities = mds.pack(read_symbols(y[len(y) - p.c * p.ell:], p.ell), p.ell)
@@ -337,9 +311,16 @@ def decode(y, p):
         cand = _verdict(s, i, syn, p)[-1]
         if cand is not None and cand not in winners:
             winners[cand] = i
+    return decide(winners)
+
+
+def decide(winners):
+    """The result of a decode from its distinct surviving candidates, each
+    mapped to the first guess that gave it, in the order they were found:
+    none is InvalidInput, one is Success, more are Failure."""
     if not winners:
         return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
     if len(winners) == 1:
-        cand, i = next(iter(winners.items()))
-        return DecodeResult(SUCCESS, message=cand, guess=i)
+        cand, guess = next(iter(winners.items()))
+        return DecodeResult(SUCCESS, message=cand, guess=guess)
     return DecodeResult(FAILURE, candidates=tuple(winners))

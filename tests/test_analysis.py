@@ -17,6 +17,7 @@ from gccodes.analysis import (
     max_case_count,
     rate_single,
 )
+from gccodes.multi_window import multi_params
 from gccodes.single_window import InvalidConfigError, gc_params
 
 K_GRID = (128, 256, 512, 1024, 2048, 4096)
@@ -129,6 +130,25 @@ def test_bound_multi_validation():
         bound_multi(64, 4, 4, 2)
     with pytest.raises(InvalidConfigError):
         bound_multi(64, 4, 7, 0)
+
+
+@pytest.mark.parametrize("args", [
+    (64, 4, 7, 0),       # no window
+    (64, 4, 4, 2),       # c below 2z + 1
+    (64, 4, 2, 1),       # c below 2z + 1 and below 3
+    (3, 2, 4, 1),        # k too small
+    (2, 1, 4, 2),        # k too small and c below 2z + 1
+    (16, 16, 5, 2),      # window as large as the message
+    (16, 4, 7, 3),       # 4 blocks cannot host 3 pairs
+    (8, 4, 5, 2),        # 2 blocks cannot host 2 pairs
+    (16, 4, 13, 2),      # 4 + 13 symbols exceed GF(16)
+])
+def test_multi_params_and_bound_multi_refuse_alike(args):
+    with pytest.raises(InvalidConfigError) as built:
+        multi_params(*args)
+    with pytest.raises(InvalidConfigError) as bounded:
+        bound_multi(*args)
+    assert str(built.value) == str(bounded.value)
 
 
 def test_oracle_single_guess_never_fails():

@@ -24,7 +24,6 @@ from gccodes.mds import (
     encode_parities,
 )
 from gccodes.multi_window import (
-    MultiParams,
     _shift_table,
     decode_multi,
     encode_multi,
@@ -37,6 +36,7 @@ from gccodes.single_window import (
     FAILURE,
     INVALID_INPUT,
     SUCCESS,
+    CodeParams,
     DecodeResult,
     InvalidConfigError,
     gc_params,
@@ -91,7 +91,8 @@ def test_repetition_decode_content_spot_checks():
 
 def test_multi_params_golden():
     mp = multi_params(16, 4, 5, 2)
-    assert isinstance(mp, MultiParams)
+    assert type(mp) is CodeParams
+    assert (mp.z, mp.r) == (2, 9)
     assert (mp.ell, mp.m, mp.r, mp.n) == (4, 4, 9, 196)
     mp = multi_params(64, 4, 5, 2)
     assert (mp.ell, mp.m, mp.last_block_len, mp.r, mp.n) == (6, 11, 4, 9, 334)
@@ -576,7 +577,7 @@ def test_singular_placement_raises_every_decode_and_keeps_no_table():
     # are singular; (1, 3) comes first and is not
     rows = mp0.gen.rows[:4] + mp0.gen.rows[3:4]
     gen = Generator(m=5, c=5, kind="test", ctx=mp0.ctx, rows=rows)
-    mp = MultiParams(base=replace(mp0.base, gen=gen), z=2, r=mp0.r)
+    mp = replace(mp0, gen=gen)
     y = encode_multi("10" * 12, mp)
     for _ in range(2):
         with pytest.raises(SingularSystemError, match=r"\(1, 2, 4, 5\)"):

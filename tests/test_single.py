@@ -14,15 +14,11 @@ from gccodes.single_window import (
     SUCCESS,
     DecodeResult,
     InvalidConfigError,
-    TooLongError,
-    TooManyDeletionsError,
     decode,
-    detect_affected_region,
     encode,
     evaluate_guess,
     gc_params,
     is_subsequence,
-    try_guess,
 )
 from oracles import erasure_decode, verify_parities
 
@@ -66,21 +62,20 @@ def test_encode_validation():
         encode(U[:-1] + "x", PV)
 
 
-def test_detect_region():
-    rep = detect_affected_region(RECEIVED, PV)
-    assert rep.systematic_affected and rep.delta == 3
-    rep = detect_affected_region(CODEWORD, PV)
-    assert not rep.systematic_affected and rep.delta == 0
-    # deletions confined to the parity suffix leave the marker bit a zero
-    rep = detect_affected_region(CODEWORD[:25] + CODEWORD[27:], PV)
-    assert not rep.systematic_affected and rep.delta == 2
-
-
-def test_detect_region_length_contract():
-    with pytest.raises(TooManyDeletionsError):
-        detect_affected_region(CODEWORD[: 33 - 5], PV)
-    with pytest.raises(TooLongError):
-        detect_affected_region(CODEWORD + "0", PV)
+def test_decode_paths_and_length_contract():
+    # three deletions in the message set the buffer's marker bit to one:
+    # the guess path runs, and only guess 2 survives
+    assert PV.n - len(RECEIVED) == 3
+    assert decode(RECEIVED, PV) == DecodeResult(SUCCESS, message=U, guess=2)
+    # no deletion, and deletions confined to the parity suffix, leave the
+    # marker bit a zero: the parity path reads the message off the front
+    for y, delta in ((CODEWORD, 0), (CODEWORD[:25] + CODEWORD[27:], 2)):
+        assert PV.n - len(y) == delta
+        assert decode(y, PV) == DecodeResult(SUCCESS, message=U, guess=None)
+    assert decode(CODEWORD[: 33 - 5], PV) == DecodeResult(
+        INVALID_INPUT, reason="5 deletions exceed the window size 4")
+    assert decode(CODEWORD + "0", PV) == DecodeResult(
+        INVALID_INPUT, reason="34 bits exceed the code length 33")
 
 
 def strip_received(y, p):
@@ -108,13 +103,6 @@ def test_three_guesses_verdicts():
     assert g3.decoded_pair == (12, 0)            # alpha^6, zero
     assert not g3.parities_ok and g3.supersequence_ok
     assert g3.candidate is None
-
-
-def test_try_guess_matches_evaluate():
-    s, parities, _ = strip_received(RECEIVED, PV)
-    assert try_guess(s, 1, parities, PV) is None
-    assert try_guess(s, 2, parities, PV) == U
-    assert try_guess(s, 3, parities, PV) is None
 
 
 def test_evaluate_guess_validation():
