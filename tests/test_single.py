@@ -62,9 +62,9 @@ def test_encode_validation():
         encode(U[:-1] + "x", PV)
 
 
-def test_decode_paths_and_length_contract():
+def test_detect_region():
     # three deletions in the message set the buffer's marker bit to one:
-    # the guess path runs, and only guess 2 survives
+    # decode takes the guess path
     assert PV.n - len(RECEIVED) == 3
     assert decode(RECEIVED, PV) == DecodeResult(SUCCESS, message=U, guess=2)
     # no deletion, and deletions confined to the parity suffix, leave the
@@ -72,6 +72,9 @@ def test_decode_paths_and_length_contract():
     for y, delta in ((CODEWORD, 0), (CODEWORD[:25] + CODEWORD[27:], 2)):
         assert PV.n - len(y) == delta
         assert decode(y, PV) == DecodeResult(SUCCESS, message=U, guess=None)
+
+
+def test_detect_region_length_contract():
     assert decode(CODEWORD[: 33 - 5], PV) == DecodeResult(
         INVALID_INPUT, reason="5 deletions exceed the window size 4")
     assert decode(CODEWORD + "0", PV) == DecodeResult(
@@ -103,6 +106,15 @@ def test_three_guesses_verdicts():
     assert g3.decoded_pair == (12, 0)            # alpha^6, zero
     assert not g3.parities_ok and g3.supersequence_ok
     assert g3.candidate is None
+
+
+def test_try_guess_matches_evaluate():
+    # only guess 2 leaves a candidate, and decode reports that guess
+    s, parities, _ = strip_received(RECEIVED, PV)
+    assert evaluate_guess(s, 1, parities, PV).candidate is None
+    assert evaluate_guess(s, 2, parities, PV).candidate == U
+    assert evaluate_guess(s, 3, parities, PV).candidate is None
+    assert decode(RECEIVED, PV).guess == 2
 
 
 def test_evaluate_guess_validation():
