@@ -14,7 +14,6 @@ from gccodes import (
     encode,
     evaluate_guess,
     gc_params,
-    mds,
     pattern_from_text,
 )
 
@@ -31,11 +30,9 @@ print("as GF(16) symbols:", symbols)
 # three parity symbols protect the blocks; a buffer of w zeros and a
 # single one separates them from the message so the decoder can tell
 # which side the deletions hit
-parities = mds.encode_parities(symbols, p.gen)
-print("parity symbols:", parities)
-
 x = encode(u, p)
 print(f"codeword ({len(x)} bits):", x[:p.k], x[p.k:p.k + p.w + 1], x[p.k + p.w + 1:])
+print("parity symbols:", bits_to_symbols(x[p.k + p.w + 1:], p.ctx))
 
 # drop three bits from a window starting at position 7 (1-indexed)
 pat = pattern_from_text("7:0,2,3")

@@ -9,7 +9,7 @@ guesses surviving the c - 2 check parities; at c=3 it is vacuous and only
 simulation says anything, at c=4 it starts to bite.
 """
 
-from gccodes import bound_single, rate_single
+from gccodes import bound_single
 
 K_GRID = (128, 256, 512, 1024, 2048, 4096)
 
@@ -18,9 +18,9 @@ for c in (3, 4):
     print(f"{'k':>5} {'w':>3} {'n':>5} {'rate':>6} {'redundancy':>10} {'bound':>9}")
     for k in K_GRID:
         w = (k - 1).bit_length()
-        n, rate = rate_single(k, w, c)
         rep = bound_single(k, w, c)
-        print(f"{k:>5} {w:>3} {n:>5} {rate:>6.2f} {rep.redundancy_bits:>10} "
+        n = k + rep.redundancy_bits
+        print(f"{k:>5} {w:>3} {n:>5} {rep.rate:>6.2f} {rep.redundancy_bits:>10} "
               f"{rep.failure_bound:>9.2g}")
     print()
 

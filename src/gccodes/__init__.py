@@ -16,7 +16,6 @@ from .analysis import (
     bound_single,
     exhaustive_oracle,
     max_case_count,
-    rate_single,
 )
 from .channel import (
     DeletionPattern,
@@ -32,14 +31,12 @@ from .gf2e import (
     NonPrimitivePolynomialError,
     UnsupportedExponentError,
     bits_to_symbols,
-    symbols_to_bits,
 )
 from .mds import (
     FieldTooSmallError,
     Generator,
     SingularSystemError,
     cauchy_generator,
-    encode_parities,
     make_generator,
     vandermonde_generator,
 )
@@ -73,14 +70,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "MiscorrectionError", "OracleReport", "ScopeTooLargeError",
     "bound_multi", "bound_single", "exhaustive_oracle", "max_case_count",
-    "rate_single",
     "DeletionPattern", "InvalidPatternError", "Window", "delete_localized",
     "pattern_from_text", "pattern_to_text", "sample_pattern",
     "FieldContext", "NonPrimitivePolynomialError", "UnsupportedExponentError",
-    "bits_to_symbols", "symbols_to_bits",
+    "bits_to_symbols",
     "FieldTooSmallError", "Generator", "SingularSystemError",
-    "cauchy_generator", "encode_parities",
-    "make_generator", "vandermonde_generator",
+    "cauchy_generator", "make_generator", "vandermonde_generator",
     "DEFAULT_MAX_Z", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",

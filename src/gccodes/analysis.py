@@ -55,13 +55,6 @@ def bound_single(k, w, c):
                        regime=_regime(k, w), windows=1)
 
 
-def rate_single(k, w, c):
-    """Block length and rate of the single-window code: (n, k/n)."""
-    ell, m, last = derive_dims(k, w, c)
-    n = k + c * ell + w + 1
-    return n, k / n
-
-
 def _split_count(total, parts, cap):
     """Number of ways to write total as an ordered sum of `parts` ints in [0, cap]."""
     counts = [1] + [0] * total

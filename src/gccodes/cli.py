@@ -14,7 +14,7 @@ import sys
 
 from . import channel, sim
 from .analysis import bound_multi, bound_single
-from .gf2e import MAX_ELL
+from .gf2e import MAX_ELL, is_binary
 from .multi_window import decode_multi, encode_multi, multi_params
 from .single_window import (
     FAILURE,
@@ -43,7 +43,7 @@ def read_bits(path):
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     text = text.rstrip("\n")
-    if not text or set(text) - {"0", "1"}:
+    if not text or not is_binary(text):
         raise CliError(f"{path} is not a bit file (only '0'/'1' and a trailing newline)")
     return text
 
@@ -59,10 +59,10 @@ def write_bits(path, bits):
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _add_code_args(sub):
-    sub.add_argument("--k", type=int, required=True, help="message length in bits")
-    sub.add_argument("--w", type=int, required=True, help="window size")
-    sub.add_argument("--c", type=int, required=True, help="number of parity symbols")
+def _add_code_args(sub, required=True):
+    sub.add_argument("--k", type=int, required=required, help="message length in bits")
+    sub.add_argument("--w", type=int, required=required, help="window size")
+    sub.add_argument("--c", type=int, required=required, help="number of parity symbols")
     sub.add_argument("--z", type=int, default=1, help="number of windows (default 1)")
     sub.add_argument("--gen", choices=("cauchy", "vandermonde"), default="cauchy",
                      help="parity generator kind")
@@ -180,17 +180,14 @@ def build_parser():
     enc.set_defaults(fn=_cmd_encode)
 
     cor = subs.add_parser("corrupt", help="apply localized deletions")
-    cor.add_argument("--pattern", help='e.g. "3:0,1,3;15:0,2" (1-indexed starts)')
-    cor.add_argument("--random", action="store_true", help="sample a pattern instead")
+    how = cor.add_mutually_exclusive_group(required=True)
+    how.add_argument("--pattern", help='e.g. "3:0,1,3;15:0,2" (1-indexed starts)')
+    how.add_argument("--random", action="store_true", help="sample a pattern instead")
     cor.add_argument("--delta", type=int, help="per-window deletions for --random")
     cor.add_argument("--seed", help="RNG seed for --random")
     cor.add_argument("--mode", choices=("whole-codeword", "systematic-only"),
                      default="whole-codeword")
-    cor.add_argument("--k", type=int)
-    cor.add_argument("--w", type=int)
-    cor.add_argument("--c", type=int)
-    cor.add_argument("--z", type=int, default=1)
-    cor.add_argument("--gen", choices=("cauchy", "vandermonde"), default="cauchy")
+    _add_code_args(cor, required=False)     # read by --random only
     cor.add_argument("--in", dest="infile", required=True)
     cor.add_argument("--out", required=True)
     cor.set_defaults(fn=_cmd_corrupt)

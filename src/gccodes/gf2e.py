@@ -154,9 +154,3 @@ def read_symbols(bits, ell):
     top = (len(bits) - 1) // ell * ell
     word = int(bits, 2) << (top + ell - len(bits))
     return [word >> sh & mask for sh in range(top, -1, -ell)]
-
-
-def symbols_to_bits(symbols, ctx):
-    """Inverse of bits_to_symbols for full-width blocks."""
-    ell = ctx.ell
-    return "".join(format(v, f"0{ell}b") for v in symbols)

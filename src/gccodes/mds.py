@@ -5,7 +5,9 @@ The decoders solve the same small erasure systems again and again: which
 blocks are erased fixes the system, the received word only fixes its
 right-hand side. log_solver inverts each system (erasure_solver) once per
 generator and keeps the result in log form, so a decoder's case loop does
-products, not elimination.
+products, not elimination. erasure_solver runs one Gauss-Jordan pass over
+the columns of the parity matrix stacked on an identity, which gives the
+inverse and the spare-parity rows together.
 
 A vector of c parity values, or of partial sums towards them, is kept
 packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
@@ -13,13 +15,13 @@ vectors is one xor. Every packed parity bit is GF(2)-linear in the message
 bits, so the encoder is bit-sliced: parity_planes keeps one mask per
 packed bit over the message read as one int, and packed_parities takes
 bit p as the parity of the popcount of x & planes[p], c*ell popcounts per
-message. encode_parities and both encoders go through it. The decoders
-read a block's packed contribution instead (block_sums): it is GF(2)-linear
-in the block's symbol, so sum_tables keeps it in split tables, one per
-chunk of at most 6 symbol bits (the "split table" method of GF-Complete),
-and a block costs one lookup per chunk, two up to ell = 12, and no
-product. The single-window scan xors contributions step by step;
-parity_sums gives the running sums the multi-window case loop reads.
+message. Both encoders go through it. The decoders read a block's packed
+contribution instead (block_sums): it is GF(2)-linear in the block's
+symbol, so sum_tables keeps it in split tables, one per chunk of at most 6
+symbol bits (the "split table" method of GF-Complete), and a block costs
+one lookup per chunk, two up to ell = 12, and no product. The
+single-window scan xors contributions step by step; parity_sums gives the
+running sums the multi-window case loop reads.
 
 The decoders' solves and spare checks multiply in log form: log_solver
 keeps an erasure solver's rows for any erased set as logs (the
@@ -240,45 +242,6 @@ def packed_parities(x, gen):
     return acc
 
 
-def encode_parities(symbols, gen):
-    """All c parity symbols for a full systematic vector."""
-    if len(symbols) != gen.m:
-        raise ValueError(f"expected {gen.m} symbols, got {len(symbols)}")
-    ell = gen.ctx.ell
-    x = 0
-    for v in symbols:
-        if not 0 <= v < 1 << ell:
-            raise ValueError(f"symbol {v} is not an element of GF(2^{ell})")
-        x = x << ell | v
-    packed = packed_parities(x, gen)
-    mask = (1 << ell) - 1
-    return [(packed >> (r * ell)) & mask for r in range(gen.c)]
-
-
-def _eliminate(matrix, right, ctx):
-    """Gauss-Jordan elimination on [A | R] over the field.
-
-    matrix is A as a list of row lists, right is R as a parallel list of
-    row lists; neither is modified. Returns the rows of A^-1 R. Raises
-    SingularSystemError when A is singular.
-    """
-    size = len(matrix)
-    rows = [list(a) + list(b) for a, b in zip(matrix, right)]
-    mul = ctx.mul
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            raise SingularSystemError("erasure system has no unique solution")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = ctx.inv(rows[col][col])
-        top = rows[col] = [mul(scale, v) for v in rows[col]]
-        for r in range(size):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [x ^ mul(f, y) for x, y in zip(rows[r], top)]
-    return [row[size:] for row in rows]
-
-
 def erasure_solver(gen, erased):
     """The erasure system of the blocks in erased, solved.
 
@@ -293,31 +256,33 @@ def erasure_solver(gen, erased):
       * dot(solver[q]) is what syn[q] must equal, for q >= t: a spare
         parity check costs t products and no solve.
 
-    The inverse comes from one Gauss-Jordan pass on [system | identity].
-    Nothing is kept: the decoders read log_solver's cached log form. A
-    singular system raises SingularSystemError.
+    One Gauss-Jordan pass runs on the columns of the c x t parity matrix
+    stacked on a t x t identity. Column operations multiply both blocks on
+    the right by the same matrix, so once the top t rows are the identity,
+    that matrix is the system's inverse: it is the bottom block, and rows
+    t..c-1 are the spare rows. Nothing is kept: the decoders read
+    log_solver's cached log form. A singular system raises
+    SingularSystemError.
     """
-    t = len(erased)
-    if not 1 <= t <= gen.c:
-        raise ValueError(f"{t} erased blocks need 1..c = {gen.c} parities")
-    cols = [gen.rows[e - 1] for e in erased]
-    system = [[col[q] for col in cols] for q in range(t)]
-    identity = [[int(q == j) for j in range(t)] for q in range(t)]
-    try:
-        inverse = _eliminate(system, identity, gen.ctx)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"blocks {erased} are not erasure-decodable with this generator"
-        ) from exc
+    t, c = len(erased), gen.c
+    if not 1 <= t <= c:
+        raise ValueError(f"{t} erased blocks need 1..c = {c} parities")
+    cols = [list(gen.rows[e - 1]) + [int(j == i) for i in range(t)]
+            for j, e in enumerate(erased)]
     mul = gen.ctx.mul
-    spare = []
-    for q in range(t, gen.c):
-        row = [0] * t
-        for col, inv_row in zip(cols, inverse):
-            for r, v in enumerate(inv_row):
-                row[r] ^= mul(col[q], v)
-        spare.append(row)
-    return tuple(tuple(row) for row in inverse + spare)
+    for row in range(t):
+        pivot = next((j for j in range(row, t) if cols[j][row]), None)
+        if pivot is None:
+            raise SingularSystemError(
+                f"blocks {erased} are not erasure-decodable with this generator")
+        cols[row], cols[pivot] = cols[pivot], cols[row]
+        scale = gen.ctx.inv(cols[row][row])
+        top = cols[row] = [mul(scale, v) for v in cols[row]]
+        for j in range(t):
+            f = cols[j][row]
+            if j != row and f:
+                cols[j] = [x ^ mul(f, y) for x, y in zip(cols[j], top)]
+    return tuple(tuple(col[q] for col in cols) for q in [*range(c, c + t), *range(t, c)])
 
 
 def log_solver(gen, erased):

@@ -34,12 +34,10 @@ from dataclasses import replace
 from itertools import combinations
 
 from . import mds
-from .gf2e import is_binary, read_symbols
+from .gf2e import read_symbols
 from .single_window import (
-    INVALID_INPUT,
-    NOT_BINARY,
-    DecodeResult,
     InvalidConfigError,
+    _check_received,
     decide,
     derive_dims,
     gc_params,
@@ -275,18 +273,11 @@ def decode_multi(y, p):
     block pair, so some compliant words come out invalid: at k = 64,
     w = 4, c = 8, z = 2, about half of whole-codeword draws with w each.
     """
-    n = p.n
-    if not is_binary(y):
-        return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
-    if len(y) > n:
-        return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
-    if len(y) < n - p.z * p.w:
-        return DecodeResult(
-            INVALID_INPUT,
-            reason=f"{n - len(y)} deletions exceed the budget z*w = {p.z * p.w}",
-        )
+    refused = _check_received(y, p)
+    if refused is not None:
+        return refused
     z, ell, m = p.z, p.ell, p.m
-    delta = n - len(y)
+    delta = p.n - len(y)
     tail_len = p.c * ell * p.r - delta
     parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, p.r, delta)
     parities = mds.pack(read_symbols(parity_bits, ell), ell)

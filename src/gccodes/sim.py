@@ -9,6 +9,7 @@ message length: w = ceil(log2 k).
 
 import random
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,26 +129,21 @@ def run_trials(cfg, workers=1, progress=False):
         params = _make_params(k, cfg.c, cfg.z, cfg.kind)
         delta = resolve_delta(cfg, params.w)
         blocks = _split_blocks(k, cfg, workers)
-        failures = 0
-        miscorrections = 0
-        if workers > 1:
-            # imported here, so that importing the package does not
-            # import multiprocessing
-            from multiprocessing import Pool
+        failures = miscorrections = 0
+        with ExitStack() as stack:
+            mapper = map
+            if workers > 1:
+                # imported here, so that importing the package does not
+                # import multiprocessing
+                from multiprocessing import Pool
 
-            with Pool(workers) as pool:
-                results = pool.map(_run_block, blocks)
-        else:
-            results = []
-            done = 0
-            for b in blocks:
-                results.append(_run_block(b))
-                done += b[3] - b[2]
+                mapper = stack.enter_context(Pool(workers)).imap
+            # imap, like map, yields the blocks' results in order
+            for (f, mc), (_, _, _, t1) in zip(mapper(_run_block, blocks), blocks):
+                failures += f
+                miscorrections += mc
                 if progress:
-                    print(f"k={k}: {done}/{cfg.trials} trials", file=sys.stderr, flush=True)
-        for f, mc in results:
-            failures += f
-            miscorrections += mc
+                    print(f"k={k}: {t1}/{cfg.trials} trials", file=sys.stderr, flush=True)
         if cfg.z == 1:
             bound = bound_single(k, params.w, cfg.c).failure_bound
         else:

@@ -30,8 +30,11 @@ the spare parities are checked inline with one antilog lookup per
 product, against log-form rows kept on the generator. Only the few
 guesses that pass them are solved and given the padding and supersequence
 checks. evaluate_guess reports a single guess through the same checks,
-with its syndromes computed directly from the message planes
-(mds.packed_parities), so the tests can hold the scan against them.
+reading its syndromes off the same scan.
+
+Both decoders first refuse, through one check (_check_received), a
+received word with characters other than 0 and 1, more than n bits, or
+more than z*w of them missing.
 
 Distinct surviving candidates mean the decoder refuses to choose (Failure);
 a single surviving candidate is provably the sent message when the channel
@@ -40,7 +43,7 @@ respected the window contract.
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import xor
 
 from . import mds
@@ -141,9 +144,6 @@ def encode(u, p):
     return u + "0" * p.w + "1" + parity_bits(u, p)
 
 
-NOT_BINARY = "the received word must contain only '0' and '1'"
-
-
 def is_subsequence(sub, sup):
     """True iff sub can be obtained from sup by deleting characters."""
     it = iter(sup)
@@ -178,6 +178,25 @@ class GuessEval:
     candidate: str | None
 
 
+def _check_received(y, p):
+    """The InvalidInput result for a received word no compliant channel
+    could have produced from a codeword of p, or None: characters other
+    than 0 and 1, more than n bits, or more than z*w bits missing. The
+    reason names the single-window code's window (r = 1) or the
+    multi-window code's budget."""
+    n = p.n
+    if not is_binary(y):
+        reason = "the received word must contain only '0' and '1'"
+    elif len(y) > n:
+        reason = f"{len(y)} bits exceed the code length {n}"
+    elif len(y) < n - p.z * p.w:
+        limit = f"the window size {p.w}" if p.r == 1 else f"the budget z*w = {p.z * p.w}"
+        reason = f"{n - len(y)} deletions exceed {limit}"
+    else:
+        return None
+    return DecodeResult(INVALID_INPUT, reason=reason)
+
+
 def _scan(s, parities, p):
     """The packed syndromes of guesses 1, 2, ..., m-1, in order.
 
@@ -196,19 +215,6 @@ def _scan(s, parities, p):
     left = mds.block_sums(gen, 1, read_symbols(s[:(m - 2) * ell], ell))
     right = mds.block_sums(gen, 3, read_symbols(s[2 * ell - (p.k - len(s)):], ell))
     return accumulate(map(xor, left, right), xor, initial=parities ^ reduce(xor, right, 0))
-
-
-def _syndromes(s, i, parities, p):
-    """The packed syndromes of guess i alone, read off the message planes
-    (mds.packed_parities) instead of the scan: blocks 1..i-1 from the
-    front of s and blocks i+2..m from its end, with blocks i and i+1
-    zero."""
-    ell, m = p.ell, p.m
-    front = s[:(i - 1) * ell]
-    back = s[(i + 1) * ell - (p.k - len(s)):]
-    x = int(front or "0", 2) << (m - i + 1) * ell
-    x |= int(back or "0", 2) << (ell - p.last_block_len)
-    return parities ^ mds.packed_parities(x, p.gen)
 
 
 def _passing(guesses, p):
@@ -263,8 +269,7 @@ def evaluate_guess(s, i, parities, p):
     s is the received word truncated to its first k - delta bits, parities
     the c parity symbols read off the intact tail, each an int in
     [0, 2^ell). 1 <= i <= m - 1. Every check is run and reported; nothing
-    short-circuits. The syndromes come from the message planes, not from
-    decode's scan.
+    short-circuits. The syndromes are guess i's entry of decode's scan.
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"guess index must be in [1, {p.m - 1}], got {i}")
@@ -274,7 +279,7 @@ def evaluate_guess(s, i, parities, p):
         raise ValueError(f"expected {p.c} parities, got {len(parities)}")
     if not all(isinstance(v, int) and 0 <= v < 1 << p.ell for v in parities):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
-    syn = _syndromes(s, i, mds.pack(parities, p.ell), p)
+    syn = next(islice(_scan(s, mds.pack(parities, p.ell), p), i - 1, None))
     parities_ok = next(_passing([(i, syn)], p), None) is not None
     pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, syn, p)
     return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
@@ -291,17 +296,10 @@ def decode(y, p):
     surviving candidate. InvalidInput flags a word no compliant channel
     could have produced, or a word with characters other than 0 and 1.
     """
-    n = p.n
-    if not is_binary(y):
-        return DecodeResult(INVALID_INPUT, reason=NOT_BINARY)
-    if len(y) > n:
-        return DecodeResult(INVALID_INPUT, reason=f"{len(y)} bits exceed the code length {n}")
-    if len(y) < n - p.w:
-        return DecodeResult(
-            INVALID_INPUT,
-            reason=f"{n - len(y)} deletions exceed the window size {p.w}",
-        )
-    delta = n - len(y)
+    refused = _check_received(y, p)
+    if refused is not None:
+        return refused
+    delta = p.n - len(y)
     if delta == 0 or y[p.k + p.w - delta] == "0":
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
     parities = mds.pack(read_symbols(y[len(y) - p.c * p.ell:], p.ell), p.ell)

@@ -21,6 +21,22 @@ def loop_parities(symbols, gen):
     return out
 
 
+def guess_syndromes(s, i, parities, k, gen):
+    """The c syndromes of the guess that blocks i and i+1 (from 1) absorbed
+    the k - len(s) deletions of the systematic part s: each parity xor the
+    contributions of the other blocks, those before the pair sliced off s
+    at their offsets in the message, those after it as many bits earlier,
+    a short last block padded with zeros at the low end, and the pair
+    itself zero."""
+    ell, shift = gen.ctx.ell, k - len(s)
+    symbols = []
+    for j in range(gen.m):                      # block j + 1
+        start = j * ell - (shift if j > i else 0)
+        bits = "" if i - 1 <= j <= i else s[start:start + min(ell, k - j * ell)]
+        symbols.append(int(bits.ljust(ell, "0"), 2))
+    return [a ^ b for a, b in zip(parities, loop_parities(symbols, gen))]
+
+
 def verify_parities(symbols, parity_values, parity_nums, gen):
     """True iff the selected parities recomputed from symbols match
     parity_values (parallel to parity_nums, numbered from 1)."""

@@ -11,7 +11,7 @@ import random
 import time
 from itertools import combinations
 
-from gccodes.analysis import bound_multi, bound_single, exhaustive_oracle, rate_single
+from gccodes.analysis import bound_multi, bound_single, exhaustive_oracle
 from gccodes.channel import delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext
 from gccodes.mds import cauchy_generator
@@ -118,8 +118,8 @@ def test_criterion_02_golden_decoding():
 
 
 def test_criterion_03_rate_table():
-    got3 = tuple(f"{rate_single(k, (k - 1).bit_length(), 3)[1]:.2f}" for k in K_GRID)
-    got4 = tuple(f"{rate_single(k, (k - 1).bit_length(), 4)[1]:.2f}" for k in K_GRID)
+    got3 = tuple(f"{bound_single(k, (k - 1).bit_length(), 3).rate:.2f}" for k in K_GRID)
+    got4 = tuple(f"{bound_single(k, (k - 1).bit_length(), 4).rate:.2f}" for k in K_GRID)
     ok = got3 == RATES_C3 and got4 == RATES_C4
     report(3, ok, f"rate_2dp c=3 {got3}, c=4 {got4}")
 

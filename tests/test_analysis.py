@@ -15,7 +15,6 @@ from gccodes.analysis import (
     bound_single,
     exhaustive_oracle,
     max_case_count,
-    rate_single,
 )
 from gccodes.multi_window import multi_params
 from gccodes.single_window import InvalidConfigError, gc_params
@@ -51,10 +50,11 @@ def test_sig2_helper():
 
 
 def test_rate_single_golden():
-    assert rate_single(128, 7, 3) == (157, 128 / 157)
-    n, r = rate_single(4096, 12, 4)
-    assert n == 4157 and f"{r:.2f}" == "0.99"
-    assert rate_single(16, 4, 3)[0] == 33
+    assert gc_params(128, 7, 3).n == 157
+    assert bound_single(128, 7, 3).rate == 128 / 157
+    assert gc_params(4096, 12, 4).n == 4157
+    assert f"{bound_single(4096, 12, 4).rate:.2f}" == "0.99"
+    assert gc_params(16, 4, 3).n == 33
 
 
 @pytest.mark.parametrize("c,table", [(3, RATES_C3), (4, RATES_C4)])

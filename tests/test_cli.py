@@ -165,6 +165,19 @@ def test_corrupt_random_requires_seed_and_delta(tmp_path):
     assert "error:" in r.stderr
 
 
+def test_corrupt_needs_exactly_one_of_pattern_and_random(tmp_path):
+    # with neither flag corrupt used to sample a pattern, and with both it
+    # applied the pattern and ignored --random; both calls exited 0
+    write(tmp_path / "cw.bits", CODEWORD)
+    io = ["--in", "cw.bits", "--out", "rx.bits"]
+    for args in (("--delta", "2", "--seed", "5", "--k", "16", "--w", "4", "--c", "3"),
+                 ("--pattern", "7:0,2", "--random", "--delta", "3", *VAND)):
+        r = run_cli("corrupt", *args, *io, cwd=tmp_path)
+        assert r.returncode == 1, args
+        assert "error:" in r.stderr and "--pattern" in r.stderr, args
+        assert not (tmp_path / "rx.bits").exists(), args
+
+
 def test_bound_output(tmp_path):
     r = run_cli("bound", "--k", "4096", "--w", "12", "--c", "4", cwd=tmp_path)
     assert r.returncode == 0

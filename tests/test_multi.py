@@ -17,12 +17,7 @@ from gccodes.channel import (
     pattern_from_text,
     sample_pattern,
 )
-from gccodes.gf2e import symbols_to_bits
-from gccodes.mds import (
-    Generator,
-    SingularSystemError,
-    encode_parities,
-)
+from gccodes.mds import Generator, SingularSystemError
 from gccodes.multi_window import (
     _shift_table,
     decode_multi,
@@ -42,7 +37,7 @@ from gccodes.single_window import (
     gc_params,
     is_subsequence,
 )
-from oracles import erasure_decode, verify_parities
+from oracles import erasure_decode, message_parity_bits, verify_parities
 
 
 def test_repetition_encode_golden():
@@ -118,9 +113,8 @@ def test_encode_multi_layout():
     assert x[:16] == u
     assert encode_multi("0" * 16, mp) == "0" * 196
     # stripping the intact repetition recovers the direct parities
-    parities = encode_parities([12, 10, 7, 8], mp.gen)
     assert repetition_decode(x[16:], mp.c * mp.ell, mp.r, 0) == \
-        symbols_to_bits(parities, mp.ctx)
+        message_parity_bits(u, mp.gen)
 
 
 def brute_cases(m, z, w, delta):
@@ -302,7 +296,7 @@ def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("elimination on a cached placement")
 
-    monkeypatch.setattr(mds, "_eliminate", no_elimination)
+    monkeypatch.setattr(mds, "erasure_solver", no_elimination)
     for u, y in words[1:]:
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
@@ -542,7 +536,7 @@ def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
     def no_solver(*args):
         raise AssertionError("solver requested after the first decode")
 
-    for name in ("erasure_solver", "log_solver", "_eliminate"):
+    for name in ("erasure_solver", "log_solver"):
         monkeypatch.setattr(mds, name, no_solver)
     for u, y in words[1:]:
         res = decode_multi(y, mp)

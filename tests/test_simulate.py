@@ -46,6 +46,17 @@ def test_deterministic_across_runs_and_workers():
     assert csv1 == csv2 == csv3
 
 
+def test_progress_lines_do_not_depend_on_workers(capsys):
+    cfg = small_cfg(k_list=(32, 64), trials=40)
+    lines = []
+    for workers in (1, 2):
+        run_trials(cfg, workers=workers, progress=True)
+        lines.append(capsys.readouterr().err.splitlines())
+    assert lines[0] == lines[1]
+    assert lines[0][:2] == ["k=32: 5/40 trials", "k=32: 10/40 trials"]
+    assert len(lines[0]) == 2 * (8 + 1)         # 8 blocks and a summary per k
+
+
 def test_import_leaves_multiprocessing_out():
     # the worker pool is imported only by a run with workers > 1, so
     # importing the package (and building params) does not pay for it
