@@ -41,7 +41,7 @@ from .mds import (
     vandermonde_generator,
 )
 from .multi_window import (
-    DEFAULT_MAX_Z,
+    MAX_Z,
     decode_multi,
     encode_multi,
     enumerate_cases,
@@ -76,7 +76,7 @@ __all__ = [
     "bits_to_symbols",
     "FieldTooSmallError", "Generator", "SingularSystemError",
     "cauchy_generator", "make_generator", "vandermonde_generator",
-    "DEFAULT_MAX_Z", "decode_multi", "encode_multi",
+    "MAX_Z", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",
     "FAILURE", "INVALID_INPUT", "SUCCESS", "CodeParams", "DecodeResult",

@@ -102,29 +102,28 @@ class OracleReport:
     failure_patterns: tuple
 
 
-def exhaustive_oracle(p, u, window_starts=None, deltas=None, cap=DEFAULT_SCOPE_CAP):
+def exhaustive_oracle(p, u, window_starts=None):
     """Run encode -> delete -> decode over an exhaustive pattern scope.
 
     For each window start (default: every position where the window fits)
-    and each deletion count in deltas (default 0..w), every subset of that
-    size of the window's offsets is applied. Returns the failure tally;
-    raises MiscorrectionError the moment any decode returns a wrong
-    message, and ScopeTooLarge when the sweep would exceed cap decodes.
+    and each deletion count 0..w, every subset of that size of the
+    window's offsets is applied. Returns the failure tally; raises
+    MiscorrectionError the moment any decode returns a wrong message, and
+    ScopeTooLargeError when the sweep would exceed DEFAULT_SCOPE_CAP
+    decodes.
     """
-    x = encode(u, p)
     if window_starts is None:
         window_starts = range(1, p.n - p.w + 2)
     window_starts = list(window_starts)
-    deltas = list(range(p.w + 1)) if deltas is None else list(deltas)
-    per_start = sum(comb(p.w, d) for d in deltas)
-    total = per_start * len(window_starts)
-    if total > cap:
-        raise ScopeTooLargeError(f"{total} patterns exceed the cap {cap}")
+    total = 2 ** p.w * len(window_starts)
+    if total > DEFAULT_SCOPE_CAP:
+        raise ScopeTooLargeError(f"{total} patterns exceed the cap {DEFAULT_SCOPE_CAP}")
+    x = encode(u, p)
     failures = 0
     failure_patterns = []
     trials = 0
     for start in window_starts:
-        for d in deltas:
+        for d in range(p.w + 1):
             for offsets in combinations(range(p.w), d):
                 pat = DeletionPattern(windows=(Window(start=start, offsets=offsets),))
                 y = delete_localized(x, pat, w=p.w, z=1)

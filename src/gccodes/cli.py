@@ -93,22 +93,29 @@ def _cmd_encode(args):
 
 
 def _cmd_corrupt(args):
+    """Apply --pattern, or a pattern drawn by --random. Given the code
+    flags, the pattern is checked against the code's windows; --random
+    needs them to place its windows."""
     x = read_bits(args.infile)
+    code = (args.k, args.w, args.c)
     if args.pattern is not None:
+        if args.delta is not None or args.seed is not None:
+            raise CliError("--pattern takes neither --delta nor --seed")
         pat = channel.pattern_from_text(args.pattern)
-        y = channel.delete_localized(x, pat)
-    else:
-        if args.seed is None or args.delta is None:
-            raise CliError("--random needs --delta and --seed")
-        if None in (args.k, args.w, args.c):
-            raise CliError("--random needs --k, --w, --c to place windows")
-        p = _params(args)
-        if len(x) != p.n:
-            raise CliError(f"{args.infile} holds {len(x)} bits, expected n={p.n}")
+        if code == (None, None, None):
+            write_bits(args.out, channel.delete_localized(x, pat))
+            return 0
+    elif args.seed is None or args.delta is None:
+        raise CliError("--random needs --delta and --seed")
+    if None in code:
+        raise CliError("--k, --w and --c go together, and --random needs them")
+    p = _params(args)
+    if len(x) != p.n:
+        raise CliError(f"{args.infile} holds {len(x)} bits, expected n={p.n}")
+    if args.pattern is None:
         pat = channel.sample_pattern(p, args.delta, args.seed, args.mode)
         print(f"pattern {channel.pattern_to_text(pat)}", file=sys.stderr)
-        y = channel.delete_localized(x, pat, w=p.w, z=p.z)
-    write_bits(args.out, y)
+    write_bits(args.out, channel.delete_localized(x, pat, w=p.w, z=p.z))
     return 0
 
 
@@ -187,7 +194,7 @@ def build_parser():
     cor.add_argument("--seed", help="RNG seed for --random")
     cor.add_argument("--mode", choices=("whole-codeword", "systematic-only"),
                      default="whole-codeword")
-    _add_code_args(cor, required=False)     # read by --random only
+    _add_code_args(cor, required=False)     # needed by --random, checked by --pattern
     cor.add_argument("--in", dest="infile", required=True)
     cor.add_argument("--out", required=True)
     cor.set_defaults(fn=_cmd_corrupt)

@@ -45,7 +45,8 @@ class NonPrimitivePolynomialError(ValueError):
 
 
 class FieldContext:
-    """GF(2^ell) with alpha the root of a primitive polynomial.
+    """GF(2^ell) with alpha the root of the primitive polynomial
+    DEFAULT_POLYS[ell].
 
     Construction walks alpha^0, alpha^1, ... and fails if the walk returns
     to 1 before visiting every nonzero element, so a non-primitive modulus
@@ -55,17 +56,11 @@ class FieldContext:
     exp[log[a] + log[b]] == mul(a, b) for every a and b, zero included.
     """
 
-    def __init__(self, ell, primitive_poly=None):
+    def __init__(self, ell):
         if not MIN_ELL <= ell <= MAX_ELL:
             raise UnsupportedExponentError(f"ell={ell} outside [{MIN_ELL}, {MAX_ELL}]")
-        if primitive_poly is None:
-            primitive_poly = DEFAULT_POLYS[ell]
-        if primitive_poly.bit_length() != ell + 1:
-            raise NonPrimitivePolynomialError(
-                f"polynomial 0x{primitive_poly:x} does not have degree {ell}"
-            )
         self.ell = ell
-        self.poly = primitive_poly
+        self.poly = poly = DEFAULT_POLYS[ell]
         self.order = (1 << ell) - 1
         zero_log = 2 * self.order
         exp = [0] * (2 * zero_log + 1)
@@ -74,22 +69,19 @@ class FieldContext:
         for i in range(self.order):
             if log[x] is not None:
                 raise NonPrimitivePolynomialError(
-                    f"0x{primitive_poly:x} is not primitive: alpha cycles after {i} steps"
+                    f"0x{poly:x} is not primitive: alpha cycles after {i} steps"
                 )
             exp[i] = x
             exp[i + self.order] = x
             log[x] = i
             x <<= 1
             if x >> ell:
-                x ^= primitive_poly
+                x ^= poly
         if x != 1:
-            raise NonPrimitivePolynomialError(f"0x{primitive_poly:x} is not primitive")
+            raise NonPrimitivePolynomialError(f"0x{poly:x} is not primitive")
         log[0] = zero_log
         self.exp = exp
         self.log = log
-
-    def add(self, a, b):
-        return a ^ b
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]

@@ -46,8 +46,8 @@ from .single_window import (
 )
 
 # Enumerated cases grow combinatorially with z; past 3 windows the decoder
-# is impractical at desk scale, so larger z must be asked for explicitly.
-DEFAULT_MAX_Z = 3
+# is impractical at desk scale, so multi_params refuses larger z.
+MAX_Z = 3
 
 
 def multi_dims(k, w, c, z):
@@ -64,11 +64,9 @@ def multi_dims(k, w, c, z):
     return ell, m, last
 
 
-def multi_params(k, w, c, z, kind="cauchy", allow_large_z=False):
-    if z > DEFAULT_MAX_Z and not allow_large_z:
-        raise InvalidConfigError(
-            f"z={z} exceeds the default cap {DEFAULT_MAX_Z}; pass allow_large_z=True"
-        )
+def multi_params(k, w, c, z, kind="cauchy"):
+    if z > MAX_Z:
+        raise InvalidConfigError(f"z={z} exceeds the cap of {MAX_Z} windows")
     multi_dims(k, w, c, z)
     return replace(gc_params(k, w, c, kind), z=z, r=z * w + 1)
 
@@ -124,23 +122,9 @@ def enumerate_cases(p, delta):
     """
     if not 0 <= delta <= p.z * p.w:
         raise ValueError(f"delta={delta} must be in [0, {p.z * p.w}]")
-    splits = _splits(p, delta)
     for pairs in _pair_placements(p.m, p.z):
-        for deltas, _ in splits:
+        for deltas in _compositions(delta, p.z, p.w):
             yield pairs, deltas
-
-
-def _splits(p, delta):
-    """Every split of delta over the z windows, each share in [0, w], kept
-    on p per delta. Each comes with the shifts of its z - 1 middle
-    segments: segment j, between pairs j and j+1, is read d_1 + ... + d_j
-    bits early."""
-    splits = p._splits.get(delta)
-    if splits is None:
-        splits = tuple((deltas, tuple(sum(deltas[:j]) for j in range(1, p.z)))
-                       for deltas in _compositions(delta, p.z, p.w))
-        p._splits[delta] = splits
-    return splits
 
 
 def _placement_table(p):
@@ -169,17 +153,24 @@ def _placement_table(p):
 
 
 def _split_runs(p, delta, table):
-    """The splits of delta that each owned int of the placement table
-    runs, in _splits order: those whose zero-share pattern it owns. Kept
-    on p per delta."""
-    runs = p._runs.get(delta)
-    if runs is None:
-        splits = _splits(p, delta)
+    """The splits of delta over the z windows, each share in [0, w], that
+    each owned int of the placement table runs, in enumerate_cases order:
+    those whose zero-share pattern it owns. Each split comes with the
+    shifts of its z - 1 middle segments: segment j, between pairs j and
+    j+1, is read d_1 + ... + d_j bits early. Returned with the set of
+    shifts some segment is read at: the first segment at 0, the last at
+    delta (block m ends at k - delta), the middle ones at their splits'
+    shifts. Kept on p per delta."""
+    found = p._runs.get(delta)
+    if found is None:
+        splits = [(deltas, tuple(sum(deltas[:j]) for j in range(1, p.z)))
+                  for deltas in _compositions(delta, p.z, p.w)]
         masks = [sum(1 << j for j, d in enumerate(deltas) if not d) for deltas, _ in splits]
         runs = {owned: tuple(sp for sp, mask in zip(splits, masks) if owned >> mask & 1)
                 for owned in {owned for _, _, owned in table}}
-        p._runs[delta] = runs
-    return runs
+        shifts = {0, delta}.union(*(mids for _, mids in splits))
+        found = p._runs[delta] = shifts, runs
+    return found
 
 
 def _shift_table(s, p, shift):
@@ -282,18 +273,16 @@ def decode_multi(y, p):
     parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, p.r, delta)
     parities = mds.pack(read_symbols(parity_bits, ell), ell)
     table = _placement_table(p)
-    splits = _splits(p, delta)
+    shifts, runs = _split_runs(p, delta, table)
     s = y[:p.k - delta]
 
-    # One table per shift some segment is read at: the first segment at 0,
-    # the last at delta (block m ends at k - delta = len(s)), the middle
-    # ones at their splits' shifts.
+    # One table per shift some segment is read at.
     tabs = [None] * (delta + 1)
-    for shift in {0, delta}.union(*(shifts for _, shifts in splits)):
+    for shift in shifts:
         tabs[shift] = _shift_table(s, p, shift)
     first, last = tabs[0], tabs[delta]
-    runs = {owned: [(deltas, [tabs[sh] for sh in shifts]) for deltas, shifts in run]
-            for owned, run in _split_runs(p, delta, table).items()}
+    runs = {owned: [(deltas, [tabs[sh] for sh in mids]) for deltas, mids in run]
+            for owned, run in runs.items()}
 
     exp, log = p.ctx.exp, p.ctx.log
     mask = (1 << ell) - 1

@@ -77,9 +77,9 @@ class CodeParams:
     z: int = 1
     r: int = 1
     # decode_multi's tables, filled on its first call: the placement
-    # table, and per delta the splits and the splits each ownership runs
+    # table, and per delta the shifts its segments are read at and the
+    # splits each ownership runs
     _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -159,10 +159,6 @@ class DecodeResult:
     guess: object = None
     candidates: tuple = ()
     reason: str | None = None
-
-    @property
-    def ok(self):
-        return self.status == SUCCESS
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ def loop_parities(symbols, gen):
     for r in range(gen.c):
         acc = 0
         for i, v in enumerate(symbols):
-            acc = gen.ctx.add(acc, gen.ctx.mul(v, gen.rows[i][r]))
+            acc ^= gen.ctx.mul(v, gen.rows[i][r])
         out.append(acc)
     return out
 
@@ -73,7 +73,7 @@ def solve_square(matrix, rhs, ctx):
         for r in range(size):
             f = rows[r][col]
             if r != col and f:
-                rows[r] = [ctx.add(x, ctx.mul(f, y)) for x, y in zip(rows[r], rows[col])]
+                rows[r] = [x ^ ctx.mul(f, y) for x, y in zip(rows[r], rows[col])]
     return [row[size] for row in rows]
 
 
@@ -98,7 +98,7 @@ def erasure_decode(symbols, erased, parity_values, parity_nums, gen):
         acc = val
         for i, v in enumerate(symbols):
             if i + 1 not in erased:
-                acc = gen.ctx.add(acc, gen.ctx.mul(v, gen.rows[i][num - 1]))
+                acc ^= gen.ctx.mul(v, gen.rows[i][num - 1])
         syndromes.append(acc)
         matrix.append([gen.rows[e - 1][num - 1] for e in erased])
     filled = list(symbols)

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from gccodes import analysis
 from gccodes.analysis import (
     DEFAULT_SCOPE_CAP,
     ScopeTooLargeError,
@@ -172,8 +173,11 @@ def test_oracle_c5_full_scope():
     assert rep.trials == 608 and rep.failures == 0
 
 
-def test_oracle_scope_cap():
-    p = gc_params(16, 4, 3)
-    with pytest.raises(ScopeTooLargeError):
-        exhaustive_oracle(p, "1100101001111000", cap=100)
+def test_oracle_scope_cap(monkeypatch):
+    # w = 20: 2^20 offset subsets at each of 83 starts, 87M patterns
+    p = gc_params(21, 20, 3)
+    monkeypatch.setattr(analysis, "decode", None)  # raises before any decode
+    with pytest.raises(ScopeTooLargeError,
+                       match=f"^87031808 patterns exceed the cap {DEFAULT_SCOPE_CAP}$"):
+        exhaustive_oracle(p, "1" * 21)
     assert DEFAULT_SCOPE_CAP >= 10 ** 6

@@ -178,6 +178,37 @@ def test_corrupt_needs_exactly_one_of_pattern_and_random(tmp_path):
         assert not (tmp_path / "rx.bits").exists(), args
 
 
+def test_corrupt_pattern_checked_against_code_flags(tmp_path):
+    # the pattern used to be applied unchecked: six deletions in one window
+    # of a w = 4 code, and a word of the wrong length, both exited 0
+    write(tmp_path / "cw.bits", CODEWORD)
+    write(tmp_path / "short.bits", CODEWORD[:-1])
+    io = ["--out", "rx.bits"]
+    for args in (("--pattern", "7:0,1,2,3,4,5", "--k", "16", "--w", "4", "--c", "3",
+                  "--in", "cw.bits"),
+                 ("--pattern", "7:0,2,3", *VAND, "--in", "short.bits"),
+                 ("--pattern", "7:0,2,3", "--k", "16", "--in", "cw.bits")):
+        r = run_cli("corrupt", *args, *io, cwd=tmp_path)
+        assert r.returncode == 1, args
+        assert "gccodes: error:" in r.stderr, args
+        assert not (tmp_path / "rx.bits").exists(), args
+    r = run_cli("corrupt", "--pattern", "7:0,2,3", *VAND, "--in", "cw.bits", *io,
+                cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "rx.bits").read_text() == RECEIVED + "\n"
+
+
+def test_corrupt_pattern_refuses_delta_and_seed(tmp_path):
+    # --delta and --seed belong to --random; --pattern used to ignore them
+    write(tmp_path / "cw.bits", CODEWORD)
+    io = ["--in", "cw.bits", "--out", "rx.bits"]
+    for extra in (("--delta", "3", "--seed", "5"), ("--delta", "3"), ("--seed", "5")):
+        r = run_cli("corrupt", "--pattern", "7:0,2", *extra, *io, cwd=tmp_path)
+        assert r.returncode == 1, extra
+        assert "gccodes: error: --pattern takes neither --delta nor --seed" in r.stderr, extra
+        assert not (tmp_path / "rx.bits").exists(), extra
+
+
 def test_bound_output(tmp_path):
     r = run_cli("bound", "--k", "4096", "--w", "12", "--c", "4", cwd=tmp_path)
     assert r.returncode == 0

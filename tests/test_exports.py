@@ -1,6 +1,8 @@
-"""The package's __all__ against the names the package binds and uses."""
+"""The package's __all__ against the names the package binds and uses:
+no public name, default parameter or member exists only for the tests."""
 
 import ast
+import inspect
 from pathlib import Path
 from types import ModuleType
 
@@ -20,21 +22,104 @@ def test_all_names_each_public_name_once():
     assert set(names) == public
 
 
+def _outside_trees():
+    """The parsed package (not counting __init__.py), demos and bench,
+    without their tests."""
+    files = [path for folder in ("src/gccodes", "demos", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if path.name != "__init__.py" and "tests" not in path.parts[-2:]]
+    assert len(files) > 10
+    return [ast.parse(path.read_text(), str(path)) for path in files]
+
+
+def _reads(trees):
+    """Every identifier read in trees, bare or as an attribute."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                used.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return used
+
+
+def _public_api():
+    """(name, object) for each function and non-exception class in __all__."""
+    for name in gccodes.__all__:
+        obj = getattr(gccodes, name)
+        if inspect.isfunction(obj) or (inspect.isclass(obj)
+                                       and not issubclass(obj, BaseException)):
+            yield name, obj
+
+
 def test_every_public_name_is_used_outside_the_tests():
     """Each name in __all__ is read somewhere in the package (not counting
     __init__.py), the demos or the bench: a public function that only the
     tests call has no place in the API. A use is the name read as a whole
     identifier, bare or as an attribute; a definition, an import or a
     mention in a docstring does not count."""
-    files = [path for folder in ("src/gccodes", "demos", "bench")
-             for path in sorted((ROOT / folder).rglob("*.py"))
-             if path.name != "__init__.py" and "tests" not in path.parts[-2:]]
-    assert len(files) > 10
-    used = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(set(gccodes.__all__) - used) == []
+    assert sorted(set(gccodes.__all__) - _reads(_outside_trees())) == []
+
+
+# multi_params sets CodeParams' z and r with dataclasses.replace on the
+# params gc_params builds, so the keywords of a replace call count for it
+REPLACED = {"CodeParams"}
+
+
+def test_every_public_default_is_passed_outside_the_tests():
+    """Each parameter with a default, on a function or class in __all__,
+    is passed at some call outside the tests: an option that only the
+    tests set doubles the configurations a reader must consider and
+    should be a constant. A call counts when it names the callable, bare
+    or as an attribute, and passes that position or keyword; for the
+    classes in REPLACED a keyword of a replace call counts too."""
+    passed = {}  # callable name -> positions and keywords some call passes
+    for tree in _outside_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            keywords = {kw.arg for kw in node.keywords}
+            # positions are known up to the first *args
+            known = next((i for i, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Starred)), len(node.args))
+            passed.setdefault(name, set()).update(range(known), keywords)
+            if name == "replace":
+                for cls in REPLACED:
+                    passed.setdefault(cls, set()).update(keywords)
+    unpassed = []
+    for name, obj in _public_api():
+        got = passed.get(name, set())
+        for pos, param in enumerate(inspect.signature(obj).parameters.values()):
+            if param.default is param.empty:
+                continue
+            positional = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+            if not ((positional and pos in got) or param.name in got):
+                unpassed.append(f"{name}({param.name}=)")
+    assert unpassed == []
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """Each public method and property of a class in __all__ is read
+    somewhere outside the tests: a member that only the tests read has no
+    place in the API. A read is the name loaded as an attribute of
+    anything. A name that a builtin type or another class outside the
+    tests also defines does not count as read: its reads may be that
+    other member's (FieldContext.add hid behind Tracer.add and set.add)."""
+    trees = _outside_trees()
+    public = set(gccodes.__all__)
+    elsewhere = {attr for kind in (str, bytes, int, list, tuple, dict, set)
+                 for attr in dir(kind)}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name not in public:
+                elsewhere.update(item.name for item in node.body
+                                 if isinstance(item, ast.FunctionDef))
+    members = [(name, attr) for name, obj in _public_api() if inspect.isclass(obj)
+               for attr, value in vars(obj).items()
+               if not attr.startswith("_")
+               and (inspect.isfunction(value) or isinstance(value, property))]
+    assert len(members) > 5
+    used = _reads(trees) - elsewhere
+    assert [f"{name}.{attr}" for name, attr in members if attr not in used] == []

@@ -100,9 +100,8 @@ def test_multi_params_validation():
         multi_params(64, 4, 4, 2)       # c below 2z + 1
     with pytest.raises(InvalidConfigError):
         multi_params(16, 4, 7, 3)       # 4 blocks cannot host 3 pairs
-    with pytest.raises(InvalidConfigError):
-        multi_params(256, 4, 9, 4)      # above the default window cap
-    multi_params(256, 4, 9, 4, allow_large_z=True)
+    with pytest.raises(InvalidConfigError, match="z=4 exceeds the cap of 3 windows"):
+        multi_params(256, 4, 9, 4)      # above MAX_Z
 
 
 def test_encode_multi_layout():
