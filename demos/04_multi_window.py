@@ -6,13 +6,15 @@ With z windows the buffer trick no longer works, so the parity bits
 protect themselves instead: each one is repeated r = z*w + 1 times, and
 any z windows can erase at most z*w of those copies. The decoder reads
 the parities off positionally, then guesses one block pair per window.
+encode and decode are the single-window ones: the params' r picks the
+layout.
 """
 
 from gccodes import (
     bound_multi,
-    decode_multi,
+    decode,
     delete_localized,
-    encode_multi,
+    encode,
     multi_params,
     pattern_from_text,
     repetition_decode,
@@ -32,14 +34,14 @@ print(f"missing 2 bits -> {damaged} -> reads back",
       repetition_decode(damaged, 3, 3, 2))
 
 u = "1011001110001111010101000011001010111100110100101101110001010011"
-x = encode_multi(u, mp)
+x = encode(u, mp)
 print(f"\ncodeword: {len(x)} bits ({mp.k} message + {mp.c * mp.ell * mp.r} "
       f"repetition-coded parity)")
 
 # two windows, one in the message and one straddling into the parities
 pat = pattern_from_text("10:0,1,3;40:1,2")
 y = delete_localized(x, pat, w=mp.w, z=mp.z)
-res = decode_multi(y, mp)
+res = decode(y, mp)
 print(f"pattern 10:0,1,3;40:1,2 -> {res.status}, guess={res.guess}")
 assert res.message == u
 

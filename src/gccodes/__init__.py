@@ -36,9 +36,7 @@ from .mds import (
     FieldTooSmallError,
     Generator,
     SingularSystemError,
-    cauchy_generator,
     make_generator,
-    vandermonde_generator,
 )
 from .multi_window import (
     MAX_Z,
@@ -75,7 +73,7 @@ __all__ = [
     "FieldContext", "NonPrimitivePolynomialError", "UnsupportedExponentError",
     "bits_to_symbols",
     "FieldTooSmallError", "Generator", "SingularSystemError",
-    "cauchy_generator", "make_generator", "vandermonde_generator",
+    "make_generator",
     "MAX_Z", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",

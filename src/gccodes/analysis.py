@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 
 from .channel import DeletionPattern, Window, delete_localized
-from .multi_window import multi_dims
+from .multi_window import _compositions, multi_dims
 from .single_window import FAILURE, SUCCESS, decode, derive_dims, encode
 
 
@@ -55,30 +55,17 @@ def bound_single(k, w, c):
                        regime=_regime(k, w), windows=1)
 
 
-def _split_count(total, parts, cap):
-    """Number of ways to write total as an ordered sum of `parts` ints in [0, cap]."""
-    counts = [1] + [0] * total
-    for _ in range(parts):
-        nxt = [0] * (total + 1)
-        for t in range(total + 1):
-            if counts[t]:
-                for d in range(min(cap, total - t) + 1):
-                    nxt[t + d] += counts[t]
-        counts = nxt
-    return counts[total]
-
-
 def max_case_count(k, w, c, z):
     """Exact worst-case size of enumerate_cases over all deletion counts.
 
     This is the set the failure bound takes its union over, not the number
-    of cases decode_multi checks: that checks each set of damaged pairs
+    of cases decode checks at r > 1: that checks each set of damaged pairs
     and their shares once, at the first placement holding them, so it
     checks fewer.
     """
     ell, m, last = derive_dims(k, w, c)
     placements = comb(m - z, z)
-    worst_splits = max(_split_count(d, z, w) for d in range(z * w + 1))
+    worst_splits = max(sum(1 for _ in _compositions(d, z, w)) for d in range(z * w + 1))
     return placements * worst_splits
 
 

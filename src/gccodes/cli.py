@@ -6,7 +6,8 @@ text, the characters '0' and '1' with an optional trailing newline.
 Exit codes: 0 success; 1 malformed arguments or files; decode additionally
 uses 2 when the decoder ends with several candidates (listed on stderr)
 and 3 when no deletion placement the decoder tries fits the input (at
-z >= 2 some compliant words end there too; see decode_multi).
+z >= 2 some compliant words end there too; see
+multi_window._decode_repetition).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import sys
 from . import channel, sim
 from .analysis import bound_multi, bound_single
 from .gf2e import MAX_ELL, is_binary
-from .multi_window import decode_multi, encode_multi, multi_params
+from .multi_window import multi_params
 from .single_window import (
     FAILURE,
     INVALID_INPUT,
@@ -60,12 +61,17 @@ def write_bits(path, bits):
 
 
 def _add_code_args(sub, required=True):
+    """The code flags. Optional ones (corrupt) leave --z and --gen None,
+    so a flag given without the code can be refused; the defaults are
+    then applied in _cmd_corrupt."""
     sub.add_argument("--k", type=int, required=required, help="message length in bits")
     sub.add_argument("--w", type=int, required=required, help="window size")
     sub.add_argument("--c", type=int, required=required, help="number of parity symbols")
-    sub.add_argument("--z", type=int, default=1, help="number of windows (default 1)")
-    sub.add_argument("--gen", choices=("cauchy", "vandermonde"), default="cauchy",
-                     help="parity generator kind")
+    sub.add_argument("--z", type=int, default=1 if required else None,
+                     help="number of windows (default 1)")
+    sub.add_argument("--gen", choices=("cauchy", "vandermonde"),
+                     default="cauchy" if required else None,
+                     help="parity generator kind (default cauchy)")
 
 
 def _check_field(k, w, c):
@@ -87,33 +93,39 @@ def _cmd_encode(args):
     u = read_bits(args.infile)
     if len(u) != args.k:
         raise CliError(f"{args.infile} holds {len(u)} bits, expected k={args.k}")
-    x = encode(u, p) if args.z == 1 else encode_multi(u, p)
-    write_bits(args.out, x)
+    write_bits(args.out, encode(u, p))
     return 0
 
 
 def _cmd_corrupt(args):
     """Apply --pattern, or a pattern drawn by --random. Given the code
     flags, the pattern is checked against the code's windows; --random
-    needs them to place its windows."""
+    needs them to place its windows. A flag the call would ignore is
+    refused."""
     x = read_bits(args.infile)
     code = (args.k, args.w, args.c)
     if args.pattern is not None:
         if args.delta is not None or args.seed is not None:
             raise CliError("--pattern takes neither --delta nor --seed")
+        if args.mode is not None:
+            raise CliError("--pattern takes no --mode")
         pat = channel.pattern_from_text(args.pattern)
         if code == (None, None, None):
+            if args.z is not None or args.gen is not None:
+                raise CliError("--z and --gen need --k, --w and --c")
             write_bits(args.out, channel.delete_localized(x, pat))
             return 0
     elif args.seed is None or args.delta is None:
         raise CliError("--random needs --delta and --seed")
     if None in code:
         raise CliError("--k, --w and --c go together, and --random needs them")
+    args.z = 1 if args.z is None else args.z
+    args.gen = args.gen or "cauchy"
     p = _params(args)
     if len(x) != p.n:
         raise CliError(f"{args.infile} holds {len(x)} bits, expected n={p.n}")
     if args.pattern is None:
-        pat = channel.sample_pattern(p, args.delta, args.seed, args.mode)
+        pat = channel.sample_pattern(p, args.delta, args.seed, args.mode or "whole-codeword")
         print(f"pattern {channel.pattern_to_text(pat)}", file=sys.stderr)
     write_bits(args.out, channel.delete_localized(x, pat, w=p.w, z=p.z))
     return 0
@@ -122,7 +134,7 @@ def _cmd_corrupt(args):
 def _cmd_decode(args):
     p = _params(args)
     y = read_bits(args.infile)
-    res = decode(y, p) if args.z == 1 else decode_multi(y, p)
+    res = decode(y, p)
     if res.status == FAILURE:
         print("cannot decide between candidates:", file=sys.stderr)
         for cand in res.candidates:
@@ -193,7 +205,7 @@ def build_parser():
     cor.add_argument("--delta", type=int, help="per-window deletions for --random")
     cor.add_argument("--seed", help="RNG seed for --random")
     cor.add_argument("--mode", choices=("whole-codeword", "systematic-only"),
-                     default="whole-codeword")
+                     help="where --random places its windows (default whole-codeword)")
     _add_code_args(cor, required=False)     # needed by --random, checked by --pattern
     cor.add_argument("--in", dest="infile", required=True)
     cor.add_argument("--out", required=True)

@@ -75,46 +75,29 @@ class Generator:
     _planes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
-def cauchy_generator(m, c, ctx):
-    """Cauchy-style parity weights 1 / (a_i + b_j) with a_i = i - 1 and
-    b_j = m + j - 1 as field elements. All square submatrices of the
-    resulting parity block are nonsingular, so any pattern of erasures
-    covered by enough parities is solvable.
-    """
-    if m + c > (1 << ctx.ell):
-        raise FieldTooSmallError(
-            f"m + c = {m + c} exceeds field size 2^{ctx.ell} = {1 << ctx.ell}"
-        )
-    rows = tuple(
-        tuple(ctx.inv(i ^ (m + j)) for j in range(c))
-        for i in range(m)
-    )
-    return Generator(m=m, c=c, kind="cauchy", ctx=ctx, rows=rows)
-
-
-def vandermonde_generator(m, c, ctx):
-    """Power-of-alpha parity weights alpha^{(i-1)(r-1)}.
-
-    Not guaranteed MDS for every (m, c, ell); a guess that leads to an
-    unsolvable erasure system surfaces as SingularSystemError.
-    """
-    if m + c > (1 << ctx.ell):
-        raise FieldTooSmallError(
-            f"m + c = {m + c} exceeds field size 2^{ctx.ell} = {1 << ctx.ell}"
-        )
-    rows = tuple(
-        tuple(ctx.alpha_pow(i * r) for r in range(c))
-        for i in range(m)
-    )
-    return Generator(m=m, c=c, kind="vandermonde", ctx=ctx, rows=rows)
-
-
 def make_generator(m, c, ctx, kind="cauchy"):
+    """Parity weights of the given kind for m blocks and c parities.
+
+    cauchy: weights 1 / (a_i + b_j) with a_i = i - 1 and b_j = m + j - 1
+    as field elements. All square submatrices of the resulting parity
+    block are nonsingular, so any pattern of erasures covered by enough
+    parities is solvable.
+
+    vandermonde: power-of-alpha weights alpha^{(i-1)(r-1)}. Not guaranteed
+    MDS for every (m, c, ell); a guess that leads to an unsolvable erasure
+    system surfaces as SingularSystemError.
+    """
+    if kind not in ("cauchy", "vandermonde"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if m + c > (1 << ctx.ell):
+        raise FieldTooSmallError(
+            f"m + c = {m + c} exceeds field size 2^{ctx.ell} = {1 << ctx.ell}"
+        )
     if kind == "cauchy":
-        return cauchy_generator(m, c, ctx)
-    if kind == "vandermonde":
-        return vandermonde_generator(m, c, ctx)
-    raise ValueError(f"unknown generator kind {kind!r}")
+        rows = tuple(tuple(ctx.inv(i ^ (m + j)) for j in range(c)) for i in range(m))
+    else:
+        rows = tuple(tuple(ctx.alpha_pow(i * r) for r in range(c)) for i in range(m))
+    return Generator(m=m, c=c, kind=kind, ctx=ctx, rows=rows)
 
 
 def _chunk_bits(ell):

@@ -23,11 +23,15 @@ supersequence checks; a pair with a zero share is checked by equality.
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: every
 placement that contains Q, with E on Q and zero elsewhere, yields the
-same candidate or none (decode_multi gives the argument), so only the
-first such placement in enumerate_cases order runs the case. The
+same candidate or none (_decode_repetition gives the argument), so only
+the first such placement in enumerate_cases order runs the case. The
 placements, each with its solver and the zero-share patterns it owns,
 are listed once per params on the first decode; the splits once per
 delta, grouped by the patterns that run them.
+
+single_window.encode and decode run this layout for every params with
+r > 1. encode_multi and decode_multi are those same two functions under
+their former multi-window names.
 """
 
 from dataclasses import replace
@@ -37,13 +41,15 @@ from . import mds
 from .gf2e import read_symbols
 from .single_window import (
     InvalidConfigError,
-    _check_received,
     decide,
+    decode,
     derive_dims,
+    encode,
     gc_params,
     is_subsequence,
-    parity_bits,
 )
+
+encode_multi, decode_multi = encode, decode
 
 # Enumerated cases grow combinatorially with z; past 3 windows the decoder
 # is impractical at desk scale, so multi_params refuses larger z.
@@ -90,10 +96,6 @@ def repetition_decode(bits, m_bits, r, d):
             f"expected {m_bits * r - d} bits for m_bits={m_bits}, r={r}, d={d}; got {len(bits)}"
         )
     return "".join(bits[i * r] for i in range(m_bits))
-
-
-def encode_multi(u, p):
-    return u + repetition_encode(parity_bits(u, p), p.r)
 
 
 def _compositions(total, parts, cap):
@@ -239,8 +241,8 @@ def _candidate(s, p, pairs, deltas, solve, lh):
     return "".join(pieces)
 
 
-def decode_multi(y, p):
-    """Counterpart of decode for the multi-window construction.
+def _decode_repetition(y, p):
+    """decode for a params with r > 1, on a word _check_received passed.
 
     Each case (pairs, deltas) of enumerate_cases is checked at most once
     per set Q of pairs with a positive share and their shares E, at the
@@ -264,9 +266,6 @@ def decode_multi(y, p):
     block pair, so some compliant words come out invalid: at k = 64,
     w = 4, c = 8, z = 2, about half of whole-codeword draws with w each.
     """
-    refused = _check_received(y, p)
-    if refused is not None:
-        return refused
     z, ell, m = p.z, p.ell, p.m
     delta = p.n - len(y)
     tail_len = p.c * ell * p.r - delta

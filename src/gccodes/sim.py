@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .analysis import bound_multi, bound_single
 from .channel import delete_localized, sample_pattern
-from .multi_window import decode_multi, encode_multi, multi_params
+from .multi_window import multi_params
 from .single_window import SUCCESS, InvalidConfigError, decode, encode, gc_params
 
 CSV_HEADER = "k,w,ell,c,z,delta,trials,failures,pr_failure,rate,bound"
@@ -91,8 +91,6 @@ def _run_block(args):
     k, cfg, t0, t1 = args
     params = _make_params(k, cfg.c, cfg.z, cfg.kind)
     delta = resolve_delta(cfg, params.w)
-    enc = encode if cfg.z == 1 else encode_multi
-    dec = decode if cfg.z == 1 else decode_multi
     failures = 0
     miscorrections = 0
     for t in range(t0, t1):
@@ -104,7 +102,7 @@ def _run_block(args):
             random.Random(f"{cfg.master_seed}/{k}/{t}/pattern"),
             cfg.sampling_mode,
         )
-        res = dec(delete_localized(enc(u, params), pat), params)
+        res = decode(delete_localized(encode(u, params), pat), params)
         if res.status == SUCCESS:
             if res.message != u:
                 miscorrections += 1

@@ -32,8 +32,10 @@ guesses that pass them are solved and given the padding and supersequence
 checks. evaluate_guess reports a single guess through the same checks,
 reading its syndromes off the same scan.
 
-Both decoders first refuse, through one check (_check_received), a
-received word with characters other than 0 and 1, more than n bits, or
+encode and decode serve both codes: the params' repetition factor r picks
+the layout, r = 1 this one, r > 1 the repetition-coded parities of
+multi_window. decode first refuses, through one check (_check_received),
+a received word with characters other than 0 and 1, more than n bits, or
 more than z*w of them missing.
 
 Distinct surviving candidates mean the decoder refuses to choose (Failure);
@@ -76,9 +78,9 @@ class CodeParams:
     gen: mds.Generator
     z: int = 1
     r: int = 1
-    # decode_multi's tables, filled on its first call: the placement
-    # table, and per delta the shifts its segments are read at and the
-    # splits each ownership runs
+    # the repetition decoder's tables, filled on its first call: the
+    # placement table, and per delta the shifts its segments are read at
+    # and the splits each ownership runs
     _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -128,7 +130,7 @@ def parity_bits(u, p):
     u is checked first: k characters, each '0' or '1' (is_binary, so
     nothing int() would also take, such as '_', spaces or a sign, gets
     through). The parities are read off the message int by popcounts
-    (mds.packed_parities); encode and encode_multi share this path.
+    (mds.packed_parities); both layouts of encode share this path.
     """
     if len(u) != p.k:
         raise ValueError(f"message must be {p.k} bits, got {len(u)}")
@@ -141,7 +143,11 @@ def parity_bits(u, p):
 
 
 def encode(u, p):
-    return u + "0" * p.w + "1" + parity_bits(u, p)
+    """The codeword of message u: the parities behind a buffer of w zeros
+    and a one when p.r = 1, each parity bit repeated r times otherwise."""
+    if p.r == 1:
+        return u + "0" * p.w + "1" + parity_bits(u, p)
+    return u + multi_window.repetition_encode(parity_bits(u, p), p.r)
 
 
 def is_subsequence(sub, sup):
@@ -155,7 +161,7 @@ class DecodeResult:
     status: str
     message: str | None = None
     # Winning guess: the block-pair index for the guess path, None for the
-    # parity path. decode_multi stores its (pairs, deltas) case here.
+    # parity path. With r > 1 it is the winning (pairs, deltas) case.
     guess: object = None
     candidates: tuple = ()
     reason: str | None = None
@@ -285,16 +291,19 @@ def evaluate_guess(s, i, parities, p):
 
 
 def decode(y, p):
-    """Decode a received word missing up to w bits from one window.
+    """Decode a received word missing up to w bits from each of z windows.
 
     Success carries the recovered message and how it was reached (a pair
     index, or None for the parity path). Failure carries every distinct
     surviving candidate. InvalidInput flags a word no compliant channel
     could have produced, or a word with characters other than 0 and 1.
+    With r > 1 the word is decoded by the case loop of multi_window.
     """
     refused = _check_received(y, p)
     if refused is not None:
         return refused
+    if p.r != 1:
+        return multi_window._decode_repetition(y, p)
     delta = p.n - len(y)
     if delta == 0 or y[p.k + p.w - delta] == "0":
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
@@ -318,3 +327,10 @@ def decide(winners):
         cand, guess = next(iter(winners.items()))
         return DecodeResult(SUCCESS, message=cand, guess=guess)
     return DecodeResult(FAILURE, candidates=tuple(winners))
+
+
+# multi_window builds on the names above, and encode and decode call into it
+# per word. Imported last, once they exist, so that either module can be
+# imported first; a module-level name costs less per call than an import in
+# the function body.
+from . import multi_window  # noqa: E402

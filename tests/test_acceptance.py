@@ -14,7 +14,7 @@ from itertools import combinations
 from gccodes.analysis import bound_multi, bound_single, exhaustive_oracle
 from gccodes.channel import delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext
-from gccodes.mds import cauchy_generator
+from gccodes.mds import make_generator
 from gccodes.multi_window import (
     decode_multi,
     encode_multi,
@@ -269,7 +269,7 @@ def test_criterion_10_cauchy_mds():
             for c in range(1, 7):
                 if m + c > (1 << ell):
                     continue
-                gen = cauchy_generator(m, c, ctx)
+                gen = make_generator(m, c, ctx, "cauchy")
                 for size in range(1, min(m, c) + 1):
                     for rows in combinations(range(m), size):
                         for cols in combinations(range(c), size):

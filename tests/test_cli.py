@@ -209,6 +209,29 @@ def test_corrupt_pattern_refuses_delta_and_seed(tmp_path):
         assert not (tmp_path / "rx.bits").exists(), extra
 
 
+def test_corrupt_refuses_flags_it_would_ignore(tmp_path):
+    # --pattern without the code flags used to drop --z and --gen, and every
+    # --pattern call dropped --mode: "3:0;9:0" with --z 1 exited 0 having
+    # applied two windows
+    write(tmp_path / "cw.bits", CODEWORD)
+    io = ["--in", "cw.bits", "--out", "rx.bits"]
+    for args in (("3:0;9:0", "--z", "1"), ("3:0;9:0", "--gen", "vandermonde"),
+                 ("3:0;9:0", "--mode", "systematic-only"),
+                 ("7:0,2,3", *VAND, "--mode", "whole-codeword")):
+        r = run_cli("corrupt", "--pattern", *args, *io, cwd=tmp_path)
+        assert r.returncode == 1, args
+        assert "gccodes: error:" in r.stderr, args
+        assert not (tmp_path / "rx.bits").exists(), args
+    # left out, they still default to one window and the cauchy kind
+    r = run_cli("corrupt", "--pattern", "3:0;9:0", *io, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "rx.bits").read_text() == CODEWORD[:2] + CODEWORD[3:8] + CODEWORD[9:] + "\n"
+    r = run_cli("corrupt", "--pattern", "7:0,2,3", "--k", "16", "--w", "4", "--c", "3",
+                *io, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "rx.bits").read_text() == RECEIVED + "\n"
+
+
 def test_bound_output(tmp_path):
     r = run_cli("bound", "--k", "4096", "--w", "12", "--c", "4", cwd=tmp_path)
     assert r.returncode == 0

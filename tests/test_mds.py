@@ -19,7 +19,6 @@ from gccodes.mds import (
     SingularSystemError,
     Generator,
     block_sums,
-    cauchy_generator,
     erasure_solver,
     log_solver,
     make_generator,
@@ -29,7 +28,6 @@ from gccodes.mds import (
     parity_planes,
     parity_sums,
     sum_tables,
-    vandermonde_generator,
 )
 from oracles import (
     erasure_decode,
@@ -67,7 +65,7 @@ P_EXAMPLE = [9, 8, 1]           # its parities: alpha^14, alpha^3, alpha^0
 
 
 def test_vandermonde_rows_golden():
-    gen = vandermonde_generator(4, 3, GF16)
+    gen = make_generator(4, 3, GF16, "vandermonde")
     assert gen.rows == (
         (1, 1, 1),
         (1, 2, 4),
@@ -77,7 +75,7 @@ def test_vandermonde_rows_golden():
 
 
 def test_parities_of_worked_example():
-    gen = vandermonde_generator(4, 3, GF16)
+    gen = make_generator(4, 3, GF16, "vandermonde")
     x = int("".join(format(v, "04b") for v in U_EXAMPLE), 2)
     assert packed_parities(x, gen) == pack(P_EXAMPLE, 4)
 
@@ -123,9 +121,9 @@ def test_parity_sums_unpack_to_loop(gen):
     lambda: gc_params(64, 4, 5, "vandermonde").gen,
     lambda: Generator(m=3, c=3, kind="test", ctx=GF16,
                       rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
-    lambda: vandermonde_generator(4, 3, GF16),    # two 2-bit chunks
+    lambda: make_generator(4, 3, GF16, "vandermonde"),    # two 2-bit chunks
     lambda: gc_params(300, 13, 3).gen,            # ell 13: three chunks
-    lambda: cauchy_generator(3, 3, FieldContext(19)),   # four chunks, 5, 5, 5 and 4 bits
+    lambda: make_generator(3, 3, FieldContext(19), "cauchy"),   # four chunks, 5, 5, 5 and 4 bits
 ], ids=GENERATOR_IDS[:3] + ["gf16", "three-chunks", "four-chunks"])
 def test_sum_tables_reproduce_products(make):
     gen = make()                                  # fresh, so no table is filled yet
@@ -237,9 +235,9 @@ def test_log_solver_singular_keeps_nothing():
     lambda: Generator(m=3, c=3, kind="test", ctx=GF16,
                       rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
     lambda: gc_params(100, 7, 5).gen,             # last block 2 of 7 bits
-    lambda: vandermonde_generator(4, 3, GF16),
+    lambda: make_generator(4, 3, GF16, "vandermonde"),
     lambda: gc_params(300, 13, 3).gen,            # ell 13, last block 1 bit
-    lambda: cauchy_generator(3, 3, FieldContext(19)),
+    lambda: make_generator(3, 3, FieldContext(19), "cauchy"),
 ], ids=["cauchy", "vandermonde", "zero-weights", "short-last", "gf16", "ell13", "ell19"])
 def test_parity_planes_reproduce_products(make, monkeypatch):
     gen = make()                                  # fresh, so no plane is built yet
@@ -276,15 +274,14 @@ ENCODER_IDS = ["k128", "k256", "k512", "k1024", "k4096", "short-last",
 @pytest.mark.parametrize("params", ENCODER_CODES, ids=ENCODER_IDS)
 def test_encoders_match_product_loop(params):
     rng = random.Random(params.k)
-    multi = hasattr(params, "z")
     for _ in range(4):
         u = format(rng.getrandbits(params.k), f"0{params.k}b")
         tail = message_parity_bits(u, params.gen)
-        if multi:
-            want = u + "".join(ch * params.r for ch in tail)
-            assert encode_multi(u, params) == want
+        if params.r == 1:
+            want = u + "0" * params.w + "1" + tail
         else:
-            assert encode(u, params) == u + "0" * params.w + "1" + tail
+            want = u + "".join(ch * params.r for ch in tail)
+        assert encode(u, params) == want and len(want) == params.n
 
 
 def test_encoders_read_only_the_planes(monkeypatch):
@@ -296,7 +293,7 @@ def test_encoders_read_only_the_planes(monkeypatch):
     monkeypatch.setattr(single_window, "read_symbols", banned)
     monkeypatch.setattr(multi_window, "read_symbols", banned)
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
-        (encode_multi if hasattr(params, "z") else encode)("01" * (params.k // 2), params)
+        encode("01" * (params.k // 2), params)
         assert params.gen._sum_tables == [] and params.gen._log_solvers == {}
         assert len(params.gen._planes) == params.c * params.ell
 
@@ -324,7 +321,7 @@ def test_pair_checks_singular_pair_keeps_nothing():
 
 
 def test_verify_parities_subsets():
-    gen = vandermonde_generator(4, 3, GF16)
+    gen = make_generator(4, 3, GF16, "vandermonde")
     p = P_EXAMPLE
     assert verify_parities(U_EXAMPLE, p, [1, 2, 3], gen)
     assert verify_parities(U_EXAMPLE, [p[2]], [3], gen)
@@ -334,7 +331,7 @@ def test_verify_parities_subsets():
 
 
 def test_erasure_decode_all_pairs_worked_example():
-    gen = vandermonde_generator(4, 3, GF16)
+    gen = make_generator(4, 3, GF16, "vandermonde")
     p = P_EXAMPLE
     for i in range(1, 4):
         erased = [i, i + 1]
@@ -346,7 +343,7 @@ def test_erasure_decode_all_pairs_worked_example():
 
 
 def test_erasure_decode_needs_square_system():
-    gen = vandermonde_generator(4, 3, GF16)
+    gen = make_generator(4, 3, GF16, "vandermonde")
     p = P_EXAMPLE
     with pytest.raises(ValueError):
         erasure_decode([None, None, U_EXAMPLE[2], U_EXAMPLE[3]],
@@ -355,7 +352,7 @@ def test_erasure_decode_needs_square_system():
 
 def test_erasure_decode_random_cauchy():
     ctx = FieldContext(8)
-    gen = cauchy_generator(6, 3, ctx)
+    gen = make_generator(6, 3, ctx, "cauchy")
     rng = random.Random(5)
     for _ in range(50):
         u = [rng.randrange(256) for _ in range(6)]
@@ -369,7 +366,7 @@ def test_erasure_decode_random_cauchy():
 
 def cauchy_submatrices_nonsingular(m, c, ctx):
     from itertools import combinations
-    gen = cauchy_generator(m, c, ctx)
+    gen = make_generator(m, c, ctx, "cauchy")
     for size in range(1, min(m, c) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(c), size):
@@ -391,9 +388,9 @@ def test_cauchy_mds_exhaustive(ell):
 
 def test_cauchy_field_too_small():
     with pytest.raises(FieldTooSmallError):
-        cauchy_generator(10, 7, GF16)
+        make_generator(10, 7, GF16, "cauchy")
     # 10 + 6 = 16 still fits
-    cauchy_generator(10, 6, GF16)
+    make_generator(10, 6, GF16, "cauchy")
 
 
 def test_make_generator_dispatch():
@@ -401,6 +398,12 @@ def test_make_generator_dispatch():
     assert make_generator(4, 3, GF16, "vandermonde").kind == "vandermonde"
     with pytest.raises(ValueError):
         make_generator(4, 3, GF16, "hilbert")
+    # the kind is checked before the field size, which both kinds check
+    with pytest.raises(ValueError, match="unknown generator kind") as info:
+        make_generator(10, 7, GF16, "hilbert")
+    assert type(info.value) is ValueError
+    with pytest.raises(FieldTooSmallError, match=r"m \+ c = 17 exceeds field size 2\^4 = 16"):
+        make_generator(10, 7, GF16, "vandermonde")
 
 
 def test_solve_square_singular():
@@ -470,14 +473,14 @@ def test_erasure_solver_against_oracle(params, placements):
 
 def test_log_solver_is_cached_per_generator():
     ctx = FieldContext(8)
-    gen = cauchy_generator(6, 4, ctx)
+    gen = make_generator(6, 4, ctx, "cauchy")
     assert gen._log_solvers == {}
     first = log_solver(gen, (2, 3))
     assert log_solver(gen, (2, 3)) is first
     assert erasure_solver(gen, (3, 4)) is not erasure_solver(gen, (3, 4))
     assert list(gen._log_solvers) == [(2, 3)]
     # the table is not part of the generator's value
-    twin = cauchy_generator(6, 4, ctx)
+    twin = make_generator(6, 4, ctx, "cauchy")
     assert twin._log_solvers == {}
     assert gen == twin and hash(gen) == hash(twin)
     assert "_log_solvers" not in repr(gen)

@@ -34,6 +34,8 @@ from gccodes.single_window import (
     CodeParams,
     DecodeResult,
     InvalidConfigError,
+    decode,
+    encode,
     gc_params,
     is_subsequence,
 )
@@ -159,6 +161,39 @@ def test_enumerate_cases_single_window_reduces():
 
 
 U64 = "1011001110001111010101000011001010111100110100101101110001010011"
+
+
+def test_one_codec_for_both_layouts():
+    """encode and decode take the layout from p.r, so the multi-window
+    names are the same functions; encode_multi used to drop the buffer
+    whatever the params, giving 112 bits for a k = 64 word with n = 117."""
+    assert encode_multi is encode and decode_multi is decode
+    rng = random.Random(14)
+    for p in (gc_params(64, 4, 8), gc_params(64, 4, 8, "vandermonde"),
+              multi_params(64, 4, 8, 1), multi_params(64, 4, 8, 2)):
+        u = format(rng.getrandbits(64), "064b")
+        x = encode(u, p)
+        assert x == encode_multi(u, p) and len(x) == p.n
+        assert decode(x, p).message == u
+
+
+@pytest.mark.parametrize("args", [(64, 4, 8, 1), (64, 4, 8, 2), (64, 4, 10, 3)],
+                         ids=["z1", "z2", "z3"])
+def test_decode_never_wrong_on_repetition_params(args):
+    """decode on encode_multi words, 3 deletions in each window of the
+    message bits. decode used to run the buffer code's guess loop on them
+    whatever r was, and about half of these words came back Success with
+    a wrong message."""
+    mp = multi_params(*args)
+    rng = random.Random(f"repetition/{args}")
+    succ = 0
+    for _ in range(300):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        pat = sample_pattern(mp, 3, rng, "systematic-only")
+        res = decode(delete_localized(encode_multi(u, mp), pat, w=mp.w, z=mp.z), mp)
+        assert res.status != SUCCESS or res.message == u
+        succ += res.status == SUCCESS
+    assert succ >= 250
 
 
 def test_decode_multi_no_deletions():
