@@ -15,20 +15,22 @@ vectors is one xor. Every packed parity bit is GF(2)-linear in the message
 bits, so the encoder is bit-sliced: parity_planes keeps one mask per
 packed bit over the message read as one int, and packed_parities takes
 bit p as the parity of the popcount of x & planes[p], c*ell popcounts per
-message. Both encoders go through it. The decoders read a block's packed
-contribution instead (block_sums): it is GF(2)-linear in the block's
-symbol, so sum_tables keeps it in split tables, one per chunk of at most 6
-symbol bits (the "split table" method of GF-Complete), and a block costs
-one lookup per chunk, two up to ell = 12, and no product. The
-single-window scan xors contributions step by step; parity_sums gives the
-running sums the multi-window case loop reads.
+message. Both encoders go through it. The multi-window decoder reads a
+block's packed contribution instead (block_sums): it is GF(2)-linear in
+the block's symbol, so sum_tables keeps it in split tables, one per chunk
+of at most 6 symbol bits (the "split table" method of GF-Complete), and a
+block costs one lookup per chunk, two up to ell = 12, and no product;
+parity_sums gives the running sums its case loop reads. The single-window
+screen takes every block's contribution at once: lane_tables keeps, per
+symbol bit b, alpha^b times the blocks' weights, one per ell-bit lane of
+one int, so a bit of every block costs a few big-int operations.
 
-The decoders' solves and spare checks multiply in log form: log_solver
-keeps an erasure solver's rows for any erased set as logs (the
-multi-window case loop reads it), pair_checks the single-window spare
-checks as its z = 1 case, and the field's antilog table is padded so that
-exp[log[a] + log[b]] is a product even when a or b is zero. Each product
-is then one table lookup.
+The decoders' solves, and the multi-window spare checks, multiply in log
+form: log_solver keeps an erasure solver's rows for any erased set as
+logs, pair_checks the single-window spare rows as its z = 1 case (which
+lane_tables lays out in lanes), and the field's antilog table is padded
+so that exp[log[a] + log[b]] is a product even when a or b is zero. Each
+product is then one table lookup.
 
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
@@ -39,6 +41,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import xor
+from types import SimpleNamespace
 
 from .gf2e import FieldContext
 
@@ -69,10 +72,10 @@ class Generator:
     _sum_tables: list = field(default_factory=list, init=False, repr=False, compare=False)
     # erased blocks -> log_solver result
     _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # pair_checks result
-    _pair_checks: list = field(default_factory=list, init=False, repr=False, compare=False)
     # parity_planes result
     _planes: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # lane_tables result, its one entry
+    _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def make_generator(m, c, ctx, kind="cauchy"):
@@ -299,11 +302,83 @@ def pair_checks(gen):
     one triple (log a, log b, r*ell) per spare parity r+1 > 2. With s0 and
     s1 syndromes 1 and 2, the guess that blocks i and i+1 absorbed the
     deletions passes check r exactly when exp[log s0 + log a] ^
-    exp[log s1 + log b] equals syndrome r+1. Entry 0 is empty. Filled on
-    the first request, which also fills the m - 1 pair solvers; a singular
-    pair raises SingularSystemError and nothing is kept.
+    exp[log s1 + log b] equals syndrome r+1. Entry 0 is empty. Nothing is
+    kept but the m - 1 pair solvers: lane_tables, which keeps its own
+    result, is the one reader. A singular pair raises SingularSystemError.
     """
-    checks = gen._pair_checks
-    if not checks:
-        checks.extend([()] + [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)])
-    return checks
+    return [()] + [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)]
+
+
+def lane_tables(gen):
+    """The constants of the single-window screen, kept on the generator.
+
+    The screen packs field elements into ints, one ell-bit lane each, lane
+    0 lowest. A segment of the word has max(2m - 4, 1) lanes and holds,
+    from the top lane down, blocks 1..m-2 read at their offsets, then
+    blocks 3..m read against the end: lane t holds block m - t below lane
+    m - 2 and block 2m - 4 - t from it up. blocks[b] has c such segments,
+    seg bits apart, and lane t of segment r is alpha^b times the weight of
+    lane t's block in parity r+1. A segment of guesses has the same width
+    and holds guess i in lane m - 1 - i.
+
+    A spare segment holds only the m - 1 guess lanes. spares[b] has
+    2(c - 2) of them: segment q, for spare parity q+3, holds alpha^b times
+    the weight a of syndrome 1 in each guess's pair_checks row, segment
+    c - 2 + q the weight b of syndrome 2.
+
+    The result is a namespace: seg, and the tuples blocks and spares
+    (entry b for bit b); scan, a (shift, mask) pair per doubling step of
+    the screen's running xor; and masks of whole lanes or of single lane
+    bits: lsb (bit 0 of every lane any product reads), left and guesses
+    (lanes 0..m-3 and 0..m-2 of c segments), ones (bit 0 of lanes 0..m-2
+    of one segment), and low and high (bits 0..ell-2 and bit ell-1 of
+    every lane of c - 2 spare segments).
+
+    The weights are one int(''.join(...)) each; alpha^b times them is one
+    lane-wise xtime of the alpha^(b-1) times: shift every lane up and,
+    where its top bit left it, xor in the field polynomial. Filled on the
+    first request, which also fills pair_checks; a singular pair raises
+    SingularSystemError, and nothing is kept.
+    """
+    if gen._lanes:
+        return gen._lanes[0]
+    checks = pair_checks(gen)
+    exp, ell, m, c = gen.ctx.exp, gen.ctx.ell, gen.m, gen.c
+    lanes = max(2 * m - 4, 1)
+    width, bit0, top = f"0{ell}b", "0" * (ell - 1) + "1", "1" + "0" * (ell - 1)
+
+    def pattern(lane, count, segments, size=lanes):
+        """segments segments of size lanes, each with lane in its low count."""
+        return int(("0" * ell * (size - count) + lane * count) * segments, 2)
+
+    def times_alpha(values, size):
+        """The int of one segment of size lanes per list in values, each
+        value a lane, the first ones highest; then alpha, ..., alpha^(ell-1)
+        times it, lane by lane."""
+        bits = "".join("0" * ell * (size - len(v)) + "".join([format(x, width) for x in v])
+                       for v in values)
+        out = [int(bits, 2)]
+        low = pattern("0" + "1" * (ell - 1), size, len(values), size)
+        lsb = pattern(bit0, size, len(values), size)
+        poly = gen.ctx.poly ^ 1 << ell
+        for _ in range(ell - 1):
+            out.append((out[-1] & low) << 1 ^ (out[-1] >> ell - 1 & lsb) * poly)
+        return tuple(out)
+
+    intact = [*range(1, m - 1), *range(3, m + 1)]
+    scan, step = [], 1
+    while step < lanes:
+        scan.append((step * ell, pattern("1" * ell, lanes - step, c)))
+        step *= 2
+    tables = SimpleNamespace(
+        seg=lanes * ell, lsb=pattern(bit0, 1, max(c * lanes, 2 * (c - 2) * (m - 1)), 1),
+        blocks=times_alpha([[gen.rows[j - 1][r] for j in intact] for r in reversed(range(c))],
+                           lanes),
+        scan=tuple(scan), left=pattern("1" * ell, m - 2, c),
+        guesses=pattern("1" * ell, m - 1, c), ones=pattern(bit0, m - 1, 1),
+        spares=times_alpha([[exp[checks[i][q][side]] for i in range(1, m)]
+                            for side in (1, 0) for q in reversed(range(c - 2))], m - 1),
+        low=pattern("0" + "1" * (ell - 1), m - 1, c - 2, m - 1),
+        high=pattern(top, m - 1, c - 2, m - 1))
+    gen._lanes.append(tables)
+    return tables

@@ -20,17 +20,13 @@ parity side):
     parities, the zero padding of a short final block, and a supersequence
     test against the received bits all agree.
 
-The guesses run as one scan. Guess 1's syndromes are the parities xor
-the packed contributions (mds.block_sums) of blocks 3..m read against the
-end of the received word; each later guess moves one block from that
-right-aligned side to the left-aligned front, so its syndromes are the
-previous ones xor two contributions. Each received block is read once per
-side, in time linear in the word's length (gf2e.read_symbols). Per guess
-the spare parities are checked inline with one antilog lookup per
-product, against log-form rows kept on the generator. Only the few
-guesses that pass them are solved and given the padding and supersequence
-checks. evaluate_guess reports a single guess through the same checks,
-reading its syndromes off the same scan.
+The guesses are screened all at once (_screen): one Python int holds one
+ell-bit field element per lane, so each big-int operation acts on every
+block or every guess, about 10*ell + 3*log2(2m) of them per word. Only
+the few guesses that pass the spare parities are solved and given the
+padding and supersequence checks, in ascending order. evaluate_guess
+reports a single guess through the same checks, reading its syndromes
+and spare verdict off the same screen.
 
 encode and decode serve both codes: the params' repetition factor r picks
 the layout, r = 1 this one, r > 1 the repetition-coded parities of
@@ -44,9 +40,6 @@ respected the window contract.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate, islice
-from operator import xor
 
 from . import mds
 from .gf2e import FieldContext, is_binary, read_symbols
@@ -199,53 +192,83 @@ def _check_received(y, p):
     return DecodeResult(INVALID_INPUT, reason=reason)
 
 
-def _scan(s, parities, p):
-    """The packed syndromes of guesses 1, 2, ..., m-1, in order.
+def _screen(s, parities, p):
+    """Every guess's syndromes and spare-parity verdict, in lanes.
 
     s is the received word cut to its first k - delta bits, parities the
-    packed parities. Guess i holds blocks (i, i+1) damaged, so its
-    syndromes are the parities xor the contributions of blocks 1..i-1 read
-    at their nominal offsets and of blocks i+2..m read delta bits early
-    (right-aligned against the end of s). Guess 1's are the parities xor
-    the right-aligned blocks 3..m; each later guess xors in one left block
-    and one right block, syn[i+1] = syn[i] ^ L[i] ^ R[i+2]. Both block
-    lists are read once (gf2e.read_symbols) and turned into contributions
-    by two table lookups each up to ell = 12 (mds.block_sums); the running
-    xor is one accumulate.
+    c parity symbols. Guess i holds blocks (i, i+1) damaged, so its
+    syndromes are the parities xor the contributions of blocks 1..i-1
+    read at their nominal offsets and of blocks i+2..m read delta bits
+    early (right-aligned against the end of s). Returns (syn, passed),
+    laid out as mds.lane_tables describes: syndrome r+1 of guess i is lane
+    m - 1 - i of syn's segment r, and the top bit of lane m - 1 - i of
+    passed is set iff every spare parity agrees with syndromes 1 and 2.
+
+    s is read as one int holding both readings of its blocks, copied into
+    c segments, and every block's contribution to every parity is one
+    lane-wise product (_times). A running xor from the top lane down, in
+    doubling steps, leaves in each lane the xor of it and the lanes above,
+    so guess i's syndromes are its lane xor the lane m - 2 above it xor
+    the parities xor lane 0, the total. The spare checks are the same
+    products on copies of syndromes 1 and 2, xored with the spare
+    syndromes: a zero lane passes, and a lane is nonzero iff its top bit
+    is set in (d & low) + low | d.
     """
-    ell, m, gen = p.ell, p.m, p.gen
-    left = mds.block_sums(gen, 1, read_symbols(s[:(m - 2) * ell], ell))
-    right = mds.block_sums(gen, 3, read_symbols(s[2 * ell - (p.k - len(s)):], ell))
-    return accumulate(map(xor, left, right), xor, initial=parities ^ reduce(xor, right, 0))
+    ell, m, c = p.ell, p.m, p.c
+    t = mds.lane_tables(p.gen)
+    seg, lsb, full = t.seg, t.lsb, (1 << ell) - 1
+    word, right = int(s, 2), max(p.k - 2 * ell, 0)   # bits of blocks 3..m
+    x = word >> len(s) - (m - 2) * ell << right | word & (1 << right) - 1
+    acc = _times(_copies(x << ell - p.last_block_len, seg, c), t.blocks, lsb, full)
+    for shift, mask in t.scan:
+        acc ^= acc >> shift & mask
+    syn = ((acc >> (m - 2) * ell & t.left) ^ acc) & t.guesses
+    for r, v in enumerate(parities):
+        syn ^= ((acc >> r * seg ^ v) & full) * t.ones << r * seg
+    size = (m - 1) * ell                                 # bits of a spare segment
+    half, one = (c - 2) * size, (1 << size) - 1          # the syndrome 1 copies' bits
+    x = _copies(syn & one, size, c - 2) | _copies(syn >> seg & one, size, c - 2) << half
+    acc = _times(x, t.spares, lsb, full)
+    d = acc >> half ^ acc & (1 << half) - 1
+    for q in range(c - 2):
+        d ^= (syn >> (q + 2) * seg & one) << q * size
+    failed = ((d & t.low) + t.low | d) & t.high
+    for _ in range(c - 3):
+        failed |= failed >> size
+    tops = t.high & one
+    return syn, (failed & tops) ^ tops
 
 
-def _passing(guesses, p):
-    """Yield (i, syn) for each pair in guesses whose spare parities all
-    agree with what syndromes 1 and 2 of syn predict.
+def _times(x, weights, lsb, full):
+    """Lane-wise products: lane by lane, the xor over b of weights[b]'s
+    lane where bit b of x's lane is set. With weights[b] alpha^b times a
+    weight in each lane, each lane of the result is x's lane times it."""
+    acc = 0
+    for b, w in enumerate(weights):
+        acc ^= (x >> b & lsb) * full & w
+    return acc
 
-    Each check is inline, in log form against mds.pair_checks, with one
-    antilog lookup per product and no function call, so a rejected guess
-    (all but about 2^-ell of the wrong ones at c = 3) costs a few lookups.
-    """
-    checks = mds.pair_checks(p.gen)
-    exp, log = p.ctx.exp, p.ctx.log
-    ell = p.ell
-    mask = (1 << ell) - 1
-    for i, syn in guesses:
-        l0 = log[syn & mask]
-        l1 = log[(syn >> ell) & mask]
-        for la, lb, sh in checks[i]:
-            if exp[l0 + la] ^ exp[l1 + lb] != (syn >> sh) & mask:
-                break
-        else:
-            yield i, syn
+
+def _copies(x, seg, count):
+    """count copies of x, seg bits apart."""
+    out = x
+    for q in range(1, count):
+        out |= x << q * seg
+    return out
+
+
+def _lane(syn, i, p):
+    """The packed syndromes of guess i, out of _screen's syn."""
+    seg, ell = mds.lane_tables(p.gen).seg, p.ell
+    lane, full = (p.m - 1 - i) * ell, (1 << ell) - 1
+    return sum((syn >> r * seg + lane & full) << r * ell for r in range(p.c))
 
 
 def _verdict(s, i, syn, p):
     """Solve the pair of guess i from syndromes 1 and 2 of syn and run the
     padding and supersequence checks. Returns the decoded pair, the guessed
     region of s, the decoded bits, both outcomes and the message they give,
-    None unless both hold; the spare parities are _passing's to check."""
+    None unless both hold; the spare parities are _screen's to check."""
     ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
     (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
     l0, l1 = log[syn & mask], log[(syn >> ell) & mask]
@@ -271,19 +294,22 @@ def evaluate_guess(s, i, parities, p):
     s is the received word truncated to its first k - delta bits, parities
     the c parity symbols read off the intact tail, each an int in
     [0, 2^ell). 1 <= i <= m - 1. Every check is run and reported; nothing
-    short-circuits. The syndromes are guess i's entry of decode's scan.
+    short-circuits. The syndromes and the spare-parity verdict are guess
+    i's lanes of decode's screen.
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"guess index must be in [1, {p.m - 1}], got {i}")
     if not p.k - p.w <= len(s) <= p.k:
         raise ValueError(f"systematic part must hold k - w .. k bits, got {len(s)}")
+    if not is_binary(s):
+        raise ValueError("systematic part must contain only '0' and '1'")
     if len(parities) != p.c:
         raise ValueError(f"expected {p.c} parities, got {len(parities)}")
     if not all(isinstance(v, int) and 0 <= v < 1 << p.ell for v in parities):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
-    syn = next(islice(_scan(s, mds.pack(parities, p.ell), p), i - 1, None))
-    parities_ok = next(_passing([(i, syn)], p), None) is not None
-    pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, syn, p)
+    lanes, passed = _screen(s, parities, p)
+    parities_ok = bool(passed >> (p.m - i) * p.ell - 1 & 1)
+    pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, _lane(lanes, i, p), p)
     return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
                      decoded_bits=dec, padding_ok=padding_ok,
                      parities_ok=parities_ok, supersequence_ok=superseq_ok,
@@ -307,11 +333,14 @@ def decode(y, p):
     delta = p.n - len(y)
     if delta == 0 or y[p.k + p.w - delta] == "0":
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
-    parities = mds.pack(read_symbols(y[len(y) - p.c * p.ell:], p.ell), p.ell)
     s = y[:p.k - delta]
+    lanes, passed = _screen(s, read_symbols(y[len(y) - p.c * p.ell:], p.ell), p)
     winners = {}
-    for i, syn in _passing(zip(range(1, p.m), _scan(s, parities, p)), p):
-        cand = _verdict(s, i, syn, p)[-1]
+    while passed:                     # the highest lane is the lowest guess
+        top = passed.bit_length() - 1
+        passed ^= 1 << top
+        i = p.m - 1 - top // p.ell
+        cand = _verdict(s, i, _lane(lanes, i, p), p)[-1]
         if cand is not None and cand not in winners:
             winners[cand] = i
     return decide(winners)

@@ -5,6 +5,7 @@ routine so the claim does not rest on the library's own solver.
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from gccodes.mds import (
     Generator,
     block_sums,
     erasure_solver,
+    lane_tables,
     log_solver,
     make_generator,
     pack,
@@ -169,13 +171,59 @@ def test_sum_tables_leave_zero_weight_lanes_clear():
         assert max(x for t in chunks for x in t) < 1 << (gen.c * ell)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gc_params(100, 7, 5),                 # ell 7, last block 2 bits, three spares
+    lambda: gc_params(64, 4, 4, "vandermonde"),
+    lambda: gc_params(8, 4, 3),                   # m = 2
+    lambda: gc_params(9, 4, 3),                   # m = 3, last block 1 bit
+    lambda: gc_params(300, 13, 3),
+], ids=["cauchy-c5", "vandermonde", "m2", "m3", "ell13"])
+def test_lane_tables_fill_on_first_decode(make):
+    """Nothing until the first guess-path decode; then the documented
+    layout, each lane alpha^b times its weight, kept and out of eq, hash
+    and repr."""
+    params = make()                               # fresh, so no table is filled yet
+    gen, ctx, ell, m, c = params.gen, params.ctx, params.ell, params.m, params.c
+    assert gen._lanes == []                       # nothing until requested
+    u = "01" * (params.k // 2) + "1" * (params.k % 2)
+    x = encode(u, params)
+    assert gen._lanes == []                       # encoding builds none
+    assert decode(x, params).message == u         # the parity path neither
+    assert gen._lanes == []
+    assert decode(x[1:], params).message == u     # the guess path fills them
+    assert gen._sum_tables == []                  # and reads no split table
+    tables = lane_tables(gen)
+    assert gen._lanes == [tables] and lane_tables(gen) is tables   # kept, not rebuilt
+    assert "_lanes" not in repr(gen) and "namespace" not in repr(params)
+    twin = replace(gen)                           # the same fields, no tables
+    assert twin._lanes == [] and twin == gen and hash(twin) == hash(gen)
+    lanes = max(2 * m - 4, 1)
+    assert tables.seg == lanes * ell and len(tables.blocks) == len(tables.spares) == ell
+
+    def lane(x, segment, t, size=lanes):
+        return x >> (segment * size + t) * ell & (1 << ell) - 1
+
+    # lane t reads block m - t or 2m - 4 - t; m = 2 leaves one empty lane
+    blocks = [m - t if t < m - 2 else 2 * m - 4 - t for t in range(lanes)] if m > 2 else [0]
+    for b in range(ell):
+        for r in range(c):
+            assert [lane(tables.blocks[b], r, t) for t in range(lanes)] == [
+                ctx.mul(1 << b, gen.rows[j - 1][r]) if j else 0 for j in blocks], (b, r)
+        assert tables.blocks[b] >> c * tables.seg == 0
+        for q in range(c - 2):                    # guess i in lane m - 1 - i
+            rows = [erasure_solver(gen, (m - 1 - t, m - t))[2 + q] for t in range(m - 1)]
+            for side in (0, 1):
+                assert [lane(tables.spares[b], side * (c - 2) + q, t, m - 1)
+                        for t in range(m - 1)] == [ctx.mul(1 << b, row[side]) for row in rows]
+        assert tables.spares[b] >> 2 * (c - 2) * (m - 1) * ell == 0
+
+
 @pytest.mark.parametrize("params", [gc_params(100, 7, 5), gc_params(64, 4, 5, "vandermonde"),
                                     gc_params(16, 4, 3)])
 def test_pair_checks_are_spare_solver_rows(params):
     gen, ctx, ell = params.gen, params.ctx, params.ell
-    assert gen._pair_checks == []
     checks = pair_checks(gen)
-    assert pair_checks(gen) is checks
+    assert pair_checks(gen) == checks
     assert len(checks) == gen.m and checks[0] == ()
     assert len(gen._log_solvers) == gen.m - 1
     for i in range(1, gen.m):
@@ -295,6 +343,7 @@ def test_encoders_read_only_the_planes(monkeypatch):
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
         encode("01" * (params.k // 2), params)
         assert params.gen._sum_tables == [] and params.gen._log_solvers == {}
+        assert params.gen._lanes == []
         assert len(params.gen._planes) == params.c * params.ell
 
 
@@ -317,7 +366,14 @@ def test_pair_checks_singular_pair_keeps_nothing():
     for _ in range(2):
         with pytest.raises(SingularSystemError, match=r"\(2, 3\)"):
             pair_checks(gen)
-    assert gen._pair_checks == []
+    # through decode: a guess-path word of a code with this generator
+    params = replace(gc_params(12, 4, 3), kind="test", gen=gen)   # m = 3 over GF(16)
+    y = encode("101100111000", params)[1:]
+    for request in (lambda: lane_tables(gen), lambda: decode(y, params)):
+        for _ in range(2):
+            with pytest.raises(SingularSystemError, match=r"\(2, 3\)"):
+                request()
+    assert gen._lanes == []
 
 
 def test_verify_parities_subsets():

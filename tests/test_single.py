@@ -4,8 +4,11 @@ expected value is known in advance."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gccodes import mds, single_window
+from gccodes.analysis import exhaustive_oracle
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
 from gccodes.gf2e import bits_to_symbols
 from gccodes.single_window import (
@@ -125,6 +128,9 @@ def test_evaluate_guess_validation():
         evaluate_guess(s, 4, parities, PV)
     with pytest.raises(ValueError):
         evaluate_guess(s[:8], 1, parities, PV)
+    for bad in ("_", " ", "2"):               # int(s, 2) would take "_" and " "
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            evaluate_guess(s[:5] + bad + s[6:], 2, parities, PV)
 
 
 @pytest.mark.parametrize("bad", [
@@ -354,6 +360,34 @@ def test_decode_matches_reference():
     assert statuses.keys() == {SUCCESS, FAILURE, INVALID_INPUT}, statuses
 
 
+def oracle_passes(syndromes, i, gen):
+    """The spare-parity verdict of guess i from its syndromes alone: the
+    pair erasure-decoded from syndromes 1 and 2 with every other block
+    zero, and its spare parities compared with the spare syndromes."""
+    filled = erasure_decode([0] * gen.m, [i, i + 1], syndromes[:2], [1, 2], gen)
+    return verify_parities(filled, syndromes[2:], range(3, gen.c + 1), gen)
+
+
+def screen_lanes(s, parities, p):
+    """_screen's syndromes and verdict for every guess, read off its lanes
+    by the layout mds.lane_tables documents: guess i in lane m - 1 - i,
+    syndrome r+1 in segment r. Asserts that nothing sits outside them."""
+    syn, passed = single_window._screen(s, parities, p)
+    ell, seg, lanes = p.ell, mds.lane_tables(p.gen).seg, p.m - 1
+    assert passed >> lanes * ell == 0 and syn >> p.c * seg == 0
+    out = []
+    for i in range(1, p.m):
+        at = (p.m - 1 - i) * ell
+        values = [syn >> (r * seg + at) & (1 << ell) - 1 for r in range(p.c)]
+        assert single_window._lane(syn, i, p) == mds.pack(values, ell)
+        top = passed >> at & (1 << ell) - 1
+        assert top in (0, 1 << (ell - 1))
+        out.append((values, bool(top)))
+    for r in range(p.c):                      # no bits above the guess lanes
+        assert syn >> (r * seg + lanes * ell) & (1 << (seg - lanes * ell)) - 1 == 0
+    return out
+
+
 @pytest.mark.parametrize("args", [
     (16, 4, 3, "vandermonde"),
     (37, 5, 3, "cauchy"),             # last block 1 bit
@@ -361,10 +395,14 @@ def test_decode_matches_reference():
     (1024, 10, 3, "cauchy"),
     (300, 13, 4, "cauchy"),           # three table chunks
     (200, 19, 3, "cauchy"),           # four table chunks
-], ids=["k16", "k37", "k100-c5", "k1024", "ell13", "ell19"])
+    (8, 4, 3, "cauchy"),              # m = 2: no intact block on either side
+    (12, 4, 3, "cauchy"),             # m = 3
+    (9, 4, 3, "cauchy"),              # m = 3, last block 1 bit
+], ids=["k16", "k37", "k100-c5", "k1024", "ell13", "ell19", "m2", "m3", "m3-last1"])
 def test_scan_reaches_the_direct_syndromes(args):
-    """Every guess's syndromes from decode's incremental scan equal the ones
-    the oracle builds for that guess alone, one field product at a time."""
+    """Every guess's syndromes and spare verdict in decode's screen equal
+    the ones the oracle builds for that guess alone, one field product at
+    a time."""
     p = gc_params(*args)
     rng = random.Random(f"scan/{args}")
     for t in range(12):
@@ -374,10 +412,63 @@ def test_scan_reaches_the_direct_syndromes(args):
         if t % 3 == 2:                # any bits of the right lengths will do
             y = format(rng.getrandbits(len(y)), f"0{len(y)}b")
         s, parities, _ = strip_received(y, p)
-        scanned = list(single_window._scan(s, mds.pack(parities, p.ell), p))
-        direct = [mds.pack(guess_syndromes(s, i, parities, p.k, p.gen), p.ell)
-                  for i in range(1, p.m)]
-        assert scanned == direct, (args, y)
+        direct = []
+        for i in range(1, p.m):
+            syndromes = guess_syndromes(s, i, parities, p.k, p.gen)
+            direct.append((syndromes, oracle_passes(syndromes, i, p.gen)))
+        assert screen_lanes(s, parities, p) == direct, (args, y)
+
+
+@st.composite
+def screened_words(draw):
+    """A code (k 4..300, c 3..5, either kind) and a systematic part of
+    any length evaluate_guess takes, k - w..k, with random bits and
+    parities."""
+    k = draw(st.integers(4, 300))
+    w = draw(st.integers(1, min(k - 1, 8)))
+    c = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["cauchy", "vandermonde"]))
+    try:
+        p = gc_params(k, w, c, kind)
+    except InvalidConfigError:
+        assume(False)
+    delta = draw(st.integers(0, p.w))
+    s = draw(st.text("01", min_size=p.k - delta, max_size=p.k - delta))
+    parities = draw(st.lists(st.integers(0, (1 << p.ell) - 1), min_size=c, max_size=c))
+    return p, s, parities
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(screened_words())
+def test_screen_survivors_match_the_oracle(word):
+    """The screen lets through exactly the guesses whose oracle syndromes
+    pass the oracle's spare-parity check."""
+    p, s, parities = word
+    lanes = screen_lanes(s, parities, p)
+    survivors = [i for i, (_, ok) in enumerate(lanes, 1) if ok]
+    want = [i for i in range(1, p.m)
+            if oracle_passes(guess_syndromes(s, i, parities, p.k, p.gen), i, p.gen)]
+    assert survivors == want
+
+
+@pytest.mark.parametrize("args, messages", [
+    ((8, 4, 3), range(256)),              # m = 2: every message
+    ((9, 4, 3), range(0, 512, 4)),        # m = 3, last block 1 bit
+    ((12, 4, 3), range(0, 4096, 64)),     # m = 3
+], ids=["m2", "m3-last1", "m3"])
+def test_edge_codes_exhaustive(args, messages):
+    """Every window start, deletion count and offset set on the codes with
+    the fewest blocks: never a wrong message (exhaustive_oracle raises
+    MiscorrectionError on one) and no Failure, as at the scan the screen
+    replaced."""
+    p = gc_params(*args)
+    trials = failures = 0
+    for v in messages:
+        rep = exhaustive_oracle(p, format(v, f"0{p.k}b"))
+        trials += rep.trials
+        failures += rep.failures
+    assert trials == len(messages) * (p.n - p.w + 1) << p.w
+    assert failures == 0
 
 
 def test_evaluate_guess_survivors_are_decode_candidates():
