@@ -7,6 +7,8 @@ with those products. Only the field and the error type come from the
 package.
 """
 
+from itertools import combinations, product
+
 from gccodes.mds import SingularSystemError
 
 
@@ -105,3 +107,61 @@ def erasure_decode(symbols, erased, parity_values, parity_nums, gen):
     for e, v in zip(erased, solve_square(matrix, syndromes, gen.ctx)):
         filled[e - 1] = v
     return filled
+
+
+def _deletion_sets(n, w, z, delta):
+    """Every set of delta positions (from 0, ascending) of an n-bit word
+    that at most z pairwise disjoint windows of w consecutive bits, each
+    inside the word, can cover."""
+    out = set()
+
+    def place(lo, windows, taken):
+        if len(taken) == delta:
+            out.add(taken)
+            return
+        if not windows:
+            return
+        for start in range(lo, n - w + 1):
+            for size in range(1, min(w, delta - len(taken)) + 1):
+                for offsets in combinations(range(w), size):
+                    place(start + w, windows - 1, taken + tuple(start + o for o in offsets))
+
+    place(0, z, ())
+    return sorted(out)
+
+
+def layout_tail(u, p):
+    """What follows message u in its codeword: the buffer of w zeros and a
+    one, then the parity blocks, when p.r = 1; each parity bit repeated r
+    times otherwise."""
+    parities = message_parity_bits(u, p.gen)
+    if p.r == 1:
+        return "0" * p.w + "1" + parities
+    return "".join(ch * p.r for ch in parities)
+
+
+def list_decode(y, p):
+    """Every message whose codeword turns into y when n - len(y) of its
+    bits are deleted within at most z disjoint windows of w bits, each
+    window inside the codeword, ascending. Brute force: every compliant
+    deletion set and every value of the deleted bits re-inserts a word x,
+    and x counts when its tail is the layout_tail of its first k bits."""
+    delta = p.n - len(y)
+    if not 0 <= delta <= p.z * p.w:
+        return []
+    tails, found = {}, set()
+    for gone in _deletion_sets(p.n, p.w, p.z, delta):
+        for bits in product("01", repeat=delta):
+            pieces, prev = [], 0
+            for j, (pos, bit) in enumerate(zip(gone, bits)):
+                pieces += [y[prev:pos - j], bit]
+                prev = pos - j
+            pieces.append(y[prev:])
+            x = "".join(pieces)
+            u = x[:p.k]
+            tail = tails.get(u)
+            if tail is None:
+                tail = tails[u] = layout_tail(u, p)
+            if x[p.k:] == tail:
+                found.add(u)
+    return sorted(found)
