@@ -20,17 +20,20 @@ block's packed contribution instead (block_sums): it is GF(2)-linear in
 the block's symbol, so sum_tables keeps it in split tables, one per chunk
 of at most 6 symbol bits (the "split table" method of GF-Complete), and a
 block costs one lookup per chunk, two up to ell = 12, and no product;
-parity_sums gives the running sums its case loop reads. The single-window
-screen takes every block's contribution at once: lane_tables keeps, per
-symbol bit b, alpha^b times the blocks' weights, one per ell-bit lane of
-one int, so a bit of every block costs a few big-int operations.
+parity_sums gives the running sums of its shift tables, which its case
+screen gathers into lanes. The single-window screen takes every block's
+contribution at once: lane_tables keeps, per symbol bit b, alpha^b times
+the blocks' weights, one per ell-bit lane of one int, so a bit of every
+block costs a few big-int operations. lane_powers gives those alpha^b
+multiples for any lanes; the multi-window screen takes its spare weights
+through it too.
 
-The decoders' solves, and the multi-window spare checks, multiply in log
-form: log_solver keeps an erasure solver's rows for any erased set as
-logs, pair_checks the single-window spare rows as its z = 1 case (which
-lane_tables lays out in lanes), and the field's antilog table is padded
-so that exp[log[a] + log[b]] is a product even when a or b is zero. Each
-product is then one table lookup.
+The decoders' solves multiply in log form: log_solver keeps an erasure
+solver's rows for any erased set as logs, pair_checks the single-window
+spare rows as its z = 1 case (which lane_tables lays out in lanes), and
+the field's antilog table is padded so that exp[log[a] + log[b]] is a
+product even when a or b is zero. Each product is then one table lookup.
+Both screens take their spare weights from these rows.
 
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
@@ -309,6 +312,20 @@ def pair_checks(gen):
     return [()] + [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)]
 
 
+def lane_powers(x, ctx, low, lsb):
+    """(x, alpha*x, ..., alpha^(ell-1)*x), lane by lane, for x holding one
+    field element per ell-bit lane; low masks bits 0..ell-2 and lsb bit 0
+    of every lane. Each is one lane-wise xtime of the one before: shift
+    every lane up and, where its top bit left it, xor in the field
+    polynomial."""
+    ell = ctx.ell
+    poly = ctx.poly ^ 1 << ell
+    out = [x]
+    for _ in range(ell - 1):
+        out.append((out[-1] & low) << 1 ^ (out[-1] >> ell - 1 & lsb) * poly)
+    return tuple(out)
+
+
 def lane_tables(gen):
     """The constants of the single-window screen, kept on the generator.
 
@@ -334,11 +351,10 @@ def lane_tables(gen):
     of one segment), and low and high (bits 0..ell-2 and bit ell-1 of
     every lane of c - 2 spare segments).
 
-    The weights are one int(''.join(...)) each; alpha^b times them is one
-    lane-wise xtime of the alpha^(b-1) times: shift every lane up and,
-    where its top bit left it, xor in the field polynomial. Filled on the
-    first request, which also fills pair_checks; a singular pair raises
-    SingularSystemError, and nothing is kept.
+    The weights are one int(''.join(...)) each, and lane_powers gives
+    alpha^b times them. Filled on the first request, which also fills
+    pair_checks; a singular pair raises SingularSystemError, and nothing
+    is kept.
     """
     if gen._lanes:
         return gen._lanes[0]
@@ -352,18 +368,12 @@ def lane_tables(gen):
         return int(("0" * ell * (size - count) + lane * count) * segments, 2)
 
     def times_alpha(values, size):
-        """The int of one segment of size lanes per list in values, each
-        value a lane, the first ones highest; then alpha, ..., alpha^(ell-1)
-        times it, lane by lane."""
+        """lane_powers of the int of one segment of size lanes per list in
+        values, each value a lane, the first ones highest."""
         bits = "".join("0" * ell * (size - len(v)) + "".join([format(x, width) for x in v])
                        for v in values)
-        out = [int(bits, 2)]
         low = pattern("0" + "1" * (ell - 1), size, len(values), size)
-        lsb = pattern(bit0, size, len(values), size)
-        poly = gen.ctx.poly ^ 1 << ell
-        for _ in range(ell - 1):
-            out.append((out[-1] & low) << 1 ^ (out[-1] >> ell - 1 & lsb) * poly)
-        return tuple(out)
+        return lane_powers(int(bits, 2), gen.ctx, low, pattern(bit0, size, len(values), size))
 
     intact = [*range(1, m - 1), *range(3, m + 1)]
     scan, step = [], 1

@@ -8,17 +8,19 @@ the deletions and how many went to each window, erasure-decoding all 2z
 suspect blocks from the first 2z parities and keeping a case only when the
 spare parities, padding, and per-region supersequence tests all agree.
 
-The case loop is fused, like the single-window guess loop. The c parities
-of a word and the partial sums of the intact blocks are packed ints,
-parity r+1 in bits [r*ell, (r+1)*ell) (mds.parity_sums), so a case's
-syndromes are the parities xor one table difference per intact segment.
-The first and last segments do not depend on the split and are xored in
-once per placement; a split adds only its middle segments. The logs of
-the 2z solving syndromes are taken once per case, and every spare parity
-is checked inline against the placement's log-form solver rows
-(mds.log_solver) with one antilog lookup per product and no function
-call. Only the cases that pass are solved and given the padding and
-supersequence checks; a pair with a zero share is checked by equality.
+The cases are screened at once, like the single-window guesses. The c
+parities of a word and the partial sums of the intact blocks are packed
+ints, parity r+1 in bits [r*ell, (r+1)*ell) (mds.parity_sums), so a
+case's syndromes are the parities xor one table difference per intact
+segment. _case_table lists, once per delta, every case the decoder runs,
+with the index arrays of those table reads and the spare weights of its
+placement's log-form solver rows (mds.log_solver) laid out in lanes.
+_screen gathers the syndromes of every case into one int, a block per
+case, with C-level maps over those arrays, and checks every spare parity
+of every case as bit-sliced lane products (single_window._times): no
+Python code runs per case. Only the cases that pass are solved and given
+the padding and supersequence checks; a pair with a zero share is
+checked by equality.
 
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: every
@@ -26,21 +28,26 @@ placement that contains Q, with E on Q and zero elsewhere, yields the
 same candidate or none (_decode_repetition gives the argument), so only
 the first such placement in enumerate_cases order runs the case. The
 placements, each with its solver and the zero-share patterns it owns,
-are listed once per params on the first decode; the splits once per
-delta, grouped by the patterns that run them.
+are listed once per params on the first decode; each delta's case table
+is built from those rows on its first decode.
 
 single_window.encode and decode run this layout for every params with
 r > 1. encode_multi and decode_multi are those same two functions under
 their former multi-window names.
 """
 
+from array import array
+from bisect import bisect_right
 from dataclasses import replace
-from itertools import combinations
+from itertools import accumulate, combinations, compress, repeat
+from operator import mul, xor
+from types import SimpleNamespace
 
 from . import mds
 from .gf2e import read_symbols
 from .single_window import (
     InvalidConfigError,
+    _times,
     decide,
     decode,
     derive_dims,
@@ -54,6 +61,9 @@ encode_multi, decode_multi = encode, decode
 # Enumerated cases grow combinatorially with z; past 3 windows the decoder
 # is impractical at desk scale, so multi_params refuses larger z.
 MAX_Z = 3
+
+# Byte -> 1 when its bit 0 is clear: the screen passed that case's block.
+_PASSED = bytes(1 - (b & 1) for b in range(256))
 
 
 def multi_dims(k, w, c, z):
@@ -95,7 +105,7 @@ def repetition_decode(bits, m_bits, r, d):
         raise ValueError(
             f"expected {m_bits * r - d} bits for m_bits={m_bits}, r={r}, d={d}; got {len(bits)}"
         )
-    return "".join(bits[i * r] for i in range(m_bits))
+    return bits[::r]
 
 
 def _compositions(total, parts, cap):
@@ -154,39 +164,147 @@ def _placement_table(p):
     return table
 
 
-def _split_runs(p, delta, table):
-    """The splits of delta over the z windows, each share in [0, w], that
-    each owned int of the placement table runs, in enumerate_cases order:
-    those whose zero-share pattern it owns. Each split comes with the
-    shifts of its z - 1 middle segments: segment j, between pairs j and
-    j+1, is read d_1 + ... + d_j bits early. Returned with the set of
-    shifts some segment is read at: the first segment at 0, the last at
-    delta (block m ends at k - delta), the middle ones at their splits'
-    shifts. Kept on p per delta."""
-    found = p._runs.get(delta)
-    if found is None:
-        splits = [(deltas, tuple(sum(deltas[:j]) for j in range(1, p.z)))
-                  for deltas in _compositions(delta, p.z, p.w)]
-        masks = [sum(1 << j for j, d in enumerate(deltas) if not d) for deltas, _ in splits]
-        runs = {owned: tuple(sp for sp, mask in zip(splits, masks) if owned >> mask & 1)
-                for owned in {owned for _, _, owned in table}}
-        shifts = {0, delta}.union(*(mids for _, mids in splits))
-        found = p._runs[delta] = shifts, runs
-    return found
+def _table_top(p, delta, shift):
+    """The last block of the shift table at shift for a word missing delta
+    bits: block m when block m ends inside s (it ends at k - shift), else
+    the last block whole inside s. The table's length is one more, so it
+    depends only on delta and the shift."""
+    if shift >= delta:
+        return p.m
+    return min(p.m - 1, (p.k - delta + shift) // p.ell)
 
 
 def _shift_table(s, p, shift):
     """Packed parity partial sums of the blocks of s read shift bits early:
     tab[j] covers blocks jmin..j, whose bits start at (j-1)*ell - shift,
-    and is 0 for j < jmin. The table ends at the last block whole inside
-    s, so a read past it raises IndexError instead of giving a wrong
-    syndrome."""
-    ell, m, k = p.ell, p.m, p.k
+    and is 0 for j < jmin. The table ends at _table_top, the last block
+    whole inside s."""
+    ell, k = p.ell, p.k
     jmin = -(-shift // ell) + 1
-    # block j < m ends at j*ell - shift, block m at k - shift
-    top = m if k - shift <= len(s) else min(m - 1, (len(s) + shift) // ell)
+    top = _table_top(p, k - len(s), shift)
     symbols = read_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], ell)
     return mds.parity_sums(p.gen, jmin, symbols)
+
+
+def _lanes(p, table):
+    """The layout of the case screen, and its masks, kept on p.
+
+    Every case has a block of nb bytes, lane 0 lowest, each lane ell bits.
+    The packed syndromes of the case fill lanes 0..c-1 (mds.pack). For the
+    spare checks the block holds one group of 2z lanes per spare parity:
+    group q, lanes q*2z..q*2z+2z-1, holds the 2z solving syndromes times
+    the weights of spare parity 2z+q+1 in the solver rows. spread copies
+    lanes 0..2z-1 (solve) into every group; lsb and low mask bit 0 and
+    bits 0..ell-2 of every group lane, lane0 lane 0 of every block, and
+    groups lane 0 of every group. A mask covers as many blocks as the
+    largest case set of any delta (only & reads them, so a shorter case
+    set reads them as they are); ladder lists the shifts that or the
+    bits of a lane into its bit 0. spares[row] is the block of placement
+    row's spare weights, as bytes: group q holds the weights of syndromes
+    1..2z in spare parity 2z+q+1 of its solver rows. Filled with the
+    first case table.
+    """
+    if p._lanes:
+        return p._lanes[0]
+    z, ell, c = p.z, p.ell, p.c
+    group = 2 * z
+    nb = -(-max((c - group) * group, c) * ell // 8)
+    owners = [sum(owned >> mask & 1 for _, _, owned in table) for mask in range(1 << z)]
+    most = max(sum(owners[_zeros(deltas)] for deltas in _compositions(delta, z, p.w))
+               for delta in range(z * p.w + 1))
+    lane, heads = (1 << ell) - 1, range(0, (c - group) * group * ell, group * ell)
+
+    def repeat_block(block):
+        return int.from_bytes(block.to_bytes(nb, "little") * most, "little")
+
+    lsb = sum(1 << j * ell for j in range((c - group) * group))
+    exp = p.ctx.exp
+    spares = [sum(exp[lw] << (q * group + r) * ell
+                  for q, row in enumerate(spare) for r, lw in enumerate(row[:group])
+                  ).to_bytes(nb, "little") for _, (_, spare), _ in table]
+    lanes = SimpleNamespace(
+        nb=nb, spares=spares, spread=sum(1 << h for h in heads),
+        solve=repeat_block((1 << group * ell) - 1), lsb=repeat_block(lsb),
+        low=repeat_block(lsb * (lane >> 1)), lane0=repeat_block(lane),
+        groups=repeat_block(sum(lane << h for h in heads)),
+        ladder=[1 << i for i in range((ell - 1).bit_length())])
+    p._lanes.append(lanes)
+    return lanes
+
+
+def _zeros(deltas):
+    """The zero-share pattern of a split: bit j set when window j has no
+    deletion."""
+    return sum(1 << j for j, d in enumerate(deltas) if not d)
+
+
+def _case_table(p, delta):
+    """Every case the decoder runs for delta missing bits, in
+    enumerate_cases order, laid out for the screen; kept on p per delta.
+
+    A placement runs the splits of delta whose zero-share pattern it owns
+    (_placement_table). Its cases are consecutive: used lists the
+    placements that run any, counts how many, stops where each one's
+    cases end, runs the splits each runs (indices into splits). A case's
+    syndromes are the parities xor the intact segments, each read at the
+    shift of the deletions before it:
+
+    * the first segment at shift 0 and the last at delta; they depend only
+      on the placement, read at heads and tails of the joined shift tables
+      (0, delta);
+    * middle segment j of a split at the split's shift cuts[j]; reads[2j]
+      and reads[2j+1] hold, per case, its ends in the middle tables
+      (those at shifts, joined in that order).
+
+    A read past the end of its table (_table_top) raises IndexError, so a
+    case cannot take an entry of the next table. weights is
+    mds.lane_powers of the spare weights of each case's placement, in the
+    groups _lanes describes. Built from the kept placement rows: no solver
+    is requested.
+    """
+    found = p._cases.get(delta)
+    if found is not None:
+        return found
+    table = _placement_table(p)
+    lanes = _lanes(p, table)
+    z = p.z
+    splits = list(_compositions(delta, z, p.w))
+    cuts = [tuple(sum(deltas[:j]) for j in range(1, z)) for deltas in splits]
+    shifts = sorted({sh for cut in cuts for sh in cut})
+    tops = [_table_top(p, delta, sh) for sh in shifts]
+    starts = list(accumulate([top + 1 for top in tops], initial=0))
+    first_top = _table_top(p, delta, 0)
+    by_owned = {}
+    used, counts, heads, tails, runs = array("I"), array("I"), array("I"), array("I"), []
+    reads = [array("I") for _ in range(2 * (z - 1))]
+    for row, (pairs, _, owned) in enumerate(table):
+        entry = by_owned.get(owned)
+        if entry is None:
+            run = [i for i, deltas in enumerate(splits) if owned >> _zeros(deltas) & 1]
+            at = [[shifts.index(cuts[i][j]) for i in run] for j in range(z - 1)] if run else []
+            entry = by_owned[owned] = (run, [[starts[t] for t in ts] for ts in at],
+                                       [min(tops[t] for t in ts) for ts in at])
+        run, bases, ends = entry
+        if not run:
+            continue
+        if pairs[0] - 1 > first_top or any(pairs[j + 1] - 1 > ends[j] for j in range(z - 1)):
+            raise IndexError(f"a case of placement {pairs} reads past the end of a shift table")
+        used.append(row)
+        counts.append(len(run))
+        runs.append(run)
+        heads.append(pairs[0] - 1)
+        tails.append(first_top + 1 + pairs[-1] + 1)
+        for j, base in enumerate(bases):
+            hi, lo = pairs[j + 1] - 1, pairs[j] + 1
+            reads[2 * j].extend([b + hi for b in base])
+            reads[2 * j + 1].extend([b + lo for b in base])
+    chunks = map(lanes.spares.__getitem__, used)
+    weights = int.from_bytes(b"".join(map(mul, chunks, counts)), "little")
+    found = p._cases[delta] = SimpleNamespace(
+        splits=splits, shifts=shifts, used=used, counts=counts, runs=runs,
+        stops=array("I", accumulate(counts)), heads=heads, tails=tails, reads=reads,
+        weights=mds.lane_powers(weights, p.ctx, lanes.low, lanes.lsb))
+    return found
 
 
 def _candidate(s, p, pairs, deltas, solve, lh):
@@ -241,6 +359,75 @@ def _candidate(s, p, pairs, deltas, solve, lh):
     return "".join(pieces)
 
 
+def _screen(s, parities, p):
+    """Every case's spare-parity verdict, in lanes.
+
+    s is the received word cut to its first k - delta bits, parities the
+    c parity symbols packed (mds.pack). Returns (passed, case): passed has
+    one byte per case of _case_table(p, delta), in its order, 1 when every
+    spare parity holds; case(i) gives case i's pairs, shares, solve rows
+    (mds.log_solver) and packed syndromes.
+
+    The syndromes of every case are gathered into one int, a block of nb
+    bytes each (_lanes): the first and last segments with the parities
+    once per placement, repeated over its cases, the middle segments per
+    case out of the joined middle tables, all by C-level maps over the
+    case table's index arrays. The solving syndromes are copied into
+    every group, and each lane is multiplied by its spare weight
+    (single_window._times). A group's 2z products are summed into its
+    lane 0 by doubling and xored with its spare syndrome; a case passes
+    when every group's lane 0 is zero. Every product is exact, so the
+    verdict is the one a product-by-product check gives.
+    """
+    ell, m, group = p.ell, p.m, 2 * p.z
+    delta = p.k - len(s)
+    cases = _case_table(p, delta)
+    lanes = p._lanes[0]
+    tabs = {sh: _shift_table(s, p, sh) for sh in {0, delta, *cases.shifts}}
+    last = tabs[delta]
+    base = parities ^ last[m]
+    ends = tabs[0] + [base ^ v for v in last]
+    outer = list(map(xor, map(ends.__getitem__, cases.heads), map(ends.__getitem__, cases.tails)))
+    nb, order = lanes.nb, "little"
+    packed = map(int.to_bytes, outer, repeat(nb), repeat(order))
+    syn = int.from_bytes(b"".join(map(mul, packed, cases.counts)), order)
+    middle = [v for sh in cases.shifts for v in tabs[sh]]
+    middle_bytes = list(map(int.to_bytes, middle, repeat(nb), repeat(order)))
+    for read in cases.reads:
+        syn ^= int.from_bytes(b"".join(map(middle_bytes.__getitem__, read)), order)
+
+    acc = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
+    total, done, span = 0, 0, 1           # sums of 1, 2, 4, ... lanes
+    while True:
+        if group & span:
+            total ^= acc >> done * ell
+            done += span
+        if 2 * span > group:
+            break
+        acc ^= acc >> span * ell
+        span *= 2
+    for q in range(p.c - group):
+        total ^= (syn >> (group + q) * ell & lanes.lane0) << q * group * ell
+    total &= lanes.groups
+    for step in lanes.ladder:             # a lane's bits into its bit 0
+        total |= total >> step
+    failed = total
+    for q in range(1, p.c - group):       # the groups into the block's bit 0
+        failed |= total >> q * group * ell
+    passed = failed.to_bytes(cases.stops[-1] * nb, order)[::nb].translate(_PASSED)
+
+    def case(i):
+        at = bisect_right(cases.stops, i)
+        pairs, (solve, _), _ = p._placements[cases.used[at]]
+        deltas = cases.splits[cases.runs[at][i - (cases.stops[at - 1] if at else 0)]]
+        sums = outer[at]
+        for read in cases.reads:
+            sums ^= middle[read[i]]
+        return pairs, deltas, solve, sums
+
+    return passed, case
+
+
 def _decode_repetition(y, p):
     """decode for a params with r > 1, on a word _check_received passed.
 
@@ -261,55 +448,25 @@ def _decode_repetition(y, p):
       the first case to yield each candidate, which is the guess reported
       and fixes the order of the candidates, is unchanged.
 
+    Every case's spare parities are checked at once (_screen); the cases
+    that pass, in enumeration order, reach _candidate.
+
     InvalidInput means no case tried is consistent. The cases assume that
     every deletion hit the message bits and that no two windows share a
     block pair, so some compliant words come out invalid: at k = 64,
     w = 4, c = 8, z = 2, about half of whole-codeword draws with w each.
     """
-    z, ell, m = p.z, p.ell, p.m
+    ell = p.ell
     delta = p.n - len(y)
     tail_len = p.c * ell * p.r - delta
     parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, p.r, delta)
-    parities = mds.pack(read_symbols(parity_bits, ell), ell)
-    table = _placement_table(p)
-    shifts, runs = _split_runs(p, delta, table)
     s = y[:p.k - delta]
-
-    # One table per shift some segment is read at.
-    tabs = [None] * (delta + 1)
-    for shift in shifts:
-        tabs[shift] = _shift_table(s, p, shift)
-    first, last = tabs[0], tabs[delta]
-    runs = {owned: [(deltas, [tabs[sh] for sh in mids]) for deltas, mids in run]
-            for owned, run in runs.items()}
-
-    exp, log = p.ctx.exp, p.ctx.log
-    mask = (1 << ell) - 1
-    t = 2 * z
-    heads = range(0, t * ell, ell)
+    passed, case = _screen(s, mds.pack(read_symbols(parity_bits, ell), ell), p)
+    log, mask, heads = p.ctx.log, (1 << ell) - 1, range(0, 2 * p.z * ell, ell)
     winners = {}
-    for pairs, (solve, spare), owned in table:
-        split_tabs = runs[owned]
-        if not split_tabs:
-            continue
-        # Syndromes: the parities xor the intact segments between the
-        # pairs, each read at the shift of the deletions before it. Only
-        # the middle segments depend on the split.
-        base = parities ^ first[pairs[0] - 1] ^ last[m] ^ last[pairs[-1] + 1]
-        bounds = [(pairs[j] + 1, pairs[j + 1] - 1) for j in range(z - 1)]
-        for deltas, mids in split_tabs:
-            syn = base
-            for tab, (lo, hi) in zip(mids, bounds):
-                syn ^= tab[hi] ^ tab[lo]
-            lh = [log[(syn >> sh) & mask] for sh in heads]
-            for row in spare:
-                acc = 0
-                for lw, lv in zip(row, lh):  # t products; row[t] is the shift
-                    acc ^= exp[lw + lv]
-                if acc != (syn >> row[t]) & mask:
-                    break
-            else:
-                cand = _candidate(s, p, pairs, deltas, solve, lh)
-                if cand is not None and cand not in winners:
-                    winners[cand] = (pairs, deltas)
+    for i in compress(range(len(passed)), passed):
+        pairs, deltas, solve, syn = case(i)
+        cand = _candidate(s, p, pairs, deltas, solve, [log[syn >> sh & mask] for sh in heads])
+        if cand is not None and cand not in winners:
+            winners[cand] = (pairs, deltas)
     return decide(winners)

@@ -72,10 +72,11 @@ class CodeParams:
     z: int = 1
     r: int = 1
     # the repetition decoder's tables, filled on its first call: the
-    # placement table, and per delta the shifts its segments are read at
-    # and the splits each ownership runs
+    # placement table, the screen's layout and masks, and per delta the
+    # case table
     _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _cases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):

@@ -19,7 +19,10 @@ from gccodes.channel import (
 )
 from gccodes.mds import Generator, SingularSystemError
 from gccodes.multi_window import (
+    _case_table,
+    _screen,
     _shift_table,
+    _table_top,
     decode_multi,
     encode_multi,
     enumerate_cases,
@@ -39,7 +42,7 @@ from gccodes.single_window import (
     gc_params,
     is_subsequence,
 )
-from oracles import erasure_decode, message_parity_bits, verify_parities
+from oracles import erasure_decode, loop_parities, message_parity_bits, verify_parities
 
 
 def test_repetition_encode_golden():
@@ -544,18 +547,94 @@ def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
         assert multi_window._candidate(s, mp, pairs, deltas, solve, lh) == want
 
 
-def test_case_off_the_last_shift_raises():
-    # with delta = 5 the table at shift 2 ends at block 10, so a case whose
-    # shares left the last segment at shift 2 < delta would read past it:
-    # that read must raise, not give 0
+def test_case_off_the_last_shift_raises(monkeypatch):
+    # with delta = 5 the table at shift 2 ends at block 10, and its length
+    # depends only on delta and the shift; the case table checks every
+    # read against it, so a read past the end raises when the table is
+    # built instead of taking an entry of the next joined table
     mp = multi_params(64, 4, 8, 2)        # ell 6, m 11
     delta = 5
     s = U64[:mp.k - delta]
-    tab = _shift_table(s, mp, 2)
-    assert len(tab) == 11
-    with pytest.raises(IndexError):
-        tab[mp.m]
-    assert len(_shift_table(s, mp, delta)) == mp.m + 1
+    assert len(_shift_table(s, mp, 2)) == _table_top(mp, delta, 2) + 1 == 11
+    assert len(_shift_table(s, mp, delta)) == _table_top(mp, delta, delta) + 1 == mp.m + 1
+    real = multi_window._table_top
+
+    def shorter(p, d, shift):               # the shift-2 table two blocks short
+        return real(p, d, shift) - 2 * (shift == 2)
+
+    monkeypatch.setattr(multi_window, "_table_top", shorter)
+    with pytest.raises(IndexError, match="past the end"):
+        _case_table(mp, delta)
+    assert delta not in mp._cases
+    monkeypatch.setattr(multi_window, "_table_top", real)
+    assert _case_table(mp, delta).reads      # middle segments read at shift 2
+
+
+def oracle_case(s, parities, pairs, deltas, mp):
+    """The packed syndromes of a case and whether its spare parities hold,
+    by the definition: every intact block sliced off s at the shift of the
+    windows before it, the 2z damaged blocks erasure-decoded from
+    parities 1..2z, then parities 2z+1..c recomputed from all blocks."""
+    ell, m, t = mp.ell, mp.m, 2 * mp.z
+    erased = [e for i in pairs for e in (i, i + 1)]
+    symbols = [None] * m
+    for j in range(1, m + 1):
+        if j not in erased:
+            shift = sum(d for i, d in zip(pairs, deltas) if i < j)
+            start, blen = (j - 1) * ell - shift, mp.last_block_len if j == m else ell
+            bits = s[start:start + blen]
+            assert start >= 0 and len(bits) == blen, (pairs, deltas, j)
+            symbols[j - 1] = int(bits, 2) << (ell - blen)
+    intact = loop_parities([v or 0 for v in symbols], mp.gen)
+    syndromes = mds.pack([a ^ b for a, b in zip(parities, intact)], ell)
+    filled = erasure_decode(symbols, erased, parities[:t], range(1, t + 1), mp.gen)
+    return syndromes, verify_parities(filled, parities[t:], range(t + 1, mp.c + 1), mp.gen)
+
+
+@pytest.mark.parametrize("args, count", [
+    ((16, 2, 5, 2), 30),                  # one placement
+    ((64, 4, 8, 1), 30),
+    ((50, 3, 6, 2, "vandermonde"), 30),
+    ((100, 4, 10, 2), 24),                # c*ell = 70 > 64
+    ((96, 4, 10, 3), 9),                  # c*ell = 70 > 64, z = 3
+], ids=["one-placement", "z1", "vandermonde", "z2-c10", "z3-c10"])
+def test_screen_lanes_match_the_oracle(args, count):
+    """Every lane of the case screen, not only the survivors: its case is
+    the next one of enumerate_cases that checks a new (damaged pairs,
+    shares) set, its syndromes and its spare verdict are the oracle's.
+    The words are channel words with their true parities (the true case
+    passes), random bits and parities (most fail) and zeros (all pass)."""
+    mp = multi_params(*args)
+    ell, c = mp.ell, mp.c
+    rng = random.Random(f"screen/{args}")
+    verdicts = set()
+    for t in range(count):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
+        delta = sum(deltas)
+        if t % 3 == 0:
+            pat = sample_pattern(mp, deltas, rng, "systematic-only")
+            s = delete_localized(u, pat)
+            bits = message_parity_bits(u, mp.gen)
+            parities = [int(bits[q * ell:(q + 1) * ell], 2) for q in range(c)]
+        elif t % 3 == 1:
+            s = format(rng.getrandbits(mp.k - delta), f"0{mp.k - delta}b")
+            parities = [rng.getrandbits(ell) for _ in range(c)]
+        else:
+            s, parities = "0" * (mp.k - delta), [0] * c
+        passed, case = _screen(s, mds.pack(parities, ell), mp)
+        firsts = {}
+        for pairs, shares in enumerate_cases(mp, delta):
+            firsts.setdefault(tuple((i, d) for i, d in zip(pairs, shares) if d), (pairs, shares))
+        assert len(passed) == len(firsts)
+        assert set(passed) <= {0, 1}
+        lanes = [case(i) for i in range(len(passed))]
+        assert [(pairs, shares) for pairs, shares, _, _ in lanes] == list(firsts.values())
+        for (pairs, shares, _, syndromes), ok in zip(lanes, passed):
+            want = oracle_case(s, parities, pairs, shares, mp)
+            assert (syndromes, bool(ok)) == want, (args, t, pairs, shares)
+            verdicts.add(bool(ok))
+    assert verdicts == {False, True}
 
 
 def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
