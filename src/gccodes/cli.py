@@ -11,6 +11,7 @@ multi_window._decode_repetition).
 """
 
 import argparse
+import os
 import sys
 
 from . import channel, sim
@@ -168,6 +169,9 @@ def _cmd_simulate(args):
         raise CliError(f"bad --k-list {args.k_list!r}") from exc
     for k in k_list:
         _check_field(k, (k - 1).bit_length(), args.c)  # sim ties w to k
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise CliError(f"--workers {args.workers} must be in 1..{cpus}, the CPU count")
     cfg = sim.SimConfig(
         k_list=k_list, c=args.c, z=args.z, trials=args.trials,
         delta=args.delta, delta_frac=args.delta_frac,

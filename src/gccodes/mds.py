@@ -15,18 +15,13 @@ vectors is one xor. Every packed parity bit is GF(2)-linear in the message
 bits, so the encoder is bit-sliced: parity_planes keeps one mask per
 packed bit over the message read as one int, and packed_parities takes
 bit p as the parity of the popcount of x & planes[p], c*ell popcounts per
-message. Both encoders go through it. The multi-window decoder reads a
-block's packed contribution instead (block_sums): it is GF(2)-linear in
-the block's symbol, so sum_tables keeps it in split tables, one per chunk
-of at most 6 symbol bits (the "split table" method of GF-Complete), and a
-block costs one lookup per chunk, two up to ell = 12, and no product;
-parity_sums gives the running sums of its shift tables, which its case
-screen gathers into lanes. The single-window screen takes every block's
-contribution at once: lane_tables keeps, per symbol bit b, alpha^b times
-the blocks' weights, one per ell-bit lane of one int, so a bit of every
-block costs a few big-int operations. lane_powers gives those alpha^b
-multiples for any lanes; the multi-window screen takes its spare weights
-through it too.
+message. Both encoders go through it. The decoders' screens take every
+block's contribution at once instead: a lane holds one field element, an
+ell-bit field of one int, and a product by a weight per lane costs, per
+symbol bit b, a few big-int operations against alpha^b times the
+weights. lane_powers gives those alpha^b multiples for any lanes;
+lane_tables keeps them for the single-window screen, and the multi-window
+screen takes its block and spare weights through lane_powers too.
 
 The decoders' solves multiply in log form: log_solver keeps an erasure
 solver's rows for any erased set as logs, pair_checks the single-window
@@ -42,8 +37,6 @@ matching the way code blocks are counted everywhere else in this package.
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import xor
 from types import SimpleNamespace
 
 from .gf2e import FieldContext
@@ -71,8 +64,6 @@ class Generator:
     ctx: FieldContext
     rows: tuple
     # Filled on first request, so building a generator builds none of them:
-    # sum_tables result
-    _sum_tables: list = field(default_factory=list, init=False, repr=False, compare=False)
     # erased blocks -> log_solver result
     _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # parity_planes result
@@ -89,9 +80,12 @@ def make_generator(m, c, ctx, kind="cauchy"):
     block are nonsingular, so any pattern of erasures covered by enough
     parities is solvable.
 
-    vandermonde: power-of-alpha weights alpha^{(i-1)(r-1)}. Not guaranteed
-    MDS for every (m, c, ell); a guess that leads to an unsolvable erasure
-    system surfaces as SingularSystemError.
+    vandermonde: power-of-alpha weights alpha^{(i-1)(r-1)}. Not MDS for
+    every (m, c, ell), but the decoders only solve parities 1..t on the t
+    erased blocks, and that system is a Vandermonde matrix in the distinct
+    nodes alpha^{i-1} (m < 2^ell), so it is always nonsingular. Only a
+    spare parity's row can degenerate, into zero weights; that weakens
+    the check and is not an error.
     """
     if kind not in ("cauchy", "vandermonde"):
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -106,83 +100,9 @@ def make_generator(m, c, ctx, kind="cauchy"):
     return Generator(m=m, c=c, kind=kind, ctx=ctx, rows=rows)
 
 
-def _chunk_bits(ell):
-    """Width of the low chunks a symbol is split into for sum_tables: the
-    fewest chunks of at most 6 bits, and at least two, as even as they go;
-    the top chunk takes what is left."""
-    count = max(2, -(-ell // 6))
-    return -(-ell // count)
-
-
-def sum_tables(gen):
-    """Split tables of every block's packed parity contribution, kept on the
-    generator.
-
-    Entry i holds one table per chunk of a symbol v of block i+1, the chunk
-    at bit b covering v's bits [b, b + _chunk_bits(ell)). Entry x of a
-    chunk's table packs mul(x << b, rows[i][r]) over the parities r, so the
-    packed contribution of v is the xor of its chunks' entries. A table is
-    built from the chunk's single-bit contributions by xor and has at most
-    64 entries.
-    """
-    out = gen._sum_tables
-    if not out:
-        exp, log, ell = gen.ctx.exp, gen.ctx.log, gen.ctx.ell
-        width = _chunk_bits(ell)
-        for row in gen.rows:
-            logs = [(log[g], r * ell) for r, g in enumerate(row)]
-            tables = []
-            for lo in range(0, ell, width):
-                table = [0]
-                for b in range(lo, min(lo + width, ell)):
-                    lb = log[1 << b]
-                    bit = 0
-                    for lg, sh in logs:
-                        bit ^= exp[lb + lg] << sh
-                    table += [x ^ bit for x in table]
-                tables.append(table)
-            out.append(tuple(tables))
-    return out
-
-
-def block_sums(gen, first, symbols):
-    """Packed parity contribution of each symbol, for consecutive blocks.
-
-    symbols[n] is the symbol of block first + n (blocks numbered from 1).
-    Entry n of the result packs mul(symbols[n], rows[first+n-1][r]) over
-    the parities r, parity r+1 in bits [r*ell, (r+1)*ell). Each symbol
-    costs one sum_tables lookup per chunk.
-    """
-    tables = sum_tables(gen)
-    chunks = tables[0]
-    w1 = len(chunks[0]).bit_length() - 1        # width of all chunks but the top one
-    w2, w3 = 2 * w1, 3 * w1
-    mask = (1 << w1) - 1
-    if first > 1:
-        tables = tables[first - 1:]
-    # One comprehension per chunk count, unrolled: a loop over a block's
-    # tables costs more than the log-form products it replaces.
-    if len(chunks) == 2:
-        return [t0[v & mask] ^ t1[v >> w1] for (t0, t1), v in zip(tables, symbols)]
-    if len(chunks) == 3:
-        return [t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2]
-                for (t0, t1, t2), v in zip(tables, symbols)]
-    return [t0[v & mask] ^ t1[v >> w1 & mask] ^ t2[v >> w2 & mask] ^ t3[v >> w3]
-            for (t0, t1, t2, t3), v in zip(tables, symbols)]
-
-
-def parity_sums(gen, first, symbols):
-    """Running packed parity sums of block_sums(gen, first, symbols),
-    indexed by block number: entry j is the xor of the contributions of
-    blocks first..j, and 0 for j < first."""
-    out = [0] * first
-    out += accumulate(block_sums(gen, first, symbols), xor)
-    return out
-
-
 def pack(values, ell):
-    """values[r] in bits [r*ell, (r+1)*ell) of one int, the layout of
-    block_sums."""
+    """values[r] in bits [r*ell, (r+1)*ell) of one int: the packed parity
+    layout."""
     return sum(v << (r * ell) for r, v in enumerate(values))
 
 

@@ -8,16 +8,17 @@ the deletions and how many went to each window, erasure-decoding all 2z
 suspect blocks from the first 2z parities and keeping a case only when the
 spare parities, padding, and per-region supersequence tests all agree.
 
-The cases are screened at once, like the single-window guesses. The c
-parities of a word and the partial sums of the intact blocks are packed
-ints, parity r+1 in bits [r*ell, (r+1)*ell) (mds.parity_sums), so a
-case's syndromes are the parities xor one table difference per intact
-segment. _case_table lists, once per delta, every case the decoder runs,
-with the index arrays of those table reads and the spare weights of its
-placement's log-form solver rows (mds.log_solver) laid out in lanes.
-_screen gathers the syndromes of every case into one int, a block per
-case, with C-level maps over those arrays, and checks every spare parity
-of every case as bit-sliced lane products (single_window._times): no
+The cases are screened at once, with the lane products of the
+single-window screen (single_window._times). The c parities of a word
+and the partial sums of the intact blocks are packed ints (mds.pack), so
+a case's syndromes are the parities xor one difference of partial sums
+per intact segment. _prefix_sums gives the partial sums at every shift a
+segment is read at, in one lane pass over s. _case_table lists, once per
+delta, every case the decoder runs, with the index arrays of those reads
+and the spare weights of its placement's log-form solver rows
+(mds.log_solver) in lanes. _screen gathers the syndromes of every case
+into one int, a block per case, with C-level maps over those arrays, and
+checks every spare parity of every case as lane products: no
 Python code runs per case. Only the cases that pass are solved and given
 the padding and supersequence checks; a pair with a zero share is
 checked by equality.
@@ -39,7 +40,8 @@ their former multi-window names.
 from array import array
 from bisect import bisect_right
 from dataclasses import replace
-from itertools import accumulate, combinations, compress, repeat
+from functools import reduce
+from itertools import accumulate, combinations, compress
 from operator import mul, xor
 from types import SimpleNamespace
 
@@ -165,68 +167,84 @@ def _placement_table(p):
 
 
 def _table_top(p, delta, shift):
-    """The last block of the shift table at shift for a word missing delta
-    bits: block m when block m ends inside s (it ends at k - shift), else
-    the last block whole inside s. The table's length is one more, so it
-    depends only on delta and the shift."""
+    """The last block whose prefix sum at shift is read for a word missing
+    delta bits: block m when block m ends inside s (it ends at k - shift),
+    else the last block whole inside s. It depends only on delta and the
+    shift."""
     if shift >= delta:
         return p.m
     return min(p.m - 1, (p.k - delta + shift) // p.ell)
 
 
-def _shift_table(s, p, shift):
-    """Packed parity partial sums of the blocks of s read shift bits early:
-    tab[j] covers blocks jmin..j, whose bits start at (j-1)*ell - shift,
-    and is 0 for j < jmin. The table ends at _table_top, the last block
-    whole inside s."""
-    ell, k = p.ell, p.k
-    jmin = -(-shift // ell) + 1
-    top = _table_top(p, k - len(s), shift)
-    symbols = read_symbols(s[(jmin - 1) * ell - shift:min(k, top * ell) - shift], ell)
-    return mds.parity_sums(p.gen, jmin, symbols)
-
-
 def _lanes(p, table):
     """The layout of the case screen, and its masks, kept on p.
 
-    Every case has a block of nb bytes, lane 0 lowest, each lane ell bits.
-    The packed syndromes of the case fill lanes 0..c-1 (mds.pack). For the
-    spare checks the block holds one group of 2z lanes per spare parity:
-    group q, lanes q*2z..q*2z+2z-1, holds the 2z solving syndromes times
-    the weights of spare parity 2z+q+1 in the solver rows. spread copies
-    lanes 0..2z-1 (solve) into every group; lsb and low mask bit 0 and
-    bits 0..ell-2 of every group lane, lane0 lane 0 of every block, and
-    groups lane 0 of every group. A mask covers as many blocks as the
-    largest case set of any delta (only & reads them, so a shorter case
-    set reads them as they are); ladder lists the shifts that or the
-    bits of a lane into its bit 0. spares[row] is the block of placement
-    row's spare weights, as bytes: group q holds the weights of syndromes
-    1..2z in spare parity 2z+q+1 of its solver rows. Filled with the
-    first case table.
+    The screen's ints are cut into blocks of nb bytes, each of width lanes
+    of ell bits, lane 0 lowest. lsb and low mask bit 0 and bits 0..ell-2
+    of every lane; only & reads a mask, so each covers the most blocks
+    any delta uses, and a shorter int reads it as it is.
+
+    The prefix sums come in groups of m + 1 blocks, one per shift
+    (_prefix_sums): steps lists the (mask, shift) moves that spread
+    ell-bit lanes out to one per block, copy copies lane 0 into lanes
+    0..c-1, weights holds mds.lane_powers of block j's packed weights in
+    block m - j of every group, and scan a (shift, mask) pair per
+    doubling step of the running xor down each group. ones has bit 0 of
+    every block of one group, syndromes lanes 0..c-1 of one block, and
+    slices cuts the blocks out of the bytes of an int.
+
+    A case's block holds its packed syndromes in lanes 0..c-1. For the
+    spare checks it holds one group of 2z lanes per spare parity: group
+    q, lanes q*2z..q*2z+2z-1, holds the 2z solving syndromes times the
+    weights of spare parity 2z+q+1 in the solver rows. spread copies
+    lanes 0..2z-1 (solve) into every group; lane0 masks lane 0 of every
+    block and groups lane 0 of every group; ladder lists the shifts that
+    or the bits of a lane into its bit 0. spares[row] is the block of
+    placement row's spare weights, as bytes. Filled with the first case
+    table.
     """
     if p._lanes:
         return p._lanes[0]
-    z, ell, c = p.z, p.ell, p.c
+    z, ell, c, m = p.z, p.ell, p.c, p.m
     group = 2 * z
-    nb = -(-max((c - group) * group, c) * ell // 8)
+    width = max((c - group) * group, c)
+    nb = -(-width * ell // 8)
     owners = [sum(owned >> mask & 1 for _, _, owned in table) for mask in range(1 << z)]
     most = max(sum(owners[_zeros(deltas)] for deltas in _compositions(delta, z, p.w))
                for delta in range(z * p.w + 1))
-    lane, heads = (1 << ell) - 1, range(0, (c - group) * group * ell, group * ell)
+    shifts = z * p.w + 1                  # distinct shifts 0..delta, or 0 twice
+    entries, bits = shifts * (m + 1), 8 * nb
+    lane, gap = (1 << ell) - 1, bits - ell
+    heads = range(0, (c - group) * group * ell, group * ell)
 
     def repeat_block(block):
-        return int.from_bytes(block.to_bytes(nb, "little") * most, "little")
+        return int.from_bytes(block.to_bytes(nb, "little") * max(most, entries), "little")
 
-    lsb = sum(1 << j * ell for j in range((c - group) * group))
+    lsb = repeat_block(sum(1 << j * ell for j in range(width)))
+    low = lsb * (lane >> 1)
+    # lane i moves up by i * gap in all, gap << b at the step of its bit b
+    steps = [(sum(lane << i * ell + (i >> b + 1 << b + 1) * gap
+                  for i in range(entries) if i >> b & 1), gap << b)
+             for b in reversed(range((entries - 1).bit_length()))]
+    scan, step, full = [], 1, (1 << c * ell) - 1
+    while step < m:
+        scan.append((bits * step, sum(full << bits * e for e in range(entries)
+                                      if e % (m + 1) <= m - step)))
+        step *= 2
+    block_weights = sum(mds.pack(p.gen.rows[m - 1 - e % (m + 1)], ell) << bits * e
+                        for e in range(entries) if e % (m + 1) < m)
     exp = p.ctx.exp
     spares = [sum(exp[lw] << (q * group + r) * ell
                   for q, row in enumerate(spare) for r, lw in enumerate(row[:group])
                   ).to_bytes(nb, "little") for _, (_, spare), _ in table]
     lanes = SimpleNamespace(
-        nb=nb, spares=spares, spread=sum(1 << h for h in heads),
-        solve=repeat_block((1 << group * ell) - 1), lsb=repeat_block(lsb),
-        low=repeat_block(lsb * (lane >> 1)), lane0=repeat_block(lane),
-        groups=repeat_block(sum(lane << h for h in heads)),
+        nb=nb, steps=steps, copy=sum(1 << r * ell for r in range(c)),
+        weights=mds.lane_powers(block_weights, p.ctx, low, lsb), scan=scan,
+        ones=sum(1 << bits * t for t in range(m + 1)), syndromes=full,
+        slices=[slice(i, i + nb) for i in range(0, max(entries, len(table)) * nb, nb)],
+        spares=spares, spread=sum(1 << h for h in heads),
+        solve=repeat_block((1 << group * ell) - 1), lsb=lsb, low=low,
+        lane0=repeat_block(lane), groups=repeat_block(sum(lane << h for h in heads)),
         ladder=[1 << i for i in range((ell - 1).bit_length())])
     p._lanes.append(lanes)
     return lanes
@@ -247,17 +265,19 @@ def _case_table(p, delta):
     placements that run any, counts how many, stops where each one's
     cases end, runs the splits each runs (indices into splits). A case's
     syndromes are the parities xor the intact segments, each read at the
-    shift of the deletions before it:
+    shift of the deletions before it, as entries of the prefix groups at
+    shifts (_lanes); block j of group g is entry g*(m+1) + m - j:
 
     * the first segment at shift 0 and the last at delta; they depend only
-      on the placement, read at heads and tails of the joined shift tables
-      (0, delta);
+      on the placement, read at heads and tails, the first and last group
+      (the last has one of its own, also when delta is 0);
     * middle segment j of a split at the split's shift cuts[j]; reads[2j]
-      and reads[2j+1] hold, per case, its ends in the middle tables
-      (those at shifts, joined in that order).
+      and reads[2j+1] hold, per case, its ends in that shift's group.
 
-    A read past the end of its table (_table_top) raises IndexError, so a
-    case cannot take an entry of the next table. weights is
+    align gives per group the (left shift, mask) that puts the blocks of s
+    read at its shift into its lanes. Blocks past a group's last block
+    whole inside s (_table_top) hold no prefix sum, and a read of one
+    raises IndexError, so no case takes such an entry. weights is
     mds.lane_powers of the spare weights of each case's placement, in the
     groups _lanes describes. Built from the kept placement rows: no solver
     is requested.
@@ -267,13 +287,15 @@ def _case_table(p, delta):
         return found
     table = _placement_table(p)
     lanes = _lanes(p, table)
-    z = p.z
+    z, ell, m = p.z, p.ell, p.m
     splits = list(_compositions(delta, z, p.w))
     cuts = [tuple(sum(deltas[:j]) for j in range(1, z)) for deltas in splits]
-    shifts = sorted({sh for cut in cuts for sh in cut})
+    shifts = [0, *sorted({sh for cut in cuts for sh in cut} - {0, delta}), delta]
     tops = [_table_top(p, delta, sh) for sh in shifts]
-    starts = list(accumulate([top + 1 for top in tops], initial=0))
-    first_top = _table_top(p, delta, 0)
+    align = []
+    for g, sh in enumerate(shifts):
+        at, jmin = g * (m + 1) * ell, -(-sh // ell) + 1
+        align.append((m * ell - p.k + delta - sh + at, ((1 << (m - jmin + 1) * ell) - 1) << at))
     by_owned = {}
     used, counts, heads, tails, runs = array("I"), array("I"), array("I"), array("I"), []
     reads = [array("I") for _ in range(2 * (z - 1))]
@@ -282,29 +304,62 @@ def _case_table(p, delta):
         if entry is None:
             run = [i for i, deltas in enumerate(splits) if owned >> _zeros(deltas) & 1]
             at = [[shifts.index(cuts[i][j]) for i in run] for j in range(z - 1)] if run else []
-            entry = by_owned[owned] = (run, [[starts[t] for t in ts] for ts in at],
-                                       [min(tops[t] for t in ts) for ts in at])
+            entry = by_owned[owned] = (run, [[g * (m + 1) + m for g in gs] for gs in at],
+                                       [min(tops[g] for g in gs) for gs in at])
         run, bases, ends = entry
         if not run:
             continue
-        if pairs[0] - 1 > first_top or any(pairs[j + 1] - 1 > ends[j] for j in range(z - 1)):
-            raise IndexError(f"a case of placement {pairs} reads past the end of a shift table")
+        if pairs[0] - 1 > tops[0] or any(pairs[j + 1] - 1 > ends[j] for j in range(z - 1)):
+            raise IndexError(f"a case of placement {pairs} reads past the end of a prefix group")
         used.append(row)
         counts.append(len(run))
         runs.append(run)
-        heads.append(pairs[0] - 1)
-        tails.append(first_top + 1 + pairs[-1] + 1)
+        heads.append(m - (pairs[0] - 1))
+        tails.append(len(shifts) * (m + 1) - 1 - (pairs[-1] + 1))
         for j, base in enumerate(bases):
             hi, lo = pairs[j + 1] - 1, pairs[j] + 1
-            reads[2 * j].extend([b + hi for b in base])
-            reads[2 * j + 1].extend([b + lo for b in base])
+            reads[2 * j].extend([b - hi for b in base])
+            reads[2 * j + 1].extend([b - lo for b in base])
     chunks = map(lanes.spares.__getitem__, used)
     weights = int.from_bytes(b"".join(map(mul, chunks, counts)), "little")
     found = p._cases[delta] = SimpleNamespace(
-        splits=splits, shifts=shifts, used=used, counts=counts, runs=runs,
+        splits=splits, shifts=shifts, align=align, used=used, counts=counts, runs=runs,
         stops=array("I", accumulate(counts)), heads=heads, tails=tails, reads=reads,
         weights=mds.lane_powers(weights, p.ctx, lanes.low, lanes.lsb))
     return found
+
+
+def _prefix_sums(s, parities, p, cases):
+    """The entries of every prefix group of cases (_case_table), as nb
+    bytes each in the layout of _lanes: entry g*(m+1) + m - j packs the
+    parity contributions of blocks jmin..j of s read at group g's shift,
+    where jmin is the first block whole inside s at that shift, and 0 for
+    j < jmin. The last group, at delta, holds the parities xor the blocks
+    after j instead. Entries past a group's _table_top are not sums.
+
+    s is read once as an int; each group takes one copy of it, aligned
+    and masked (cases.align). The lanes are spread out to one per entry
+    in about log2 of the entry count moves, each symbol is copied into
+    the c parity lanes by one multiply and multiplied by its block's
+    weights lane by lane (single_window._times), and a running xor in
+    doubling steps gives the sums down each group. One to_bytes gives
+    every entry.
+    """
+    lanes = p._lanes[0]
+    word, x = int(s, 2), 0
+    for left, mask in cases.align:
+        x |= word << left & mask
+    for mask, shift in lanes.steps:
+        moved = x & mask
+        x ^= moved ^ moved << shift
+    acc = _times(x * lanes.copy, lanes.weights, lanes.lsb, (1 << p.ell) - 1)
+    for shift, mask in lanes.scan:
+        acc ^= acc >> shift & mask
+    last = 8 * lanes.nb * (len(cases.shifts) - 1) * (p.m + 1)
+    acc ^= (parities ^ acc >> last & lanes.syndromes) * lanes.ones << last
+    entries = len(cases.shifts) * (p.m + 1)
+    table = acc.to_bytes(entries * lanes.nb, "little")
+    return list(map(table.__getitem__, lanes.slices[:entries]))
 
 
 def _candidate(s, p, pairs, deltas, solve, lh):
@@ -369,32 +424,28 @@ def _screen(s, parities, p):
     (mds.log_solver) and packed syndromes.
 
     The syndromes of every case are gathered into one int, a block of nb
-    bytes each (_lanes): the first and last segments with the parities
-    once per placement, repeated over its cases, the middle segments per
-    case out of the joined middle tables, all by C-level maps over the
-    case table's index arrays. The solving syndromes are copied into
-    every group, and each lane is multiplied by its spare weight
-    (single_window._times). A group's 2z products are summed into its
-    lane 0 by doubling and xored with its spare syndrome; a case passes
-    when every group's lane 0 is zero. Every product is exact, so the
-    verdict is the one a product-by-product check gives.
+    bytes each (_lanes), out of the prefix sums (_prefix_sums): the first
+    and last segments with the parities xored once per placement and
+    repeated over its cases, the middle segments per case, all by C-level
+    maps over the case table's index arrays. The solving syndromes are
+    copied into every group, and each lane is multiplied by its spare
+    weight (single_window._times). A group's 2z products are summed into
+    its lane 0 by doubling and xored with its spare syndrome; a case
+    passes when every group's lane 0 is zero. Every product is exact, so
+    the verdict is the one a product-by-product check gives.
     """
-    ell, m, group = p.ell, p.m, 2 * p.z
-    delta = p.k - len(s)
-    cases = _case_table(p, delta)
+    ell, group = p.ell, 2 * p.z
+    cases = _case_table(p, p.k - len(s))
     lanes = p._lanes[0]
-    tabs = {sh: _shift_table(s, p, sh) for sh in {0, delta, *cases.shifts}}
-    last = tabs[delta]
-    base = parities ^ last[m]
-    ends = tabs[0] + [base ^ v for v in last]
-    outer = list(map(xor, map(ends.__getitem__, cases.heads), map(ends.__getitem__, cases.tails)))
+    entry = _prefix_sums(s, parities, p, cases).__getitem__
     nb, order = lanes.nb, "little"
-    packed = map(int.to_bytes, outer, repeat(nb), repeat(order))
-    syn = int.from_bytes(b"".join(map(mul, packed, cases.counts)), order)
-    middle = [v for sh in cases.shifts for v in tabs[sh]]
-    middle_bytes = list(map(int.to_bytes, middle, repeat(nb), repeat(order)))
+    head, tail = (int.from_bytes(b"".join(map(entry, ends)), order)
+                  for ends in (cases.heads, cases.tails))
+    outer = (head ^ tail).to_bytes(len(cases.heads) * nb, order)
+    syn = int.from_bytes(b"".join(map(mul, map(outer.__getitem__, lanes.slices), cases.counts)),
+                         order)
     for read in cases.reads:
-        syn ^= int.from_bytes(b"".join(map(middle_bytes.__getitem__, read)), order)
+        syn ^= int.from_bytes(b"".join(map(entry, read)), order)
 
     acc = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
     total, done, span = 0, 0, 1           # sums of 1, 2, 4, ... lanes
@@ -420,10 +471,8 @@ def _screen(s, parities, p):
         at = bisect_right(cases.stops, i)
         pairs, (solve, _), _ = p._placements[cases.used[at]]
         deltas = cases.splits[cases.runs[at][i - (cases.stops[at - 1] if at else 0)]]
-        sums = outer[at]
-        for read in cases.reads:
-            sums ^= middle[read[i]]
-        return pairs, deltas, solve, sums
+        ends = [outer[at * nb:(at + 1) * nb], *(entry(read[i]) for read in cases.reads)]
+        return pairs, deltas, solve, reduce(xor, [int.from_bytes(e, order) for e in ends])
 
     return passed, case
 

@@ -76,7 +76,7 @@ def resolve_delta(cfg, w):
 @lru_cache(maxsize=16)
 def _make_params(k, c, z, kind):
     """The code for one k, kept across run_trials calls: its parity planes
-    fill on the first encode, its decoder tables (split tables, solvers) on
+    fill on the first encode, its decoder tables (lane tables, solvers) on
     the first decode, and every later trial in this process reuses them."""
     w = (k - 1).bit_length()
     if z == 1:
@@ -122,6 +122,8 @@ def run_trials(cfg, workers=1, progress=False):
     workers > 1 spreads the trial blocks over processes; the outcome is
     identical either way because every trial seeds its own streams.
     """
+    if workers < 1:
+        raise InvalidConfigError(f"workers={workers} must be at least 1")
     rows = []
     for k in cfg.k_list:
         params = _make_params(k, cfg.c, cfg.z, cfg.kind)

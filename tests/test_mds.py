@@ -19,7 +19,6 @@ from gccodes.mds import (
     FieldTooSmallError,
     SingularSystemError,
     Generator,
-    block_sums,
     erasure_solver,
     lane_tables,
     log_solver,
@@ -28,8 +27,6 @@ from gccodes.mds import (
     packed_parities,
     pair_checks,
     parity_planes,
-    parity_sums,
-    sum_tables,
 )
 from oracles import (
     erasure_decode,
@@ -82,95 +79,6 @@ def test_parities_of_worked_example():
     assert packed_parities(x, gen) == pack(P_EXAMPLE, 4)
 
 
-GENERATORS = [
-    gc_params(100, 7, 5).gen,                     # ell 7, last block 2 bits
-    gc_params(64, 4, 5, "vandermonde").gen,
-    Generator(m=3, c=3, kind="test", ctx=GF16,    # zero weights
-              rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
-    gc_params(300, 13, 3).gen,                    # ell 13: three table chunks
-]
-GENERATOR_IDS = ["cauchy-short-last", "vandermonde", "zero-weights", "three-chunks"]
-
-
-@pytest.mark.parametrize("gen", GENERATORS, ids=GENERATOR_IDS)
-def test_parity_sums_unpack_to_loop(gen):
-    ell = gen.ctx.ell
-    rng = random.Random(gen.m)
-    for _ in range(20):
-        u = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(gen.m)]
-        sums = parity_sums(gen, 1, u)
-        assert len(sums) == gen.m + 1
-        for n, packed in enumerate(sums):
-            want = loop_parities(u[:n], gen)
-            assert packed == pack(want, ell)
-            assert [(packed >> (r * ell)) % (1 << ell) for r in range(gen.c)] == want
-    # a run may start at any block: entry n of block_sums is the share of
-    # block first + n alone, and entry j of the sums covers blocks first..j
-    for first in range(1, gen.m + 1):
-        run = [rng.randrange(1 << ell) for _ in range(first, gen.m + 1)]
-        for n, got in enumerate(block_sums(gen, first, run)):
-            alone = [0] * gen.m
-            alone[first - 1 + n] = run[n]
-            assert got == pack(loop_parities(alone, gen), ell), (first, n)
-        sums = parity_sums(gen, first, run)
-        assert len(sums) == gen.m + 1 and sums[:first] == [0] * first
-        want = loop_parities([0] * (first - 1) + run, gen)
-        assert sums[-1] == pack(want, ell)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: gc_params(100, 7, 5).gen,             # ell 7: chunks of 4 and 3 bits
-    lambda: gc_params(64, 4, 5, "vandermonde").gen,
-    lambda: Generator(m=3, c=3, kind="test", ctx=GF16,
-                      rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
-    lambda: make_generator(4, 3, GF16, "vandermonde"),    # two 2-bit chunks
-    lambda: gc_params(300, 13, 3).gen,            # ell 13: three chunks
-    lambda: make_generator(3, 3, FieldContext(19), "cauchy"),   # four chunks, 5, 5, 5 and 4 bits
-], ids=GENERATOR_IDS[:3] + ["gf16", "three-chunks", "four-chunks"])
-def test_sum_tables_reproduce_products(make):
-    gen = make()                                  # fresh, so no table is filled yet
-    ctx, ell = gen.ctx, gen.ctx.ell
-    assert gen._sum_tables == []                  # nothing until requested
-    tables = sum_tables(gen)
-    first = tables[0]
-    assert sum_tables(gen) is tables and tables[0] is first   # kept, not rebuilt
-    assert gen._sum_tables is tables
-    assert "_sum_tables" not in repr(gen)
-    assert len(tables) == gen.m
-    rng = random.Random(ell)
-    for row, chunks in zip(gen.rows, tables):
-        # chunk j covers the bits of v above the chunks before it
-        widths = [len(t).bit_length() - 1 for t in chunks]
-        assert [len(t) for t in chunks] == [1 << b for b in widths]
-        assert sum(widths) == ell and max(len(t) for t in chunks) <= 64
-        assert len(chunks) == max(2, -(-ell // 6))
-        symbols = range(1 << ell) if ell <= 13 else (
-            [1 << b for b in range(ell)] + [rng.randrange(1 << ell) for _ in range(2000)])
-        for v in symbols:
-            got, lo = 0, 0
-            for t, b in zip(chunks, widths):
-                got ^= t[(v >> lo) % (1 << b)]
-                lo += b
-            assert got == pack([ctx.mul(v, g) for g in row], ell), (v, row)
-    for _ in range(20):                           # and parity_sums reads them so
-        u = [rng.randrange(1 << ell) for _ in range(gen.m)]
-        assert parity_sums(gen, 1, u)[-1] == pack(loop_parities(u, gen), ell)
-
-
-def test_sum_tables_leave_zero_weight_lanes_clear():
-    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
-                    rows=((1, 0, 1), (0, 1, 2), (1, 2, 0)))
-    ell = gen.ctx.ell
-    for row, chunks in zip(gen.rows, sum_tables(gen)):
-        lanes = [(x >> (r * ell)) % (1 << ell) for t in chunks for x in t[1:]
-                 for r in range(gen.c)]
-        assert len(lanes) == gen.c * sum(len(t) - 1 for t in chunks)
-        for r, g in enumerate(row):
-            mine = lanes[r::gen.c]
-            assert all(mine) if g else not any(mine), (row, r)
-        assert max(x for t in chunks for x in t) < 1 << (gen.c * ell)
-
-
 @pytest.mark.parametrize("make", [
     lambda: gc_params(100, 7, 5),                 # ell 7, last block 2 bits, three spares
     lambda: gc_params(64, 4, 4, "vandermonde"),
@@ -191,7 +99,6 @@ def test_lane_tables_fill_on_first_decode(make):
     assert decode(x, params).message == u         # the parity path neither
     assert gen._lanes == []
     assert decode(x[1:], params).message == u     # the guess path fills them
-    assert gen._sum_tables == []                  # and reads no split table
     tables = lane_tables(gen)
     assert gen._lanes == [tables] and lane_tables(gen) is tables   # kept, not rebuilt
     assert "_lanes" not in repr(gen) and "namespace" not in repr(params)
@@ -336,14 +243,13 @@ def test_encoders_read_only_the_planes(monkeypatch):
     def banned(*args):
         raise AssertionError("encoding goes through the parity planes only")
 
-    for name in ("block_sums", "parity_sums", "sum_tables"):
-        monkeypatch.setattr(mds, name, banned)
+    monkeypatch.setattr(multi_window, "_prefix_sums", banned)
     monkeypatch.setattr(single_window, "read_symbols", banned)
     monkeypatch.setattr(multi_window, "read_symbols", banned)
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
         encode("01" * (params.k // 2), params)
-        assert params.gen._sum_tables == [] and params.gen._log_solvers == {}
-        assert params.gen._lanes == []
+        assert params.gen._log_solvers == {} and params.gen._lanes == []
+        assert params._lanes == [] and params._cases == {}
         assert len(params.gen._planes) == params.c * params.ell
 
 

@@ -20,8 +20,8 @@ from gccodes.channel import (
 from gccodes.mds import Generator, SingularSystemError
 from gccodes.multi_window import (
     _case_table,
+    _prefix_sums,
     _screen,
-    _shift_table,
     _table_top,
     decode_multi,
     encode_multi,
@@ -548,18 +548,17 @@ def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
 
 
 def test_case_off_the_last_shift_raises(monkeypatch):
-    # with delta = 5 the table at shift 2 ends at block 10, and its length
-    # depends only on delta and the shift; the case table checks every
-    # read against it, so a read past the end raises when the table is
-    # built instead of taking an entry of the next joined table
+    # with delta = 5 the group at shift 2 ends at block 10: block 11 read
+    # at shift 2 runs past the end of s, so its entry holds no prefix sum.
+    # The case table checks every read against its group's last block, so
+    # a read past it raises when the table is built instead of taking
+    # that entry
     mp = multi_params(64, 4, 8, 2)        # ell 6, m 11
-    delta = 5
-    s = U64[:mp.k - delta]
-    assert len(_shift_table(s, mp, 2)) == _table_top(mp, delta, 2) + 1 == 11
-    assert len(_shift_table(s, mp, delta)) == _table_top(mp, delta, delta) + 1 == mp.m + 1
+    m, delta = mp.m, 5
+    assert _table_top(mp, delta, 2) == 10 and _table_top(mp, delta, delta) == m
     real = multi_window._table_top
 
-    def shorter(p, d, shift):               # the shift-2 table two blocks short
+    def shorter(p, d, shift):               # the shift-2 group two blocks short
         return real(p, d, shift) - 2 * (shift == 2)
 
     monkeypatch.setattr(multi_window, "_table_top", shorter)
@@ -567,7 +566,59 @@ def test_case_off_the_last_shift_raises(monkeypatch):
         _case_table(mp, delta)
     assert delta not in mp._cases
     monkeypatch.setattr(multi_window, "_table_top", real)
-    assert _case_table(mp, delta).reads      # middle segments read at shift 2
+    cases = _case_table(mp, delta)
+    g = cases.shifts.index(2)
+    assert 0 < g < len(cases.shifts) - 1     # a middle group, read up to block 9
+    blocks = {g * (m + 1) + m - e for read in cases.reads for e in read
+              if g * (m + 1) <= e < (g + 1) * (m + 1)}
+    assert max(blocks) == 9
+
+
+def oracle_prefix(s, shift, j, mp):
+    """The packed parity contributions of blocks 1..j of s read shift bits
+    early, each sliced off s and multiplied one product at a time; a
+    block that starts before s counts as zero, a short last block is
+    padded with zeros at the low end."""
+    ell, m = mp.ell, mp.m
+    symbols = [0] * m
+    for b in range(1, j + 1):
+        start, blen = (b - 1) * ell - shift, mp.last_block_len if b == m else ell
+        if start >= 0:
+            bits = s[start:start + blen]
+            assert len(bits) == blen, (shift, j, b)
+            symbols[b - 1] = int(bits, 2) << (ell - blen)
+    return mds.pack(loop_parities(symbols, mp.gen), ell)
+
+
+@pytest.mark.parametrize("args", [
+    (64, 4, 8, 1),                        # last block 4 bits
+    (64, 4, 8, 2),
+    (96, 4, 10, 3),                       # last block 5 bits
+    (50, 3, 6, 2, "vandermonde"),         # last block 2 bits
+    (120, 13, 5, 2),                      # ell 13
+], ids=["z1", "z2", "z3", "vandermonde", "ell13"])
+def test_prefix_sums_match_the_oracle(args):
+    """Every entry a case can read, in every group: blocks 1..j of s at
+    the group's shift, up to its _table_top, and in the last group, at
+    delta, the parities xor blocks j+1..m."""
+    mp = multi_params(*args)
+    ell, m, c = mp.ell, mp.m, mp.c
+    rng = random.Random(f"prefix/{args}")
+    for delta in range(mp.z * mp.w + 1):
+        s = format(rng.getrandbits(mp.k - delta), f"0{mp.k - delta}b")
+        parities = mds.pack([rng.getrandbits(ell) for _ in range(c)], ell)
+        cases = _case_table(mp, delta)
+        entries = _prefix_sums(s, parities, mp, cases)
+        assert {len(e) for e in entries} == {mp._lanes[0].nb}
+        assert cases.shifts[0] == 0 and cases.shifts[-1] == delta
+        last = len(cases.shifts) - 1
+        for g, shift in enumerate(cases.shifts):
+            for j in range(_table_top(mp, delta, shift) + 1):
+                want = oracle_prefix(s, shift, j, mp)
+                if g == last:
+                    want ^= parities ^ oracle_prefix(s, delta, m, mp)
+                got = int.from_bytes(entries[g * (m + 1) + m - j], "little")
+                assert got == want, (args, delta, shift, j)
 
 
 def oracle_case(s, parities, pairs, deltas, mp):
@@ -597,7 +648,9 @@ def oracle_case(s, parities, pairs, deltas, mp):
     ((50, 3, 6, 2, "vandermonde"), 30),
     ((100, 4, 10, 2), 24),                # c*ell = 70 > 64
     ((96, 4, 10, 3), 9),                  # c*ell = 70 > 64, z = 3
-], ids=["one-placement", "z1", "vandermonde", "z2-c10", "z3-c10"])
+    ((120, 13, 5, 2), 12),                # ell 13
+    ((100, 19, 5, 2), 12),                # ell 19
+], ids=["one-placement", "z1", "vandermonde", "z2-c10", "z3-c10", "ell13", "ell19"])
 def test_screen_lanes_match_the_oracle(args, count):
     """Every lane of the case screen, not only the survivors: its case is
     the next one of enumerate_cases that checks a new (damaged pairs,

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, counting, CSV shape."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import pytest
 
 import gccodes
 
-from gccodes import sim
+from gccodes import cli, sim
 from gccodes.sim import SimConfig, report_to_csv, resolve_delta, run_trials
-from gccodes.single_window import gc_params
+from gccodes.single_window import InvalidConfigError, gc_params
 
 
 def small_cfg(**kw):
@@ -130,3 +131,21 @@ def test_multi_window_rows():
     assert row.z == 2 and row.delta == 5
     assert row.miscorrections == 0
     assert report_to_csv(run_trials(cfg)) == report_to_csv(run_trials(cfg))
+
+
+def test_workers_outside_one_to_cpu_count_refused(monkeypatch, capsys):
+    # no process is started: the pool refuses any request
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for workers in (0, -1):
+        with pytest.raises(InvalidConfigError, match=f"workers={workers} must be at least 1"):
+            run_trials(small_cfg(trials=1), workers=workers)
+    cpus = os.cpu_count() or 1
+    for workers in (0, -1, cpus + 1):
+        code = cli.main(["simulate", "--k-list", "64", "--c", "3", "--delta", "1",
+                         "--trials", "1", "--workers", str(workers)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "", workers
+        assert err == f"gccodes: error: --workers {workers} must be in 1..{cpus}, the CPU count\n"
