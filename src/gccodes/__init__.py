@@ -35,7 +35,6 @@ from .gf2e import (
 from .mds import (
     FieldTooSmallError,
     Generator,
-    SingularSystemError,
     make_generator,
 )
 from .multi_window import (
@@ -72,8 +71,7 @@ __all__ = [
     "pattern_from_text", "pattern_to_text", "sample_pattern",
     "FieldContext", "NonPrimitivePolynomialError", "UnsupportedExponentError",
     "bits_to_symbols",
-    "FieldTooSmallError", "Generator", "SingularSystemError",
-    "make_generator",
+    "FieldTooSmallError", "Generator", "make_generator",
     "MAX_Z", "decode_multi", "encode_multi",
     "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",

@@ -61,9 +61,9 @@ def max_case_count(k, w, c, z):
     This is the set the failure bound takes its union over, not the number
     of cases decode checks at r > 1: that checks each set of damaged pairs
     and their shares once, at the first placement holding them, so it
-    checks fewer.
+    checks fewer. It refuses what multi_params refuses.
     """
-    ell, m, last = derive_dims(k, w, c)
+    ell, m, last = multi_dims(k, w, c, z)
     placements = comb(m - z, z)
     worst_splits = max(sum(1 for _ in _compositions(d, z, w)) for d in range(z * w + 1))
     return placements * worst_splits

@@ -91,10 +91,6 @@ class FieldContext:
             raise ZeroDivisionError("0 has no inverse")
         return self.exp[self.order - self.log[a]]
 
-    def alpha_pow(self, e):
-        """alpha^e for any integer e (reduced mod 2^ell - 1)."""
-        return self.exp[e % self.order]
-
     def __repr__(self):
         return f"FieldContext(ell={self.ell}, poly=0x{self.poly:x})"
 

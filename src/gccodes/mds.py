@@ -3,11 +3,11 @@ and erasure solving over a shared field context.
 
 The decoders solve the same small erasure systems again and again: which
 blocks are erased fixes the system, the received word only fixes its
-right-hand side. log_solver inverts each system (erasure_solver) once per
-generator and keeps the result in log form, so a decoder's case loop does
-products, not elimination. erasure_solver runs one Gauss-Jordan pass over
-the columns of the parity matrix stacked on an identity, which gives the
-inverse and the spare-parity rows together.
+right-hand side. log_solver inverts each system once per generator and
+keeps the inverse and the spare-parity rows in log form, so a decoder's
+case loop does products, not elimination. A generator's weights follow
+from its (m, c, kind, field), which keeps every such system nonsingular:
+the elimination needs no pivot search and no solve can fail.
 
 A vector of c parity values, or of partial sums towards them, is kept
 packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
@@ -23,12 +23,10 @@ weights. lane_powers gives those alpha^b multiples for any lanes;
 lane_tables keeps them for the single-window screen, and the multi-window
 screen takes its block and spare weights through lane_powers too.
 
-The decoders' solves multiply in log form: log_solver keeps an erasure
-solver's rows for any erased set as logs, pair_checks the single-window
-spare rows as its z = 1 case (which lane_tables lays out in lanes), and
-the field's antilog table is padded so that exp[log[a] + log[b]] is a
-product even when a or b is zero. Each product is then one table lookup.
-Both screens take their spare weights from these rows.
+The decoders' solves multiply in log form: the field's antilog table is
+padded so that exp[log[a] + log[b]] is a product even when a or b is
+zero, so each product is one table lookup. Both screens take their spare
+weights from log_solver's rows: lane_tables from the adjacent pairs'.
 
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
@@ -46,23 +44,20 @@ class FieldTooSmallError(ValueError):
     pass
 
 
-class SingularSystemError(ArithmeticError):
-    pass
-
-
 @dataclass(frozen=True)
 class Generator:
     """Parity weights for a systematic (m + c, m) code.
 
     rows[i][r] is the weight of systematic symbol i+1 in parity r+1, so
-    parity r+1 of a message U is xor_i mul(U[i], rows[i][r]).
+    parity r+1 of a message U is xor_i mul(U[i], rows[i][r]). The rows
+    follow from (m, c, kind, ctx), as make_generator says.
     """
 
     m: int
     c: int
     kind: str
     ctx: FieldContext
-    rows: tuple
+    rows: tuple = field(init=False)
     # Filled on first request, so building a generator builds none of them:
     # erased blocks -> log_solver result
     _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -71,33 +66,38 @@ class Generator:
     # lane_tables result, its one entry
     _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        m, c, ctx = self.m, self.c, self.ctx
+        if self.kind not in ("cauchy", "vandermonde"):
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if m + c > (1 << ctx.ell):
+            raise FieldTooSmallError(
+                f"m + c = {m + c} exceeds field size 2^{ctx.ell} = {1 << ctx.ell}"
+            )
+        if self.kind == "cauchy":
+            rows = tuple(tuple(ctx.inv(i ^ (m + j)) for j in range(c)) for i in range(m))
+        else:
+            rows = tuple(tuple(ctx.exp[i * r % ctx.order] for r in range(c)) for i in range(m))
+        object.__setattr__(self, "rows", rows)
+
 
 def make_generator(m, c, ctx, kind="cauchy"):
-    """Parity weights of the given kind for m blocks and c parities.
+    """The Generator of the given kind for m blocks and c parities.
+
+    The decoders solve parities 1..t on t erased blocks; for either kind
+    that system is nonsingular, and log_solver relies on it.
 
     cauchy: weights 1 / (a_i + b_j) with a_i = i - 1 and b_j = m + j - 1
-    as field elements. All square submatrices of the resulting parity
-    block are nonsingular, so any pattern of erasures covered by enough
-    parities is solvable.
+    as field elements. Every square submatrix is a Cauchy matrix, so it
+    is nonsingular.
 
     vandermonde: power-of-alpha weights alpha^{(i-1)(r-1)}. Not MDS for
-    every (m, c, ell), but the decoders only solve parities 1..t on the t
-    erased blocks, and that system is a Vandermonde matrix in the distinct
-    nodes alpha^{i-1} (m < 2^ell), so it is always nonsingular. Only a
-    spare parity's row can degenerate, into zero weights; that weakens
-    the check and is not an error.
+    every (m, c, ell), but the decoders' system is a Vandermonde matrix in
+    the distinct nodes alpha^{i-1} (m < 2^ell). Only a spare parity's
+    row can degenerate, into zero weights; that weakens the check and is
+    not an error.
     """
-    if kind not in ("cauchy", "vandermonde"):
-        raise ValueError(f"unknown generator kind {kind!r}")
-    if m + c > (1 << ctx.ell):
-        raise FieldTooSmallError(
-            f"m + c = {m + c} exceeds field size 2^{ctx.ell} = {1 << ctx.ell}"
-        )
-    if kind == "cauchy":
-        rows = tuple(tuple(ctx.inv(i ^ (m + j)) for j in range(c)) for i in range(m))
-    else:
-        rows = tuple(tuple(ctx.alpha_pow(i * r) for r in range(c)) for i in range(m))
-    return Generator(m=m, c=c, kind=kind, ctx=ctx, rows=rows)
+    return Generator(m, c, kind, ctx)
 
 
 def pack(values, ell):
@@ -151,85 +151,48 @@ def packed_parities(x, gen):
     return acc
 
 
-def erasure_solver(gen, erased):
-    """The erasure system of the blocks in erased, solved.
+def log_solver(gen, erased):
+    """The erasure system of the blocks in erased, solved in log form;
+    kept on the generator.
 
     erased is an ascending tuple of t <= c block numbers (from 1); the
-    system is parities 1..t restricted to those blocks. The result is c
-    rows of t weights. With syn the syndromes (each parity xor the
-    contribution of the intact blocks) and dot(row) = xor_r
-    mul(row[r], syn[r]) over r < t:
+    system is parities 1..t restricted to those blocks. With syn the
+    syndromes (each parity xor the contribution of the intact blocks) and
+    lv[r] = log syn[r], the result is a pair (solve, spare). solve[j], for
+    j < t, holds the logs of row j of the inverse: block erased[j] is
+    xor_r exp[solve[j][r] + lv[r]]. spare holds one row per spare parity
+    q+1 > t: the logs of its t weights, then q*ell, the bit of syndrome
+    q+1 in the packed syndromes; the check holds exactly when
+    xor_r exp[row[r] + lv[r]] equals syndrome q+1. Zero weights keep
+    log[0], which the padded antilog table turns into zero products.
 
-      * dot(solver[j]) is the value of block erased[j], for j < t: the
-        first t rows are the inverse of the system;
-      * dot(solver[q]) is what syn[q] must equal, for q >= t: a spare
-        parity check costs t products and no solve.
-
-    One Gauss-Jordan pass runs on the columns of the c x t parity matrix
-    stacked on a t x t identity. Column operations multiply both blocks on
-    the right by the same matrix, so once the top t rows are the identity,
-    that matrix is the system's inverse: it is the bottom block, and rows
-    t..c-1 are the spare rows. Nothing is kept: the decoders read
-    log_solver's cached log form. A singular system raises
-    SingularSystemError.
-    """
-    t, c = len(erased), gen.c
-    if not 1 <= t <= c:
-        raise ValueError(f"{t} erased blocks need 1..c = {c} parities")
-    cols = [list(gen.rows[e - 1]) + [int(j == i) for i in range(t)]
-            for j, e in enumerate(erased)]
-    mul = gen.ctx.mul
-    for row in range(t):
-        pivot = next((j for j in range(row, t) if cols[j][row]), None)
-        if pivot is None:
-            raise SingularSystemError(
-                f"blocks {erased} are not erasure-decodable with this generator")
-        cols[row], cols[pivot] = cols[pivot], cols[row]
-        scale = gen.ctx.inv(cols[row][row])
-        top = cols[row] = [mul(scale, v) for v in cols[row]]
-        for j in range(t):
-            f = cols[j][row]
-            if j != row and f:
-                cols[j] = [x ^ mul(f, y) for x, y in zip(cols[j], top)]
-    return tuple(tuple(col[q] for col in cols) for q in [*range(c, c + t), *range(t, c)])
-
-
-def log_solver(gen, erased):
-    """erasure_solver(gen, erased) in log form, kept on the generator.
-
-    The result is a pair (solve, spare). solve[j], for j < t, holds the
-    logs of row j's t weights, so with lv[r] = log syn[r] block erased[j]
-    is xor_r exp[solve[j][r] + lv[r]]. spare holds one row per spare
-    parity q+1 > t: the logs of its t weights followed by q*ell, the bit
-    where syndrome q+1 sits in the packed syndromes. The case passes that
-    check exactly when xor_r exp[row[r] + lv[r]] equals syndrome q+1.
-    Zero weights keep log[0], which the padded antilog table turns into
-    zero products. The first request for erased runs erasure_solver, so
-    each system is inverted once per generator. A singular system raises
-    SingularSystemError on every request, and nothing is kept.
+    The first request runs one Gauss-Jordan pass on the columns of the
+    c x t parity matrix stacked on a t x t identity; once the top t rows
+    are the identity, the bottom block is the inverse and rows t..c-1 are
+    the spare rows. It takes the pivots in order, with no search and no
+    swap: the pivot of row s is the ratio of the leading minors of orders
+    s+1 and s, each the system of parities 1..s+1 on s+1 erased blocks,
+    which make_generator keeps nonsingular.
     """
     view = gen._log_solvers.get(erased)
     if view is None:
-        log, ell, t = gen.ctx.log.__getitem__, gen.ctx.ell, len(erased)
-        solver = erasure_solver(gen, erased)
-        view = (tuple(tuple(map(log, row)) for row in solver[:t]),
-                tuple((*map(log, row), q * ell) for q, row in enumerate(solver[t:], t)))
-        gen._log_solvers[erased] = view
+        t, c, ctx = len(erased), gen.c, gen.ctx
+        if not 1 <= t <= c:
+            raise ValueError(f"{t} erased blocks need 1..c = {c} parities")
+        cols = [list(gen.rows[e - 1]) + [int(j == i) for i in range(t)]
+                for j, e in enumerate(erased)]
+        for row in range(t):
+            scale = ctx.inv(cols[row][row])
+            top = cols[row] = [ctx.mul(scale, v) for v in cols[row]]
+            for j in range(t):
+                f = cols[j][row]
+                if j != row and f:
+                    cols[j] = [x ^ ctx.mul(f, y) for x, y in zip(cols[j], top)]
+        log, ell = ctx.log, ctx.ell
+        view = gen._log_solvers[erased] = (
+            tuple(tuple(log[col[q]] for col in cols) for q in range(c, c + t)),
+            tuple((*(log[col[q]] for col in cols), q * ell) for q in range(t, c)))
     return view
-
-
-def pair_checks(gen):
-    """The spare-parity checks of every adjacent block pair, in log form.
-
-    Entry i, for 1 <= i < m, is the spare rows of log_solver(gen, (i, i+1)):
-    one triple (log a, log b, r*ell) per spare parity r+1 > 2. With s0 and
-    s1 syndromes 1 and 2, the guess that blocks i and i+1 absorbed the
-    deletions passes check r exactly when exp[log s0 + log a] ^
-    exp[log s1 + log b] equals syndrome r+1. Entry 0 is empty. Nothing is
-    kept but the m - 1 pair solvers: lane_tables, which keeps its own
-    result, is the one reader. A singular pair raises SingularSystemError.
-    """
-    return [()] + [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)]
 
 
 def lane_powers(x, ctx, low, lsb):
@@ -260,8 +223,9 @@ def lane_tables(gen):
 
     A spare segment holds only the m - 1 guess lanes. spares[b] has
     2(c - 2) of them: segment q, for spare parity q+3, holds alpha^b times
-    the weight a of syndrome 1 in each guess's pair_checks row, segment
-    c - 2 + q the weight b of syndrome 2.
+    the weight a of syndrome 1 in that parity's spare row of
+    log_solver(gen, (i, i+1)), for guess i, segment c - 2 + q the weight b
+    of syndrome 2.
 
     The result is a namespace: seg, and the tuples blocks and spares
     (entry b for bit b); scan, a (shift, mask) pair per doubling step of
@@ -272,13 +236,12 @@ def lane_tables(gen):
     every lane of c - 2 spare segments).
 
     The weights are one int(''.join(...)) each, and lane_powers gives
-    alpha^b times them. Filled on the first request, which also fills
-    pair_checks; a singular pair raises SingularSystemError, and nothing
-    is kept.
+    alpha^b times them. Filled on the first request, which also fills the
+    log_solver of every adjacent pair.
     """
     if gen._lanes:
         return gen._lanes[0]
-    checks = pair_checks(gen)
+    checks = [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)]
     exp, ell, m, c = gen.ctx.exp, gen.ctx.ell, gen.m, gen.c
     lanes = max(2 * m - 4, 1)
     width, bit0, top = f"0{ell}b", "0" * (ell - 1) + "1", "1" + "0" * (ell - 1)
@@ -306,7 +269,7 @@ def lane_tables(gen):
                            lanes),
         scan=tuple(scan), left=pattern("1" * ell, m - 2, c),
         guesses=pattern("1" * ell, m - 1, c), ones=pattern(bit0, m - 1, 1),
-        spares=times_alpha([[exp[checks[i][q][side]] for i in range(1, m)]
+        spares=times_alpha([[exp[row[q][side]] for row in checks]
                             for side in (1, 0) for q in reversed(range(c - 2))], m - 1),
         low=pattern("0" + "1" * (ell - 1), m - 1, c - 2, m - 1),
         high=pattern(top, m - 1, c - 2, m - 1))

@@ -70,10 +70,12 @@ _PASSED = bytes(1 - (b & 1) for b in range(256))
 
 def multi_dims(k, w, c, z):
     """The (ell, m, last_block_len) of derive_dims for z windows, after
-    the checks z windows add: at least one window, the 2z solving
+    the checks z windows add: one to MAX_Z windows, the 2z solving
     parities plus a spare, and room for z disjoint block pairs."""
     if z < 1:
         raise InvalidConfigError(f"z={z} must be at least 1")
+    if z > MAX_Z:
+        raise InvalidConfigError(f"z={z} exceeds the cap of {MAX_Z} windows")
     if c < 2 * z + 1:
         raise InvalidConfigError(f"c={c} must be at least 2z + 1 = {2 * z + 1}")
     ell, m, last = derive_dims(k, w, c)
@@ -83,8 +85,6 @@ def multi_dims(k, w, c, z):
 
 
 def multi_params(k, w, c, z, kind="cauchy"):
-    if z > MAX_Z:
-        raise InvalidConfigError(f"z={z} exceeds the cap of {MAX_Z} windows")
     multi_dims(k, w, c, z)
     return replace(gc_params(k, w, c, kind), z=z, r=z * w + 1)
 
@@ -147,8 +147,7 @@ def _placement_table(p):
     it owns. A pattern is a z-bit mask, bit j set when pair j gets a zero
     share; bit mask of the placement's owned int is set when it is the
     first placement to contain the pairs the pattern leaves damaged.
-    Built on the first decode and kept on p; a singular placement raises
-    SingularSystemError on every request and nothing is kept."""
+    Built on the first decode and kept on p."""
     table = p._placements
     if not table:
         gen, z = p.gen, p.z
@@ -487,8 +486,8 @@ def _decode_repetition(y, p):
     * every intact block is read at the sum of the shares before it, and
       a zero share adds nothing, so the syndrome with only Q erased is
       the same for every placement containing Q;
-    * every 2z-block system is nonsingular (_placement_table raises
-      SingularSystemError otherwise), so a case's solve is unique;
+    * every 2z-block system is nonsingular (mds.make_generator), so a
+      case's solve is unique;
     * so a zero-share pair passes its equality check, and the spare
       parities hold, exactly when that syndrome lies in the span of Q's
       columns, and then Q's solved blocks are the same either way;

@@ -40,6 +40,10 @@ class SimConfig:
             raise InvalidConfigError("trials must be positive")
         if not self.k_list:
             raise InvalidConfigError("k_list must not be empty")
+        if self.delta_frac is not None and not 0 <= self.delta_frac <= 1:
+            raise InvalidConfigError(f"delta_frac={self.delta_frac} outside [0, 1]")
+        for k in self.k_list:           # refused before any k runs
+            resolve_delta(self, (k - 1).bit_length())
 
 
 @dataclass(frozen=True)

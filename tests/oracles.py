@@ -3,13 +3,14 @@
 They share no code with the encoder or the decoders: symbols are sliced
 off bit strings by hand, every parity is built one field product at a
 time (FieldContext.mul), and erasure systems are solved by elimination
-with those products. Only the field and the error type come from the
-package.
+with those products. Only the field comes from the package.
 """
 
 from itertools import combinations, product
 
-from gccodes.mds import SingularSystemError
+
+class SingularMatrixError(ArithmeticError):
+    """solve_square's system has no unique solution."""
 
 
 def loop_parities(symbols, gen):
@@ -61,14 +62,14 @@ def message_parity_bits(u, gen):
 def solve_square(matrix, rhs, ctx):
     """Solve A x = b over the field by Gauss-Jordan elimination, one
     FieldContext product at a time. matrix is a list of row lists, rhs a
-    parallel list; neither is modified. Raises SingularSystemError when no
+    parallel list; neither is modified. Raises SingularMatrixError when no
     unique solution exists."""
     size = len(matrix)
     rows = [list(row) + [v] for row, v in zip(matrix, rhs)]
     for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
-            raise SingularSystemError("erasure system has no unique solution")
+            raise SingularMatrixError("erasure system has no unique solution")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         scale = ctx.inv(rows[col][col])
         rows[col] = [ctx.mul(scale, v) for v in rows[col]]

@@ -17,7 +17,7 @@ from gccodes.analysis import (
     exhaustive_oracle,
     max_case_count,
 )
-from gccodes.multi_window import multi_params
+from gccodes.multi_window import MAX_Z, multi_params
 from gccodes.single_window import InvalidConfigError, gc_params
 
 K_GRID = (128, 256, 512, 1024, 2048, 4096)
@@ -143,13 +143,16 @@ def test_bound_multi_validation():
     (16, 4, 7, 3),       # 4 blocks cannot host 3 pairs
     (8, 4, 5, 2),        # 2 blocks cannot host 2 pairs
     (16, 4, 13, 2),      # 4 + 13 symbols exceed GF(16)
+    (64, 4, 9, MAX_Z + 1),   # more windows than the cap, all else valid
 ])
 def test_multi_params_and_bound_multi_refuse_alike(args):
     with pytest.raises(InvalidConfigError) as built:
         multi_params(*args)
     with pytest.raises(InvalidConfigError) as bounded:
         bound_multi(*args)
-    assert str(built.value) == str(bounded.value)
+    with pytest.raises(InvalidConfigError) as counted:
+        max_case_count(*args)
+    assert str(built.value) == str(bounded.value) == str(counted.value)
 
 
 def test_oracle_single_guess_never_fails():

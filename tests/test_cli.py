@@ -251,6 +251,12 @@ def test_bound_multi_output(tmp_path):
     assert "windows=2" in r.stdout
 
 
+def test_bound_refuses_more_windows_than_the_cap(tmp_path):
+    r = run_cli("bound", "--k", "64", "--w", "4", "--c", "9", "--z", "4", cwd=tmp_path)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "gccodes: error: z=4 exceeds the cap of 3 windows\n"
+
+
 def test_simulate_stdout_and_file(tmp_path):
     args = ["simulate", "--k-list", "64,128", "--c", "3", "--delta", "2",
             "--trials", "50", "--seed", "5"]

@@ -1,8 +1,10 @@
 """The package's __all__ against the names the package binds and uses:
-no public name, default parameter or member exists only for the tests."""
+no public name, default parameter or member exists only for the tests.
+And the package's imports against the standard library."""
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -123,3 +125,22 @@ def test_every_public_member_is_read_outside_the_tests():
     assert len(members) > 5
     used = _reads(trees) - elsewhere
     assert [f"{name}.{attr}" for name, attr in members if attr not in used] == []
+
+
+def test_package_imports_only_the_standard_library():
+    """Every import in the package names a standard library module or the
+    package itself: pyproject promises no runtime dependencies."""
+    files = sorted((ROOT / "src" / "gccodes").rglob("*.py"))
+    assert len(files) > 5
+    outside = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in {*sys.stdlib_module_names, "gccodes"}]
+    assert outside == []

@@ -85,14 +85,14 @@ def test_inverse_exhaustive_gf16():
 
 def test_inv_alpha_is_alpha_14():
     # alpha = 0b0010; its inverse closes the order-15 cycle
-    assert GF16.inv(2) == GF16.alpha_pow(14)
+    assert GF16.inv(2) == GF16.exp[14]
 
 
 def test_antilog_golden_gf16():
     want = [1, 2, 4, 8, 3, 6, 12, 11, 5, 10, 7, 14, 15, 13, 9]
     assert GF16.exp[:15] == want
-    assert GF16.alpha_pow(15) == 1
-    assert GF16.alpha_pow(21) == GF16.alpha_pow(6)
+    assert GF16.exp[15] == 1                     # one period repeats
+    assert GF16.exp[21] == GF16.exp[6]
 
 
 def test_worked_example_symbol_products():

@@ -17,18 +17,16 @@ from gccodes.multi_window import decode_multi, encode_multi, multi_params
 from gccodes.single_window import SUCCESS, decode, encode, gc_params
 from gccodes.mds import (
     FieldTooSmallError,
-    SingularSystemError,
     Generator,
-    erasure_solver,
     lane_tables,
     log_solver,
     make_generator,
     pack,
     packed_parities,
-    pair_checks,
     parity_planes,
 )
 from oracles import (
+    SingularMatrixError,
     erasure_decode,
     loop_parities,
     message_parity_bits,
@@ -71,6 +69,20 @@ def test_vandermonde_rows_golden():
         (1, 4, 3),
         (1, 8, 12),
     )
+
+
+def test_generator_rows_follow_from_its_fields():
+    """The rows are derived from (m, c, kind, ctx) on construction: they
+    can be neither passed in nor replaced, and a generator changed by
+    replace gets the rows of its new fields, or is refused."""
+    gen = make_generator(4, 3, GF16, "vandermonde")
+    with pytest.raises(TypeError):
+        Generator(m=4, c=3, kind="vandermonde", ctx=GF16, rows=gen.rows)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(gen, rows=gen.rows)
+    assert replace(gen, kind="cauchy").rows == make_generator(4, 3, GF16, "cauchy").rows
+    with pytest.raises(FieldTooSmallError):
+        replace(gen, m=14)
 
 
 def test_parities_of_worked_example():
@@ -118,41 +130,45 @@ def test_lane_tables_fill_on_first_decode(make):
                 ctx.mul(1 << b, gen.rows[j - 1][r]) if j else 0 for j in blocks], (b, r)
         assert tables.blocks[b] >> c * tables.seg == 0
         for q in range(c - 2):                    # guess i in lane m - 1 - i
-            rows = [erasure_solver(gen, (m - 1 - t, m - t))[2 + q] for t in range(m - 1)]
+            rows = [log_solver(gen, (m - 1 - t, m - t))[1][q] for t in range(m - 1)]
             for side in (0, 1):
                 assert [lane(tables.spares[b], side * (c - 2) + q, t, m - 1)
-                        for t in range(m - 1)] == [ctx.mul(1 << b, row[side]) for row in rows]
+                        for t in range(m - 1)] == [ctx.mul(1 << b, ctx.exp[row[side]])
+                                                   for row in rows]
         assert tables.spares[b] >> 2 * (c - 2) * (m - 1) * ell == 0
 
 
 @pytest.mark.parametrize("params", [gc_params(100, 7, 5), gc_params(64, 4, 5, "vandermonde"),
                                     gc_params(16, 4, 3)])
 def test_pair_checks_are_spare_solver_rows(params):
+    """lane_tables requests the solver of every adjacent pair and of no
+    other erased set; a pair's spare rows times its weights in parities 1
+    and 2 are its weights in the spare parities."""
     gen, ctx, ell = params.gen, params.ctx, params.ell
-    checks = pair_checks(gen)
-    assert pair_checks(gen) == checks
-    assert len(checks) == gen.m and checks[0] == ()
-    assert len(gen._log_solvers) == gen.m - 1
-    for i in range(1, gen.m):
-        solver = erasure_solver(gen, (i, i + 1))
-        assert [(ctx.exp[la], ctx.exp[lb], sh) for la, lb, sh in checks[i]] == [
-            (a, b, r * ell) for r, (a, b) in enumerate(solver[2:], 2)]
+    lane_tables(gen)
+    assert sorted(gen._log_solvers) == [(i, i + 1) for i in range(1, gen.m)]
+    for erased, (_, spare) in gen._log_solvers.items():
+        cols = [[gen.rows[e - 1][r] for e in erased] for r in range(gen.c)]
+        rows = [[ctx.exp[lw] for lw in row[:2]] for row in spare]
+        assert matmul(rows, cols[:2], ctx) == cols[2:], erased
+        assert [row[2] for row in spare] == [r * ell for r in range(2, gen.c)]
 
 
 @pytest.mark.parametrize("z", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["cauchy", "vandermonde"])
 def test_log_solver_reproduces_erasure_solver(kind, z):
+    """Products by log_solver's rows in log form equal products by the
+    same rows as weights, checked against the oracle, for every placement
+    of z pairs."""
     mp = multi_params(64, 4, 8, z, kind)          # ell 6, m 11, last block 4 bits
     gen, ctx, ell, t = mp.gen, mp.ctx, mp.ell, 2 * z
     rng = random.Random(f"{kind}/{z}")
     placements = [tuple(e for t_, q in enumerate(picked) for e in (q + t_, q + t_ + 1))
                   for picked in combinations(range(1, gen.m - z + 1), z)]
     for erased in placements:
-        solver = erasure_solver(gen, erased)
-        view = log_solver(gen, erased)
+        solver = check_solver(gen, erased, rng)
+        solve, spare = view = log_solver(gen, erased)
         assert log_solver(gen, erased) is view     # kept on the generator
-        solve, spare = view
-        assert len(solve) == t and [row[t] for row in spare] == [q * ell for q in range(t, gen.c)]
         rows = list(solve) + [row[:t] for row in spare]
         for _ in range(4):
             syn = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(t)]
@@ -166,34 +182,16 @@ def test_log_solver_reproduces_erasure_solver(kind, z):
                 assert got == want, (erased, syn)
     assert len(gen._log_solvers) == len(placements)
     assert "_log_solvers" not in repr(gen)
-    if z == 1:                                    # pair_checks holds the spare rows
-        log = ctx.log
-        assert pair_checks(gen) == [()] + [
-            tuple((log[a], log[b], r * ell)
-                  for r, (a, b) in enumerate(erasure_solver(gen, erased)[2:], 2))
-            for erased in placements]
-        assert all(pair_checks(gen)[i] is log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m))
-
-
-def test_log_solver_singular_keeps_nothing():
-    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
-                    rows=((1, 1, 1), (1, 1, 2), (1, 2, 4)))   # pair (1, 2) singular
-    for _ in range(2):
-        with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
-            log_solver(gen, (1, 2))
-    assert gen._log_solvers == {}
 
 
 @pytest.mark.parametrize("make", [
     lambda: gc_params(128, 7, 3).gen,             # Cauchy, the sim_grid code at k = 128
     lambda: gc_params(64, 4, 5, "vandermonde").gen,
-    lambda: Generator(m=3, c=3, kind="test", ctx=GF16,
-                      rows=((1, 0, 1), (0, 1, 2), (1, 2, 0))),
     lambda: gc_params(100, 7, 5).gen,             # last block 2 of 7 bits
     lambda: make_generator(4, 3, GF16, "vandermonde"),
     lambda: gc_params(300, 13, 3).gen,            # ell 13, last block 1 bit
     lambda: make_generator(3, 3, FieldContext(19), "cauchy"),
-], ids=["cauchy", "vandermonde", "zero-weights", "short-last", "gf16", "ell13", "ell19"])
+], ids=["cauchy", "vandermonde", "short-last", "gf16", "ell13", "ell19"])
 def test_parity_planes_reproduce_products(make, monkeypatch):
     gen = make()                                  # fresh, so no plane is built yet
     ctx, ell, m, c = gen.ctx, gen.ctx.ell, gen.m, gen.c
@@ -264,22 +262,6 @@ def test_encoders_refuse_what_int_accepts(head, tail, multi):
     assert len(u) == params.k and int(u, 2) > 0   # int() alone would take it
     with pytest.raises(ValueError, match=r"^message must contain only '0' and '1'$"):
         (encode_multi if multi else encode)(u, params)
-
-
-def test_pair_checks_singular_pair_keeps_nothing():
-    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
-                    rows=((1, 1, 1), (1, 2, 2), (1, 2, 4)))   # pair (2, 3) singular
-    for _ in range(2):
-        with pytest.raises(SingularSystemError, match=r"\(2, 3\)"):
-            pair_checks(gen)
-    # through decode: a guess-path word of a code with this generator
-    params = replace(gc_params(12, 4, 3), kind="test", gen=gen)   # m = 3 over GF(16)
-    y = encode("101100111000", params)[1:]
-    for request in (lambda: lane_tables(gen), lambda: decode(y, params)):
-        for _ in range(2):
-            with pytest.raises(SingularSystemError, match=r"\(2, 3\)"):
-                request()
-    assert gen._lanes == []
 
 
 def test_verify_parities_subsets():
@@ -369,7 +351,7 @@ def test_make_generator_dispatch():
 
 
 def test_solve_square_singular():
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularMatrixError):
         solve_square([[1, 1], [1, 1]], [3, 5], GF16)
 
 
@@ -397,18 +379,33 @@ def matmul(a, b, ctx):
 
 
 def check_solver(gen, erased, rng):
-    t = len(erased)
-    solver = erasure_solver(gen, erased)
-    assert len(solver) == gen.c and all(len(row) == t for row in solver)
-    # weights of the erased blocks in every parity: row r is parity r+1
-    block_cols = [[gen.rows[e - 1][r] for e in erased] for r in range(gen.c)]
-    identity = [[int(i == j) for j in range(t)] for i in range(t)]
-    assert matmul(solver[:t], block_cols[:t], gen.ctx) == identity
-    assert matmul(solver[t:], block_cols[:t], gen.ctx) == block_cols[t:]
-    for _ in range(5):
-        rhs = [rng.randrange(1 << gen.ctx.ell) for _ in range(t)]
-        via_solver = [row[0] for row in matmul(solver[:t], [[v] for v in rhs], gen.ctx)]
-        assert via_solver == solve_square(block_cols[:t], rhs, gen.ctx), erased
+    """log_solver's rows for erased, checked against the oracle and
+    returned as weights: c rows of t. Rows j < t times the system of
+    parities 1..t on the erased blocks give the identity, and solve a
+    random right-hand side as the oracle's pivoting solve_square does;
+    rows q >= t times that system give parity q+1's weights on the
+    blocks, by direct products."""
+    ctx, t = gen.ctx, len(erased)
+    solve, spare = log_solver(gen, erased)
+    assert len(solve) == t and [row[t] for row in spare] == [q * ctx.ell for q in range(t, gen.c)]
+    rows = [[ctx.exp[lw] for lw in row[:t]] for row in (*solve, *spare)]
+    cols = [[gen.rows[e - 1][r] for e in erased] for r in range(gen.c)]
+    assert matmul(rows[:t], cols[:t], ctx) == [[int(i == j) for j in range(t)] for i in range(t)]
+    assert matmul(rows[t:], cols[:t], ctx) == cols[t:], erased
+    rhs = [rng.randrange(1 << ctx.ell) for _ in range(t)]
+    assert [row[0] for row in matmul(rows[:t], [[v] for v in rhs], ctx)] == \
+        solve_square(cols[:t], rhs, ctx), erased
+    return rows
+
+
+def small_systems(ell):
+    """Every (generator, erased) pair over GF(2^ell) the package can meet:
+    both kinds, every m >= 2 and c >= 3 with m + c <= 2^ell, every erased
+    set of 1..min(c, m) blocks."""
+    ctx = FieldContext(ell)
+    return [(gen, erased) for m in range(2, 1 << ell) for c in range(3, (1 << ell) - m + 1)
+            for gen in (make_generator(m, c, ctx, kind) for kind in ("cauchy", "vandermonde"))
+            for t in range(1, min(c, m) + 1) for erased in combinations(range(1, m + 1), t)]
 
 
 @pytest.mark.parametrize("params, placements", [
@@ -418,19 +415,28 @@ def check_solver(gen, erased, rng):
     (gc_params(128, 7, 3), "single"),
     (multi_params(96, 2, 6, 2, kind="vandermonde"), "pairs"),
     (gc_params(64, 4, 5, kind="vandermonde"), "single"),
+    # every erased set of every generator over GF(8) and GF(16)
+    pytest.param(3, "every", id="gf8"),
+    pytest.param(4, "every", id="gf16"),
 ])
 def test_erasure_solver_against_oracle(params, placements):
-    rng = random.Random(17)
-    gen = params.gen
-    if placements == "single":
-        cases = [(i, i + 1) for i in range(1, gen.m)]
+    """log_solver's rows, which the pivot-free elimination gives, against
+    the oracle's pivoting solve and direct products."""
+    if placements == "every":
+        systems = small_systems(params)
+        assert len(systems) == {3: 174, 4: 20160}[params]
     else:
-        z = params.z
-        cases = [tuple(e for t, q in enumerate(picked) for e in (q + t, q + t + 1))
-                 for picked in combinations(range(1, gen.m - z + 1), z)]
-    for erased in cases:
+        gen = params.gen
+        if placements == "single":
+            cases = [(i, i + 1) for i in range(1, gen.m)]
+        else:
+            z = params.z
+            cases = [tuple(e for t, q in enumerate(picked) for e in (q + t, q + t + 1))
+                     for picked in combinations(range(1, gen.m - z + 1), z)]
+        systems = [(gen, erased) for erased in cases]
+    rng = random.Random(17)
+    for gen, erased in systems:
         check_solver(gen, erased, rng)
-    assert gen._log_solvers == {}                 # erasure_solver keeps nothing
 
 
 def test_log_solver_is_cached_per_generator():
@@ -439,7 +445,6 @@ def test_log_solver_is_cached_per_generator():
     assert gen._log_solvers == {}
     first = log_solver(gen, (2, 3))
     assert log_solver(gen, (2, 3)) is first
-    assert erasure_solver(gen, (3, 4)) is not erasure_solver(gen, (3, 4))
     assert list(gen._log_solvers) == [(2, 3)]
     # the table is not part of the generator's value
     twin = make_generator(6, 4, ctx, "cauchy")
@@ -448,16 +453,6 @@ def test_log_solver_is_cached_per_generator():
     assert "_log_solvers" not in repr(gen)
     with pytest.raises(ValueError):
         log_solver(gen, (1, 2, 3, 4, 5))
-
-
-def test_erasure_solver_singular_raises_every_time():
-    # blocks 1 and 2 carry the same weights in parities 1 and 2
-    gen = Generator(m=3, c=3, kind="test", ctx=GF16,
-                    rows=((1, 1, 1), (1, 1, 2), (1, 2, 4)))
-    for _ in range(2):
-        with pytest.raises(SingularSystemError, match=r"\(1, 2\)"):
-            erasure_solver(gen, (1, 2))
-    check_solver(gen, (2, 3), random.Random(1))
 
 
 def test_filled_solvers_make_decoders_eliminate_nothing(monkeypatch):
@@ -476,7 +471,8 @@ def test_filled_solvers_make_decoders_eliminate_nothing(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("elimination after the solvers were filled")
 
-    monkeypatch.setattr(mds, "erasure_solver", no_elimination)
+    monkeypatch.setattr(FieldContext, "mul", no_elimination)
+    monkeypatch.setattr(FieldContext, "inv", no_elimination)
     for params, dec, words in cases:
         filled = dict(params.gen._log_solvers)
         for u, y in words:

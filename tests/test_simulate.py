@@ -149,3 +149,28 @@ def test_workers_outside_one_to_cpu_count_refused(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert code == 1 and out == "", workers
         assert err == f"gccodes: error: --workers {workers} must be in 1..{cpus}, the CPU count\n"
+
+
+def test_delta_refused_before_any_trial(monkeypatch, tmp_path, capsys):
+    # a delta_frac outside [0, 1] (NaN included), or a delta some k of
+    # k_list cannot take, is refused by SimConfig before any k runs; the
+    # CLI exits 1 and writes no CSV
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "_run_block", no_trial)
+    for frac in (1.1, -0.25, float("nan")):
+        with pytest.raises(InvalidConfigError, match=rf"^delta_frac={frac} outside \[0, 1\]$"):
+            SimConfig(k_list=(16,), c=3, trials=5, delta_frac=frac)
+    # delta = 5 fits k = 4096 (w = 12), not k = 16 (w = 4)
+    with pytest.raises(InvalidConfigError, match=r"^delta=5 outside \[0, 4\]$"):
+        SimConfig(k_list=(4096, 16), c=3, trials=5, delta=5)
+    assert SimConfig(k_list=(16, 4096), c=3, trials=5, delta_frac=1.0).delta_frac == 1.0
+    out_csv = tmp_path / "res.csv"
+    for flag, err_line in ((["--delta-frac", "1.1"], "delta_frac=1.1 outside [0, 1]"),
+                           (["--delta", "5"], "delta=5 outside [0, 4]")):
+        code = cli.main(["simulate", "--k-list", "4096,16", "--c", "3", *flag,
+                         "--trials", "5", "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err == f"gccodes: error: {err_line}\n"
+        assert not out_csv.exists()
