@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .channel import DeletionPattern, Window, delete_localized
+from .channel import DeletionPattern, InvalidPatternError, Window, delete_localized
 from .multi_window import _compositions, multi_dims
 from .single_window import FAILURE, SUCCESS, decode, derive_dims, encode
 
@@ -94,19 +94,29 @@ def exhaustive_oracle(p, u, window_starts=None):
 
     For each window start (default: every position where the window fits)
     and each deletion count 0..w, every subset of that size of the
-    window's offsets is applied. Returns the failure tally; raises
-    MiscorrectionError the moment any decode returns a wrong message, and
-    ScopeTooLargeError when the sweep would exceed DEFAULT_SCOPE_CAP
-    decodes.
+    window's offsets is applied. Every pattern goes through the channel,
+    but the sweep decodes each distinct received word once: decode is a
+    function of the word and the params, and deleting any d bits of one
+    run, or nearby windows deleting the same positions, give one word.
+    Every pattern counts in trials, and every pattern whose word failed is
+    listed in failure_patterns, in sweep order. Raises MiscorrectionError
+    at the first pattern whose word decodes to a wrong message or is
+    refused as invalid input. Before encoding, raises InvalidPatternError
+    when a start is not an int in 1..n - w + 1, and ScopeTooLargeError
+    when the sweep would exceed DEFAULT_SCOPE_CAP patterns.
     """
+    last = p.n - p.w + 1
     if window_starts is None:
-        window_starts = range(1, p.n - p.w + 2)
+        window_starts = range(1, last + 1)
     window_starts = list(window_starts)
+    for start in window_starts:
+        if not isinstance(start, int) or not 1 <= start <= last:
+            raise InvalidPatternError(f"window start {start!r} outside 1..{last}")
     total = 2 ** p.w * len(window_starts)
     if total > DEFAULT_SCOPE_CAP:
         raise ScopeTooLargeError(f"{total} patterns exceed the cap {DEFAULT_SCOPE_CAP}")
     x = encode(u, p)
-    failures = 0
+    statuses = {}       # received word -> its decode status, this call only
     failure_patterns = []
     trials = 0
     for start in window_starts:
@@ -114,19 +124,20 @@ def exhaustive_oracle(p, u, window_starts=None):
             for offsets in combinations(range(p.w), d):
                 pat = DeletionPattern(windows=(Window(start=start, offsets=offsets),))
                 y = delete_localized(x, pat, w=p.w, z=1)
-                res = decode(y, p)
                 trials += 1
-                if res.status == SUCCESS:
-                    if res.message != u:
+                status = statuses.get(y)
+                if status is None:
+                    res = decode(y, p)
+                    status = statuses[y] = res.status
+                    if status == SUCCESS and res.message != u:
                         raise MiscorrectionError(
                             f"wrong message for pattern {pat} (start={start}, offsets={offsets})"
                         )
-                elif res.status == FAILURE:
-                    failures += 1
+                    if status not in (SUCCESS, FAILURE):
+                        raise MiscorrectionError(
+                            f"decoder rejected a channel-compliant pattern {pat}: {res.reason}"
+                        )
+                if status == FAILURE:
                     failure_patterns.append(pat)
-                else:
-                    raise MiscorrectionError(
-                        f"decoder rejected a channel-compliant pattern {pat}: {res.reason}"
-                    )
-    return OracleReport(trials=trials, failures=failures,
+    return OracleReport(trials=trials, failures=len(failure_patterns),
                         failure_patterns=tuple(failure_patterns))

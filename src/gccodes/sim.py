@@ -43,7 +43,7 @@ class SimConfig:
         if self.delta_frac is not None and not 0 <= self.delta_frac <= 1:
             raise InvalidConfigError(f"delta_frac={self.delta_frac} outside [0, 1]")
         for k in self.k_list:           # refused before any k runs
-            resolve_delta(self, (k - 1).bit_length())
+            resolve_delta(self, _make_params(k, self.c, self.z, self.kind).w)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,11 @@ def resolve_delta(cfg, w):
 
 @lru_cache(maxsize=16)
 def _make_params(k, c, z, kind):
-    """The code for one k, kept across run_trials calls: its parity planes
-    fill on the first encode, its decoder tables (lane tables, solvers) on
-    the first decode, and every later trial in this process reuses them."""
+    """The code for one k, kept across run_trials calls: SimConfig builds
+    it first, so a k whose code cannot be built is refused before any
+    trial; its parity planes fill on the first encode, its decoder tables
+    (lane tables, solvers) on the first decode, and every later trial in
+    this process reuses them."""
     w = (k - 1).bit_length()
     if z == 1:
         return gc_params(k, w, c, kind)

@@ -3,10 +3,16 @@
 They share no code with the encoder or the decoders: symbols are sliced
 off bit strings by hand, every parity is built one field product at a
 time (FieldContext.mul), and erasure systems are solved by elimination
-with those products. Only the field comes from the package.
+with those products. Only the field comes from the package. The one
+exception is sweep_every_pattern, a reference for exhaustive_oracle's
+bookkeeping, not for decoding: it runs the package's channel and codec.
 """
 
 from itertools import combinations, product
+
+from gccodes.analysis import MiscorrectionError, OracleReport
+from gccodes.channel import DeletionPattern, Window, delete_localized
+from gccodes.single_window import FAILURE, SUCCESS, decode, encode
 
 
 class SingularMatrixError(ArithmeticError):
@@ -166,3 +172,35 @@ def list_decode(y, p):
             if x[p.k:] == tail:
                 found.add(u)
     return sorted(found)
+
+
+def sweep_every_pattern(p, u, window_starts=None):
+    """exhaustive_oracle's sweep with one decode per pattern, not one per
+    distinct received word: the same scope, counts, failure_patterns in
+    sweep order and errors at the same pattern. Returns the report and
+    every (pattern, received word) pair in sweep order."""
+    if window_starts is None:
+        window_starts = range(1, p.n - p.w + 2)
+    x = encode(u, p)
+    failure_patterns, received = [], []
+    for start in window_starts:
+        for d in range(p.w + 1):
+            for offsets in combinations(range(p.w), d):
+                pat = DeletionPattern(windows=(Window(start=start, offsets=offsets),))
+                y = delete_localized(x, pat, w=p.w, z=1)
+                received.append((pat, y))
+                res = decode(y, p)
+                if res.status == SUCCESS:
+                    if res.message != u:
+                        raise MiscorrectionError(
+                            f"wrong message for pattern {pat} (start={start}, offsets={offsets})"
+                        )
+                elif res.status == FAILURE:
+                    failure_patterns.append(pat)
+                else:
+                    raise MiscorrectionError(
+                        f"decoder rejected a channel-compliant pattern {pat}: {res.reason}"
+                    )
+    report = OracleReport(trials=len(received), failures=len(failure_patterns),
+                          failure_patterns=tuple(failure_patterns))
+    return report, received

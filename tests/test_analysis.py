@@ -5,20 +5,32 @@ arithmetic, no shared helpers) before being compared.
 """
 
 import math
+import random
+from collections import Counter
 
 import pytest
 
 from gccodes import analysis
 from gccodes.analysis import (
     DEFAULT_SCOPE_CAP,
+    MiscorrectionError,
     ScopeTooLargeError,
     bound_multi,
     bound_single,
     exhaustive_oracle,
     max_case_count,
 )
+from gccodes.channel import InvalidPatternError
 from gccodes.multi_window import MAX_Z, multi_params
-from gccodes.single_window import InvalidConfigError, gc_params
+from gccodes.single_window import (
+    INVALID_INPUT,
+    SUCCESS,
+    DecodeResult,
+    InvalidConfigError,
+    decode,
+    gc_params,
+)
+from oracles import sweep_every_pattern
 
 K_GRID = (128, 256, 512, 1024, 2048, 4096)
 
@@ -184,3 +196,80 @@ def test_oracle_scope_cap(monkeypatch):
                        match=f"^87031808 patterns exceed the cap {DEFAULT_SCOPE_CAP}$"):
         exhaustive_oracle(p, "1" * 21)
     assert DEFAULT_SCOPE_CAP >= 10 ** 6
+
+
+def test_oracle_refuses_bad_starts_before_any_work(monkeypatch):
+    # gc_params(16, 4, 3) has n = 33, so windows start at 1..30
+    p = gc_params(16, 4, 3)
+    monkeypatch.setattr(analysis, "encode", None)  # raises before any encode
+    monkeypatch.setattr(analysis, "decode", None)  # ... or decode
+    for starts, shown in (([1, 2, 31], "31"), ([2.5], "2.5"), ([0], "0"),
+                          ([-1], "-1"), (["3"], "'3'"), ([None], "None")):
+        with pytest.raises(InvalidPatternError,
+                           match=rf"^window start {shown} outside 1\.\.30$"):
+            exhaustive_oracle(p, "1100101001111000", window_starts=starts)
+
+
+def _messages(k, count):
+    rng = random.Random(f"oracle-sweep/{k}")
+    return [format(rng.getrandbits(k), f"0{k}b") for _ in range(count)]
+
+
+@pytest.mark.parametrize("args, messages, starts, failing", [
+    ((64, 6, 3), _messages(64, 4), None, True),
+    ((64, 6, 3), _messages(64, 1), [58, 2, 58, 45], True),  # repeated, unordered
+    ((8, 4, 3), [format(v, "08b") for v in range(0, 256, 17)], None, False),
+    ((9, 4, 3), [format(v, "09b") for v in range(0, 512, 37)], None, False),
+    ((12, 4, 3), [format(v, "012b") for v in range(0, 4096, 301)], None, False),
+    ((16, 4, 5), _messages(16, 4) + ["1100101001111000"], None, False),
+], ids=["k64", "k64-starts", "m2", "m3-last1", "m3", "c5"])
+def test_oracle_matches_the_every_pattern_sweep(monkeypatch, args, messages, starts,
+                                                failing):
+    """The oracle's report equals the sweep that decodes every pattern,
+    failure_patterns in order, and it decodes each distinct word once."""
+    p = gc_params(*args)
+    decoded = []
+
+    def counting_decode(y, q):
+        decoded.append(y)
+        return decode(y, q)
+
+    monkeypatch.setattr(analysis, "decode", counting_decode)
+    failures = 0
+    for u in messages:
+        decoded.clear()
+        want, received = sweep_every_pattern(p, u, starts)
+        assert exhaustive_oracle(p, u, starts) == want
+        assert sorted(decoded) == sorted({y for _, y in received})
+        assert len(decoded) < len(received)
+        failures += want.failures
+    assert (failures > 0) == failing
+
+
+@pytest.mark.parametrize("verdict, error", [
+    (DecodeResult(status=SUCCESS, message="0" * 16),
+     "wrong message for pattern {pat} (start={start}, offsets={offsets})"),
+    (DecodeResult(status=INVALID_INPUT, reason="stubbed refusal"),
+     "decoder rejected a channel-compliant pattern {pat}: stubbed refusal"),
+], ids=["wrong-message", "invalid-input"])
+def test_oracle_error_names_the_first_pattern_of_its_word(monkeypatch, verdict, error):
+    p = gc_params(16, 4, 3)
+    u = "1100101001111000"
+    _, received = sweep_every_pattern(p, u)
+    # the deletion word most patterns give, at several window starts
+    target, _ = Counter(y for _, y in received if len(y) < p.n).most_common(1)[0]
+    pats = [pat for pat, y in received if y == target]
+    assert len({pat.windows[0].start for pat in pats}) > 1
+    first = pats[0]
+    calls = []
+
+    def stub_decode(y, q):
+        calls.append(y)
+        return verdict if y == target else decode(y, q)
+
+    monkeypatch.setattr(analysis, "decode", stub_decode)
+    with pytest.raises(MiscorrectionError) as exc:
+        exhaustive_oracle(p, u)
+    win = first.windows[0]
+    assert str(exc.value) == error.format(pat=first, start=win.start, offsets=win.offsets)
+    assert calls.count(target) == 1 and calls[-1] == target

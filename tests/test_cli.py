@@ -281,6 +281,16 @@ def test_simulate_progress_on_stderr_only(tmp_path):
     assert r.stdout.startswith("k,w,ell,")
 
 
+def test_simulate_refuses_unbuildable_k_before_any_trial(tmp_path):
+    # k = 12 has 3 blocks, too few for z = 2; without the up-front check the
+    # k = 64 trials ran first and --progress printed their lines
+    r = run_cli("simulate", "--k-list", "64,12", "--c", "5", "--z", "2", "--delta", "1",
+                "--trials", "3", "--progress", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr == "gccodes: error: 3 blocks cannot host 2 disjoint block pairs\n"
+    assert r.stdout == ""
+
+
 def test_simulate_rejects_double_delta(tmp_path):
     r = run_cli("simulate", "--k-list", "64", "--c", "3", "--delta", "1",
                 "--delta-frac", "0.5", "--trials", "5", cwd=tmp_path)

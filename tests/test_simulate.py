@@ -151,6 +151,23 @@ def test_workers_outside_one_to_cpu_count_refused(monkeypatch, capsys):
         assert err == f"gccodes: error: --workers {workers} must be in 1..{cpus}, the CPU count\n"
 
 
+@pytest.mark.parametrize("kw, error", [
+    (dict(k_list=(64, 12), c=5, z=2), "3 blocks cannot host 2 disjoint block pairs"),
+    (dict(k_list=(64,), c=3, kind="foo"), "unknown generator kind 'foo'"),
+    (dict(k_list=(3,), c=3), "k=3 must be at least 4"),
+    (dict(k_list=(64,), c=2), "c=2 must be at least 3"),
+], ids=["z2-k12", "kind", "k3", "c2"])
+def test_unbuildable_code_refused_before_any_trial(monkeypatch, kw, error):
+    # SimConfig builds every k's code, so a k that has none is refused
+    # before any trial of an earlier k runs
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "_run_block", no_trial)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        SimConfig(trials=3, delta=1, **kw)
+
+
 def test_delta_refused_before_any_trial(monkeypatch, tmp_path, capsys):
     # a delta_frac outside [0, 1] (NaN included), or a delta some k of
     # k_list cannot take, is refused by SimConfig before any k runs; the
