@@ -116,28 +116,29 @@ def exhaustive_oracle(p, u, window_starts=None):
     if total > DEFAULT_SCOPE_CAP:
         raise ScopeTooLargeError(f"{total} patterns exceed the cap {DEFAULT_SCOPE_CAP}")
     x = encode(u, p)
+    w = p.w
+    offset_sets = [offsets for d in range(w + 1) for offsets in combinations(range(w), d)]
     statuses = {}       # received word -> its decode status, this call only
     failure_patterns = []
     trials = 0
     for start in window_starts:
-        for d in range(p.w + 1):
-            for offsets in combinations(range(p.w), d):
-                pat = DeletionPattern(windows=(Window(start=start, offsets=offsets),))
-                y = delete_localized(x, pat, w=p.w, z=1)
-                trials += 1
-                status = statuses.get(y)
-                if status is None:
-                    res = decode(y, p)
-                    status = statuses[y] = res.status
-                    if status == SUCCESS and res.message != u:
-                        raise MiscorrectionError(
-                            f"wrong message for pattern {pat} (start={start}, offsets={offsets})"
-                        )
-                    if status not in (SUCCESS, FAILURE):
-                        raise MiscorrectionError(
-                            f"decoder rejected a channel-compliant pattern {pat}: {res.reason}"
-                        )
-                if status == FAILURE:
-                    failure_patterns.append(pat)
+        for offsets in offset_sets:
+            pat = DeletionPattern((Window(start, offsets),))
+            y = delete_localized(x, pat, w, 1)
+            trials += 1
+            status = statuses.get(y)
+            if status is None:
+                res = decode(y, p)
+                status = statuses[y] = res.status
+                if status == SUCCESS and res.message != u:
+                    raise MiscorrectionError(
+                        f"wrong message for pattern {pat} (start={start}, offsets={offsets})"
+                    )
+                if status not in (SUCCESS, FAILURE):
+                    raise MiscorrectionError(
+                        f"decoder rejected a channel-compliant pattern {pat}: {res.reason}"
+                    )
+            if status == FAILURE:
+                failure_patterns.append(pat)
     return OracleReport(trials=trials, failures=len(failure_patterns),
                         failure_patterns=tuple(failure_patterns))

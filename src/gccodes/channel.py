@@ -7,6 +7,10 @@ absolute position start + o). The textual form used by the command line is
     start:off1,off2;start:off1,...
 
 e.g. "3:0,1,3;15:0,2" deletes positions 3, 4, 6, 15 and 17.
+
+positions() and delete_localized walk the windows' offsets once, in order,
+through one helper (_walk) that refuses a position not above the one
+before it; delete_localized cuts the string during that walk.
 """
 
 import random
@@ -46,10 +50,7 @@ class DeletionPattern:
 
     def positions(self):
         """Absolute 1-indexed deleted positions, ascending."""
-        out = [w.start + o for w in self.windows for o in w.offsets]
-        if sorted(set(out)) != out:
-            raise InvalidPatternError("windows overlap: duplicate or unordered positions")
-        return out
+        return list(_walk(self.windows))
 
     def validate(self, n, w, z=None):
         """Check the pattern against a string length and window contract."""
@@ -63,19 +64,34 @@ class DeletionPattern:
                 )
             if win.start <= prev_end:
                 raise InvalidPatternError("windows must not overlap")
-            if win.span_end(w) > n:
+            prev_end = win.span_end(w)
+            if prev_end > n:
                 raise InvalidPatternError(
                     f"window at {win.start} sticks out of a {n}-bit string"
                 )
-            prev_end = win.span_end(w)
         return self
+
+
+def _walk(windows):
+    """The deleted positions, 1-indexed, window by window and offset by
+    offset; raises InvalidPatternError at the first one not above the
+    position before it (windows that overlap or come out of order)."""
+    prev = 0
+    for win in windows:
+        start = win.start
+        for o in win.offsets:
+            pos = start + o
+            if pos <= prev:
+                raise InvalidPatternError("windows overlap: duplicate or unordered positions")
+            yield pos
+            prev = pos
 
 
 def pattern_from_text(text):
     """Parse "start:off1,off2;start:..."; an empty string is the empty pattern."""
     text = text.strip()
     if not text:
-        return DeletionPattern(windows=())
+        return DeletionPattern(())
     windows = []
     for part in text.split(";"):
         try:
@@ -84,8 +100,8 @@ def pattern_from_text(text):
             offsets = tuple(int(x) for x in tail.split(",")) if tail else ()
         except ValueError as exc:
             raise InvalidPatternError(f"cannot parse window {part!r}") from exc
-        windows.append(Window(start=start, offsets=offsets))
-    return DeletionPattern(windows=tuple(windows))
+        windows.append(Window(start, offsets))
+    return DeletionPattern(tuple(windows))
 
 
 def pattern_to_text(pat):
@@ -97,20 +113,25 @@ def pattern_to_text(pat):
 def delete_localized(x, pat, w=None, z=None):
     """Apply a deletion pattern to a bit string, keeping bit order.
 
-    When w (and optionally z) are given the pattern is checked against the
-    window contract first; otherwise only basic sanity holds (positions
-    distinct, inside the string).
+    The checks run in this order. z without w is a ValueError: the window
+    count is part of the window contract. Given w, the pattern is checked
+    against that contract (validate) before anything is cut. Then one walk
+    over the deleted positions (_walk) cuts the string, refusing any
+    position not above the one before it. Last, the final position is
+    checked against the string's length; DeletionPattern already keeps
+    every position at 1 or above.
     """
     if w is not None:
         pat.validate(len(x), w, z)
-    positions = pat.positions()
-    if positions and (positions[0] < 1 or positions[-1] > len(x)):
-        raise InvalidPatternError("deletion positions fall outside the string")
+    elif z is not None:
+        raise ValueError(f"z={z} needs the window size w")
     pieces = []
     prev = 0
-    for pos in positions:
+    for pos in _walk(pat.windows):
         pieces.append(x[prev:pos - 1])
         prev = pos
+    if prev > len(x):
+        raise InvalidPatternError("deletion positions fall outside the string")
     pieces.append(x[prev:])
     return "".join(pieces)
 
@@ -152,5 +173,5 @@ def sample_pattern(p, delta, rng, mode="whole-codeword"):
     for j, (t, d) in enumerate(zip(ts, deltas)):
         start = t + j * (w - 1)
         offsets = tuple(sorted(rng.sample(range(w), d)))
-        windows.append(Window(start=start, offsets=offsets))
-    return DeletionPattern(windows=tuple(windows))
+        windows.append(Window(start, offsets))
+    return DeletionPattern(tuple(windows))

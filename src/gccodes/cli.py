@@ -13,6 +13,7 @@ multi_window._decode_repetition).
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from . import channel, sim
 from .analysis import bound_multi, bound_single
@@ -50,13 +51,21 @@ def read_bits(path):
     return text
 
 
+def _open_out(path):
+    """path opened for writing, or stdout for '-', as a context manager;
+    CliError when the file cannot be opened."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def write_bits(path, bits):
     try:
-        if path == "-":
-            sys.stdout.write(bits + "\n")
-        else:
-            with open(path, "w") as f:
-                f.write(bits + "\n")
+        with _open_out(path) as f:
+            f.write(bits + "\n")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
@@ -177,13 +186,10 @@ def _cmd_simulate(args):
         delta=args.delta, delta_frac=args.delta_frac,
         master_seed=args.seed, sampling_mode=args.mode, kind=args.gen,
     )
-    report = sim.run_trials(cfg, workers=args.workers, progress=args.progress)
-    csv_text = sim.report_to_csv(report)
-    if args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.out, "w") as f:
-            f.write(csv_text)
+    # opened before the trials, so an unwritable --out costs none of them
+    with _open_out(args.out) as out:
+        report = sim.run_trials(cfg, workers=args.workers, progress=args.progress)
+        out.write(sim.report_to_csv(report))
     bad = sum(r.miscorrections for r in report.rows)
     if bad:
         print(f"MISCORRECTIONS: {bad} (decoder bug, results unusable)", file=sys.stderr)

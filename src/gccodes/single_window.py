@@ -258,21 +258,17 @@ def _copies(x, seg, count):
     return out
 
 
-def _lane(syn, i, p):
-    """The packed syndromes of guess i, out of _screen's syn."""
-    seg, ell = mds.lane_tables(p.gen).seg, p.ell
-    lane, full = (p.m - 1 - i) * ell, (1 << ell) - 1
-    return sum((syn >> r * seg + lane & full) << r * ell for r in range(p.c))
-
-
 def _verdict(s, i, syn, p):
-    """Solve the pair of guess i from syndromes 1 and 2 of syn and run the
-    padding and supersequence checks. Returns the decoded pair, the guessed
-    region of s, the decoded bits, both outcomes and the message they give,
-    None unless both hold; the spare parities are _screen's to check."""
+    """Solve the pair of guess i from its syndromes 1 and 2, read off
+    _screen's syn (lane m - 1 - i of segments 0 and 1), and run the padding
+    and supersequence checks. Returns the decoded pair, the guessed region
+    of s, the decoded bits, both outcomes and the message they give, None
+    unless both hold; the spare parities are _screen's to check."""
     ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
     (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
-    l0, l1 = log[syn & mask], log[(syn >> ell) & mask]
+    lane = (p.m - 1 - i) * ell
+    l0 = log[syn >> lane & mask]
+    l1 = log[syn >> mds.lane_tables(p.gen).seg + lane & mask]
     ui = exp[a0 + l0] ^ exp[a1 + l1]
     uj = exp[b0 + l0] ^ exp[b1 + l1]
     padding_ok = not (i + 1 == p.m and uj & ((1 << (ell - p.last_block_len)) - 1))
@@ -310,7 +306,7 @@ def evaluate_guess(s, i, parities, p):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
     lanes, passed = _screen(s, parities, p)
     parities_ok = bool(passed >> (p.m - i) * p.ell - 1 & 1)
-    pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, _lane(lanes, i, p), p)
+    pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, lanes, p)
     return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
                      decoded_bits=dec, padding_ok=padding_ok,
                      parities_ok=parities_ok, supersequence_ok=superseq_ok,
@@ -341,7 +337,7 @@ def decode(y, p):
         top = passed.bit_length() - 1
         passed ^= 1 << top
         i = p.m - 1 - top // p.ell
-        cand = _verdict(s, i, _lane(lanes, i, p), p)[-1]
+        cand = _verdict(s, i, lanes, p)[-1]
         if cand is not None and cand not in winners:
             winners[cand] = i
     return decide(winners)

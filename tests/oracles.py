@@ -6,12 +6,14 @@ time (FieldContext.mul), and erasure systems are solved by elimination
 with those products. Only the field comes from the package. The one
 exception is sweep_every_pattern, a reference for exhaustive_oracle's
 bookkeeping, not for decoding: it runs the package's channel and codec.
+list_delete is the channel as it was before its one-pass walk: it builds
+the whole position list, checks it, and only then cuts.
 """
 
 from itertools import combinations, product
 
 from gccodes.analysis import MiscorrectionError, OracleReport
-from gccodes.channel import DeletionPattern, Window, delete_localized
+from gccodes.channel import DeletionPattern, InvalidPatternError, Window, delete_localized
 from gccodes.single_window import FAILURE, SUCCESS, decode, encode
 
 
@@ -204,3 +206,35 @@ def sweep_every_pattern(p, u, window_starts=None):
     report = OracleReport(trials=len(received), failures=len(failure_patterns),
                           failure_patterns=tuple(failure_patterns))
     return report, received
+
+
+def list_delete(x, pat, w=None, z=None):
+    """delete_localized by a position list: the window contract checked
+    first when w is given (z ignored without it), then every deleted
+    position listed, refused unless strictly ascending and inside x, and
+    only then the cuts. Raises the same errors with the same text."""
+    if w is not None:
+        if z is not None and len(pat.windows) > z:
+            raise InvalidPatternError(f"{len(pat.windows)} windows exceed the limit z={z}")
+        prev_end = 0
+        for win in pat.windows:
+            if win.offsets and win.offsets[-1] >= w:
+                raise InvalidPatternError(
+                    f"offset {win.offsets[-1]} falls outside a window of size {w}")
+            if win.start <= prev_end:
+                raise InvalidPatternError("windows must not overlap")
+            if win.start + w - 1 > len(x):
+                raise InvalidPatternError(
+                    f"window at {win.start} sticks out of a {len(x)}-bit string")
+            prev_end = win.start + w - 1
+    positions = [win.start + o for win in pat.windows for o in win.offsets]
+    if sorted(set(positions)) != positions:
+        raise InvalidPatternError("windows overlap: duplicate or unordered positions")
+    if positions and (positions[0] < 1 or positions[-1] > len(x)):
+        raise InvalidPatternError("deletion positions fall outside the string")
+    pieces, prev = [], 0
+    for pos in positions:
+        pieces.append(x[prev:pos - 1])
+        prev = pos
+    pieces.append(x[prev:])
+    return "".join(pieces)

@@ -1,7 +1,9 @@
 """Deletion patterns: application, grammar, sampling."""
 
 import random
+import re
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +18,7 @@ from gccodes.channel import (
 )
 from gccodes.multi_window import multi_params
 from gccodes.single_window import gc_params, is_subsequence
+from oracles import list_delete
 
 
 def test_two_window_reference_string():
@@ -97,6 +100,57 @@ def test_delete_length_and_subsequence():
         y = delete_localized(x, pat, w=p.w, z=1)
         assert len(y) == p.n - len(pat.positions())
         assert is_subsequence(y, x)
+
+
+def _offset_sets(size):
+    return [offs for d in range(size + 1) for offs in combinations(range(size), d)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_one_pass_delete_matches_the_position_list_reference():
+    """delete_localized against list_delete on every string of distinct
+    characters of length 0..12, every single window (starts 1..14, offsets
+    any subset of 0..4) and every pair of windows (starts 1..13, offsets any
+    subset of 0..2), whether empty, overlapping, unordered or past the end,
+    with no contract, w = 2 or 3, and z = 1 or 2: equal strings, or errors
+    of the same type and text."""
+    patterns = [DeletionPattern((Window(start, offs),))
+                for start in range(1, 15) for offs in _offset_sets(5)]
+    patterns += [DeletionPattern((Window(a, p), Window(b, q)))
+                 for a, b in combinations(range(1, 14), 2)
+                 for p, q in product(_offset_sets(3), repeat=2)]
+    contracts = [(None, None)] + [(w, z) for w in (2, 3) for z in (None, 1, 2)]
+    kinds = Counter()
+    for n in range(13):
+        x = "0123456789ab"[:n]
+        for pat in patterns:
+            for w, z in contracts:
+                got = _outcome(delete_localized, x, pat, w, z)
+                assert got == _outcome(list_delete, x, pat, w, z), (x, pat, w, z)
+                kinds[re.sub(r"\d+", "#", got[1]) if isinstance(got, tuple) else ""] += 1
+    # every error of the channel shows up, and so do plain cuts
+    assert sorted(kinds) == ["", "# windows exceed the limit z=#",
+                             "deletion positions fall outside the string",
+                             "offset # falls outside a window of size #",
+                             "window at # sticks out of a #-bit string",
+                             "windows must not overlap",
+                             "windows overlap: duplicate or unordered positions"]
+    assert kinds[""] > 10_000
+
+
+def test_z_without_w_is_refused():
+    x = "0110100110"
+    for text in ("3:0", "", "3:0;9:0"):
+        with pytest.raises(ValueError, match="z=2 needs the window size w"):
+            delete_localized(x, pattern_from_text(text), z=2)
+        with pytest.raises(ValueError, match="z=1 needs the window size w"):
+            delete_localized(x, pattern_from_text(text), None, 1)
 
 
 def test_burst_equals_slice_removal():

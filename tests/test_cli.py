@@ -1,4 +1,5 @@
-"""Command-line interface, exercised through subprocesses end to end."""
+"""Command-line interface, exercised through subprocesses end to end, and
+in-process where a test must patch what the command calls."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gccodes
+from gccodes import cli
 
 U = "1100101001111000"
 CODEWORD = "110010100111100000001100110000001"
@@ -296,3 +298,17 @@ def test_simulate_rejects_double_delta(tmp_path):
                 "--delta-frac", "0.5", "--trials", "5", cwd=tmp_path)
     assert r.returncode == 1
     assert "error:" in r.stderr
+
+
+def test_simulate_unwritable_out_fails_before_any_trial(monkeypatch, capsys, tmp_path):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials ran before --out was opened")
+
+    monkeypatch.setattr(cli.sim, "run_trials", no_trials)
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code = cli.main(["simulate", "--k-list", "64", "--c", "3", "--delta", "1",
+                     "--trials", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"gccodes: error: cannot write {out}")
+    assert not out.parent.exists()

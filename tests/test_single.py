@@ -380,7 +380,6 @@ def screen_lanes(s, parities, p):
     for i in range(1, p.m):
         at = (p.m - 1 - i) * ell
         values = [syn >> (r * seg + at) & (1 << ell) - 1 for r in range(p.c)]
-        assert single_window._lane(syn, i, p) == mds.pack(values, ell)
         top = passed >> at & (1 << ell) - 1
         assert top in (0, 1 << (ell - 1))
         out.append((values, bool(top)))
