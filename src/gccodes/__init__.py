@@ -15,7 +15,6 @@ from .analysis import (
     bound_multi,
     bound_single,
     exhaustive_oracle,
-    max_case_count,
 )
 from .channel import (
     DeletionPattern,
@@ -42,6 +41,7 @@ from .multi_window import (
     decode_multi,
     encode_multi,
     enumerate_cases,
+    max_case_count,
     multi_params,
     repetition_decode,
     repetition_encode,
@@ -66,14 +66,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "MiscorrectionError", "OracleReport", "ScopeTooLargeError",
-    "bound_multi", "bound_single", "exhaustive_oracle", "max_case_count",
+    "bound_multi", "bound_single", "exhaustive_oracle",
     "DeletionPattern", "InvalidPatternError", "Window", "delete_localized",
     "pattern_from_text", "pattern_to_text", "sample_pattern",
     "FieldContext", "NonPrimitivePolynomialError", "UnsupportedExponentError",
     "bits_to_symbols",
     "FieldTooSmallError", "Generator", "make_generator",
-    "MAX_Z", "decode_multi", "encode_multi",
-    "enumerate_cases", "multi_params", "repetition_decode", "repetition_encode",
+    "MAX_Z", "decode_multi", "encode_multi", "enumerate_cases", "max_case_count",
+    "multi_params", "repetition_decode", "repetition_encode",
     "SimConfig", "TrialReport", "TrialRow", "report_to_csv", "run_trials",
     "FAILURE", "INVALID_INPUT", "SUCCESS", "CodeParams", "DecodeResult",
     "GuessEval", "InvalidConfigError", "decode", "encode",

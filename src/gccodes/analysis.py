@@ -8,10 +8,9 @@ leave no spare checking budget.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .channel import DeletionPattern, InvalidPatternError, Window, delete_localized
-from .multi_window import _compositions, multi_dims
+from .multi_window import max_case_count, multi_dims
 from .single_window import FAILURE, SUCCESS, decode, derive_dims, encode
 
 
@@ -53,20 +52,6 @@ def bound_single(k, w, c):
     fb = min(1.0, (k / ell) * 2.0 ** (-(c - 3) * ell))
     return BoundReport(redundancy_bits=redundancy, rate=rate, failure_bound=fb,
                        regime=_regime(k, w), windows=1)
-
-
-def max_case_count(k, w, c, z):
-    """Exact worst-case size of enumerate_cases over all deletion counts.
-
-    This is the set the failure bound takes its union over, not the number
-    of cases decode checks at r > 1: that checks each set of damaged pairs
-    and their shares once, at the first placement holding them, so it
-    checks fewer. It refuses what multi_params refuses.
-    """
-    ell, m, last = multi_dims(k, w, c, z)
-    placements = comb(m - z, z)
-    worst_splits = max(sum(1 for _ in _compositions(d, z, w)) for d in range(z * w + 1))
-    return placements * worst_splits
 
 
 def bound_multi(k, w, c, z):

@@ -12,8 +12,9 @@ multi_window._decode_repetition).
 
 import argparse
 import os
+import shutil
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from . import channel, sim
 from .analysis import bound_multi, bound_single
@@ -51,15 +52,36 @@ def read_bits(path):
     return text
 
 
+@contextmanager
 def _open_out(path):
     """path opened for writing, or stdout for '-', as a context manager;
-    CliError when the file cannot be opened."""
+    CliError when it cannot be opened. A file is written to a temporary
+    file beside it, with the mode open(path, "w") would give, which
+    replaces it when the block ends and is removed if the block raises.
+    A device or a pipe is written in place."""
     if path == "-":
-        return nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    old = os.path.isfile(target)
+    tmp = None if os.path.exists(target) and not old else f"{target}.{os.getpid()}.tmp"
     try:
-        return open(path, "w")
+        if old:
+            open(target, "a").close()         # refused where open(path, "w") is
+        f = open(tmp, "x") if tmp else open(target, "w")
+        if old:
+            shutil.copymode(target, tmp)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+    try:
+        with f:
+            yield f
+        if tmp:
+            os.replace(tmp, target)
+    except BaseException:
+        if tmp:
+            os.unlink(tmp)
+        raise
 
 
 def write_bits(path, bits):
@@ -186,7 +208,8 @@ def _cmd_simulate(args):
         delta=args.delta, delta_frac=args.delta_frac,
         master_seed=args.seed, sampling_mode=args.mode, kind=args.gen,
     )
-    # opened before the trials, so an unwritable --out costs none of them
+    # opened before the trials, so an unwritable --out costs none of them;
+    # an existing --out keeps its contents until the report is written
     with _open_out(args.out) as out:
         report = sim.run_trials(cfg, workers=args.workers, progress=args.progress)
         out.write(sim.report_to_csv(report))

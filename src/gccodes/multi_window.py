@@ -20,8 +20,10 @@ and the spare weights of its placement's log-form solver rows
 into one int, a block per case, with C-level maps over those arrays, and
 checks every spare parity of every case as lane products: no
 Python code runs per case. Only the cases that pass are solved and given
-the padding and supersequence checks; a pair with a zero share is
-checked by equality.
+the padding and supersequence checks (_candidate); a pair with a zero
+share is checked by equality. _candidate is the one such check for both
+codes: single_window.decode hands it each guess that passes its own
+screen as the case of one pair.
 
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: every
@@ -42,6 +44,7 @@ from bisect import bisect_right
 from dataclasses import replace
 from functools import reduce
 from itertools import accumulate, combinations, compress
+from math import comb
 from operator import mul, xor
 from types import SimpleNamespace
 
@@ -64,6 +67,11 @@ encode_multi, decode_multi = encode, decode
 # is impractical at desk scale, so multi_params refuses larger z.
 MAX_Z = 3
 
+# The decoder's tables grow with the case count (max_case_count), so
+# multi_params refuses more than this; multi_params(256, 4, 8, 3), the
+# largest code in the tests, demos, bench and criteria, has 69 426.
+MAX_CASES = 100_000
+
 # Byte -> 1 when its bit 0 is clear: the screen passed that case's block.
 _PASSED = bytes(1 - (b & 1) for b in range(256))
 
@@ -71,7 +79,7 @@ _PASSED = bytes(1 - (b & 1) for b in range(256))
 def multi_dims(k, w, c, z):
     """The (ell, m, last_block_len) of derive_dims for z windows, after
     the checks z windows add: one to MAX_Z windows, the 2z solving
-    parities plus a spare, and room for z disjoint block pairs."""
+    parities plus a spare, room for z disjoint block pairs, MAX_CASES."""
     if z < 1:
         raise InvalidConfigError(f"z={z} must be at least 1")
     if z > MAX_Z:
@@ -81,6 +89,9 @@ def multi_dims(k, w, c, z):
     ell, m, last = derive_dims(k, w, c)
     if m < 2 * z:
         raise InvalidConfigError(f"{m} blocks cannot host {z} disjoint block pairs")
+    cases = _case_count(m, w, z)
+    if cases > MAX_CASES:
+        raise InvalidConfigError(f"{cases} cases exceed the case budget of {MAX_CASES}")
     return ell, m, last
 
 
@@ -118,6 +129,23 @@ def _compositions(total, parts, cap):
     for head in range(min(cap, total) + 1):
         for rest in _compositions(total - head, parts - 1, cap):
             yield (head,) + rest
+
+
+def _case_count(m, w, z):
+    """max_case_count's closed form: placements times the most splits."""
+    splits = max(sum(1 for _ in _compositions(d, z, w)) for d in range(z * w + 1))
+    return comb(m - z, z) * splits
+
+
+def max_case_count(k, w, c, z):
+    """Exact worst-case size of enumerate_cases over all deletion counts.
+
+    This is the set the failure bound takes its union over, not the number
+    of cases decode checks at r > 1: that checks each set of damaged pairs
+    and their shares once, at the first placement holding them, so it
+    checks fewer. It refuses what multi_params refuses.
+    """
+    return _case_count(multi_dims(k, w, c, z)[1], w, z)
 
 
 def _pair_placements(m, z):
@@ -361,53 +389,54 @@ def _prefix_sums(s, parities, p, cases):
     return list(map(table.__getitem__, lanes.slices[:entries]))
 
 
-def _candidate(s, p, pairs, deltas, solve, lh):
-    """The message of a case that passed the spare checks, or None. The
-    2z blocks are solved from the logs lh of the solving syndromes with
-    the solve rows of mds.log_solver.
+def _damaged_pair(s, p, i, before, d, a, b):
+    """The checks of damaged pair i, solved to blocks a and b, when the
+    pairs before it lost `before` bits and it lost d: (region, dec,
+    padding_ok, supersequence_ok), the region of s it covers, the decoded
+    bits (cut to the message's bits for the last pair), whether a short
+    last block's padding is zero, and whether region is a subsequence of
+    dec. Every check is run."""
+    ell, last = p.ell, i + 1 == p.m
+    region = s[(i - 1) * ell - before:(i + 1) * ell - before - d]
+    dec = format(a << ell | b, "b").zfill(2 * ell)
+    if last:
+        dec = dec[:ell + p.last_block_len]
+    padding_ok = not (last and b & (1 << ell - p.last_block_len) - 1)
+    return region, dec, padding_ok, is_subsequence(region, dec)
+
+
+def _candidate(s, p, pairs, deltas, sol):
+    """The message of a case that passed the spare checks, or None; sol
+    holds the case's solved blocks, two per pair. Every guess of either
+    code that passes its screen is checked here, a single-window guess i
+    as the case ((i,), (delta,)).
 
     A pair with a zero share lost nothing, so its supersequence test is
     region == dec, compared as ints; that also checks the padding of a
     short last block when the last pair has a zero share. A pair with a
-    share needs zero padding when it is the last pair, passes the
-    supersequence test, and puts its solved blocks into the message.
+    share must pass _damaged_pair's padding and supersequence checks, and
+    puts its solved blocks into the message.
     """
-    ell, m, exp = p.ell, p.m, p.ctx.exp
-    low = ell - p.last_block_len  # padding bits of a short last block
-    sol = []
-    for lws in solve:
-        acc = 0
-        for lw, lv in zip(lws, lh):
-            acc ^= exp[lw + lv]
-        sol.append(acc)
+    ell = p.ell
     pieces = []
     cum = 0
     prev_end = 0  # bits of s consumed so far
-    width = f"0{ell}b"
-    for i, d, a, b in zip(pairs, deltas, sol[::2], sol[1::2]):
+    for j, i in enumerate(pairs):
+        d, a, b = deltas[j], sol[2 * j], sol[2 * j + 1]
         start = (i - 1) * ell - cum
         if not d:
             # a zero-share region always holds the pair's full 2*ell bits
             # (ell + last for the last pair, whose bits shifted up to
             # whole blocks leave the padding zero)
-            if i + 1 < m:
-                if int(s[start:(i + 1) * ell - cum], 2) != a << ell | b:
-                    return None
-            elif int(s[start:], 2) << low != a << ell | b:
+            low = ell - p.last_block_len if i + 1 == p.m else 0
+            if int(s[start:(i + 1) * ell - cum], 2) << low != a << ell | b:
                 return None
             continue
-        pieces.append(s[prev_end:start])
+        region, dec, padding_ok, superseq_ok = _damaged_pair(s, p, i, cum, d, a, b)
+        if not (padding_ok and superseq_ok):
+            return None
+        pieces += (s[prev_end:start], dec)
         cum += d
-        dec = format(a, width) + format(b, width)
-        if i + 1 < m:
-            region = s[start:(i + 1) * ell - cum]
-        elif b & ((1 << low) - 1):
-            return None
-        else:
-            region, dec = s[start:], dec[:ell + p.last_block_len]
-        if not is_subsequence(region, dec):
-            return None
-        pieces.append(dec)
         prev_end = start + len(region)
     pieces.append(s[prev_end:])
     return "".join(pieces)
@@ -497,7 +526,7 @@ def _decode_repetition(y, p):
       and fixes the order of the candidates, is unchanged.
 
     Every case's spare parities are checked at once (_screen); the cases
-    that pass, in enumeration order, reach _candidate.
+    that pass are solved and, in enumeration order, reach _candidate.
 
     InvalidInput means no case tried is consistent. The cases assume that
     every deletion hit the message bits and that no two windows share a
@@ -510,11 +539,17 @@ def _decode_repetition(y, p):
     parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, p.r, delta)
     s = y[:p.k - delta]
     passed, case = _screen(s, mds.pack(read_symbols(parity_bits, ell), ell), p)
-    log, mask, heads = p.ctx.log, (1 << ell) - 1, range(0, 2 * p.z * ell, ell)
-    winners = {}
+    log, exp, mask = p.ctx.log, p.ctx.exp, (1 << ell) - 1
+    heads = range(0, 2 * p.z * ell, ell)
+    found = []
     for i in compress(range(len(passed)), passed):
         pairs, deltas, solve, syn = case(i)
-        cand = _candidate(s, p, pairs, deltas, solve, [log[syn >> sh & mask] for sh in heads])
-        if cand is not None and cand not in winners:
-            winners[cand] = (pairs, deltas)
-    return decide(winners)
+        lh = [log[syn >> sh & mask] for sh in heads]
+        sol = []
+        for lws in solve:
+            acc = 0
+            for lw, lv in zip(lws, lh):
+                acc ^= exp[lw + lv]
+            sol.append(acc)
+        found.append(((pairs, deltas), _candidate(s, p, pairs, deltas, sol)))
+    return decide(found)

@@ -23,10 +23,10 @@ parity side):
 The guesses are screened all at once (_screen): one Python int holds one
 ell-bit field element per lane, so each big-int operation acts on every
 block or every guess, about 10*ell + 3*log2(2m) of them per word. Only
-the few guesses that pass the spare parities are solved and given the
-padding and supersequence checks, in ascending order. evaluate_guess
-reports a single guess through the same checks, reading its syndromes
-and spare verdict off the same screen.
+the few guesses that pass the spare parities are solved (_solved) and, in
+ascending order, given multi_window._candidate, the one check of both
+codes, as the case of pair i with share delta. evaluate_guess reports a
+single guess through the same screen, solve and check.
 
 encode and decode serve both codes: the params' repetition factor r picks
 the layout, r = 1 this one, r > 1 the repetition-coded parities of
@@ -40,6 +40,8 @@ respected the window contract.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import contains
 
 from . import mds
 from .gf2e import FieldContext, is_binary, read_symbols
@@ -146,8 +148,8 @@ def encode(u, p):
 
 def is_subsequence(sub, sup):
     """True iff sub can be obtained from sup by deleting characters."""
-    it = iter(sup)
-    return all(ch in it for ch in sub)
+    # contains(it, ch) is ch in it, which advances it past the first match
+    return all(map(contains, repeat(iter(sup)), sub))
 
 
 @dataclass(frozen=True)
@@ -258,31 +260,22 @@ def _copies(x, seg, count):
     return out
 
 
-def _verdict(s, i, syn, p):
-    """Solve the pair of guess i from its syndromes 1 and 2, read off
-    _screen's syn (lane m - 1 - i of segments 0 and 1), and run the padding
-    and supersequence checks. Returns the decoded pair, the guessed region
-    of s, the decoded bits, both outcomes and the message they give, None
-    unless both hold; the spare parities are _screen's to check."""
+def _solved(lanes, passed, p):
+    """(i, (block i, block i + 1)) for each guess i whose lane has its top
+    bit set in passed, lowest guess (highest lane) first: the pair solved
+    from syndromes 1 and 2 of guess i, lane m - 1 - i of segments 0 and 1
+    of _screen's lanes."""
     ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
-    (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
-    lane = (p.m - 1 - i) * ell
-    l0 = log[syn >> lane & mask]
-    l1 = log[syn >> mds.lane_tables(p.gen).seg + lane & mask]
-    ui = exp[a0 + l0] ^ exp[a1 + l1]
-    uj = exp[b0 + l0] ^ exp[b1 + l1]
-    padding_ok = not (i + 1 == p.m and uj & ((1 << (ell - p.last_block_len)) - 1))
-    # the guessed region, and the intact blocks i+2..m behind it
-    tail = (p.m - i - 2) * ell + p.last_block_len if i + 1 < p.m else 0
-    region = s[(i - 1) * ell: len(s) - tail]
-    pair_len = ell + (p.last_block_len if i + 1 == p.m else ell)
-    width = f"0{ell}b"
-    dec = (format(ui, width) + format(uj, width))[:pair_len]
-    superseq_ok = is_subsequence(region, dec)
-    message = None
-    if padding_ok and superseq_ok:
-        message = s[:(i - 1) * ell] + dec + (s[len(s) - tail:] if tail else "")
-    return (ui, uj), region, dec, padding_ok, superseq_ok, message
+    seg, out = mds.lane_tables(p.gen).seg, []
+    while passed:
+        top = passed.bit_length() - 1
+        passed ^= 1 << top
+        i = p.m - 1 - top // ell
+        (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
+        l0 = log[lanes >> top + 1 - ell & mask]
+        l1 = log[lanes >> seg + top + 1 - ell & mask]
+        out.append((i, (exp[a0 + l0] ^ exp[a1 + l1], exp[b0 + l0] ^ exp[b1 + l1])))
+    return out
 
 
 def evaluate_guess(s, i, parities, p):
@@ -291,8 +284,9 @@ def evaluate_guess(s, i, parities, p):
     s is the received word truncated to its first k - delta bits, parities
     the c parity symbols read off the intact tail, each an int in
     [0, 2^ell). 1 <= i <= m - 1. Every check is run and reported; nothing
-    short-circuits. The syndromes and the spare-parity verdict are guess
-    i's lanes of decode's screen.
+    short-circuits. The syndromes, spare verdict and checks are decode's:
+    guess i's lanes of its screen, then multi_window._damaged_pair and
+    _candidate.
     """
     if not 1 <= i <= p.m - 1:
         raise ValueError(f"guess index must be in [1, {p.m - 1}], got {i}")
@@ -305,12 +299,16 @@ def evaluate_guess(s, i, parities, p):
     if not all(isinstance(v, int) and 0 <= v < 1 << p.ell for v in parities):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
     lanes, passed = _screen(s, parities, p)
-    parities_ok = bool(passed >> (p.m - i) * p.ell - 1 & 1)
-    pair, region, dec, padding_ok, superseq_ok, message = _verdict(s, i, lanes, p)
+    top = 1 << (p.m - i) * p.ell - 1          # the top bit of guess i's lane
+    parities_ok = bool(passed & top)
+    [(_, pair)] = _solved(lanes, top, p)
+    delta = p.k - len(s)
+    region, dec, padding_ok, superseq_ok = multi_window._damaged_pair(s, p, i, 0, delta, *pair)
+    cand = multi_window._candidate(s, p, (i,), (delta,), pair) if parities_ok else None
     return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
                      decoded_bits=dec, padding_ok=padding_ok,
                      parities_ok=parities_ok, supersequence_ok=superseq_ok,
-                     candidate=message if parities_ok else None)
+                     candidate=cand)
 
 
 def decode(y, p):
@@ -332,21 +330,20 @@ def decode(y, p):
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
     s = y[:p.k - delta]
     lanes, passed = _screen(s, read_symbols(y[len(y) - p.c * p.ell:], p.ell), p)
+    shares = (delta,)
+    return decide([(i, multi_window._candidate(s, p, (i,), shares, pair))
+                   for i, pair in _solved(lanes, passed, p)])
+
+
+def decide(found):
+    """The result of a decode from its (guess, candidate) pairs in the
+    order the guesses were tried, candidate None for a guess that failed:
+    no candidate is InvalidInput, one distinct candidate is Success with
+    the first guess that gave it, more are Failure, in the order found."""
     winners = {}
-    while passed:                     # the highest lane is the lowest guess
-        top = passed.bit_length() - 1
-        passed ^= 1 << top
-        i = p.m - 1 - top // p.ell
-        cand = _verdict(s, i, lanes, p)[-1]
+    for guess, cand in found:
         if cand is not None and cand not in winners:
-            winners[cand] = i
-    return decide(winners)
-
-
-def decide(winners):
-    """The result of a decode from its distinct surviving candidates, each
-    mapped to the first guess that gave it, in the order they were found:
-    none is InvalidInput, one is Success, more are Failure."""
+            winners[cand] = guess
     if not winners:
         return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
     if len(winners) == 1:

@@ -156,6 +156,7 @@ def test_bound_multi_validation():
     (8, 4, 5, 2),        # 2 blocks cannot host 2 pairs
     (16, 4, 13, 2),      # 4 + 13 symbols exceed GF(16)
     (64, 4, 9, MAX_Z + 1),   # more windows than the cap, all else valid
+    (4096, 12, 8, 3),    # 817 332 503 cases, over the case budget
 ])
 def test_multi_params_and_bound_multi_refuse_alike(args):
     with pytest.raises(InvalidConfigError) as built:

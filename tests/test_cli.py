@@ -4,12 +4,13 @@ in-process where a test must patch what the command calls."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gccodes
-from gccodes import cli
+from gccodes import cli, mds, multi_window
 
 U = "1100101001111000"
 CODEWORD = "110010100111100000001100110000001"
@@ -312,3 +313,66 @@ def test_simulate_unwritable_out_fails_before_any_trial(monkeypatch, capsys, tmp
     assert code == 1
     assert err.startswith(f"gccodes: error: cannot write {out}")
     assert not out.parent.exists()
+
+
+def test_simulate_failure_keeps_the_old_out(monkeypatch, tmp_path):
+    # --out is written to a temporary file beside it and renamed onto it
+    # only once the report is written: a run that raises leaves the old
+    # file as it was and no temporary file behind
+    def failing(*args, **kwargs):
+        raise RuntimeError("trials interrupted")
+
+    out = tmp_path / "keep.csv"
+    out.write_text("old results\n")
+    monkeypatch.setattr(cli.sim, "run_trials", failing)
+    with pytest.raises(RuntimeError, match="trials interrupted"):
+        cli.main(["simulate", "--k-list", "64", "--c", "3", "--delta", "1",
+                  "--trials", "5", "--out", str(out)])
+    assert out.read_text() == "old results\n"
+    assert os.listdir(tmp_path) == ["keep.csv"]
+
+
+def test_simulate_out_gets_the_mode_of_a_plain_open(tmp_path):
+    # a new file gets 0o666 less the umask and an existing one keeps its
+    # mode, as open(path, "w") gives, not the temporary file's 0o600
+    args = ["simulate", "--k-list", "64", "--c", "3", "--delta", "1", "--trials", "5"]
+    umask = os.umask(0)
+    os.umask(umask)
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("old results\n")
+    kept.chmod(0o640)
+    for out in (new, kept):
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert out.read_text().startswith("k,w,ell,")
+    assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["kept.csv", "new.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--in", "x.bits", "--out", "y.bits"],
+    ["decode", "--in", "x.bits", "--out", "y.bits"],
+    ["corrupt", "--random", "--delta", "1", "--seed", "1", "--in", "x.bits", "--out", "y.bits"],
+    ["bound"],
+], ids=["encode", "decode", "corrupt", "bound"])
+def test_an_unaffordable_code_is_refused_before_any_table(argv, monkeypatch, capsys, tmp_path):
+    # multi_params(4096, 12, 8, 3) enumerates 6 435 689 placements times
+    # 127 splits; each command refuses it before building a field,
+    # generator or solver, as simulate does at k = 4096 (w = 12)
+    def built(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(multi_window, "gc_params", built)
+    monkeypatch.setattr(mds, "log_solver", built)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "x.bits", "0110")
+    code = ["--k", "4096", "--w", "12", "--c", "8", "--z", "3"]
+    for args in ([*argv, *code],
+                 ["simulate", "--k-list", "4096", "--c", "8", "--z", "3", "--delta", "1",
+                  "--trials", "5"]):
+        start = time.perf_counter()
+        assert cli.main(args) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == "gccodes: error: 817332503 cases exceed the case budget of 100000\n"
+    assert os.listdir(tmp_path) == ["x.bits"]

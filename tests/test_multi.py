@@ -1,8 +1,11 @@
 """Multi-window codec: repetition-coded parities, case enumeration, decode."""
 
 import random
+import time
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import xor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,6 +28,7 @@ from gccodes.multi_window import (
     decode_multi,
     encode_multi,
     enumerate_cases,
+    max_case_count,
     multi_params,
     repetition_decode,
     repetition_encode,
@@ -106,6 +110,24 @@ def test_multi_params_validation():
         multi_params(16, 4, 7, 3)       # 4 blocks cannot host 3 pairs
     with pytest.raises(InvalidConfigError, match="z=4 exceeds the cap of 3 windows"):
         multi_params(256, 4, 9, 4)      # above MAX_Z
+
+
+def test_an_unaffordable_code_is_refused_before_any_table(monkeypatch):
+    # 342 blocks hold C(339, 3) = 6 435 689 placements of 3 pairs, times
+    # 127 splits at the richest delta; a first decode would build a
+    # solver per placement. multi_params refuses it before it builds a
+    # field, generator or solver, and the largest code in use still builds.
+    def built(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(multi_window, "gc_params", built)
+    monkeypatch.setattr(mds, "log_solver", built)
+    start = time.perf_counter()
+    with pytest.raises(InvalidConfigError,
+                       match="^817332503 cases exceed the case budget of 100000$"):
+        multi_params(4096, 12, 8, 3)
+    assert time.perf_counter() - start < 1
+    assert max_case_count(256, 4, 8, 3) == 69_426 <= multi_window.MAX_CASES
 
 
 def test_encode_multi_layout():
@@ -521,7 +543,7 @@ def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
 ], ids=["last-pair-damaged", "last-pair-intact"])
 def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
     mp = multi_params(64, 4, 8, 2)        # ell 6, m 11, last block 4 bits
-    ell, log = mp.ell, mp.ctx.log
+    ell, log, exp = mp.ell, mp.ctx.log, mp.ctx.exp
     blocks = [int(U64[j:j + ell].ljust(ell, "0"), 2) for j in range(0, mp.k, ell)]
     s = U64[:cut[0]] + U64[cut[1]:]
     # solve row j copies the logs of syndrome j through, so with the logs
@@ -529,9 +551,10 @@ def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
     solve = [tuple(0 if r == j else log[0] for r in range(4)) for j in range(4)]
     true = [blocks[i - 1 + e] for i in pairs for e in (0, 1)]
     for padding, want in ((0, U64), (1, None), (0b10, None)):
-        sol = true[:3] + [true[3] | padding]
-        lh = [log[v] for v in sol]
-        assert multi_window._candidate(s, mp, pairs, deltas, solve, lh) == want
+        lh = [log[v] for v in true[:3] + [true[3] | padding]]
+        sol = [reduce(xor, (exp[lw + lv] for lw, lv in zip(lws, lh))) for lws in solve]
+        assert sol == true[:3] + [true[3] | padding]
+        assert multi_window._candidate(s, mp, pairs, deltas, sol) == want
 
 
 def test_case_off_the_last_shift_raises(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gccodes import mds, single_window
+from gccodes import mds, multi_window, single_window
 from gccodes.analysis import exhaustive_oracle
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext, bits_to_symbols
@@ -502,3 +502,38 @@ def test_evaluate_guess_survivors_are_decode_candidates():
             else:
                 assert tuple(survivors) == res.candidates, (args, y)
     assert statuses == {SUCCESS, FAILURE}, statuses
+
+
+def test_every_passed_guess_reaches_the_one_check(monkeypatch):
+    # the guess loop hands each guess that passed the screen, once and in
+    # ascending order, to multi_window._candidate as the case
+    # ((i,), (delta,)), and evaluate_guess's candidate is what it returns
+    real = multi_window._candidate
+    calls = []
+
+    def recorded(s, p, pairs, deltas, sol):
+        cand = real(s, p, pairs, deltas, sol)
+        calls.append((pairs, deltas, cand))
+        return cand
+
+    monkeypatch.setattr(multi_window, "_candidate", recorded)
+    checked = 0
+    for args in ((37, 5, 3, "cauchy"), (64, 4, 4, "vandermonde"), (16, 4, 3, "cauchy"),
+                 (128, 7, 3, "cauchy")):
+        p = gc_params(*args)
+        rng = random.Random(f"one check/{args}")
+        for _ in range(60):
+            u = format(rng.getrandbits(p.k), f"0{p.k}b")
+            pat = sample_pattern(p, rng.randrange(1, p.w + 1), rng, "systematic-only")
+            y = delete_localized(encode(u, p), pat, w=p.w, z=1)
+            calls.clear()
+            res = decode(y, p)
+            got = list(calls)
+            s, parities, delta = strip_received(y, p)
+            assert res.guess is not None or res.status != SUCCESS
+            passed = [i for i in range(1, p.m) if evaluate_guess(s, i, parities, p).parities_ok]
+            assert [call[:2] for call in got] == [((i,), (delta,)) for i in passed], (args, y)
+            for i, (_, _, cand) in zip(passed, got):
+                assert evaluate_guess(s, i, parities, p).candidate == cand
+            checked += len(got)
+    assert checked > 240, checked
