@@ -25,8 +25,8 @@ for c in (3, 4):
     print()
 
 # a wider window than log2 k buys locality but costs redundancy: the
-# blocks must stretch to ell = w
-for w in (12, 24, 48):
+# blocks must stretch to ell = w, at most 20 (the field cap)
+for w in (12, 16, 20):
     rep = bound_single(4096, w, 4)
     print(f"k=4096 w={w}: rate {rep.rate:.4f}, bound {rep.failure_bound:.2g}, "
           f"{rep.regime}")

@@ -20,10 +20,10 @@ and the spare weights of its placement's log-form solver rows
 into one int, a block per case, with C-level maps over those arrays, and
 checks every spare parity of every case as lane products: no
 Python code runs per case. Only the cases that pass are solved and given
-the padding and supersequence checks (_candidate); a pair with a zero
-share is checked by equality. _candidate is the one such check for both
-codes: single_window.decode hands it each guess that passes its own
-screen as the case of one pair.
+the padding and supersequence checks (_candidate), every pair by the one
+rule of _damaged_pair. _candidate is the one such check for both codes:
+single_window.decode hands it each guess that passes its own screen as
+the case of one pair.
 
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: every
@@ -41,7 +41,6 @@ their former multi-window names.
 
 from array import array
 from bisect import bisect_right
-from dataclasses import replace
 from functools import reduce
 from itertools import accumulate, combinations, compress
 from math import comb
@@ -51,13 +50,13 @@ from types import SimpleNamespace
 from . import mds
 from .gf2e import read_symbols
 from .single_window import (
+    CodeParams,
     InvalidConfigError,
     _times,
     decide,
     decode,
     derive_dims,
     encode,
-    gc_params,
     is_subsequence,
 )
 
@@ -78,15 +77,16 @@ _PASSED = bytes(1 - (b & 1) for b in range(256))
 
 def multi_dims(k, w, c, z):
     """The (ell, m, last_block_len) of derive_dims for z windows, after
-    the checks z windows add: one to MAX_Z windows, the 2z solving
-    parities plus a spare, room for z disjoint block pairs, MAX_CASES."""
+    derive_dims' checks and those z windows add: one to MAX_Z windows,
+    the 2z solving parities plus a spare, room for z disjoint block
+    pairs, MAX_CASES."""
+    ell, m, last = derive_dims(k, w, c)
     if z < 1:
         raise InvalidConfigError(f"z={z} must be at least 1")
     if z > MAX_Z:
         raise InvalidConfigError(f"z={z} exceeds the cap of {MAX_Z} windows")
     if c < 2 * z + 1:
         raise InvalidConfigError(f"c={c} must be at least 2z + 1 = {2 * z + 1}")
-    ell, m, last = derive_dims(k, w, c)
     if m < 2 * z:
         raise InvalidConfigError(f"{m} blocks cannot host {z} disjoint block pairs")
     cases = _case_count(m, w, z)
@@ -96,8 +96,7 @@ def multi_dims(k, w, c, z):
 
 
 def multi_params(k, w, c, z, kind="cauchy"):
-    multi_dims(k, w, c, z)
-    return replace(gc_params(k, w, c, kind), z=z, r=z * w + 1)
+    return CodeParams(k, w, c, kind, z, z * w + 1)
 
 
 def repetition_encode(bits, r):
@@ -390,12 +389,12 @@ def _prefix_sums(s, parities, p, cases):
 
 
 def _damaged_pair(s, p, i, before, d, a, b):
-    """The checks of damaged pair i, solved to blocks a and b, when the
-    pairs before it lost `before` bits and it lost d: (region, dec,
-    padding_ok, supersequence_ok), the region of s it covers, the decoded
-    bits (cut to the message's bits for the last pair), whether a short
-    last block's padding is zero, and whether region is a subsequence of
-    dec. Every check is run."""
+    """The checks of pair i, solved to blocks a and b, when the pairs
+    before it lost `before` bits and it lost d: (region, dec, padding_ok,
+    supersequence_ok), the region of s it covers, the decoded bits (cut
+    to the message's bits for the last pair), whether a short last
+    block's padding is zero, and whether region is a subsequence of dec,
+    which at d = 0 is equality. Every check is run."""
     ell, last = p.ell, i + 1 == p.m
     region = s[(i - 1) * ell - before:(i + 1) * ell - before - d]
     dec = format(a << ell | b, "b").zfill(2 * ell)
@@ -409,32 +408,19 @@ def _candidate(s, p, pairs, deltas, sol):
     """The message of a case that passed the spare checks, or None; sol
     holds the case's solved blocks, two per pair. Every guess of either
     code that passes its screen is checked here, a single-window guess i
-    as the case ((i,), (delta,)).
-
-    A pair with a zero share lost nothing, so its supersequence test is
-    region == dec, compared as ints; that also checks the padding of a
-    short last block when the last pair has a zero share. A pair with a
-    share must pass _damaged_pair's padding and supersequence checks, and
-    puts its solved blocks into the message.
+    as the case ((i,), (delta,)). Every pair, a zero-share one included,
+    must pass _damaged_pair's padding and supersequence checks, and puts
+    its solved blocks into the message.
     """
-    ell = p.ell
     pieces = []
     cum = 0
     prev_end = 0  # bits of s consumed so far
-    for j, i in enumerate(pairs):
-        d, a, b = deltas[j], sol[2 * j], sol[2 * j + 1]
-        start = (i - 1) * ell - cum
-        if not d:
-            # a zero-share region always holds the pair's full 2*ell bits
-            # (ell + last for the last pair, whose bits shifted up to
-            # whole blocks leave the padding zero)
-            low = ell - p.last_block_len if i + 1 == p.m else 0
-            if int(s[start:(i + 1) * ell - cum], 2) << low != a << ell | b:
-                return None
-            continue
-        region, dec, padding_ok, superseq_ok = _damaged_pair(s, p, i, cum, d, a, b)
+    for j, (i, d) in enumerate(zip(pairs, deltas)):
+        region, dec, padding_ok, superseq_ok = _damaged_pair(s, p, i, cum, d,
+                                                             sol[2 * j], sol[2 * j + 1])
         if not (padding_ok and superseq_ok):
             return None
+        start = (i - 1) * p.ell - cum
         pieces += (s[prev_end:start], dec)
         cum += d
         prev_end = start + len(region)
@@ -517,9 +503,10 @@ def _decode_repetition(y, p):
       the same for every placement containing Q;
     * every 2z-block system is nonsingular (mds.make_generator), so a
       case's solve is unique;
-    * so a zero-share pair passes its equality check, and the spare
-      parities hold, exactly when that syndrome lies in the span of Q's
-      columns, and then Q's solved blocks are the same either way;
+    * so a zero-share pair passes its check (equality, at its full
+      length), and the spare parities hold, exactly when that syndrome
+      lies in the span of Q's columns, and then Q's solved blocks are the
+      same either way;
     * so every case with the same (Q, E) yields the same candidate or
       none. The first of them in enumeration order is the one checked, so
       the first case to yield each candidate, which is the guess reported

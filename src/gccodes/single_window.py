@@ -44,7 +44,7 @@ from itertools import repeat
 from operator import contains
 
 from . import mds
-from .gf2e import FieldContext, is_binary, read_symbols
+from .gf2e import MAX_ELL, FieldContext, is_binary, read_symbols
 
 
 class InvalidConfigError(ValueError):
@@ -59,26 +59,42 @@ INVALID_INPUT = "invalid-input"
 @dataclass(frozen=True)
 class CodeParams:
     """Parameters of either code: z windows, each parity bit repeated r
-    times. r = 1 is the single-window code, its parities behind a buffer
-    of w zeros and a one; multi_params gives r = z*w + 1 and no buffer,
-    at any z including 1."""
+    times. r = 1 at z = 1 is the single-window code, its parities behind a
+    buffer of w zeros and a one; r = z*w + 1, at any z including 1, has
+    no buffer (multi_params); any other r is refused. The other fields
+    follow, as derive_dims (multi_dims for r > 1) says, and cannot be
+    passed."""
     k: int
     w: int
     c: int
-    ell: int
-    m: int
-    last_block_len: int
-    kind: str
-    ctx: FieldContext
-    gen: mds.Generator
+    kind: str = "cauchy"
     z: int = 1
     r: int = 1
+    ell: int = field(init=False)
+    m: int = field(init=False)
+    last_block_len: int = field(init=False)
+    ctx: FieldContext = field(init=False)
+    gen: mds.Generator = field(init=False)
     # the repetition decoder's tables, filled on its first call: the
     # placement table, the screen's layout and masks, and per delta the
     # case table
     _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
     _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
     _cases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k, w, c, z, r = self.k, self.w, self.c, self.z, self.r
+        if r == 1 and z == 1:
+            ell, m, last = derive_dims(k, w, c)
+        elif r == z * w + 1:
+            ell, m, last = multi_window.multi_dims(k, w, c, z)
+        else:
+            raise InvalidConfigError(f"r={r} must be z*w + 1 = {z * w + 1}, or 1 with z = 1")
+        ctx = FieldContext(ell)
+        gen = mds.make_generator(m, c, ctx, self.kind)
+        for name, value in zip(("ell", "m", "last_block_len", "ctx", "gen"),
+                               (ell, m, last, ctx, gen)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -101,6 +117,8 @@ def derive_dims(k, w, c):
     if c < 3:
         raise InvalidConfigError(f"c={c} must be at least 3")
     ell = max(w, (k - 1).bit_length())
+    if ell > MAX_ELL:
+        raise InvalidConfigError(f"k={k}, w={w} need ell={ell}; the cap is ell <= {MAX_ELL}")
     m = -(-k // ell)
     if m < 2:
         raise InvalidConfigError(f"k={k}, w={w} leave only {m} block")
@@ -113,11 +131,7 @@ def derive_dims(k, w, c):
 
 
 def gc_params(k, w, c, kind="cauchy"):
-    ell, m, last = derive_dims(k, w, c)
-    ctx = FieldContext(ell)
-    gen = mds.make_generator(m, c, ctx, kind)
-    return CodeParams(k=k, w=w, c=c, ell=ell, m=m, last_block_len=last,
-                      kind=kind, ctx=ctx, gen=gen)
+    return CodeParams(k, w, c, kind)
 
 
 def parity_bits(u, p):

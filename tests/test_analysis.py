@@ -22,6 +22,7 @@ from gccodes.analysis import (
 )
 from gccodes.channel import InvalidPatternError
 from gccodes.multi_window import MAX_Z, multi_params
+from gccodes.sim import SimConfig
 from gccodes.single_window import (
     INVALID_INPUT,
     SUCCESS,
@@ -157,6 +158,8 @@ def test_bound_multi_validation():
     (16, 4, 13, 2),      # 4 + 13 symbols exceed GF(16)
     (64, 4, 9, MAX_Z + 1),   # more windows than the cap, all else valid
     (4096, 12, 8, 3),    # 817 332 503 cases, over the case budget
+    (64, 21, 5, 2),      # ell = 21, over the field cap
+    (64, 21, 3, 2),      # over the field cap and c below 2z + 1
 ])
 def test_multi_params_and_bound_multi_refuse_alike(args):
     with pytest.raises(InvalidConfigError) as built:
@@ -166,6 +169,24 @@ def test_multi_params_and_bound_multi_refuse_alike(args):
     with pytest.raises(InvalidConfigError) as counted:
         max_case_count(*args)
     assert str(built.value) == str(bounded.value) == str(counted.value)
+
+
+def test_every_entry_point_refuses_a_field_above_ell_20():
+    # at k = 2^20 + 1 the window sim ties to k, ceil(log2 k) = 21, needs
+    # ell = 21; every builder, bound and SimConfig refuses it through
+    # derive_dims, with one message
+    k, w = 2 ** 20 + 1, 21
+    calls = [lambda: gc_params(k, w, 3), lambda: bound_single(k, w, 3),
+             lambda: multi_params(k, w, 5, 2), lambda: bound_multi(k, w, 5, 2),
+             lambda: max_case_count(k, w, 5, 2),
+             lambda: SimConfig(k_list=(64, k), c=3, trials=1, delta=1),
+             lambda: SimConfig(k_list=(k,), c=5, z=2, trials=1, delta=1)]
+    refusals = set()
+    for call in calls:
+        with pytest.raises(InvalidConfigError) as refused:
+            call()
+        refusals.add(str(refused.value))
+    assert refusals == {f"k={k}, w={w} need ell=21; the cap is ell <= 20"}
 
 
 def test_oracle_single_guess_never_fails():

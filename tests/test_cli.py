@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gccodes
-from gccodes import cli, mds, multi_window
+from gccodes import cli, mds, single_window
 
 U = "1100101001111000"
 CODEWORD = "110010100111100000001100110000001"
@@ -332,6 +332,35 @@ def test_simulate_failure_keeps_the_old_out(monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == ["keep.csv"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["encode", "--k", "16", "--w", "4", "--c", "3", "--in", "msg.bits"],
+    ["simulate", "--k-list", "64", "--c", "3", "--delta", "1", "--trials", "5"],
+], ids=["encode", "simulate"])
+def test_a_failed_write_ends_in_one_line(argv, monkeypatch, capsys, tmp_path):
+    # /dev/full takes the open and refuses the write, when it is flushed
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "msg.bits", U)
+    assert cli.main([*argv, "--out", "/dev/full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gccodes: error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+
+
+def test_an_interrupt_ends_in_one_line_and_keeps_the_old_out(monkeypatch, capsys, tmp_path):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    out = tmp_path / "keep.csv"
+    out.write_text("old results\n")
+    monkeypatch.setattr(cli.sim, "run_trials", interrupted)
+    assert cli.main(["simulate", "--k-list", "64", "--c", "3", "--delta", "1",
+                     "--trials", "5", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "gccodes: interrupted\n"
+    assert out.read_text() == "old results\n"
+    assert os.listdir(tmp_path) == ["keep.csv"]
+
+
 def test_simulate_out_gets_the_mode_of_a_plain_open(tmp_path):
     # a new file gets 0o666 less the umask and an existing one keeps its
     # mode, as open(path, "w") gives, not the temporary file's 0o600
@@ -362,7 +391,8 @@ def test_an_unaffordable_code_is_refused_before_any_table(argv, monkeypatch, cap
     def built(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(multi_window, "gc_params", built)
+    monkeypatch.setattr(single_window, "FieldContext", built)
+    monkeypatch.setattr(mds, "make_generator", built)
     monkeypatch.setattr(mds, "log_solver", built)
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "x.bits", "0110")

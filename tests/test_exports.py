@@ -62,18 +62,12 @@ def test_every_public_name_is_used_outside_the_tests():
     assert sorted(set(gccodes.__all__) - _reads(_outside_trees())) == []
 
 
-# multi_params sets CodeParams' z and r with dataclasses.replace on the
-# params gc_params builds, so the keywords of a replace call count for it
-REPLACED = {"CodeParams"}
-
-
 def test_every_public_default_is_passed_outside_the_tests():
     """Each parameter with a default, on a function or class in __all__,
     is passed at some call outside the tests: an option that only the
     tests set doubles the configurations a reader must consider and
     should be a constant. A call counts when it names the callable, bare
-    or as an attribute, and passes that position or keyword; for the
-    classes in REPLACED a keyword of a replace call counts too."""
+    or as an attribute, and passes that position or keyword."""
     passed = {}  # callable name -> positions and keywords some call passes
     for tree in _outside_trees():
         for node in ast.walk(tree):
@@ -87,9 +81,6 @@ def test_every_public_default_is_passed_outside_the_tests():
             known = next((i for i, arg in enumerate(node.args)
                           if isinstance(arg, ast.Starred)), len(node.args))
             passed.setdefault(name, set()).update(range(known), keywords)
-            if name == "replace":
-                for cls in REPLACED:
-                    passed.setdefault(cls, set()).update(keywords)
     unpassed = []
     for name, obj in _public_api():
         got = passed.get(name, set())

@@ -2,6 +2,7 @@
 expected value is known in advance."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from gccodes.single_window import (
     FAILURE,
     INVALID_INPUT,
     SUCCESS,
+    CodeParams,
     DecodeResult,
     InvalidConfigError,
     decode,
@@ -49,6 +51,34 @@ def test_dims_invalid():
         gc_params(4, 1, 3)           # 2 + 3 symbols exceed GF(4)
     with pytest.raises(InvalidConfigError):
         gc_params(16, 0, 3)
+
+
+@pytest.mark.parametrize("name", ["ell", "m", "last_block_len", "ctx", "gen"])
+def test_derived_fields_cannot_be_passed(name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        CodeParams(16, 4, 3, **{name: getattr(PV, name)})
+
+
+def test_a_replaced_field_derives_the_code_again():
+    # a wider window takes a wider field: ell = max(w, ceil(log2 k))
+    p = replace(gc_params(16, 4, 3), w=6)
+    assert (p.ell, p.m, p.last_block_len, p.n, p.ctx.ell) == (6, 3, 4, 41, 6)
+    assert encode(U, p) == encode(U, gc_params(16, 6, 3))
+    rep = exhaustive_oracle(p, U)       # raises on a refused compliant word
+    assert rep.trials == 36 * 2 ** 6
+    p = replace(gc_params(16, 4, 3), k=20)
+    assert (p.ell, p.m, p.last_block_len) == (5, 4, 5)
+    assert encode(U + "1011", p) == encode(U + "1011", gc_params(20, 4, 3))
+
+
+@pytest.mark.parametrize("z, r", [(1, 7), (2, 1)])
+def test_a_repetition_that_does_not_fit_z_is_refused(z, r):
+    # r is 1 at z = 1 or z*w + 1, here 5 or 9
+    for build in (lambda: CodeParams(16, 4, 5, z=z, r=r),
+                  lambda: replace(gc_params(16, 4, 5), z=z, r=r)):
+        with pytest.raises(InvalidConfigError) as refused:
+            build()
+        assert str(refused.value) == f"r={r} must be z*w + 1 = {4 * z + 1}, or 1 with z = 1"
 
 
 def test_encode_golden():
