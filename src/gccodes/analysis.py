@@ -7,9 +7,9 @@ leave no spare checking budget.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
-from .channel import DeletionPattern, InvalidPatternError, Window, delete_localized
+from .channel import DeletionPattern, InvalidPatternError, Window
 from .multi_window import max_case_count, multi_dims
 from .single_window import FAILURE, SUCCESS, decode, derive_dims, encode
 
@@ -79,23 +79,24 @@ def exhaustive_oracle(p, u, window_starts=None):
 
     For each window start (default: every position where the window fits)
     and each deletion count 0..w, every subset of that size of the
-    window's offsets is applied. Every pattern goes through the channel,
-    but the sweep decodes each distinct received word once: decode is a
-    function of the word and the params, and deleting any d bits of one
-    run, or nearby windows deleting the same positions, give one word.
-    Every pattern counts in trials, and every pattern whose word failed is
-    listed in failure_patterns, in sweep order. Raises MiscorrectionError
-    at the first pattern whose word decodes to a wrong message or is
-    refused as invalid input. Before encoding, raises InvalidPatternError
-    when a start is not an int in 1..n - w + 1, and ScopeTooLargeError
-    when the sweep would exceed DEFAULT_SCOPE_CAP patterns.
+    window's offsets is applied. Compliance is checked once per call,
+    before encoding: a start that is not an int in 1..n - w + 1 (or is a
+    bool) raises InvalidPatternError, and a scope over DEFAULT_SCOPE_CAP
+    patterns ScopeTooLargeError. A word is cut as the codeword's head, the
+    window's survivors and its tail, one keep mask per offset set, and
+    decoded once per call, at the first pattern that gives it. Every
+    pattern counts in trials; every pattern whose word failed is listed in
+    failure_patterns, in sweep order. Raises MiscorrectionError at the
+    first pattern whose word decodes to a wrong message or is refused as
+    invalid input. tests/oracles.py's sweep_every_pattern, every pattern
+    through delete_localized and decode, is the reference.
     """
     last = p.n - p.w + 1
     if window_starts is None:
         window_starts = range(1, last + 1)
     window_starts = list(window_starts)
     for start in window_starts:
-        if not isinstance(start, int) or not 1 <= start <= last:
+        if isinstance(start, bool) or not isinstance(start, int) or not 1 <= start <= last:
             raise InvalidPatternError(f"window start {start!r} outside 1..{last}")
     total = 2 ** p.w * len(window_starts)
     if total > DEFAULT_SCOPE_CAP:
@@ -103,27 +104,28 @@ def exhaustive_oracle(p, u, window_starts=None):
     x = encode(u, p)
     w = p.w
     offset_sets = [offsets for d in range(w + 1) for offsets in combinations(range(w), d)]
+    keeps = [bytes(o not in offsets for o in range(w)) for offsets in offset_sets]
     statuses = {}       # received word -> its decode status, this call only
     failure_patterns = []
-    trials = 0
     for start in window_starts:
-        for offsets in offset_sets:
-            pat = DeletionPattern((Window(start, offsets),))
-            y = delete_localized(x, pat, w, 1)
-            trials += 1
+        head, window, tail = x[:start - 1], x[start - 1:start - 1 + w], x[start - 1 + w:]
+        for offsets, keep in zip(offset_sets, keeps):
+            y = head + "".join(compress(window, keep)) + tail
             status = statuses.get(y)
             if status is None:
                 res = decode(y, p)
                 status = statuses[y] = res.status
                 if status == SUCCESS and res.message != u:
                     raise MiscorrectionError(
-                        f"wrong message for pattern {pat} (start={start}, offsets={offsets})"
-                    )
+                        "wrong message for pattern "
+                        f"{DeletionPattern((Window(start, offsets),))} "
+                        f"(start={start}, offsets={offsets})")
                 if status not in (SUCCESS, FAILURE):
                     raise MiscorrectionError(
-                        f"decoder rejected a channel-compliant pattern {pat}: {res.reason}"
-                    )
+                        "decoder rejected a channel-compliant pattern "
+                        f"{DeletionPattern((Window(start, offsets),))}: {res.reason}")
             if status == FAILURE:
-                failure_patterns.append(pat)
-    return OracleReport(trials=trials, failures=len(failure_patterns),
+                failure_patterns.append(DeletionPattern((Window(start, offsets),)))
+    return OracleReport(trials=len(offset_sets) * len(window_starts),
+                        failures=len(failure_patterns),
                         failure_patterns=tuple(failure_patterns))

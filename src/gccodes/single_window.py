@@ -63,7 +63,7 @@ class CodeParams:
     buffer of w zeros and a one; r = z*w + 1, at any z including 1, has
     no buffer (multi_params); any other r is refused. The other fields
     follow, as derive_dims (multi_dims for r > 1) says, and cannot be
-    passed."""
+    passed; equality and hash skip the tables ctx and gen."""
     k: int
     w: int
     c: int
@@ -73,8 +73,8 @@ class CodeParams:
     ell: int = field(init=False)
     m: int = field(init=False)
     last_block_len: int = field(init=False)
-    ctx: FieldContext = field(init=False)
-    gen: mds.Generator = field(init=False)
+    ctx: FieldContext = field(init=False, compare=False)
+    gen: mds.Generator = field(init=False, compare=False)
     # the repetition decoder's tables, filled on its first call: the
     # placement table, the screen's layout and masks, and per delta the
     # case table

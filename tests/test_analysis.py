@@ -226,7 +226,8 @@ def test_oracle_refuses_bad_starts_before_any_work(monkeypatch):
     monkeypatch.setattr(analysis, "encode", None)  # raises before any encode
     monkeypatch.setattr(analysis, "decode", None)  # ... or decode
     for starts, shown in (([1, 2, 31], "31"), ([2.5], "2.5"), ([0], "0"),
-                          ([-1], "-1"), (["3"], "'3'"), ([None], "None")):
+                          ([-1], "-1"), (["3"], "'3'"), ([None], "None"),
+                          ([True], "True"), ([False], "False")):
         with pytest.raises(InvalidPatternError,
                            match=rf"^window start {shown} outside 1\.\.30$"):
             exhaustive_oracle(p, "1100101001111000", window_starts=starts)
@@ -237,19 +238,23 @@ def _messages(k, count):
     return [format(rng.getrandbits(k), f"0{k}b") for _ in range(count)]
 
 
-@pytest.mark.parametrize("args, messages, starts, failing", [
-    ((64, 6, 3), _messages(64, 4), None, True),
-    ((64, 6, 3), _messages(64, 1), [58, 2, 58, 45], True),  # repeated, unordered
-    ((8, 4, 3), [format(v, "08b") for v in range(0, 256, 17)], None, False),
-    ((9, 4, 3), [format(v, "09b") for v in range(0, 512, 37)], None, False),
-    ((12, 4, 3), [format(v, "012b") for v in range(0, 4096, 301)], None, False),
-    ((16, 4, 5), _messages(16, 4) + ["1100101001111000"], None, False),
-], ids=["k64", "k64-starts", "m2", "m3-last1", "m3", "c5"])
-def test_oracle_matches_the_every_pattern_sweep(monkeypatch, args, messages, starts,
+@pytest.mark.parametrize("build, args, messages, starts, failing", [
+    (gc_params, (64, 6, 3), _messages(64, 4), None, True),
+    (gc_params, (64, 6, 3), _messages(64, 1), [58, 2, 58, 45], True),  # repeated, unordered
+    # n - w + 1 = 84: the head slice is empty at start 1, the tail slice at 84
+    (gc_params, (64, 6, 3), _messages(64, 3), [1, 84, 40, 2, 83], True),
+    (gc_params, (8, 4, 3), [format(v, "08b") for v in range(0, 256, 17)], None, False),
+    (gc_params, (9, 4, 3), [format(v, "09b") for v in range(0, 512, 37)], None, False),
+    (gc_params, (12, 4, 3), [format(v, "012b") for v in range(0, 4096, 301)], None, False),
+    (gc_params, (16, 4, 5), _messages(16, 4) + ["1100101001111000"], None, False),
+    # r = 5, no buffer: one window at each of 115 starts
+    (multi_params, (16, 2, 5, 2), _messages(16, 4) + ["1100101001111000"], None, False),
+], ids=["k64", "k64-starts", "k64-ends", "m2", "m3-last1", "m3", "c5", "multi-z2"])
+def test_oracle_matches_the_every_pattern_sweep(monkeypatch, build, args, messages, starts,
                                                 failing):
     """The oracle's report equals the sweep that decodes every pattern,
     failure_patterns in order, and it decodes each distinct word once."""
-    p = gc_params(*args)
+    p = build(*args)
     decoded = []
 
     def counting_decode(y, q):

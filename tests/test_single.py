@@ -71,6 +71,23 @@ def test_a_replaced_field_derives_the_code_again():
     assert encode(U + "1011", p) == encode(U + "1011", gc_params(20, 4, 3))
 
 
+def test_params_compare_and_hash_by_their_six_fields():
+    # ctx and gen derive from (k, w, c, kind, z, r); two builds of one code
+    # hold tables of their own, yet compare and hash equal
+    for build, args in ((gc_params, (16, 4, 3)),
+                        (multi_window.multi_params, (16, 2, 5, 2))):
+        a, b = build(*args), build(*args)
+        assert a.ctx is not b.ctx and a.gen is not b.gen
+        assert a == b and hash(a) == hash(b)
+    # one field moved at a time; z cannot move without r, which follows it
+    codes = [CodeParams(16, 4, 3), CodeParams(20, 4, 3), CodeParams(16, 5, 3),
+             CodeParams(16, 4, 4), CodeParams(16, 4, 3, "vandermonde"),
+             CodeParams(16, 4, 3, z=1, r=5), CodeParams(16, 2, 5, z=2, r=5),
+             CodeParams(16, 2, 5, z=1, r=3)]
+    for i, a in enumerate(codes):
+        assert [a == b for b in codes] == [j == i for j in range(len(codes))]
+
+
 @pytest.mark.parametrize("z, r", [(1, 7), (2, 1)])
 def test_a_repetition_that_does_not_fit_z_is_refused(z, r):
     # r is 1 at z = 1 or z*w + 1, here 5 or 9
