@@ -7,7 +7,9 @@ leave no spare checking budget.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from array import array
+from functools import lru_cache
+from itertools import combinations
 
 from .channel import DeletionPattern, InvalidPatternError, Window
 from .multi_window import max_case_count, multi_dims
@@ -74,6 +76,23 @@ class OracleReport:
     failure_patterns: tuple
 
 
+@lru_cache(maxsize=1)
+def _sweep_order(w):
+    """The patterns of a window of w bits in sweep order (every d in
+    0..w, then combinations order), each as the index of its survivors in
+    a start's doubling list: bit o of the index is set when offset o is
+    kept. One array, kept for the last w only (4 MB at w = 20); callers
+    only read it."""
+    full = (1 << w) - 1
+    return array("I", [full ^ sum(1 << o for o in offsets)
+                       for d in range(w + 1) for offsets in combinations(range(w), d)])
+
+
+def _pattern(start, index, w):
+    """The one-window DeletionPattern of the survivor index at start."""
+    return DeletionPattern((Window(start, tuple(o for o in range(w) if not index >> o & 1)),))
+
+
 def exhaustive_oracle(p, u, window_starts=None):
     """Run encode -> delete -> decode over an exhaustive pattern scope.
 
@@ -82,14 +101,23 @@ def exhaustive_oracle(p, u, window_starts=None):
     window's offsets is applied. Compliance is checked once per call,
     before encoding: a start that is not an int in 1..n - w + 1 (or is a
     bool) raises InvalidPatternError, and a scope over DEFAULT_SCOPE_CAP
-    patterns ScopeTooLargeError. A word is cut as the codeword's head, the
-    window's survivors and its tail, one keep mask per offset set, and
-    decoded once per call, at the first pattern that gives it. Every
-    pattern counts in trials; every pattern whose word failed is listed in
-    failure_patterns, in sweep order. Raises MiscorrectionError at the
-    first pattern whose word decodes to a wrong message or is refused as
-    invalid input. tests/oracles.py's sweep_every_pattern, every pattern
-    through delete_localized and decode, is the reference.
+    patterns ScopeTooLargeError.
+
+    A start's words are cut from the codeword. Its window's 2^w survivors
+    are built once, by doubling: the list starts as the empty string, and
+    each window bit in turn appends a copy of every entry with that bit
+    added, one short concatenation per subset; _sweep_order gives each
+    pattern's survivor index, in sweep order. A word is the bits before
+    the window, a survivor and the bits after it, cut once per distinct
+    survivor of the start, and each distinct word is decoded once per
+    call, at the first pattern that gives it. Every pattern counts in
+    trials; every pattern whose word failed is listed in failure_patterns,
+    in sweep order, and a start's patterns are walked for that only when
+    one of its words failed. Raises MiscorrectionError at the first
+    pattern whose word decodes to a wrong message or is refused as
+    invalid input.
+    tests/oracles.py's sweep_every_pattern, every pattern through
+    delete_localized and decode, is the reference.
     """
     last = p.n - p.w + 1
     if window_starts is None:
@@ -103,29 +131,33 @@ def exhaustive_oracle(p, u, window_starts=None):
         raise ScopeTooLargeError(f"{total} patterns exceed the cap {DEFAULT_SCOPE_CAP}")
     x = encode(u, p)
     w = p.w
-    offset_sets = [offsets for d in range(w + 1) for offsets in combinations(range(w), d)]
-    keeps = [bytes(o not in offsets for o in range(w)) for offsets in offset_sets]
-    statuses = {}       # received word -> its decode status, this call only
+    order = _sweep_order(w)
+    statuses = {}       # received word -> whether its decode failed, this call
     failure_patterns = []
     for start in window_starts:
-        head, window, tail = x[:start - 1], x[start - 1:start - 1 + w], x[start - 1 + w:]
-        for offsets, keep in zip(offset_sets, keeps):
-            y = head + "".join(compress(window, keep)) + tail
-            status = statuses.get(y)
-            if status is None:
+        head, tail = x[:start - 1], x[start - 1 + w:]
+        cuts = [""]
+        for bit in x[start - 1:start - 1 + w]:
+            cuts += [cut + bit for cut in cuts]
+        bad = set()     # survivors whose word failed
+        for cut in dict.fromkeys(map(cuts.__getitem__, order)):    # first patterns first
+            y = head + cut + tail
+            failed = statuses.get(y)
+            if failed is None:
                 res = decode(y, p)
-                status = statuses[y] = res.status
-                if status == SUCCESS and res.message != u:
+                failed = statuses[y] = res.status == FAILURE
+                if not failed and (res.status != SUCCESS or res.message != u):
+                    pattern = _pattern(start, next(i for i in order if cuts[i] == cut), w)
+                    if res.status == SUCCESS:
+                        raise MiscorrectionError(
+                            f"wrong message for pattern {pattern} "
+                            f"(start={start}, offsets={pattern.windows[0].offsets})")
                     raise MiscorrectionError(
-                        "wrong message for pattern "
-                        f"{DeletionPattern((Window(start, offsets),))} "
-                        f"(start={start}, offsets={offsets})")
-                if status not in (SUCCESS, FAILURE):
-                    raise MiscorrectionError(
-                        "decoder rejected a channel-compliant pattern "
-                        f"{DeletionPattern((Window(start, offsets),))}: {res.reason}")
-            if status == FAILURE:
-                failure_patterns.append(DeletionPattern((Window(start, offsets),)))
-    return OracleReport(trials=len(offset_sets) * len(window_starts),
+                        f"decoder rejected a channel-compliant pattern {pattern}: {res.reason}")
+            if failed:
+                bad.add(cut)
+        if bad:
+            failure_patterns += [_pattern(start, i, w) for i in order if cuts[i] in bad]
+    return OracleReport(trials=len(order) * len(window_starts),
                         failures=len(failure_patterns),
                         failure_patterns=tuple(failure_patterns))

@@ -37,6 +37,12 @@ class DeletionPattern:
     def __post_init__(self):
         prev_start = 0
         for win in self.windows:
+            # type(), not isinstance: a bool is refused too
+            if type(win.start) is not int:
+                raise InvalidPatternError(f"window start {win.start!r} is not an int")
+            for o in win.offsets:
+                if type(o) is not int:
+                    raise InvalidPatternError(f"offset {o!r} is not an int")
             if win.start < 1:
                 raise InvalidPatternError(
                     f"window start {win.start}: starts are 1-based and must be at least 1")
@@ -142,7 +148,8 @@ def sample_pattern(p, delta, rng, mode="whole-codeword"):
     Window starts are uniform over every placement of z disjoint windows
     that fit inside the codeword ("whole-codeword") or inside the message
     bits only ("systematic-only"). delta is the per-window deletion count,
-    either one int for all windows or a sequence of z ints. rng is a
+    either one int for all windows or a sequence of z ints (a bool is
+    refused, not read as 0 or 1). rng is a
     random.Random, or a seed for one; equal seeds give equal patterns.
     """
     if not isinstance(rng, random.Random):
@@ -158,6 +165,8 @@ def sample_pattern(p, delta, rng, mode="whole-codeword"):
     if len(deltas) != z:
         raise InvalidPatternError(f"need {z} per-window deletion counts, got {len(deltas)}")
     for d in deltas:
+        if type(d) is not int:                  # a bool too: True is not one deletion
+            raise InvalidPatternError(f"per-window deletions must be ints, got {d!r}")
         if not 0 <= d <= w:
             raise InvalidPatternError(f"per-window deletions must be in [0, {w}], got {d}")
     # Disjoint starts s_1 < ... < s_z with s_{j+1} >= s_j + w map bijectively

@@ -172,23 +172,27 @@ def log_solver(gen, erased):
     the spare rows. It takes the pivots in order, with no search and no
     swap: the pivot of row s is the ratio of the leading minors of orders
     s+1 and s, each the system of parities 1..s+1 on s+1 erased blocks,
-    which make_generator keeps nonsingular.
+    which make_generator keeps nonsingular. Its products are done in log
+    form inline, exp[log a + log b], the pivot's inverse as
+    exp[order - log a]; the padded antilog table keeps a zero factor's
+    product zero.
     """
     view = gen._log_solvers.get(erased)
     if view is None:
         t, c, ctx = len(erased), gen.c, gen.ctx
         if not 1 <= t <= c:
             raise ValueError(f"{t} erased blocks need 1..c = {c} parities")
+        exp, log, ell = ctx.exp, ctx.log, ctx.ell
         cols = [list(gen.rows[e - 1]) + [int(j == i) for i in range(t)]
                 for j, e in enumerate(erased)]
         for row in range(t):
-            scale = ctx.inv(cols[row][row])
-            top = cols[row] = [ctx.mul(scale, v) for v in cols[row]]
+            scale = ctx.order - log[cols[row][row]]     # log of the pivot's inverse
+            top = cols[row] = [exp[scale + log[v]] for v in cols[row]]
             for j in range(t):
                 f = cols[j][row]
                 if j != row and f:
-                    cols[j] = [x ^ ctx.mul(f, y) for x, y in zip(cols[j], top)]
-        log, ell = ctx.log, ctx.ell
+                    lf = log[f]
+                    cols[j] = [x ^ exp[lf + log[y]] for x, y in zip(cols[j], top)]
         view = gen._log_solvers[erased] = (
             tuple(tuple(log[col[q]] for col in cols) for q in range(c, c + t)),
             tuple((*(log[col[q]] for col in cols), q * ell) for q in range(t, c)))
@@ -233,7 +237,12 @@ def lane_tables(gen):
     bits: lsb (bit 0 of every lane any product reads), left and guesses
     (lanes 0..m-3 and 0..m-2 of c segments), ones (bit 0 of lanes 0..m-2
     of one segment), and low and high (bits 0..ell-2 and bit ell-1 of
-    every lane of c - 2 spare segments).
+    every lane of c - 2 spare segments). For the spare checks: size, the
+    bits of one spare segment, and one, their mask; half, the bits of the
+    c - 2 copies of syndrome 1, and firsts, their mask; tops, bit ell-1 of
+    every lane of one spare segment. solves[i] holds the solve rows of
+    log_solver(gen, (i, i+1)) for guess i (entry 0 is None). Every entry
+    depends only on the generator, so no decode computes one.
 
     The weights are one int(''.join(...)) each, and lane_powers gives
     alpha^b times them. Filled on the first request, which also fills the
@@ -241,7 +250,7 @@ def lane_tables(gen):
     """
     if gen._lanes:
         return gen._lanes[0]
-    checks = [log_solver(gen, (i, i + 1))[1] for i in range(1, gen.m)]
+    pairs = [log_solver(gen, (i, i + 1)) for i in range(1, gen.m)]
     exp, ell, m, c = gen.ctx.exp, gen.ctx.ell, gen.m, gen.c
     lanes = max(2 * m - 4, 1)
     width, bit0, top = f"0{ell}b", "0" * (ell - 1) + "1", "1" + "0" * (ell - 1)
@@ -258,7 +267,7 @@ def lane_tables(gen):
         low = pattern("0" + "1" * (ell - 1), size, len(values), size)
         return lane_powers(int(bits, 2), gen.ctx, low, pattern(bit0, size, len(values), size))
 
-    intact = [*range(1, m - 1), *range(3, m + 1)]
+    intact, span = [*range(1, m - 1), *range(3, m + 1)], (m - 1) * ell
     scan, step = [], 1
     while step < lanes:
         scan.append((step * ell, pattern("1" * ell, lanes - step, c)))
@@ -269,9 +278,11 @@ def lane_tables(gen):
                            lanes),
         scan=tuple(scan), left=pattern("1" * ell, m - 2, c),
         guesses=pattern("1" * ell, m - 1, c), ones=pattern(bit0, m - 1, 1),
-        spares=times_alpha([[exp[row[q][side]] for row in checks]
+        spares=times_alpha([[exp[spare[q][side]] for _, spare in pairs]
                             for side in (1, 0) for q in reversed(range(c - 2))], m - 1),
         low=pattern("0" + "1" * (ell - 1), m - 1, c - 2, m - 1),
-        high=pattern(top, m - 1, c - 2, m - 1))
+        high=pattern(top, m - 1, c - 2, m - 1), size=span, one=(1 << span) - 1,
+        half=(c - 2) * span, firsts=(1 << (c - 2) * span) - 1,
+        tops=pattern(top, m - 1, 1, m - 1), solves=[None, *(solve for solve, _ in pairs)])
     gen._lanes.append(tables)
     return tables

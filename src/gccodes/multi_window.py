@@ -391,17 +391,16 @@ def _prefix_sums(s, parities, p, cases):
 def _damaged_pair(s, p, i, before, d, a, b):
     """The checks of pair i, solved to blocks a and b, when the pairs
     before it lost `before` bits and it lost d: (region, dec, padding_ok,
-    supersequence_ok), the region of s it covers, the decoded bits (cut
-    to the message's bits for the last pair), whether a short last
-    block's padding is zero, and whether region is a subsequence of dec,
-    which at d = 0 is equality. Every check is run."""
-    ell, last = p.ell, i + 1 == p.m
+    supersequence_ok), the region of s it covers, the decoded bits
+    (formatted once, at the width of the message's bits they hold: a
+    short last block's padding is shifted out), whether that padding is
+    zero, and whether region is a subsequence of dec, which at d = 0 is
+    equality. Every check is run."""
+    ell = p.ell
+    pad = ell - p.last_block_len if i + 1 == p.m else 0     # bits past the message
     region = s[(i - 1) * ell - before:(i + 1) * ell - before - d]
-    dec = format(a << ell | b, "b").zfill(2 * ell)
-    if last:
-        dec = dec[:ell + p.last_block_len]
-    padding_ok = not (last and b & (1 << ell - p.last_block_len) - 1)
-    return region, dec, padding_ok, is_subsequence(region, dec)
+    dec = format((a << ell | b) >> pad, "b").zfill(2 * ell - pad)
+    return region, dec, not b & (1 << pad) - 1, is_subsequence(region, dec)
 
 
 def _candidate(s, p, pairs, deltas, sol):

@@ -22,7 +22,9 @@ parity side):
 
 The guesses are screened all at once (_screen): one Python int holds one
 ell-bit field element per lane, so each big-int operation acts on every
-block or every guess, about 10*ell + 3*log2(2m) of them per word. Only
+block or every guess, about 10*ell + 3*log2(2m) + 20*c of them per word;
+every size, mask and solve row that depends only on the code is read off
+mds.lane_tables, and the parity tail is read as one int. Only
 the few guesses that pass the spare parities are solved (_solved) and, in
 ascending order, given multi_window._candidate, the one check of both
 codes, as the case of pair i with share delta. evaluate_guess reports a
@@ -44,7 +46,7 @@ from itertools import repeat
 from operator import contains
 
 from . import mds
-from .gf2e import MAX_ELL, FieldContext, is_binary, read_symbols
+from .gf2e import MAX_ELL, FieldContext, is_binary
 
 
 class InvalidConfigError(ValueError):
@@ -209,17 +211,18 @@ def _check_received(y, p):
     return DecodeResult(INVALID_INPUT, reason=reason)
 
 
-def _screen(s, parities, p):
+def _screen(s, tail, p):
     """Every guess's syndromes and spare-parity verdict, in lanes.
 
-    s is the received word cut to its first k - delta bits, parities the
-    c parity symbols. Guess i holds blocks (i, i+1) damaged, so its
-    syndromes are the parities xor the contributions of blocks 1..i-1
-    read at their nominal offsets and of blocks i+2..m read delta bits
-    early (right-aligned against the end of s). Returns (syn, passed),
-    laid out as mds.lane_tables describes: syndrome r+1 of guess i is lane
-    m - 1 - i of syn's segment r, and the top bit of lane m - 1 - i of
-    passed is set iff every spare parity agrees with syndromes 1 and 2.
+    s is the received word cut to its first k - delta bits, tail its c
+    parity symbols read as one int, parity 1 highest. Guess i holds
+    blocks (i, i+1) damaged, so its syndromes are the parities xor the
+    contributions of blocks 1..i-1 read at their nominal offsets and of
+    blocks i+2..m read delta bits early (right-aligned against the end of
+    s). Returns (syn, passed), laid out as mds.lane_tables describes:
+    syndrome r+1 of guess i is lane m - 1 - i of syn's segment r, and the
+    top bit of lane m - 1 - i of passed is set iff every spare parity
+    agrees with syndromes 1 and 2.
 
     s is read as one int holding both readings of its blocks, copied into
     c segments, and every block's contribution to every parity is one
@@ -229,7 +232,8 @@ def _screen(s, parities, p):
     the parities xor lane 0, the total. The spare checks are the same
     products on copies of syndromes 1 and 2, xored with the spare
     syndromes: a zero lane passes, and a lane is nonzero iff its top bit
-    is set in (d & low) + low | d.
+    is set in (d & low) + low | d. Every size and mask that depends only
+    on the generator comes from the lane tables.
     """
     ell, m, c = p.ell, p.m, p.c
     t = mds.lane_tables(p.gen)
@@ -240,20 +244,19 @@ def _screen(s, parities, p):
     for shift, mask in t.scan:
         acc ^= acc >> shift & mask
     syn = ((acc >> (m - 2) * ell & t.left) ^ acc) & t.guesses
-    for r, v in enumerate(parities):
+    for r in range(c):
+        v = tail >> (c - 1 - r) * ell
         syn ^= ((acc >> r * seg ^ v) & full) * t.ones << r * seg
-    size = (m - 1) * ell                                 # bits of a spare segment
-    half, one = (c - 2) * size, (1 << size) - 1          # the syndrome 1 copies' bits
+    size, one, half = t.size, t.one, t.half
     x = _copies(syn & one, size, c - 2) | _copies(syn >> seg & one, size, c - 2) << half
     acc = _times(x, t.spares, lsb, full)
-    d = acc >> half ^ acc & (1 << half) - 1
+    d = acc >> half ^ acc & t.firsts
     for q in range(c - 2):
         d ^= (syn >> (q + 2) * seg & one) << q * size
     failed = ((d & t.low) + t.low | d) & t.high
     for _ in range(c - 3):
         failed |= failed >> size
-    tops = t.high & one
-    return syn, (failed & tops) ^ tops
+    return syn, (failed & t.tops) ^ t.tops
 
 
 def _times(x, weights, lsb, full):
@@ -278,14 +281,15 @@ def _solved(lanes, passed, p):
     """(i, (block i, block i + 1)) for each guess i whose lane has its top
     bit set in passed, lowest guess (highest lane) first: the pair solved
     from syndromes 1 and 2 of guess i, lane m - 1 - i of segments 0 and 1
-    of _screen's lanes."""
+    of _screen's lanes, by the solve rows the lane tables keep for it."""
     ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
-    seg, out = mds.lane_tables(p.gen).seg, []
+    t, out = mds.lane_tables(p.gen), []
+    seg, solves = t.seg, t.solves
     while passed:
         top = passed.bit_length() - 1
         passed ^= 1 << top
         i = p.m - 1 - top // ell
-        (a0, a1), (b0, b1) = mds.log_solver(p.gen, (i, i + 1))[0]
+        (a0, a1), (b0, b1) = solves[i]
         l0 = log[lanes >> top + 1 - ell & mask]
         l1 = log[lanes >> seg + top + 1 - ell & mask]
         out.append((i, (exp[a0 + l0] ^ exp[a1 + l1], exp[b0 + l0] ^ exp[b1 + l1])))
@@ -312,7 +316,7 @@ def evaluate_guess(s, i, parities, p):
         raise ValueError(f"expected {p.c} parities, got {len(parities)}")
     if not all(isinstance(v, int) and 0 <= v < 1 << p.ell for v in parities):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
-    lanes, passed = _screen(s, parities, p)
+    lanes, passed = _screen(s, mds.pack(parities[::-1], p.ell), p)
     top = 1 << (p.m - i) * p.ell - 1          # the top bit of guess i's lane
     parities_ok = bool(passed & top)
     [(_, pair)] = _solved(lanes, top, p)
@@ -343,7 +347,7 @@ def decode(y, p):
     if delta == 0 or y[p.k + p.w - delta] == "0":
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
     s = y[:p.k - delta]
-    lanes, passed = _screen(s, read_symbols(y[len(y) - p.c * p.ell:], p.ell), p)
+    lanes, passed = _screen(s, int(y[len(y) - p.c * p.ell:], 2), p)
     shares = (delta,)
     return decide([(i, multi_window._candidate(s, p, (i,), shares, pair))
                    for i, pair in _solved(lanes, passed, p)])

@@ -247,9 +247,16 @@ def _messages(k, count):
     (gc_params, (9, 4, 3), [format(v, "09b") for v in range(0, 512, 37)], None, False),
     (gc_params, (12, 4, 3), [format(v, "012b") for v in range(0, 4096, 301)], None, False),
     (gc_params, (16, 4, 5), _messages(16, 4) + ["1100101001111000"], None, False),
+    # one-bit windows: two patterns per start, so the doubling list is ["", bit]
+    (gc_params, (8, 1, 3), [format(v, "08b") for v in range(0, 256, 5)], None, False),
+    # 256 patterns per start; n - w + 1 = 58, so both ends of the codeword are
+    # cut. Failures are rare at ell = 8: message 47 of the stream fails at
+    # starts 1 and 2, message 0 nowhere
+    (gc_params, (32, 8, 3), _messages(32, 48)[::47], [1, 58, 29, 2, 57], True),
     # r = 5, no buffer: one window at each of 115 starts
     (multi_params, (16, 2, 5, 2), _messages(16, 4) + ["1100101001111000"], None, False),
-], ids=["k64", "k64-starts", "k64-ends", "m2", "m3-last1", "m3", "c5", "multi-z2"])
+], ids=["k64", "k64-starts", "k64-ends", "m2", "m3-last1", "m3", "c5", "w1", "w8-ends",
+        "multi-z2"])
 def test_oracle_matches_the_every_pattern_sweep(monkeypatch, build, args, messages, starts,
                                                 failing):
     """The oracle's report equals the sweep that decodes every pattern,

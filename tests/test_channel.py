@@ -78,6 +78,25 @@ def test_window_start_below_one_names_the_rule(start):
         pattern_from_text("5:0;3:0")
 
 
+@pytest.mark.parametrize("start, offsets, shown", [
+    (1, (0.5,), "offset 0.5"),
+    (1.0, (0,), "window start 1.0"),
+    (1, ("1",), "offset '1'"),
+    (True, (0,), "window start True"),
+    (1, (0, False), "offset False"),
+    ("2", (), "window start '2'"),
+], ids=["float-offset", "float-start", "str-offset", "bool-start", "bool-offset",
+        "str-start"])
+def test_pattern_values_must_be_ints(start, offsets, shown):
+    """A start or offset that is not an int, a bool included, is refused
+    when the pattern is built, naming the value, not later by a slice or a
+    comparison."""
+    with pytest.raises(InvalidPatternError, match=rf"^{re.escape(shown)} is not an int$"):
+        DeletionPattern((Window(start, offsets),))
+    with pytest.raises(InvalidPatternError, match=rf"^{re.escape(shown)} is not an int$"):
+        DeletionPattern((Window(3, (0,)), Window(start, offsets)))
+
+
 def test_validate_against_code():
     p = gc_params(16, 4, 3)
     pattern_from_text("7:0,2,3").validate(p.n, p.w)
@@ -206,6 +225,12 @@ def test_sampling_delta_validation():
         sample_pattern(mp, (1, 5), 0)
     with pytest.raises(ValueError):
         sample_pattern(mp, (1,), 0)
+    # a bool is not a deletion count, alone or in a sequence
+    for delta, shown in ((True, "True"), (False, "False"), ((1, True), "True"),
+                         ((1.0, 1), "1.0")):
+        with pytest.raises(InvalidPatternError,
+                           match=rf"^per-window deletions must be ints, got {shown}$"):
+            sample_pattern(mp if isinstance(delta, tuple) else p, delta, 0)
 
 
 def test_window_start_histogram_uniform():

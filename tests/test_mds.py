@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from gccodes import mds, multi_window, single_window
+from gccodes import mds, multi_window
 from gccodes.channel import delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext, bits_to_symbols
 from gccodes.multi_window import decode_multi, encode_multi, multi_params
@@ -242,7 +242,6 @@ def test_encoders_read_only_the_planes(monkeypatch):
         raise AssertionError("encoding goes through the parity planes only")
 
     monkeypatch.setattr(multi_window, "_prefix_sums", banned)
-    monkeypatch.setattr(single_window, "read_symbols", banned)
     monkeypatch.setattr(multi_window, "read_symbols", banned)
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
         encode("01" * (params.k // 2), params)

@@ -419,8 +419,11 @@ def oracle_passes(syndromes, i, gen):
 def screen_lanes(s, parities, p):
     """_screen's syndromes and verdict for every guess, read off its lanes
     by the layout mds.lane_tables documents: guess i in lane m - 1 - i,
-    syndrome r+1 in segment r. Asserts that nothing sits outside them."""
-    syn, passed = single_window._screen(s, parities, p)
+    syndrome r+1 in segment r. The parities go in as the tail int the
+    decoder reads, parity 1 highest. Asserts that nothing sits outside
+    them."""
+    tail = int("".join(format(v, f"0{p.ell}b") for v in parities), 2)
+    syn, passed = single_window._screen(s, tail, p)
     ell, seg, lanes = p.ell, mds.lane_tables(p.gen).seg, p.m - 1
     assert passed >> lanes * ell == 0 and syn >> p.c * seg == 0
     out = []
