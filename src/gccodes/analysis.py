@@ -6,8 +6,8 @@ answer; it never answers wrongly). They clamp at 1 when the parameters
 leave no spare checking budget.
 """
 
-from dataclasses import dataclass
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -27,13 +27,8 @@ class MiscorrectionError(RuntimeError):
 DEFAULT_SCOPE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    redundancy_bits: int
-    rate: float
-    failure_bound: float
-    regime: str          # "small-window" or "large-window"
-    windows: int
+# regime is "small-window" or "large-window"
+BoundReport = namedtuple("BoundReport", "redundancy_bits rate failure_bound regime windows")
 
 
 def _regime(k, w):
@@ -69,11 +64,7 @@ def bound_multi(k, w, c, z):
                        regime=_regime(k, w), windows=z)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    trials: int
-    failures: int
-    failure_patterns: tuple
+OracleReport = namedtuple("OracleReport", "trials failures failure_patterns")
 
 
 @lru_cache(maxsize=1)

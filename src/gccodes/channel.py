@@ -14,29 +14,28 @@ before it; delete_localized cuts the string during that walk.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvalidPatternError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Window:
-    start: int
-    offsets: tuple
+class Window(namedtuple("Window", "start offsets")):
+    __slots__ = ()
 
     def span_end(self, w):
         return self.start + w - 1
 
 
-@dataclass(frozen=True)
-class DeletionPattern:
-    windows: tuple
+class DeletionPattern(namedtuple("DeletionPattern", "windows")):
+    """A pattern's windows. __new__ checks them, and _make and unpickling
+    go through it, so _replace refuses what the constructor refuses."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, windows):
         prev_start = 0
-        for win in self.windows:
+        for win in windows:
             # type(), not isinstance: a bool is refused too
             if type(win.start) is not int:
                 raise InvalidPatternError(f"window start {win.start!r} is not an int")
@@ -53,6 +52,11 @@ class DeletionPattern:
                 raise InvalidPatternError("offsets must be sorted and distinct")
             if win.offsets and win.offsets[0] < 0:
                 raise InvalidPatternError("offsets must be non-negative")
+        return tuple.__new__(cls, (windows,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def positions(self):
         """Absolute 1-indexed deleted positions, ascending."""

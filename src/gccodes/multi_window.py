@@ -81,6 +81,8 @@ def multi_dims(k, w, c, z):
     the 2z solving parities plus a spare, room for z disjoint block
     pairs, MAX_CASES."""
     ell, m, last = derive_dims(k, w, c)
+    if type(z) is not int:              # type(), not isinstance: a bool is refused too
+        raise InvalidConfigError(f"z={z!r} is not an int")
     if z < 1:
         raise InvalidConfigError(f"z={z} must be at least 1")
     if z > MAX_Z:

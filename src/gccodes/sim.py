@@ -9,8 +9,8 @@ message length: w = ceil(log2 k).
 
 import random
 import sys
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .analysis import bound_multi, bound_single
@@ -21,50 +21,47 @@ from .single_window import SUCCESS, InvalidConfigError, decode, encode, gc_param
 CSV_HEADER = "k,w,ell,c,z,delta,trials,failures,pr_failure,rate,bound"
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    k_list: tuple
-    c: int
-    trials: int
-    z: int = 1
-    delta: int | None = None          # per-window deletions, absolute
-    delta_frac: float | None = None   # ... or as a fraction of w
-    master_seed: object = 0
-    sampling_mode: str = "whole-codeword"
-    kind: str = "cauchy"
+class SimConfig(namedtuple("SimConfig", "k_list c trials z delta delta_frac master_seed "
+                                         "sampling_mode kind")):
+    """One Monte Carlo run: delta is the per-window deletion count,
+    absolute, or delta_frac the same as a fraction of w. __new__ checks
+    the run before any trial, and _make and unpickling go through it, so
+    _replace refuses what the constructor refuses."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.delta is None) == (self.delta_frac is None):
+    def __new__(cls, k_list, c, trials, z=1, delta=None, delta_frac=None, master_seed=0,
+                sampling_mode="whole-codeword", kind="cauchy"):
+        self = tuple.__new__(cls, (k_list, c, trials, z, delta, delta_frac, master_seed,
+                                   sampling_mode, kind))
+        if (delta is None) == (delta_frac is None):
             raise InvalidConfigError("set exactly one of delta and delta_frac")
-        if self.trials < 1:
-            raise InvalidConfigError("trials must be positive")
-        if not self.k_list:
+        if not k_list:
             raise InvalidConfigError("k_list must not be empty")
-        if self.delta_frac is not None and not 0 <= self.delta_frac <= 1:
-            raise InvalidConfigError(f"delta_frac={self.delta_frac} outside [0, 1]")
-        for k in self.k_list:           # refused before any k runs
-            resolve_delta(self, _make_params(k, self.c, self.z, self.kind).w)
+        # type(), not isinstance: a bool is refused too. c and z as well:
+        # _make_params' cache takes 3.0 for 3, and its z == 1 test True for 1.
+        for name, value in (("trials", trials), ("c", c), ("z", z), *(("k", k) for k in k_list)):
+            if type(value) is not int:
+                raise InvalidConfigError(f"{name}={value!r} is not an int")
+        if delta is not None and type(delta) is not int:
+            raise InvalidConfigError(f"delta={delta!r} is not an int")
+        if trials < 1:
+            raise InvalidConfigError("trials must be positive")
+        if delta_frac is not None and not 0 <= delta_frac <= 1:
+            raise InvalidConfigError(f"delta_frac={delta_frac} outside [0, 1]")
+        if sampling_mode not in ("whole-codeword", "systematic-only"):
+            raise InvalidConfigError(f"unknown sampling mode {sampling_mode!r}")
+        for k in k_list:                # refused before any k runs
+            resolve_delta(self, _make_params(k, c, z, kind).w)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    k: int
-    w: int
-    ell: int
-    c: int
-    z: int
-    delta: int
-    trials: int
-    failures: int
-    miscorrections: int
-    pr_failure: float
-    rate: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    rows: tuple
+TrialRow = namedtuple("TrialRow", "k w ell c z delta trials failures miscorrections "
+                                  "pr_failure rate bound")
+TrialReport = namedtuple("TrialReport", "rows")
 
 
 def resolve_delta(cfg, w):

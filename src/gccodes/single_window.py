@@ -41,6 +41,7 @@ a single surviving candidate is provably the sent message when the channel
 respected the window contract.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import contains
@@ -112,6 +113,9 @@ def derive_dims(k, w, c):
     adjacent blocks while the parities stay a vanishing fraction of the
     codeword as k grows.
     """
+    for name, value in (("k", k), ("w", w), ("c", c)):
+        if type(value) is not int:      # type(), not isinstance: a bool is refused too
+            raise InvalidConfigError(f"{name}={value!r} is not an int")
     if k < 4:
         raise InvalidConfigError(f"k={k} must be at least 4")
     if not 1 <= w < k:
@@ -170,26 +174,24 @@ def is_subsequence(sub, sup):
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """The outcome of a decode. status is SUCCESS, FAILURE or
+    INVALID_INPUT. On SUCCESS, message is the recovered message and guess
+    how it was reached: the block-pair index on the guess path, None on
+    the parity path, and with r > 1 the winning (pairs, deltas) case. On
+    FAILURE, candidates holds every distinct surviving message in the
+    order found. On INVALID_INPUT, reason says why no compliant channel
+    explains the word. The fields a status does not name keep their
+    defaults."""
     status: str
     message: str | None = None
-    # Winning guess: the block-pair index for the guess path, None for the
-    # parity path. With r > 1 it is the winning (pairs, deltas) case.
     guess: object = None
     candidates: tuple = ()
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class GuessEval:
-    """Full verdict for one guess, kept for inspection and tests."""
-    guess: int
-    decoded_pair: tuple
-    erased_region: str
-    decoded_bits: str
-    padding_ok: bool
-    parities_ok: bool
-    supersequence_ok: bool
-    candidate: str | None
+# The full verdict for one guess, kept for inspection and tests.
+GuessEval = namedtuple("GuessEval", "guess decoded_pair erased_region decoded_bits padding_ok "
+                                    "parities_ok supersequence_ok candidate")
 
 
 def _check_received(y, p):

@@ -1,6 +1,7 @@
 """Multi-window codec: repetition-coded parities, case enumeration, decode."""
 
 import random
+import re
 import time
 from functools import reduce
 from itertools import combinations
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gccodes import mds, multi_window, single_window
+from gccodes.analysis import bound_multi
 from gccodes.channel import (
     DeletionPattern,
     Window,
@@ -110,6 +112,16 @@ def test_multi_params_validation():
         multi_params(16, 4, 7, 3)       # 4 blocks cannot host 3 pairs
     with pytest.raises(InvalidConfigError, match="z=4 exceeds the cap of 3 windows"):
         multi_params(256, 4, 9, 4)      # above MAX_Z
+
+
+@pytest.mark.parametrize("z, bad", [(True, "z=True"), (2.0, "z=2.0")])
+def test_non_int_window_count_refused(z, bad):
+    # a bool z would build a code with z=True and r=5
+    for build in (multi_params, bound_multi):
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(bad)} is not an int$"):
+            build(64, 4, 8, z)
+    with pytest.raises(InvalidConfigError, match="^w=4.0 is not an int$"):
+        multi_params(64, 4.0, 8, 2)
 
 
 def test_an_unaffordable_code_is_refused_before_any_table(monkeypatch):

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,29 @@ def test_unbuildable_code_refused_before_any_trial(monkeypatch, kw, error):
     monkeypatch.setattr(sim, "_run_block", no_trial)
     with pytest.raises(ValueError, match=f"^{error}$"):
         SimConfig(trials=3, delta=1, **kw)
+
+
+@pytest.mark.parametrize("kw, error", [
+    (dict(trials=True), "trials=True is not an int"),
+    (dict(trials=2.5), "trials=2.5 is not an int"),
+    (dict(delta=True), "delta=True is not an int"),
+    (dict(delta=1.0), "delta=1.0 is not an int"),
+    (dict(sampling_mode="bogus"), "unknown sampling mode 'bogus'"),
+    (dict(k_list=(64, 64.0)), "k=64.0 is not an int"),
+    (dict(c=3.0), "c=3.0 is not an int"),
+    (dict(z=True), "z=True is not an int"),
+], ids=["trials-bool", "trials-float", "delta-bool", "delta-float", "mode", "k-float",
+        "c-float", "z-bool"])
+def test_values_that_would_fail_later_refused_before_any_trial(monkeypatch, kw, error):
+    # each would run (trials=True as one trial, z=True as the z = 1 code,
+    # c=3.0 off the cache entry of c=3) or fail only inside a trial
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "_run_block", no_trial)
+    SimConfig(k_list=(64,), c=3, trials=3, delta=1)     # puts c=3 in the params cache
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(error)}$"):
+        SimConfig(**{**dict(k_list=(64,), c=3, trials=3, delta=1), **kw})
 
 
 def test_delta_refused_before_any_trial(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@
 expected value is known in advance."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gccodes import mds, multi_window, single_window
-from gccodes.analysis import exhaustive_oracle
+from gccodes.analysis import bound_single, exhaustive_oracle
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
 from gccodes.gf2e import FieldContext, bits_to_symbols
 from gccodes.single_window import (
@@ -51,6 +52,18 @@ def test_dims_invalid():
         gc_params(4, 1, 3)           # 2 + 3 symbols exceed GF(4)
     with pytest.raises(InvalidConfigError):
         gc_params(16, 0, 3)
+
+
+@pytest.mark.parametrize("k, w, c, bad", [
+    (64, True, 3, "w=True"), (64, 6, 3.0, "c=3.0"), (64.0, 6, 3, "k=64.0"),
+    (True, 6, 3, "k=True"), (64, 6.0, 3, "w=6.0"), (64, 6, "3", "c='3'"),
+])
+def test_non_int_sizes_refused(k, w, c, bad):
+    # one type test per value in derive_dims, so every builder and bound
+    # refuses at the boundary, a bool too
+    for build in (gc_params, bound_single):
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(bad)} is not an int$"):
+            build(k, w, c)
 
 
 @pytest.mark.parametrize("name", ["ell", "m", "last_block_len", "ctx", "gen"])
