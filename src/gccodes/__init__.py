@@ -25,6 +25,25 @@ from .channel import (
     pattern_to_text,
     sample_pattern,
 )
+from .codec import (
+    FAILURE,
+    INVALID_INPUT,
+    MAX_Z,
+    SUCCESS,
+    CodeParams,
+    DecodeResult,
+    GuessEval,
+    InvalidConfigError,
+    decode,
+    decode_multi,
+    encode,
+    encode_multi,
+    evaluate_guess,
+    gc_params,
+    is_subsequence,
+    max_case_count,
+    multi_params,
+)
 from .gf2e import (
     FieldContext,
     NonPrimitivePolynomialError,
@@ -36,31 +55,8 @@ from .mds import (
     Generator,
     make_generator,
 )
-from .multi_window import (
-    MAX_Z,
-    decode_multi,
-    encode_multi,
-    enumerate_cases,
-    max_case_count,
-    multi_params,
-    repetition_decode,
-    repetition_encode,
-)
+from .multi_window import enumerate_cases, repetition_decode, repetition_encode
 from .sim import SimConfig, TrialReport, TrialRow, report_to_csv, run_trials
-from .single_window import (
-    FAILURE,
-    INVALID_INPUT,
-    SUCCESS,
-    CodeParams,
-    DecodeResult,
-    GuessEval,
-    InvalidConfigError,
-    decode,
-    encode,
-    evaluate_guess,
-    gc_params,
-    is_subsequence,
-)
 
 __version__ = "0.1.0"
 

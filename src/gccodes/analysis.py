@@ -12,8 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .channel import DeletionPattern, InvalidPatternError, Window
-from .multi_window import max_case_count, multi_dims
-from .single_window import FAILURE, SUCCESS, decode, derive_dims, encode
+from .codec import FAILURE, SUCCESS, decode, derive_dims, encode, max_case_count, multi_dims
 
 
 class ScopeTooLargeError(ValueError):

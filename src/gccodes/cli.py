@@ -6,9 +6,8 @@ text, the characters '0' and '1' with an optional trailing newline.
 Exit codes: 0 success; 1 malformed arguments or files; decode additionally
 uses 2 when the decoder ends with several candidates (listed on stderr)
 and 3 when no deletion placement the decoder tries fits the input (at
-z >= 2 some compliant words end there too; see
-multi_window._decode_repetition); 130 when interrupted (Ctrl-C), with
-an existing --out left as it was.
+z >= 2 some compliant words end there too; see the multi_window module);
+130 when interrupted (Ctrl-C), with an existing --out left as it was.
 """
 
 import argparse
@@ -20,14 +19,14 @@ from contextlib import contextmanager
 from . import channel, sim
 from .analysis import bound_multi, bound_single
 from .gf2e import is_binary
-from .multi_window import multi_params
-from .single_window import (
+from .codec import (
     FAILURE,
     INVALID_INPUT,
     InvalidConfigError,
     decode,
     encode,
     gc_params,
+    multi_params,
 )
 
 class CliError(Exception):

@@ -17,16 +17,14 @@ packed bit over the message read as one int, and packed_parities takes
 bit p as the parity of the popcount of x & planes[p], c*ell popcounts per
 message. Both encoders go through it. The decoders' screens take every
 block's contribution at once instead: a lane holds one field element, an
-ell-bit field of one int, and a product by a weight per lane costs, per
-symbol bit b, a few big-int operations against alpha^b times the
-weights. lane_powers gives those alpha^b multiples for any lanes;
-lane_tables keeps them for the single-window screen, and the multi-window
-screen takes its block and spare weights through lane_powers too.
+ell-bit field of one int, and a product by a weight per lane (_times)
+costs, per symbol bit b, a few big-int operations against alpha^b times
+the weights. lane_powers gives those alpha^b multiples for any lanes.
 
 The decoders' solves multiply in log form: the field's antilog table is
 padded so that exp[log[a] + log[b]] is a product even when a or b is
 zero, so each product is one table lookup. Both screens take their spare
-weights from log_solver's rows: lane_tables from the adjacent pairs'.
+weights from log_solver's rows.
 
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
@@ -35,7 +33,6 @@ matching the way code blocks are counted everywhere else in this package.
 import sys
 from array import array
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from .gf2e import FieldContext
 
@@ -63,7 +60,7 @@ class Generator:
     _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # parity_planes result
     _planes: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # lane_tables result, its one entry
+    # single_window.lane_tables result, its one entry
     _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,76 +210,19 @@ def lane_powers(x, ctx, low, lsb):
     return tuple(out)
 
 
-def lane_tables(gen):
-    """The constants of the single-window screen, kept on the generator.
+def _times(x, weights, lsb, full):
+    """Lane-wise products: lane by lane, the xor over b of weights[b]'s
+    lane where bit b of x's lane is set. With weights[b] alpha^b times a
+    weight in each lane, each lane of the result is x's lane times it."""
+    acc = 0
+    for b, w in enumerate(weights):
+        acc ^= (x >> b & lsb) * full & w
+    return acc
 
-    The screen packs field elements into ints, one ell-bit lane each, lane
-    0 lowest. A segment of the word has max(2m - 4, 1) lanes and holds,
-    from the top lane down, blocks 1..m-2 read at their offsets, then
-    blocks 3..m read against the end: lane t holds block m - t below lane
-    m - 2 and block 2m - 4 - t from it up. blocks[b] has c such segments,
-    seg bits apart, and lane t of segment r is alpha^b times the weight of
-    lane t's block in parity r+1. A segment of guesses has the same width
-    and holds guess i in lane m - 1 - i.
 
-    A spare segment holds only the m - 1 guess lanes. spares[b] has
-    2(c - 2) of them: segment q, for spare parity q+3, holds alpha^b times
-    the weight a of syndrome 1 in that parity's spare row of
-    log_solver(gen, (i, i+1)), for guess i, segment c - 2 + q the weight b
-    of syndrome 2.
-
-    The result is a namespace: seg, and the tuples blocks and spares
-    (entry b for bit b); scan, a (shift, mask) pair per doubling step of
-    the screen's running xor; and masks of whole lanes or of single lane
-    bits: lsb (bit 0 of every lane any product reads), left and guesses
-    (lanes 0..m-3 and 0..m-2 of c segments), ones (bit 0 of lanes 0..m-2
-    of one segment), and low and high (bits 0..ell-2 and bit ell-1 of
-    every lane of c - 2 spare segments). For the spare checks: size, the
-    bits of one spare segment, and one, their mask; half, the bits of the
-    c - 2 copies of syndrome 1, and firsts, their mask; tops, bit ell-1 of
-    every lane of one spare segment. solves[i] holds the solve rows of
-    log_solver(gen, (i, i+1)) for guess i (entry 0 is None). Every entry
-    depends only on the generator, so no decode computes one.
-
-    The weights are one int(''.join(...)) each, and lane_powers gives
-    alpha^b times them. Filled on the first request, which also fills the
-    log_solver of every adjacent pair.
-    """
-    if gen._lanes:
-        return gen._lanes[0]
-    pairs = [log_solver(gen, (i, i + 1)) for i in range(1, gen.m)]
-    exp, ell, m, c = gen.ctx.exp, gen.ctx.ell, gen.m, gen.c
-    lanes = max(2 * m - 4, 1)
-    width, bit0, top = f"0{ell}b", "0" * (ell - 1) + "1", "1" + "0" * (ell - 1)
-
-    def pattern(lane, count, segments, size=lanes):
-        """segments segments of size lanes, each with lane in its low count."""
-        return int(("0" * ell * (size - count) + lane * count) * segments, 2)
-
-    def times_alpha(values, size):
-        """lane_powers of the int of one segment of size lanes per list in
-        values, each value a lane, the first ones highest."""
-        bits = "".join("0" * ell * (size - len(v)) + "".join([format(x, width) for x in v])
-                       for v in values)
-        low = pattern("0" + "1" * (ell - 1), size, len(values), size)
-        return lane_powers(int(bits, 2), gen.ctx, low, pattern(bit0, size, len(values), size))
-
-    intact, span = [*range(1, m - 1), *range(3, m + 1)], (m - 1) * ell
-    scan, step = [], 1
-    while step < lanes:
-        scan.append((step * ell, pattern("1" * ell, lanes - step, c)))
-        step *= 2
-    tables = SimpleNamespace(
-        seg=lanes * ell, lsb=pattern(bit0, 1, max(c * lanes, 2 * (c - 2) * (m - 1)), 1),
-        blocks=times_alpha([[gen.rows[j - 1][r] for j in intact] for r in reversed(range(c))],
-                           lanes),
-        scan=tuple(scan), left=pattern("1" * ell, m - 2, c),
-        guesses=pattern("1" * ell, m - 1, c), ones=pattern(bit0, m - 1, 1),
-        spares=times_alpha([[exp[spare[q][side]] for _, spare in pairs]
-                            for side in (1, 0) for q in reversed(range(c - 2))], m - 1),
-        low=pattern("0" + "1" * (ell - 1), m - 1, c - 2, m - 1),
-        high=pattern(top, m - 1, c - 2, m - 1), size=span, one=(1 << span) - 1,
-        half=(c - 2) * span, firsts=(1 << (c - 2) * span) - 1,
-        tops=pattern(top, m - 1, 1, m - 1), solves=[None, *(solve for solve, _ in pairs)])
-    gen._lanes.append(tables)
-    return tables
+def _copies(x, seg, count):
+    """count copies of x, seg bits apart."""
+    out = x
+    for q in range(1, count):
+        out |= x << q * seg
+    return out

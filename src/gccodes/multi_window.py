@@ -1,42 +1,53 @@
-"""Variant correcting deletions spread over z disjoint windows.
+"""The multi-window code's screen: every case of a word at once.
 
 No buffer this time: the c parity blocks are protected by an r = z*w + 1
 repetition code instead, so up to z*w missing bits can never silence a
-whole repetition run. The decoder first reads the parities positionally
-off the tail, then jointly guesses which z adjacent block pairs absorbed
-the deletions and how many went to each window, erasure-decoding all 2z
-suspect blocks from the first 2z parities and keeping a case only when the
-spare parities, padding, and per-region supersequence tests all agree.
+whole repetition run, and repetition_decode reads the parities
+positionally off the tail. A case (enumerate_cases) guesses which z
+adjacent block pairs absorbed the deletions and how many went to each
+window; its 2z suspect blocks are solved from the first 2z parities, and
+the spare parities must agree.
 
-The cases are screened at once, with the lane products of the
-single-window screen (single_window._times). The c parities of a word
-and the partial sums of the intact blocks are packed ints (mds.pack), so
-a case's syndromes are the parities xor one difference of partial sums
-per intact segment. _prefix_sums gives the partial sums at every shift a
-segment is read at, in one lane pass over s. _case_table lists, once per
-delta, every case the decoder runs, with the index arrays of those reads
-and the spare weights of its placement's log-form solver rows
-(mds.log_solver) in lanes. _screen gathers the syndromes of every case
-into one int, a block per case, with C-level maps over those arrays, and
-checks every spare parity of every case as lane products: no
-Python code runs per case. Only the cases that pass are solved and given
-the padding and supersequence checks (_candidate), every pair by the one
-rule of _damaged_pair. _candidate is the one such check for both codes:
-single_window.decode hands it each guess that passes its own screen as
-the case of one pair.
+The cases are screened at once, with lane products (mds._times). The c
+parities of a word and the partial sums of the intact blocks are packed
+ints (mds.pack), so a case's syndromes are the parities xor one
+difference of partial sums per intact segment. _prefix_sums gives the
+partial sums at every shift a segment is read at, in one lane pass over
+s. _case_table lists, once per delta, every case the decoder runs, with
+the index arrays of those reads and the spare weights of its placement's
+log-form solver rows (mds.log_solver) in lanes. _screen gathers the
+syndromes of every case into one int, a block per case, with C-level
+maps over those arrays, and checks every spare parity of every case as
+lane products: no Python code runs per case. Only the cases that pass
+are solved (_solved).
 
 A case is checked once per set of damaged pairs and their shares. Call
-Q the pairs a split gives a positive share and E those shares: every
-placement that contains Q, with E on Q and zero elsewhere, yields the
-same candidate or none (_decode_repetition gives the argument), so only
-the first such placement in enumerate_cases order runs the case. The
-placements, each with its solver and the zero-share patterns it owns,
+Q the pairs a split gives a positive share and E those shares: only the
+first placement in enumerate_cases order that contains Q, with E on Q
+and zero elsewhere, runs the case. That is exact:
+
+* every intact block is read at the sum of the shares before it, and a
+  zero share adds nothing, so the syndrome with only Q erased is the
+  same for every placement containing Q;
+* every 2z-block system is nonsingular (mds.make_generator), so a case's
+  solve is unique;
+* so a zero-share pair passes its check (equality, at its full length),
+  and the spare parities hold, exactly when that syndrome lies in the
+  span of Q's columns, and then Q's solved blocks are the same either
+  way;
+* so every case with the same (Q, E) yields the same candidate or none.
+  The first of them in enumeration order is the one checked, so the
+  first case to yield each candidate, which is the guess reported and
+  fixes the order of the candidates, is unchanged.
+
+The placements, each with its solver and the zero-share patterns it owns,
 are listed once per params on the first decode; each delta's case table
 is built from those rows on its first decode.
 
-single_window.encode and decode run this layout for every params with
-r > 1. encode_multi and decode_multi are those same two functions under
-their former multi-window names.
+The cases assume that every deletion hit the message bits and that no
+two windows share a block pair, so some compliant words match no case
+and decode to InvalidInput: at k = 64, w = 4, c = 8, z = 2, about half
+of whole-codeword draws with w each.
 """
 
 from array import array
@@ -48,57 +59,10 @@ from operator import mul, xor
 from types import SimpleNamespace
 
 from . import mds
-from .gf2e import read_symbols
-from .single_window import (
-    CodeParams,
-    InvalidConfigError,
-    _times,
-    decide,
-    decode,
-    derive_dims,
-    encode,
-    is_subsequence,
-)
-
-encode_multi, decode_multi = encode, decode
-
-# Enumerated cases grow combinatorially with z; past 3 windows the decoder
-# is impractical at desk scale, so multi_params refuses larger z.
-MAX_Z = 3
-
-# The decoder's tables grow with the case count (max_case_count), so
-# multi_params refuses more than this; multi_params(256, 4, 8, 3), the
-# largest code in the tests, demos, bench and criteria, has 69 426.
-MAX_CASES = 100_000
+from .mds import _times
 
 # Byte -> 1 when its bit 0 is clear: the screen passed that case's block.
 _PASSED = bytes(1 - (b & 1) for b in range(256))
-
-
-def multi_dims(k, w, c, z):
-    """The (ell, m, last_block_len) of derive_dims for z windows, after
-    derive_dims' checks and those z windows add: one to MAX_Z windows,
-    the 2z solving parities plus a spare, room for z disjoint block
-    pairs, MAX_CASES."""
-    ell, m, last = derive_dims(k, w, c)
-    if type(z) is not int:              # type(), not isinstance: a bool is refused too
-        raise InvalidConfigError(f"z={z!r} is not an int")
-    if z < 1:
-        raise InvalidConfigError(f"z={z} must be at least 1")
-    if z > MAX_Z:
-        raise InvalidConfigError(f"z={z} exceeds the cap of {MAX_Z} windows")
-    if c < 2 * z + 1:
-        raise InvalidConfigError(f"c={c} must be at least 2z + 1 = {2 * z + 1}")
-    if m < 2 * z:
-        raise InvalidConfigError(f"{m} blocks cannot host {z} disjoint block pairs")
-    cases = _case_count(m, w, z)
-    if cases > MAX_CASES:
-        raise InvalidConfigError(f"{cases} cases exceed the case budget of {MAX_CASES}")
-    return ell, m, last
-
-
-def multi_params(k, w, c, z, kind="cauchy"):
-    return CodeParams(k, w, c, kind, z, z * w + 1)
 
 
 def repetition_encode(bits, r):
@@ -136,17 +100,6 @@ def _case_count(m, w, z):
     """max_case_count's closed form: placements times the most splits."""
     splits = max(sum(1 for _ in _compositions(d, z, w)) for d in range(z * w + 1))
     return comb(m - z, z) * splits
-
-
-def max_case_count(k, w, c, z):
-    """Exact worst-case size of enumerate_cases over all deletion counts.
-
-    This is the set the failure bound takes its union over, not the number
-    of cases decode checks at r > 1: that checks each set of damaged pairs
-    and their shares once, at the first placement holding them, so it
-    checks fewer. It refuses what multi_params refuses.
-    """
-    return _case_count(multi_dims(k, w, c, z)[1], w, z)
 
 
 def _pair_placements(m, z):
@@ -369,7 +322,7 @@ def _prefix_sums(s, parities, p, cases):
     and masked (cases.align). The lanes are spread out to one per entry
     in about log2 of the entry count moves, each symbol is copied into
     the c parity lanes by one multiply and multiplied by its block's
-    weights lane by lane (single_window._times), and a running xor in
+    weights lane by lane (mds._times), and a running xor in
     doubling steps gives the sums down each group. One to_bytes gives
     every entry.
     """
@@ -390,45 +343,6 @@ def _prefix_sums(s, parities, p, cases):
     return list(map(table.__getitem__, lanes.slices[:entries]))
 
 
-def _damaged_pair(s, p, i, before, d, a, b):
-    """The checks of pair i, solved to blocks a and b, when the pairs
-    before it lost `before` bits and it lost d: (region, dec, padding_ok,
-    supersequence_ok), the region of s it covers, the decoded bits
-    (formatted once, at the width of the message's bits they hold: a
-    short last block's padding is shifted out), whether that padding is
-    zero, and whether region is a subsequence of dec, which at d = 0 is
-    equality. Every check is run."""
-    ell = p.ell
-    pad = ell - p.last_block_len if i + 1 == p.m else 0     # bits past the message
-    region = s[(i - 1) * ell - before:(i + 1) * ell - before - d]
-    dec = format((a << ell | b) >> pad, "b").zfill(2 * ell - pad)
-    return region, dec, not b & (1 << pad) - 1, is_subsequence(region, dec)
-
-
-def _candidate(s, p, pairs, deltas, sol):
-    """The message of a case that passed the spare checks, or None; sol
-    holds the case's solved blocks, two per pair. Every guess of either
-    code that passes its screen is checked here, a single-window guess i
-    as the case ((i,), (delta,)). Every pair, a zero-share one included,
-    must pass _damaged_pair's padding and supersequence checks, and puts
-    its solved blocks into the message.
-    """
-    pieces = []
-    cum = 0
-    prev_end = 0  # bits of s consumed so far
-    for j, (i, d) in enumerate(zip(pairs, deltas)):
-        region, dec, padding_ok, superseq_ok = _damaged_pair(s, p, i, cum, d,
-                                                             sol[2 * j], sol[2 * j + 1])
-        if not (padding_ok and superseq_ok):
-            return None
-        start = (i - 1) * p.ell - cum
-        pieces += (s[prev_end:start], dec)
-        cum += d
-        prev_end = start + len(region)
-    pieces.append(s[prev_end:])
-    return "".join(pieces)
-
-
 def _screen(s, parities, p):
     """Every case's spare-parity verdict, in lanes.
 
@@ -444,7 +358,7 @@ def _screen(s, parities, p):
     repeated over its cases, the middle segments per case, all by C-level
     maps over the case table's index arrays. The solving syndromes are
     copied into every group, and each lane is multiplied by its spare
-    weight (single_window._times). A group's 2z products are summed into
+    weight (mds._times). A group's 2z products are summed into
     its lane 0 by doubling and xored with its spare syndrome; a case
     passes when every group's lane 0 is zero. Every product is exact, so
     the verdict is the one a product-by-product check gives.
@@ -492,44 +406,14 @@ def _screen(s, parities, p):
     return passed, case
 
 
-def _decode_repetition(y, p):
-    """decode for a params with r > 1, on a word _check_received passed.
-
-    Each case (pairs, deltas) of enumerate_cases is checked at most once
-    per set Q of pairs with a positive share and their shares E, at the
-    first placement containing Q. That is exact:
-
-    * every intact block is read at the sum of the shares before it, and
-      a zero share adds nothing, so the syndrome with only Q erased is
-      the same for every placement containing Q;
-    * every 2z-block system is nonsingular (mds.make_generator), so a
-      case's solve is unique;
-    * so a zero-share pair passes its check (equality, at its full
-      length), and the spare parities hold, exactly when that syndrome
-      lies in the span of Q's columns, and then Q's solved blocks are the
-      same either way;
-    * so every case with the same (Q, E) yields the same candidate or
-      none. The first of them in enumeration order is the one checked, so
-      the first case to yield each candidate, which is the guess reported
-      and fixes the order of the candidates, is unchanged.
-
-    Every case's spare parities are checked at once (_screen); the cases
-    that pass are solved and, in enumeration order, reach _candidate.
-
-    InvalidInput means no case tried is consistent. The cases assume that
-    every deletion hit the message bits and that no two windows share a
-    block pair, so some compliant words come out invalid: at k = 64,
-    w = 4, c = 8, z = 2, about half of whole-codeword draws with w each.
-    """
+def _solved(passed, case, p):
+    """(guess, pairs, deltas, sol) for each case that passed _screen, in
+    enumerate_cases order: the guess is (pairs, deltas), and sol the 2z
+    blocks solved from the case's solving syndromes by its solve rows."""
     ell = p.ell
-    delta = p.n - len(y)
-    tail_len = p.c * ell * p.r - delta
-    parity_bits = repetition_decode(y[len(y) - tail_len:], p.c * ell, p.r, delta)
-    s = y[:p.k - delta]
-    passed, case = _screen(s, mds.pack(read_symbols(parity_bits, ell), ell), p)
     log, exp, mask = p.ctx.log, p.ctx.exp, (1 << ell) - 1
     heads = range(0, 2 * p.z * ell, ell)
-    found = []
+    out = []
     for i in compress(range(len(passed)), passed):
         pairs, deltas, solve, syn = case(i)
         lh = [log[syn >> sh & mask] for sh in heads]
@@ -539,5 +423,5 @@ def _decode_repetition(y, p):
             for lw, lv in zip(lws, lh):
                 acc ^= exp[lw + lv]
             sol.append(acc)
-        found.append(((pairs, deltas), _candidate(s, p, pairs, deltas, sol)))
-    return decide(found)
+        out.append(((pairs, deltas), pairs, deltas, sol))
+    return out

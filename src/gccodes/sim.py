@@ -15,8 +15,7 @@ from functools import lru_cache
 
 from .analysis import bound_multi, bound_single
 from .channel import delete_localized, sample_pattern
-from .multi_window import multi_params
-from .single_window import SUCCESS, InvalidConfigError, decode, encode, gc_params
+from .codec import SUCCESS, InvalidConfigError, decode, encode, gc_params, multi_params
 
 CSV_HEADER = "k,w,ell,c,z,delta,trials,failures,pr_failure,rate,bound"
 

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from gccodes.analysis import MiscorrectionError, OracleReport
 from gccodes.channel import DeletionPattern, InvalidPatternError, Window, delete_localized
-from gccodes.single_window import FAILURE, SUCCESS, decode, encode
+from gccodes.codec import FAILURE, SUCCESS, decode, encode
 
 
 class SingularMatrixError(ArithmeticError):

@@ -13,24 +13,21 @@ from itertools import combinations
 
 from gccodes.analysis import bound_multi, bound_single, exhaustive_oracle
 from gccodes.channel import delete_localized, sample_pattern
-from gccodes.gf2e import FieldContext
-from gccodes.mds import make_generator
-from gccodes.multi_window import (
-    decode_multi,
-    encode_multi,
-    multi_params,
-    repetition_decode,
-    repetition_encode,
-)
-from gccodes.sim import SimConfig, run_trials
-from gccodes.single_window import (
+from gccodes.codec import (
     FAILURE,
     SUCCESS,
     decode,
+    decode_multi,
     encode,
+    encode_multi,
     evaluate_guess,
     gc_params,
+    multi_params,
 )
+from gccodes.gf2e import FieldContext
+from gccodes.mds import make_generator
+from gccodes.multi_window import repetition_decode, repetition_encode
+from gccodes.sim import SimConfig, run_trials
 
 SMOKE = os.environ.get("GC_ACCEPT_SMOKE") == "1"
 

@@ -21,16 +21,17 @@ from gccodes.analysis import (
     max_case_count,
 )
 from gccodes.channel import InvalidPatternError
-from gccodes.multi_window import MAX_Z, multi_params
-from gccodes.sim import SimConfig
-from gccodes.single_window import (
+from gccodes.codec import (
     INVALID_INPUT,
+    MAX_Z,
     SUCCESS,
     DecodeResult,
     InvalidConfigError,
     decode,
     gc_params,
+    multi_params,
 )
+from gccodes.sim import SimConfig
 from oracles import sweep_every_pattern
 
 K_GRID = (128, 256, 512, 1024, 2048, 4096)

@@ -16,8 +16,7 @@ from gccodes.channel import (
     pattern_to_text,
     sample_pattern,
 )
-from gccodes.multi_window import multi_params
-from gccodes.single_window import gc_params, is_subsequence
+from gccodes.codec import gc_params, is_subsequence, multi_params
 from oracles import list_delete
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gccodes
-from gccodes import cli, mds, single_window
+from gccodes import cli, codec, mds
 
 U = "1100101001111000"
 CODEWORD = "110010100111100000001100110000001"
@@ -391,7 +391,7 @@ def test_an_unaffordable_code_is_refused_before_any_table(argv, monkeypatch, cap
     def built(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(single_window, "FieldContext", built)
+    monkeypatch.setattr(codec, "FieldContext", built)
     monkeypatch.setattr(mds, "make_generator", built)
     monkeypatch.setattr(mds, "log_solver", built)
     monkeypatch.chdir(tmp_path)

@@ -16,8 +16,7 @@ import hashlib
 import random
 
 from gccodes.channel import delete_localized, sample_pattern
-from gccodes.multi_window import decode_multi, encode_multi, multi_params
-from gccodes.single_window import decode, encode, gc_params
+from gccodes.codec import decode, decode_multi, encode, encode_multi, gc_params, multi_params
 
 DIGEST = "fc29e46acb98509b4c769add7bb58d695c0ff5cceda095c95bb4345bcf745d02"
 

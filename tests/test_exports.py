@@ -1,6 +1,7 @@
 """The package's __all__ against the names the package binds and uses:
 no public name, default parameter or member exists only for the tests.
-And the package's imports against the standard library."""
+And the package's imports against the standard library and against one
+another."""
 
 import ast
 import inspect
@@ -135,3 +136,65 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in {*sys.stdlib_module_names, "gccodes"}]
     assert outside == []
+
+
+def _package_imports():
+    """{module: set of package modules it imports, anywhere in its body}
+    for each file of the package, and the module-level imports that follow
+    a def or class, as "module: line"."""
+    files = {path.stem: path for path in sorted((ROOT / "src" / "gccodes").glob("*.py"))}
+    graph, late = {}, []
+    for name, path in files.items():
+        tree = ast.parse(path.read_text(), str(path))
+        seen_def = False
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                seen_def = True
+            elif seen_def and isinstance(node, (ast.Import, ast.ImportFrom)):
+                late.append(f"{name}: {node.lineno}")
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:                             # from .mod import names
+                    targets.add(node.module.split(".")[0])
+                else:                                       # from . import mods or names
+                    targets.update(alias.name if alias.name in files else "__init__"
+                                   for alias in node.names)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module.split(".")]
+            else:
+                continue
+            targets.update(parts[1] if len(parts) > 1 else "__init__"
+                           for parts in names if parts[0] == "gccodes")
+        graph[name] = targets
+    return graph, late
+
+
+def test_package_import_graph_is_layered():
+    """The package's modules import one another without a cycle, so each
+    can be imported first. The two layout modules, single_window and
+    multi_window, sit below the engine (codec): they import nothing of
+    the package but gf2e and mds. No module-level import waits below a def
+    or class, as one that breaks a cycle would."""
+    graph, late = _package_imports()
+    assert {"codec", "single_window", "multi_window", "mds", "gf2e"} <= set(graph)
+    for layout in ("single_window", "multi_window"):
+        assert graph[layout] <= {"gf2e", "mds"}, (layout, graph[layout])
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join([*path[path.index(name):], name])
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    assert late == []

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gccodes import gf2e, multi_window, single_window
+from gccodes import codec, gf2e
 from gccodes.gf2e import (
     DEFAULT_POLYS,
     MAX_ELL,
@@ -214,17 +214,17 @@ def test_read_symbols_reads_bounded_segments(monkeypatch):
 def test_decoders_check_the_word_once(monkeypatch):
     """decode and decode_multi validate the received word themselves and
     then read it through read_symbols, not the checking bits_to_symbols."""
-    p = single_window.gc_params(64, 6, 3)
-    mp = multi_window.multi_params(64, 4, 8, 2)
+    p = codec.gc_params(64, 6, 3)
+    mp = codec.multi_params(64, 4, 8, 2)
     u = format(random.Random(4).getrandbits(64), "064b")
-    y = single_window.encode(u, p)
+    y = codec.encode(u, p)
     y = y[:10] + y[13:]                             # three deletions in the message
-    ym = multi_window.encode_multi(u, mp)
+    ym = codec.encode_multi(u, mp)
     ym = ym[:10] + ym[12:40] + ym[41:]              # two windows
 
     def banned(bits):
         raise AssertionError("a decoder checked the word twice")
 
     monkeypatch.setattr(gf2e, "is_binary", banned)
-    assert single_window.decode(y, p).message == u
-    assert multi_window.decode_multi(ym, mp).message == u
+    assert codec.decode(y, p).message == u
+    assert codec.decode_multi(ym, mp).message == u

@@ -24,8 +24,7 @@ from itertools import combinations
 import pytest
 
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
-from gccodes.multi_window import multi_params
-from gccodes.single_window import FAILURE, INVALID_INPUT, SUCCESS, decode, encode, gc_params
+from gccodes.codec import FAILURE, INVALID_INPUT, SUCCESS, decode, encode, gc_params, multi_params
 from oracles import list_decode
 
 

@@ -10,15 +10,22 @@ from itertools import combinations
 
 import pytest
 
-from gccodes import mds, multi_window
+from gccodes import codec, mds, multi_window
 from gccodes.channel import delete_localized, sample_pattern
+from gccodes.codec import (
+    SUCCESS,
+    decode,
+    decode_multi,
+    encode,
+    encode_multi,
+    gc_params,
+    multi_params,
+)
 from gccodes.gf2e import FieldContext, bits_to_symbols
-from gccodes.multi_window import decode_multi, encode_multi, multi_params
-from gccodes.single_window import SUCCESS, decode, encode, gc_params
+from gccodes.single_window import lane_tables
 from gccodes.mds import (
     FieldTooSmallError,
     Generator,
-    lane_tables,
     log_solver,
     make_generator,
     pack,
@@ -242,7 +249,7 @@ def test_encoders_read_only_the_planes(monkeypatch):
         raise AssertionError("encoding goes through the parity planes only")
 
     monkeypatch.setattr(multi_window, "_prefix_sums", banned)
-    monkeypatch.setattr(multi_window, "read_symbols", banned)
+    monkeypatch.setattr(codec, "read_symbols", banned)
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
         encode("01" * (params.k // 2), params)
         assert params.gen._log_solvers == {} and params.gen._lanes == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gccodes import mds, multi_window, single_window
+from gccodes import codec, mds, multi_window
 from gccodes.analysis import bound_multi
 from gccodes.channel import (
     DeletionPattern,
@@ -21,21 +21,7 @@ from gccodes.channel import (
     pattern_from_text,
     sample_pattern,
 )
-from gccodes.gf2e import FieldContext
-from gccodes.multi_window import (
-    _case_table,
-    _prefix_sums,
-    _screen,
-    _table_top,
-    decode_multi,
-    encode_multi,
-    enumerate_cases,
-    max_case_count,
-    multi_params,
-    repetition_decode,
-    repetition_encode,
-)
-from gccodes.single_window import (
+from gccodes.codec import (
     FAILURE,
     INVALID_INPUT,
     SUCCESS,
@@ -43,9 +29,23 @@ from gccodes.single_window import (
     DecodeResult,
     InvalidConfigError,
     decode,
+    decode_multi,
     encode,
+    encode_multi,
     gc_params,
     is_subsequence,
+    max_case_count,
+    multi_params,
+)
+from gccodes.gf2e import FieldContext
+from gccodes.multi_window import (
+    _case_table,
+    _prefix_sums,
+    _screen,
+    _table_top,
+    enumerate_cases,
+    repetition_decode,
+    repetition_encode,
 )
 from oracles import erasure_decode, loop_parities, message_parity_bits, verify_parities
 
@@ -114,14 +114,24 @@ def test_multi_params_validation():
         multi_params(256, 4, 9, 4)      # above MAX_Z
 
 
-@pytest.mark.parametrize("z, bad", [(True, "z=True"), (2.0, "z=2.0")])
+@pytest.mark.parametrize("z, bad", [(True, "z=True"), (2.0, "z=2.0"), ("2", "z='2'")])
 def test_non_int_window_count_refused(z, bad):
-    # a bool z would build a code with z=True and r=5
+    # a bool z would build a code with z=True and r=5; a str z would fail
+    # in z * w + 1 with a bare TypeError
     for build in (multi_params, bound_multi):
         with pytest.raises(InvalidConfigError, match=f"^{re.escape(bad)} is not an int$"):
             build(64, 4, 8, z)
     with pytest.raises(InvalidConfigError, match="^w=4.0 is not an int$"):
         multi_params(64, 4.0, 8, 2)
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((64, 6, 3, "cauchy", True, True), "z=True"),     # would build a code with n = 89
+    ((64, 4, 8, "cauchy", 2, 9.0), "r=9.0"),          # would build n = 496.0
+])
+def test_code_params_refuse_non_int_z_and_r(args, bad):
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(bad)} is not an int$"):
+        CodeParams(*args)
 
 
 def test_an_unaffordable_code_is_refused_before_any_table(monkeypatch):
@@ -132,7 +142,7 @@ def test_an_unaffordable_code_is_refused_before_any_table(monkeypatch):
     def built(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(single_window, "FieldContext", built)
+    monkeypatch.setattr(codec, "FieldContext", built)
     monkeypatch.setattr(mds, "make_generator", built)
     monkeypatch.setattr(mds, "log_solver", built)
     start = time.perf_counter()
@@ -140,7 +150,7 @@ def test_an_unaffordable_code_is_refused_before_any_table(monkeypatch):
                        match="^817332503 cases exceed the case budget of 100000$"):
         multi_params(4096, 12, 8, 3)
     assert time.perf_counter() - start < 1
-    assert max_case_count(256, 4, 8, 3) == 69_426 <= multi_window.MAX_CASES
+    assert max_case_count(256, 4, 8, 3) == 69_426 <= codec.MAX_CASES
 
 
 def test_encode_multi_layout():
@@ -520,7 +530,7 @@ def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
         calls.append((region, dec))
         return is_subsequence(region, dec)
 
-    real_candidate = multi_window._candidate
+    real_candidate = codec._candidate
 
     def candidate(*args):
         cases[-1].append(args[2:4])
@@ -529,8 +539,8 @@ def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
     def damaged(case):
         return tuple((i, d) for i, d in zip(*case) if d)
 
-    monkeypatch.setattr(multi_window, "is_subsequence", counted)
-    monkeypatch.setattr(multi_window, "_candidate", candidate)
+    monkeypatch.setattr(codec, "is_subsequence", counted)
+    monkeypatch.setattr(codec, "_candidate", candidate)
     for _ in range(200):
         u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
         deltas = (rng.randrange(mp.w + 1), rng.randrange(mp.w + 1))
@@ -568,7 +578,7 @@ def test_candidate_refuses_set_padding_of_the_last_block(pairs, deltas, cut):
         lh = [log[v] for v in true[:3] + [true[3] | padding]]
         sol = [reduce(xor, (exp[lw + lv] for lw, lv in zip(lws, lh))) for lws in solve]
         assert sol == true[:3] + [true[3] | padding]
-        assert multi_window._candidate(s, mp, pairs, deltas, sol) == want
+        assert codec._candidate(s, mp, pairs, deltas, sol) == want
 
 
 def test_case_off_the_last_shift_raises(monkeypatch):

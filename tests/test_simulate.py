@@ -13,7 +13,7 @@ import gccodes
 
 from gccodes import cli, sim
 from gccodes.sim import SimConfig, report_to_csv, resolve_delta, run_trials
-from gccodes.single_window import InvalidConfigError, gc_params
+from gccodes.codec import InvalidConfigError, gc_params
 
 
 def small_cfg(**kw):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gccodes import mds, multi_window, single_window
+from gccodes import codec, single_window
 from gccodes.analysis import bound_single, exhaustive_oracle
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
-from gccodes.gf2e import FieldContext, bits_to_symbols
-from gccodes.single_window import (
+from gccodes.codec import (
     FAILURE,
     INVALID_INPUT,
     SUCCESS,
@@ -26,6 +25,7 @@ from gccodes.single_window import (
     gc_params,
     is_subsequence,
 )
+from gccodes.gf2e import FieldContext, bits_to_symbols
 from oracles import erasure_decode, guess_syndromes, verify_parities
 
 U = "1100101001111000"
@@ -88,7 +88,7 @@ def test_params_compare_and_hash_by_their_six_fields():
     # ctx and gen derive from (k, w, c, kind, z, r); two builds of one code
     # hold tables of their own, yet compare and hash equal
     for build, args in ((gc_params, (16, 4, 3)),
-                        (multi_window.multi_params, (16, 2, 5, 2))):
+                        (codec.multi_params, (16, 2, 5, 2))):
         a, b = build(*args), build(*args)
         assert a.ctx is not b.ctx and a.gen is not b.gen
         assert a == b and hash(a) == hash(b)
@@ -188,6 +188,9 @@ def test_evaluate_guess_validation():
         evaluate_guess(s, 4, parities, PV)
     with pytest.raises(ValueError):
         evaluate_guess(s[:8], 1, parities, PV)
+    for i in (True, 2.0):                     # True would report guess=True
+        with pytest.raises(ValueError, match="guess index"):
+            evaluate_guess(s, i, parities, PV)
     for bad in ("_", " ", "2"):               # int(s, 2) would take "_" and " "
         with pytest.raises(ValueError, match="only '0' and '1'"):
             evaluate_guess(s[:5] + bad + s[6:], 2, parities, PV)
@@ -199,7 +202,9 @@ def test_evaluate_guess_validation():
     lambda par: [par[0], 16, par[2]],     # 16 is outside GF(2^4)
     lambda par: [par[0], -1, par[2]],
     lambda par: [par[0], "5", par[2]],
-], ids=["two", "four", "too-large", "negative", "not-an-int"])
+    lambda par: [par[0], True, par[2]],   # would be read as 1
+    lambda par: [par[0], 5.0, par[2]],
+], ids=["two", "four", "too-large", "negative", "not-an-int", "bool", "float"])
 def test_evaluate_guess_refuses_bad_parities(bad):
     # with the true guess, two parities used to report parities_ok=False
     # and a fourth was ignored; neither may give a verdict
@@ -431,13 +436,13 @@ def oracle_passes(syndromes, i, gen):
 
 def screen_lanes(s, parities, p):
     """_screen's syndromes and verdict for every guess, read off its lanes
-    by the layout mds.lane_tables documents: guess i in lane m - 1 - i,
+    by the layout single_window.lane_tables documents: guess i in lane m - 1 - i,
     syndrome r+1 in segment r. The parities go in as the tail int the
     decoder reads, parity 1 highest. Asserts that nothing sits outside
     them."""
     tail = int("".join(format(v, f"0{p.ell}b") for v in parities), 2)
     syn, passed = single_window._screen(s, tail, p)
-    ell, seg, lanes = p.ell, mds.lane_tables(p.gen).seg, p.m - 1
+    ell, seg, lanes = p.ell, single_window.lane_tables(p.gen).seg, p.m - 1
     assert passed >> lanes * ell == 0 and syn >> p.c * seg == 0
     out = []
     for i in range(1, p.m):
@@ -569,9 +574,9 @@ def test_evaluate_guess_survivors_are_decode_candidates():
 
 def test_every_passed_guess_reaches_the_one_check(monkeypatch):
     # the guess loop hands each guess that passed the screen, once and in
-    # ascending order, to multi_window._candidate as the case
+    # ascending order, to codec._candidate as the case
     # ((i,), (delta,)), and evaluate_guess's candidate is what it returns
-    real = multi_window._candidate
+    real = codec._candidate
     calls = []
 
     def recorded(s, p, pairs, deltas, sol):
@@ -579,7 +584,7 @@ def test_every_passed_guess_reaches_the_one_check(monkeypatch):
         calls.append((pairs, deltas, cand))
         return cand
 
-    monkeypatch.setattr(multi_window, "_candidate", recorded)
+    monkeypatch.setattr(codec, "_candidate", recorded)
     checked = 0
     for args in ((37, 5, 3, "cauchy"), (64, 4, 4, "vandermonde"), (16, 4, 3, "cauchy"),
                  (128, 7, 3, "cauchy")):
