@@ -8,7 +8,12 @@ parity bit r times instead and has no buffer (multi_params). The
 message is chunked into m = ceil(k / ell) field symbols and its
 parities come from a systematic MDS layer over GF(2^ell) (mds).
 encode_multi and decode_multi are encode and decode under their former
-multi-window names.
+multi-window names. CodeParams sets every other field once, when built
+(the code length n among them), and refuses assignment: a changed code is
+a new CodeParams of the six values. It is a plain __slots__ class
+(mds._Frozen), as Generator is, because a dataclass costs about 1 ms to
+build in every fresh process; DecodeResult is the package's one
+dataclass.
 
 decode first refuses, through one check (_check_received), a received
 word with characters other than 0 and 1, more than n bits, or more than
@@ -30,7 +35,7 @@ decoder refuses to choose (Failure).
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import contains
 
@@ -62,52 +67,41 @@ def _check_ints(**values):
             raise InvalidConfigError(f"{name}={value!r} is not an int")
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(mds._Frozen):
     """Parameters of either code: z windows, each parity bit repeated r
     times. r = 1 at z = 1 is the single-window code, its parities behind a
     buffer of w zeros and a one; r = z*w + 1, at any z including 1, has
     no buffer (multi_params); any other r is refused. The other fields
     follow, as derive_dims (multi_dims for r > 1) says, and cannot be
-    passed; equality and hash skip the tables ctx and gen."""
-    k: int
-    w: int
-    c: int
-    kind: str = "cauchy"
-    z: int = 1
-    r: int = 1
-    ell: int = field(init=False)
-    m: int = field(init=False)
-    last_block_len: int = field(init=False)
-    ctx: FieldContext = field(init=False, compare=False)
-    gen: mds.Generator = field(init=False, compare=False)
-    # the repetition decoder's tables, filled on its first call: the
-    # placement table, the screen's layout and masks, and per delta the
-    # case table
-    _placements: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _cases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    passed: ell, m, last_block_len, the field ctx, the generator gen and
+    the code length n. Equality and hash read the six init fields, repr
+    every field but n, and pickle and copy build the code again from the
+    six (mds._Frozen)."""
 
-    def __post_init__(self):
-        k, w, c, z, r = self.k, self.w, self.c, self.z, self.r
+    __slots__ = ("k", "w", "c", "kind", "z", "r", "ell", "m", "last_block_len", "ctx", "gen",
+                 "n",
+                 # the repetition decoder's tables, filled on its first
+                 # call: the placement table, the screen's layout and
+                 # masks, and per delta the case table
+                 "_placements", "_lanes", "_cases")
+    _init = _compare = __slots__[:6]
+    _shown = __slots__[:11]
+
+    def __init__(self, k, w, c, kind="cauchy", z=1, r=1):
         _check_ints(w=w, z=z, r=r)      # before z * w + 1 reads them
         if r == 1 and z == 1:
             ell, m, last = derive_dims(k, w, c)
+            n = k + c * ell + w + 1
         elif r == z * w + 1:
             ell, m, last = multi_dims(k, w, c, z)
+            n = k + c * ell * r
         else:
             raise InvalidConfigError(f"r={r} must be z*w + 1 = {z * w + 1}, or 1 with z = 1")
         ctx = FieldContext(ell)
-        gen = mds.make_generator(m, c, ctx, self.kind)
-        for name, value in zip(("ell", "m", "last_block_len", "ctx", "gen"),
-                               (ell, m, last, ctx, gen)):
+        gen = mds.make_generator(m, c, ctx, kind)
+        for name, value in zip(self.__slots__,
+                               (k, w, c, kind, z, r, ell, m, last, ctx, gen, n, [], [], {})):
             object.__setattr__(self, name, value)
-
-    @property
-    def n(self):
-        if self.r == 1:
-            return self.k + self.c * self.ell + self.w + 1
-        return self.k + self.c * self.ell * self.r
 
 
 def derive_dims(k, w, c):
@@ -182,15 +176,16 @@ def max_case_count(k, w, c, z):
 def parity_bits(u, p):
     """The c parity blocks of message u as one bit string, parity 1 first.
 
-    u is checked first: k characters, each '0' or '1' (is_binary, so
-    nothing int() would also take, such as '_', spaces or a sign, gets
-    through). The parities are read off the message int by popcounts
-    (mds.packed_parities); both layouts of encode share this path.
+    u is checked first: a str (else TypeError), each character '0' or
+    '1' (is_binary, so nothing int() would also take, such as '_', spaces
+    or a sign, gets through), k of them. The parities are read off the
+    message int by popcounts (mds.packed_parities); both layouts of
+    encode share this path.
     """
-    if len(u) != p.k:
-        raise ValueError(f"message must be {p.k} bits, got {len(u)}")
     if not is_binary(u):
         raise ValueError("message must contain only '0' and '1'")
+    if len(u) != p.k:
+        raise ValueError(f"message must be {p.k} bits, got {len(u)}")
     ell = p.ell
     packed = mds.packed_parities(int(u, 2) << (p.m * ell - p.k), p.gen)
     mask, width = (1 << ell) - 1, f"0{ell}b"
@@ -199,10 +194,12 @@ def parity_bits(u, p):
 
 def encode(u, p):
     """The codeword of message u: the parities behind a buffer of w zeros
-    and a one when p.r = 1, each parity bit repeated r times otherwise."""
+    and a one when p.r = 1, each parity bit repeated r times otherwise.
+    parity_bits checks u before anything is joined to it."""
+    parities = parity_bits(u, p)
     if p.r == 1:
-        return u + "0" * p.w + "1" + parity_bits(u, p)
-    return u + multi_window.repetition_encode(parity_bits(u, p), p.r)
+        return u + "0" * p.w + "1" + parities
+    return u + multi_window.repetition_encode(parities, p.r)
 
 
 def is_subsequence(sub, sup):
@@ -264,10 +261,10 @@ def evaluate_guess(s, i, parities, p):
     """
     if type(i) is not int or not 1 <= i <= p.m - 1:
         raise ValueError(f"guess index must be an int in [1, {p.m - 1}], got {i!r}")
-    if not p.k - p.w <= len(s) <= p.k:
-        raise ValueError(f"systematic part must hold k - w .. k bits, got {len(s)}")
     if not is_binary(s):
         raise ValueError("systematic part must contain only '0' and '1'")
+    if not p.k - p.w <= len(s) <= p.k:
+        raise ValueError(f"systematic part must hold k - w .. k bits, got {len(s)}")
     if len(parities) != p.c:
         raise ValueError(f"expected {p.c} parities, got {len(parities)}")
     if not all(type(v) is int and 0 <= v < 1 << p.ell for v in parities):

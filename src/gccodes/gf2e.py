@@ -94,11 +94,26 @@ class FieldContext:
     def __repr__(self):
         return f"FieldContext(ell={self.ell}, poly=0x{self.poly:x})"
 
+    # ell fixes the field, its polynomial and its tables, so two contexts
+    # of one ell are equal: a copied Generator equals its original
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ell == other.ell
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.ell)
+
 
 def is_binary(bits):
     """True iff bits holds only '0' and '1'. Deleting both from the ASCII
     bytes is one C pass, about twice as fast as counting them; isascii,
-    a flag check, refuses first what str.encode could not turn into ASCII."""
+    a flag check, refuses first what str.encode could not turn into ASCII.
+    A bits that is not a str (bytes, None, an int) is a TypeError naming
+    its type: decode's word, encode's message, evaluate_guess's s and
+    bits_to_symbols' bits come through here before any other use."""
+    if not isinstance(bits, str):
+        raise TypeError(f"a bit string must be a str, not {type(bits).__name__}")
     return bits.isascii() and not bits.encode().translate(None, b"01")
 
 

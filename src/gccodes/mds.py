@@ -26,23 +26,59 @@ padded so that exp[log[a] + log[b]] is a product even when a or b is
 zero, so each product is one table lookup. Both screens take their spare
 weights from log_solver's rows.
 
+Generator derives its rows once, when built, and refuses assignment. It
+is a plain __slots__ class, not a dataclass: _Frozen gives it and
+codec.CodeParams their equality, hash, repr and pickling, with the kept
+tables out of all four.
+
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
 """
 
 import sys
 from array import array
-from dataclasses import dataclass, field
-
-from .gf2e import FieldContext
 
 
 class FieldTooSmallError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Generator:
+class _Frozen:
+    """Base of CodeParams and Generator: a value built once from its
+    init fields, every other field set by __init__. _init names the init
+    fields, _compare those eq and hash read, _shown those repr prints;
+    the kept tables are in none of them. Assignment is refused, and
+    pickle and copy build the object again from its init fields, so no
+    half-derived copy can arise."""
+
+    __slots__ = ()
+
+    def _values(self, names):
+        return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self._compare) == other._values(other._compare)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self._compare))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values(self._init)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Generator(_Frozen):
     """Parity weights for a systematic (m + c, m) code.
 
     rows[i][r] is the weight of systematic symbol i+1 in parity r+1, so
@@ -50,32 +86,28 @@ class Generator:
     follow from (m, c, kind, ctx), as make_generator says.
     """
 
-    m: int
-    c: int
-    kind: str
-    ctx: FieldContext
-    rows: tuple = field(init=False)
-    # Filled on first request, so building a generator builds none of them:
-    # erased blocks -> log_solver result
-    _log_solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # parity_planes result
-    _planes: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # single_window.lane_tables result, its one entry
-    _lanes: list = field(default_factory=list, init=False, repr=False, compare=False)
+    __slots__ = ("m", "c", "kind", "ctx", "rows",
+                 # Filled on first request, so building a generator builds
+                 # none of them: erased blocks -> log_solver result, the
+                 # parity_planes result, and single_window.lane_tables
+                 # result, its one entry
+                 "_log_solvers", "_planes", "_lanes")
+    _init = __slots__[:4]
+    _compare = _shown = __slots__[:5]
 
-    def __post_init__(self):
-        m, c, ctx = self.m, self.c, self.ctx
-        if self.kind not in ("cauchy", "vandermonde"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+    def __init__(self, m, c, kind, ctx):
+        if kind not in ("cauchy", "vandermonde"):
+            raise ValueError(f"unknown generator kind {kind!r}")
         if m + c > (1 << ctx.ell):
             raise FieldTooSmallError(
                 f"m + c = {m + c} exceeds field size 2^{ctx.ell} = {1 << ctx.ell}"
             )
-        if self.kind == "cauchy":
+        if kind == "cauchy":
             rows = tuple(tuple(ctx.inv(i ^ (m + j)) for j in range(c)) for i in range(m))
         else:
             rows = tuple(tuple(ctx.exp[i * r % ctx.order] for r in range(c)) for i in range(m))
-        object.__setattr__(self, "rows", rows)
+        for name, value in zip(self.__slots__, (m, c, kind, ctx, rows, {}, [], [])):
+            object.__setattr__(self, name, value)
 
 
 def make_generator(m, c, ctx, kind="cauchy"):

@@ -7,7 +7,7 @@ import ast
 import inspect
 import sys
 from pathlib import Path
-from types import ModuleType
+from types import MemberDescriptorType, ModuleType
 
 import gccodes
 
@@ -95,9 +95,9 @@ def test_every_public_default_is_passed_outside_the_tests():
 
 
 def test_every_public_member_is_read_outside_the_tests():
-    """Each public method and property of a class in __all__ is read
-    somewhere outside the tests: a member that only the tests read has no
-    place in the API. A read is the name loaded as an attribute of
+    """Each public method, property and slot field of a class in __all__
+    is read somewhere outside the tests: a member that only the tests read
+    has no place in the API. A read is the name loaded as an attribute of
     anything. A name that a builtin type or another class outside the
     tests also defines does not count as read: its reads may be that
     other member's (FieldContext.add hid behind Tracer.add and set.add)."""
@@ -113,7 +113,8 @@ def test_every_public_member_is_read_outside_the_tests():
     members = [(name, attr) for name, obj in _public_api() if inspect.isclass(obj)
                for attr, value in vars(obj).items()
                if not attr.startswith("_")
-               and (inspect.isfunction(value) or isinstance(value, property))]
+               and (inspect.isfunction(value)
+                    or isinstance(value, (property, MemberDescriptorType)))]
     assert len(members) > 5
     used = _reads(trees) - elsewhere
     assert [f"{name}.{attr}" for name, attr in members if attr not in used] == []

@@ -1,7 +1,10 @@
 """The eight plain records are namedtuples: their reprs, immutability,
 equality, hashing and keyword construction, and the checks that
-DeletionPattern and SimConfig keep on every way of building one."""
+DeletionPattern and SimConfig keep on every way of building one. And
+CodeParams and Generator, plain __slots__ classes: the reprs the frozen
+dataclasses printed, immutability, and copies that derive again."""
 
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -126,16 +129,92 @@ def test_records_behave_as_tuples():
     assert win.span_end(4) == 6
 
 
-def test_only_the_three_coded_classes_are_dataclasses():
-    """Among the classes in __all__, exactly CodeParams, DecodeResult and
-    Generator are dataclasses. A frozen dataclass costs 0.85 to 2.1 ms
-    to build at import, as it execs its generated methods, and the
-    dataclasses module pulls in inspect, dis, ast and tokenize (about
-    10 ms); every CLI call and worker process pays that. These three
-    stay while the tests, README and bench call dataclasses.replace on
-    them; a plain record should be a namedtuple."""
+def test_decode_result_is_the_only_dataclass():
+    """Among the classes in __all__, only DecodeResult is a dataclass. A
+    frozen dataclass costs 0.85 to 2.1 ms to build at import, as it execs
+    its generated methods, and the dataclasses module pulls in inspect,
+    dis, ast and tokenize (about 7 ms); every CLI call and worker process
+    pays that. DecodeResult stays while bench/tests/test_bench.py calls
+    dataclasses.replace on one. A plain record should be a namedtuple,
+    and a class that derives fields from its init fields a _Frozen class,
+    as CodeParams and Generator are."""
     classes = [getattr(gccodes, name) for name in gccodes.__all__
                if inspect.isclass(getattr(gccodes, name))]
-    assert sorted(cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)) == [
-        "CodeParams", "DecodeResult", "Generator"]
+    assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == ["DecodeResult"]
     assert {cls.__name__ for cls in classes if issubclass(cls, tuple)} == set(RECORDS)
+
+
+# The reprs of CodeParams and Generator as the frozen dataclasses printed
+# them: every field but n and the kept tables
+PARAMS_REPRS = {
+    (16, 4, 3): "CodeParams(k=16, w=4, c=3, kind='cauchy', z=1, r=1, ell=4, m=4, "
+                "last_block_len=4, ctx=FieldContext(ell=4, poly=0x13), gen=Generator(m=4, "
+                "c=3, kind='cauchy', ctx=FieldContext(ell=4, poly=0x13), rows=((13, 11, 7), "
+                "(11, 13, 6), (7, 6, 13), (6, 7, 11))))",
+    (16, 2, 5, 2): "CodeParams(k=16, w=2, c=5, kind='cauchy', z=2, r=5, ell=4, m=4, "
+                   "last_block_len=4, ctx=FieldContext(ell=4, poly=0x13), gen=Generator(m=4, "
+                   "c=5, kind='cauchy', ctx=FieldContext(ell=4, poly=0x13), rows=((13, 11, 7, "
+                   "6, 15), (11, 13, 6, 7, 2), (7, 6, 13, 11, 12), (6, 7, 11, 13, 5))))",
+}
+
+
+def _params(args):
+    return gccodes.gc_params(*args) if len(args) == 3 else gccodes.multi_params(*args)
+
+
+def _filled(args):
+    """The code of args, every kept table filled by one guess-path decode
+    and one encode."""
+    p = _params(args)
+    u = "1100101001111000"
+    x = gccodes.encode(u, p)
+    assert gccodes.decode(x[:5] + x[7:], p).message == u
+    assert p.gen._planes and p.gen._log_solvers and (p.gen._lanes or p._cases)
+    return p
+
+
+@pytest.mark.parametrize("args", PARAMS_REPRS)
+def test_params_and_generator_reprs_are_the_dataclasses(args):
+    p = _filled(args)                   # the kept tables stay out of repr
+    assert repr(p) == PARAMS_REPRS[args]
+    assert repr(p.gen) == PARAMS_REPRS[args][PARAMS_REPRS[args].index("gen=") + 4:-1]
+
+
+@pytest.mark.parametrize("args", PARAMS_REPRS)
+def test_params_and_generator_refuse_assignment_and_replace(args):
+    p = _params(args)
+    for obj, name in ((p, "w"), (p, "n"), (p, "gen"), (p, "_cases"), (p.gen, "rows"),
+                      (p.gen, "_planes")):
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+    for obj in (p, p.gen):
+        with pytest.raises(AttributeError):
+            obj.unknown = 0
+        # no half-derived copy: dataclasses.replace refuses both
+        with pytest.raises(TypeError, match="dataclass instances"):
+            dataclasses.replace(obj)
+        assert not hasattr(obj, "__dict__") and not hasattr(obj, "replace")
+
+
+@pytest.mark.parametrize("copy_of", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                     copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("args", PARAMS_REPRS)
+def test_params_and_generator_copies_derive_again(args, copy_of):
+    """A copy is built again from the init fields: equal, with equal rows
+    and hash, and with empty tables however full the original's are."""
+    p = _filled(args)
+    twin = copy_of(p)
+    assert twin == p and hash(twin) == hash(p) and twin is not p
+    assert (twin.ell, twin.m, twin.last_block_len, twin.n) == (p.ell, p.m, p.last_block_len, p.n)
+    assert twin.gen == p.gen and twin.gen is not p.gen and twin.gen.rows == p.gen.rows
+    assert twin._placements == twin._lanes == [] and twin._cases == {}
+    gen = copy_of(p.gen)
+    assert gen == p.gen and hash(gen) == hash(p.gen) and gen is not p.gen
+    for g in (twin.gen, gen):
+        assert g._log_solvers == {} and g._planes == g._lanes == []
+    assert gccodes.decode(gccodes.encode("0" * 16, twin)[1:], twin).message == "0" * 16

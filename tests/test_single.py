@@ -3,7 +3,6 @@ expected value is known in advance."""
 
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -66,22 +65,27 @@ def test_non_int_sizes_refused(k, w, c, bad):
             build(k, w, c)
 
 
-@pytest.mark.parametrize("name", ["ell", "m", "last_block_len", "ctx", "gen"])
+@pytest.mark.parametrize("name", ["ell", "m", "last_block_len", "ctx", "gen", "n"])
 def test_derived_fields_cannot_be_passed(name):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         CodeParams(16, 4, 3, **{name: getattr(PV, name)})
 
 
-def test_a_replaced_field_derives_the_code_again():
-    # a wider window takes a wider field: ell = max(w, ceil(log2 k))
-    p = replace(gc_params(16, 4, 3), w=6)
+def test_a_changed_field_derives_the_code_again():
+    # a changed code is a new CodeParams of the six values, and derives
+    # every other field again: a wider window takes a wider field,
+    # ell = max(w, ceil(log2 k))
+    base = gc_params(16, 4, 3)
+    p = CodeParams(base.k, 6, base.c, base.kind, base.z, base.r)
     assert (p.ell, p.m, p.last_block_len, p.n, p.ctx.ell) == (6, 3, 4, 41, 6)
-    assert encode(U, p) == encode(U, gc_params(16, 6, 3))
+    assert p.gen.m == 3 and p.gen.ctx.ell == 6 and p != base
+    x = encode(U, p)
+    assert len(x) == p.n and x[16:23] == "0000001"
     rep = exhaustive_oracle(p, U)       # raises on a refused compliant word
     assert rep.trials == 36 * 2 ** 6
-    p = replace(gc_params(16, 4, 3), k=20)
-    assert (p.ell, p.m, p.last_block_len) == (5, 4, 5)
-    assert encode(U + "1011", p) == encode(U + "1011", gc_params(20, 4, 3))
+    p = CodeParams(20, base.w, base.c, base.kind, base.z, base.r)
+    assert (p.ell, p.m, p.last_block_len, p.n) == (5, 4, 5, 40)
+    assert decode(encode(U + "1011", p)[1:], p).message == U + "1011"
 
 
 def test_params_compare_and_hash_by_their_six_fields():
@@ -104,11 +108,9 @@ def test_params_compare_and_hash_by_their_six_fields():
 @pytest.mark.parametrize("z, r", [(1, 7), (2, 1)])
 def test_a_repetition_that_does_not_fit_z_is_refused(z, r):
     # r is 1 at z = 1 or z*w + 1, here 5 or 9
-    for build in (lambda: CodeParams(16, 4, 5, z=z, r=r),
-                  lambda: replace(gc_params(16, 4, 5), z=z, r=r)):
-        with pytest.raises(InvalidConfigError) as refused:
-            build()
-        assert str(refused.value) == f"r={r} must be z*w + 1 = {4 * z + 1}, or 1 with z = 1"
+    with pytest.raises(InvalidConfigError) as refused:
+        CodeParams(16, 4, 5, z=z, r=r)
+    assert str(refused.value) == f"r={r} must be z*w + 1 = {4 * z + 1}, or 1 with z = 1"
 
 
 def test_encode_golden():
@@ -123,6 +125,23 @@ def test_encode_validation():
         encode(U + "0", PV)
     with pytest.raises(ValueError):
         encode(U[:-1] + "x", PV)
+
+
+@pytest.mark.parametrize("bad", [U.encode(), None, int(U, 2)], ids=["bytes", "None", "int"])
+@pytest.mark.parametrize("call", [
+    lambda bad: decode(bad, PV),
+    lambda bad: decode(bad, codec.multi_params(16, 2, 5, 2)),
+    lambda bad: encode(bad, PV),
+    lambda bad: encode(bad, codec.multi_params(16, 2, 5, 2)),
+    lambda bad: bits_to_symbols(bad, PV.ctx),
+    lambda bad: evaluate_guess(bad, 1, [0, 0, 0], PV),
+], ids=["decode", "decode-multi", "encode", "encode-multi", "bits_to_symbols", "evaluate_guess"])
+def test_a_word_that_is_not_a_str_is_a_type_error(bad, call):
+    # one check at the boundary names the type, before any concatenation,
+    # length or character test
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=f"^a bit string must be a str, not {name}$"):
+        call(bad)
 
 
 def test_detect_region():
