@@ -165,7 +165,14 @@ def sample_pattern(p, delta, rng, mode="whole-codeword"):
         domain = p.k
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    deltas = list(delta) if not isinstance(delta, int) else [delta] * z
+    if isinstance(delta, int):
+        deltas = [delta] * z
+    else:
+        try:
+            deltas = list(delta)
+        except TypeError:
+            raise InvalidPatternError(
+                f"delta must be an int or a sequence of {z} ints, got {delta!r}") from None
     if len(deltas) != z:
         raise InvalidPatternError(f"need {z} per-window deletion counts, got {len(deltas)}")
     for d in deltas:

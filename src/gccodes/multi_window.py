@@ -13,13 +13,15 @@ parities of a word and the partial sums of the intact blocks are packed
 ints (mds.pack), so a case's syndromes are the parities xor one
 difference of partial sums per intact segment. _prefix_sums gives the
 partial sums at every shift a segment is read at, in one lane pass over
-s. _case_table lists, once per delta, every case the decoder runs, with
-the index arrays of those reads and the spare weights of its placement's
+s, with copies that fold the first and last segments into the ends of
+the middle ones, so that a case is 2*max(1, z-1) reads. _case_table
+lists, once per delta, every case the decoder runs, with one
+operator.itemgetter per read and the spare weights of its placement's
 log-form solver rows (mds.log_solver) in lanes. _screen gathers the
-syndromes of every case into one int, a block per case, with C-level
-maps over those arrays, and checks every spare parity of every case as
-lane products: no Python code runs per case. Only the cases that pass
-are solved (_solved).
+syndromes of every case into one int, a block per case, one join per
+read, and checks every spare parity of every case as lane products: no
+Python code runs per case. Only the cases that pass are solved
+(_solved), each distinct (placement, solving syndromes) once.
 
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: only the
@@ -52,10 +54,10 @@ of whole-codeword draws with w each.
 
 from array import array
 from bisect import bisect_right
-from functools import reduce
 from itertools import accumulate, combinations, compress
 from math import comb
-from operator import mul, xor
+from operator import itemgetter, mul
+from struct import Struct
 from types import SimpleNamespace
 
 from . import mds
@@ -171,8 +173,7 @@ def _lanes(p, table):
     0..c-1, weights holds mds.lane_powers of block j's packed weights in
     block m - j of every group, and scan a (shift, mask) pair per
     doubling step of the running xor down each group. ones has bit 0 of
-    every block of one group, syndromes lanes 0..c-1 of one block, and
-    slices cuts the blocks out of the bytes of an int.
+    every block of one group, and syndromes lanes 0..c-1 of one block.
 
     A case's block holds its packed syndromes in lanes 0..c-1. For the
     spare checks it holds one group of 2z lanes per spare parity: group
@@ -222,7 +223,6 @@ def _lanes(p, table):
         nb=nb, steps=steps, copy=sum(1 << r * ell for r in range(c)),
         weights=mds.lane_powers(block_weights, p.ctx, low, lsb), scan=scan,
         ones=sum(1 << bits * t for t in range(m + 1)), syndromes=full,
-        slices=[slice(i, i + nb) for i in range(0, max(entries, len(table)) * nb, nb)],
         spares=spares, spread=sum(1 << h for h in heads),
         solve=repeat_block((1 << group * ell) - 1), lsb=lsb, low=low,
         lane0=repeat_block(lane), groups=repeat_block(sum(lane << h for h in heads)),
@@ -243,25 +243,33 @@ def _case_table(p, delta):
 
     A placement runs the splits of delta whose zero-share pattern it owns
     (_placement_table). Its cases are consecutive: used lists the
-    placements that run any, counts how many, stops where each one's
-    cases end, runs the splits each runs (indices into splits). A case's
-    syndromes are the parities xor the intact segments, each read at the
-    shift of the deletions before it, as entries of the prefix groups at
-    shifts (_lanes); block j of group g is entry g*(m+1) + m - j:
+    placements that run any, stops where each one's cases end, runs the
+    splits each runs (indices into splits). A case's syndromes are the
+    parities xor the intact segments, each read at the shift of the
+    deletions before it, as entries of the prefix groups at shifts
+    (_lanes). The entries come in one copy of every group per name in
+    layout (_prefix_sums); block j of group g is entry g*(m+1) + m - j of
+    a copy. reads holds one operator.itemgetter per read, which takes that
+    read's entry of every case at once; a case's syndromes are the xor of
+    its reads:
 
-    * the first segment at shift 0 and the last at delta; they depend only
-      on the placement, read at heads and tails, the first and last group
-      (the last has one of its own, also when delta is 0);
-    * middle segment j of a split at the split's shift cuts[j]; reads[2j]
-      and reads[2j+1] hold, per case, its ends in that shift's group.
+    * z = 1: the first segment in "sums" at shift 0 (the first group) and
+      the last at delta (the last group, which has one of its own, also
+      when delta is 0, and carries the parities);
+    * z > 1: both ends of each middle segment j, in the group of its
+      split's shift cuts[j]. The lower end of segment 0 is read in
+      "head", which folds in the first segment, the upper end of segment
+      z - 2 in "tail", which folds in the last, and every other end in
+      "sums": 2(z - 1) reads.
 
-    align gives per group the (left shift, mask) that puts the blocks of s
-    read at its shift into its lanes. Blocks past a group's last block
-    whole inside s (_table_top) hold no prefix sum, and a read of one
-    raises IndexError, so no case takes such an entry. weights is
-    mds.lane_powers of the spare weights of each case's placement, in the
-    groups _lanes describes. Built from the kept placement rows: no solver
-    is requested.
+    A getter of one entry takes it as a slice, so that every getter gives
+    a tuple. unpack cuts the entries out of their bytes. align gives per
+    group the (left shift, mask) that puts the blocks of s read at its
+    shift into its lanes. Blocks past a group's last block whole inside s
+    (_table_top) hold no prefix sum, and a read of one raises IndexError,
+    so no case takes such an entry. weights is mds.lane_powers of the
+    spare weights of each case's placement, in the groups _lanes
+    describes. Built from the kept placement rows: no solver is requested.
     """
     found = p._cases.get(delta)
     if found is not None:
@@ -277,9 +285,13 @@ def _case_table(p, delta):
     for g, sh in enumerate(shifts):
         at, jmin = g * (m + 1) * ell, -(-sh // ell) + 1
         align.append((m * ell - p.k + delta - sh + at, ((1 << (m - jmin + 1) * ell) - 1) << at))
+    size = len(shifts) * (m + 1)          # entries in one copy
+    layout = ("head", "tail", "sums")[:z] if z > 1 else ("sums",)
+    copy = {name: t * size for t, name in enumerate(layout)}
+    pool = tuple(range(len(layout) * size))   # one int object per entry index
     by_owned = {}
-    used, counts, heads, tails, runs = array("I"), array("I"), array("I"), array("I"), []
-    reads = [array("I") for _ in range(2 * (z - 1))]
+    used, counts, runs = array("I"), array("I"), []
+    reads = [[] for _ in range(2 * max(1, z - 1))]
     for row, (pairs, _, owned) in enumerate(table):
         entry = by_owned.get(owned)
         if entry is None:
@@ -295,28 +307,39 @@ def _case_table(p, delta):
         used.append(row)
         counts.append(len(run))
         runs.append(run)
-        heads.append(m - (pairs[0] - 1))
-        tails.append(len(shifts) * (m + 1) - 1 - (pairs[-1] + 1))
+        if z == 1:
+            reads[0] += [pool[m - (pairs[0] - 1)]] * len(run)
+            reads[1] += [pool[size - 1 - (pairs[0] + 1)]] * len(run)
         for j, base in enumerate(bases):
-            hi, lo = pairs[j + 1] - 1, pairs[j] + 1
-            reads[2 * j].extend([b - hi for b in base])
-            reads[2 * j + 1].extend([b - lo for b in base])
+            lo = copy["head" if j == 0 else "sums"] - (pairs[j] + 1)
+            hi = copy["tail" if j == z - 2 else "sums"] - (pairs[j + 1] - 1)
+            reads[2 * j] += [pool[b + lo] for b in base]
+            reads[2 * j + 1] += [pool[b + hi] for b in base]
     chunks = map(lanes.spares.__getitem__, used)
     weights = int.from_bytes(b"".join(map(mul, chunks, counts)), "little")
     found = p._cases[delta] = SimpleNamespace(
-        splits=splits, shifts=shifts, align=align, used=used, counts=counts, runs=runs,
-        stops=array("I", accumulate(counts)), heads=heads, tails=tails, reads=reads,
+        splits=splits, shifts=shifts, align=align, layout=layout, used=used, runs=runs,
+        stops=array("I", accumulate(counts)),
+        reads=[itemgetter(*read) if len(read) > 1 else itemgetter(slice(read[0], read[0] + 1))
+               for read in reads],
+        unpack=Struct(f"{lanes.nb}s" * (len(layout) * size)).unpack,
         weights=mds.lane_powers(weights, p.ctx, lanes.low, lanes.lsb))
     return found
 
 
 def _prefix_sums(s, parities, p, cases):
-    """The entries of every prefix group of cases (_case_table), as nb
-    bytes each in the layout of _lanes: entry g*(m+1) + m - j packs the
-    parity contributions of blocks jmin..j of s read at group g's shift,
-    where jmin is the first block whole inside s at that shift, and 0 for
-    j < jmin. The last group, at delta, holds the parities xor the blocks
-    after j instead. Entries past a group's _table_top are not sums.
+    """The entries of every prefix group of cases (_case_table), nb bytes
+    each in the layout of _lanes, as one tuple: a copy of every group per
+    name in cases.layout, in that order. In "sums", entry g*(m+1) + m - j
+    packs the parity contributions of blocks jmin..j of s read at group
+    g's shift, where jmin is the first block whole inside s at that shift,
+    and 0 for j < jmin; the last group, at delta, holds the parities xor
+    the blocks after j instead. Entries past a group's _table_top are not
+    sums. "head" holds the same entry xor entry j - 2 of the first group
+    (0 for j < 2): blocks 1..j-2 at shift 0, the first segment of a case
+    whose first pair is j - 1. "tail" holds it xor entry j + 2 of the last
+    group (0 for j > m - 2): the parities xor blocks j+3..m at delta, the
+    last segment of a case whose last pair is j + 1.
 
     s is read once as an int; each group takes one copy of it, aligned
     and masked (cases.align). The lanes are spread out to one per entry
@@ -324,7 +347,9 @@ def _prefix_sums(s, parities, p, cases):
     the c parity lanes by one multiply and multiplied by its block's
     weights lane by lane (mds._times), and a running xor in
     doubling steps gives the sums down each group. One to_bytes gives
-    every entry.
+    every entry of "sums"; "head" and "tail" xor in the first and last
+    group, two entries along and repeated over the groups, as bytes.
+    cases.unpack cuts the entries out.
     """
     lanes = p._lanes[0]
     word, x = int(s, 2), 0
@@ -336,11 +361,17 @@ def _prefix_sums(s, parities, p, cases):
     acc = _times(x * lanes.copy, lanes.weights, lanes.lsb, (1 << p.ell) - 1)
     for shift, mask in lanes.scan:
         acc ^= acc >> shift & mask
-    last = 8 * lanes.nb * (len(cases.shifts) - 1) * (p.m + 1)
+    groups, nb = len(cases.shifts), lanes.nb
+    last = 8 * nb * (groups - 1) * (p.m + 1)
     acc ^= (parities ^ acc >> last & lanes.syndromes) * lanes.ones << last
-    entries = len(cases.shifts) * (p.m + 1)
-    table = acc.to_bytes(entries * lanes.nb, "little")
-    return list(map(table.__getitem__, lanes.slices[:entries]))
+    table = acc.to_bytes(groups * (p.m + 1) * nb, "little")
+    if p.z > 1:
+        span, two = (p.m + 1) * nb, bytes(2 * nb)
+        fold = (table[2 * nb:span] + two) * groups + (two + table[-span:-2 * nb]) * groups
+        copies = len(cases.layout)
+        table = (int.from_bytes(table * copies, "little") ^ int.from_bytes(fold, "little")
+                 ).to_bytes(len(table) * copies, "little")
+    return cases.unpack(table)
 
 
 def _screen(s, parities, p):
@@ -350,13 +381,12 @@ def _screen(s, parities, p):
     c parity symbols packed (mds.pack). Returns (passed, case): passed has
     one byte per case of _case_table(p, delta), in its order, 1 when every
     spare parity holds; case(i) gives case i's pairs, shares, solve rows
-    (mds.log_solver) and packed syndromes.
+    (mds.log_solver) and packed syndromes, read off the gathered int.
 
     The syndromes of every case are gathered into one int, a block of nb
-    bytes each (_lanes), out of the prefix sums (_prefix_sums): the first
-    and last segments with the parities xored once per placement and
-    repeated over its cases, the middle segments per case, all by C-level
-    maps over the case table's index arrays. The solving syndromes are
+    bytes each (_lanes), out of the prefix sums (_prefix_sums): one join
+    per read of the case table, each of the entries its itemgetter takes,
+    so the gather runs no Python code per case. The solving syndromes are
     copied into every group, and each lane is multiplied by its spare
     weight (mds._times). A group's 2z products are summed into
     its lane 0 by doubling and xored with its spare syndrome; a case
@@ -366,15 +396,11 @@ def _screen(s, parities, p):
     ell, group = p.ell, 2 * p.z
     cases = _case_table(p, p.k - len(s))
     lanes = p._lanes[0]
-    entry = _prefix_sums(s, parities, p, cases).__getitem__
+    entries = _prefix_sums(s, parities, p, cases)
     nb, order = lanes.nb, "little"
-    head, tail = (int.from_bytes(b"".join(map(entry, ends)), order)
-                  for ends in (cases.heads, cases.tails))
-    outer = (head ^ tail).to_bytes(len(cases.heads) * nb, order)
-    syn = int.from_bytes(b"".join(map(mul, map(outer.__getitem__, lanes.slices), cases.counts)),
-                         order)
+    syn = 0
     for read in cases.reads:
-        syn ^= int.from_bytes(b"".join(map(entry, read)), order)
+        syn ^= int.from_bytes(b"".join(read(entries)), order)
 
     acc = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
     total, done, span = 0, 0, 1           # sums of 1, 2, 4, ... lanes
@@ -400,8 +426,7 @@ def _screen(s, parities, p):
         at = bisect_right(cases.stops, i)
         pairs, (solve, _), _ = p._placements[cases.used[at]]
         deltas = cases.splits[cases.runs[at][i - (cases.stops[at - 1] if at else 0)]]
-        ends = [outer[at * nb:(at + 1) * nb], *(entry(read[i]) for read in cases.reads)]
-        return pairs, deltas, solve, reduce(xor, [int.from_bytes(e, order) for e in ends])
+        return pairs, deltas, solve, syn >> 8 * nb * i & lanes.syndromes
 
     return passed, case
 
@@ -409,19 +434,26 @@ def _screen(s, parities, p):
 def _solved(passed, case, p):
     """(guess, pairs, deltas, sol) for each case that passed _screen, in
     enumerate_cases order: the guess is (pairs, deltas), and sol the 2z
-    blocks solved from the case's solving syndromes by its solve rows."""
+    blocks solved from the case's solving syndromes by its solve rows.
+    Cases of one placement with the same solving syndromes share one
+    solve: every split of a placement whose middle segments are empty
+    reads the same syndromes."""
     ell = p.ell
     log, exp, mask = p.ctx.log, p.ctx.exp, (1 << ell) - 1
     heads = range(0, 2 * p.z * ell, ell)
-    out = []
+    solving = (1 << 2 * p.z * ell) - 1
+    out, sols = [], {}
     for i in compress(range(len(passed)), passed):
         pairs, deltas, solve, syn = case(i)
-        lh = [log[syn >> sh & mask] for sh in heads]
-        sol = []
-        for lws in solve:
-            acc = 0
-            for lw, lv in zip(lws, lh):
-                acc ^= exp[lw + lv]
-            sol.append(acc)
+        key = pairs, syn & solving
+        sol = sols.get(key)
+        if sol is None:
+            lh = [log[syn >> sh & mask] for sh in heads]
+            sol = sols[key] = []
+            for lws in solve:
+                acc = 0
+                for lw, lv in zip(lws, lh):
+                    acc ^= exp[lw + lv]
+                sol.append(acc)
         out.append(((pairs, deltas), pairs, deltas, sol))
     return out

@@ -232,6 +232,18 @@ def test_sampling_delta_validation():
             sample_pattern(mp if isinstance(delta, tuple) else p, delta, 0)
 
 
+@pytest.mark.parametrize("delta, shown", [(3.0, "3.0"), (None, "None"), (object, "<class 'object'>")])
+def test_sampling_refuses_a_delta_that_is_no_sequence(delta, shown):
+    # refused by name, as an InvalidPatternError, at z = 1 and at z = 2;
+    # a rejected draw leaves the rng where it was
+    for p in (gc_params(16, 4, 3), multi_params(64, 4, 7, 2)):
+        rng = random.Random(5)
+        with pytest.raises(InvalidPatternError, match=rf"^delta must be an int or a sequence of "
+                                                      rf"{p.z} ints, got {re.escape(shown)}$"):
+            sample_pattern(p, delta, rng)
+        assert rng.getstate() == random.Random(5).getstate()
+
+
 def test_window_start_histogram_uniform():
     # chi-square against uniform; threshold df + 3 sqrt(2 df) keeps the
     # check seed-stable without an inverse-CDF table

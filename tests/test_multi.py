@@ -603,8 +603,10 @@ def test_case_off_the_last_shift_raises(monkeypatch):
     cases = _case_table(mp, delta)
     g = cases.shifts.index(2)
     assert 0 < g < len(cases.shifts) - 1     # a middle group, read up to block 9
-    blocks = {g * (m + 1) + m - e for read in cases.reads for e in read
-              if g * (m + 1) <= e < (g + 1) * (m + 1)}
+    size = len(cases.shifts) * (m + 1)       # entries in one copy of the groups
+    index = tuple(range(len(cases.layout) * size))
+    read = [e % size for get in cases.reads for e in get(index)]   # in every copy
+    blocks = {g * (m + 1) + m - e for e in read if g * (m + 1) <= e < (g + 1) * (m + 1)}
     assert max(blocks) == 9
 
 
@@ -634,7 +636,10 @@ def oracle_prefix(s, shift, j, mp):
 def test_prefix_sums_match_the_oracle(args):
     """Every entry a case can read, in every group: blocks 1..j of s at
     the group's shift, up to its _table_top, and in the last group, at
-    delta, the parities xor blocks j+1..m."""
+    delta, the parities xor blocks j+1..m. With z > 1 the same again with
+    the first segment of a first pair at j - 1 folded in ("head": blocks
+    1..j-2 at shift 0), and with the last segment of a last pair at j + 1
+    ("tail": the parities xor blocks j+3..m at delta)."""
     mp = multi_params(*args)
     ell, m, c = mp.ell, mp.m, mp.c
     rng = random.Random(f"prefix/{args}")
@@ -643,23 +648,35 @@ def test_prefix_sums_match_the_oracle(args):
         parities = mds.pack([rng.getrandbits(ell) for _ in range(c)], ell)
         cases = _case_table(mp, delta)
         entries = _prefix_sums(s, parities, mp, cases)
+        size = len(cases.shifts) * (m + 1)
+        assert cases.layout == (("head", "tail", "sums")[:mp.z] if mp.z > 1 else ("sums",))
+        assert len(entries) == len(cases.layout) * size
         assert {len(e) for e in entries} == {mp._lanes[0].nb}
         assert cases.shifts[0] == 0 and cases.shifts[-1] == delta
-        last = len(cases.shifts) - 1
-        for g, shift in enumerate(cases.shifts):
-            for j in range(_table_top(mp, delta, shift) + 1):
-                want = oracle_prefix(s, shift, j, mp)
-                if g == last:
-                    want ^= parities ^ oracle_prefix(s, delta, m, mp)
-                got = int.from_bytes(entries[g * (m + 1) + m - j], "little")
-                assert got == want, (args, delta, shift, j)
+        last, top = len(cases.shifts) - 1, _table_top(mp, delta, 0)
+        after = parities ^ oracle_prefix(s, delta, m, mp)   # parities xor all of s at delta
+        for t, name in enumerate(cases.layout):
+            for g, shift in enumerate(cases.shifts):
+                for j in range(_table_top(mp, delta, shift) + 1):
+                    want = oracle_prefix(s, shift, j, mp)
+                    if g == last:
+                        want ^= after
+                    if name == "head" and j >= 2:
+                        if j - 2 > top:           # no first pair at j - 1 is read
+                            continue
+                        want ^= oracle_prefix(s, 0, j - 2, mp)
+                    if name == "tail" and j <= m - 2:
+                        want ^= after ^ oracle_prefix(s, delta, j + 2, mp)
+                    got = int.from_bytes(entries[t * size + g * (m + 1) + m - j], "little")
+                    assert got == want, (args, delta, name, shift, j)
 
 
 def oracle_case(s, parities, pairs, deltas, mp):
-    """The packed syndromes of a case and whether its spare parities hold,
-    by the definition: every intact block sliced off s at the shift of the
-    windows before it, the 2z damaged blocks erasure-decoded from
-    parities 1..2z, then parities 2z+1..c recomputed from all blocks."""
+    """The packed syndromes of a case, whether its spare parities hold and
+    its 2z damaged blocks, by the definition: every intact block sliced
+    off s at the shift of the windows before it, the damaged blocks
+    erasure-decoded from parities 1..2z, then parities 2z+1..c recomputed
+    from all blocks."""
     ell, m, t = mp.ell, mp.m, 2 * mp.z
     erased = [e for i in pairs for e in (i, i + 1)]
     symbols = [None] * m
@@ -673,7 +690,8 @@ def oracle_case(s, parities, pairs, deltas, mp):
     intact = loop_parities([v or 0 for v in symbols], mp.gen)
     syndromes = mds.pack([a ^ b for a, b in zip(parities, intact)], ell)
     filled = erasure_decode(symbols, erased, parities[:t], range(1, t + 1), mp.gen)
-    return syndromes, verify_parities(filled, parities[t:], range(t + 1, mp.c + 1), mp.gen)
+    ok = verify_parities(filled, parities[t:], range(t + 1, mp.c + 1), mp.gen)
+    return syndromes, ok, [filled[e - 1] for e in erased]
 
 
 @pytest.mark.parametrize("args, count", [
@@ -688,13 +706,18 @@ def oracle_case(s, parities, pairs, deltas, mp):
 def test_screen_lanes_match_the_oracle(args, count):
     """Every lane of the case screen, not only the survivors: its case is
     the next one of enumerate_cases that checks a new (damaged pairs,
-    shares) set, its syndromes and its spare verdict are the oracle's.
+    shares) set, its syndromes and its spare verdict are the oracle's, and
+    _solved gives every lane that passed the oracle's erased blocks.
     The words are channel words with their true parities (the true case
-    passes), random bits and parities (most fail) and zeros (all pass)."""
+    passes), random bits and parities (most fail) and zeros (all pass),
+    then one all-tail word per delta: every deletion in the parity tail,
+    so s is the message cut short and the parities its own. Several
+    splits of one placement pass those, and share one solve. At delta 0,
+    and at delta 4 of the one-placement code, a read takes one case."""
     mp = multi_params(*args)
     ell, c = mp.ell, mp.c
     rng = random.Random(f"screen/{args}")
-    verdicts = set()
+    words = []
     for t in range(count):
         u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
         deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
@@ -709,6 +732,14 @@ def test_screen_lanes_match_the_oracle(args, count):
             parities = [rng.getrandbits(ell) for _ in range(c)]
         else:
             s, parities = "0" * (mp.k - delta), [0] * c
+        words.append((s, parities))
+    for delta in range(mp.z * mp.w + 1):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        bits = message_parity_bits(u, mp.gen)
+        words.append((u[:mp.k - delta], [int(bits[q * ell:(q + 1) * ell], 2) for q in range(c)]))
+    verdicts, shared, single = set(), 0, 0
+    for s, parities in words:
+        delta = mp.k - len(s)
         passed, case = _screen(s, mds.pack(parities, ell), mp)
         firsts = {}
         for pairs, shares in enumerate_cases(mp, delta):
@@ -717,11 +748,39 @@ def test_screen_lanes_match_the_oracle(args, count):
         assert set(passed) <= {0, 1}
         lanes = [case(i) for i in range(len(passed))]
         assert [(pairs, shares) for pairs, shares, _, _ in lanes] == list(firsts.values())
+        sols, oracle = {}, []
         for (pairs, shares, _, syndromes), ok in zip(lanes, passed):
-            want = oracle_case(s, parities, pairs, shares, mp)
-            assert (syndromes, bool(ok)) == want, (args, t, pairs, shares)
+            want, want_ok, blocks = oracle_case(s, parities, pairs, shares, mp)
+            assert (syndromes, bool(ok)) == (want, want_ok), (args, delta, pairs, shares)
             verdicts.add(bool(ok))
+            oracle.append(blocks)
+            if ok:
+                sols.setdefault((pairs, want), []).append(shares)
+        assert multi_window._solved(passed, case, mp) == [
+            ((pairs, shares), pairs, shares, blocks)
+            for (pairs, shares, _, _), blocks, ok in zip(lanes, oracle, passed) if ok]
+        # every lane solved, passed or not: a solve is shared only by cases
+        # with the same syndromes
+        every = multi_window._solved(b"\1" * len(passed), case, mp)
+        assert [sol for _, _, _, sol in every] == oracle
+        shared += sum(len(splits) > 1 for splits in sols.values())
+        single += len(passed) == 1
+    # one nonzero syndrome for every lane of the last word: a solve is
+    # shared only by cases of one placement
+    t = 2 * mp.z
+    values = [rng.randrange(1, 1 << ell) for _ in range(t)]
+    fixed = [sol for _, pairs, _, sol in multi_window._solved(
+        b"\1" * len(passed), lambda i: (*case(i)[:3], mds.pack(values, ell)), mp)]
+    by_pairs = {}
+    for pairs, _, _, _ in lanes:
+        erased = [e for i in pairs for e in (i, i + 1)]
+        filled = erasure_decode([0] * mp.m, erased, values, range(1, t + 1), mp.gen)
+        by_pairs.setdefault(pairs, [filled[e - 1] for e in erased])
+    assert fixed == [by_pairs[pairs] for pairs, _, _, _ in lanes]
+    assert len(by_pairs) > 1 or len(multi_window._placement_table(mp)) == 1
     assert verdicts == {False, True}
+    assert shared or mp.z == 1                # a solve was reused
+    assert single                             # a read of one case, at delta 0 at least
 
 
 def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
