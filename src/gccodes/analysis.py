@@ -12,7 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .channel import DeletionPattern, InvalidPatternError, Window
-from .codec import FAILURE, SUCCESS, decode, derive_dims, encode, max_case_count, multi_dims
+from .codec import (FAILURE, SUCCESS, decode, derive_dims, encode, max_case_count, multi_dims,
+                    redundancy)
 
 
 class ScopeTooLargeError(ValueError):
@@ -43,10 +44,10 @@ def bound_single(k, w, c):
     supersequence test is counted worth one block.
     """
     ell, m, last = derive_dims(k, w, c)
-    redundancy = c * ell + w + 1
-    rate = k / (k + redundancy)
+    bits = redundancy(ell, w, c, 1)
+    rate = k / (k + bits)
     fb = min(1.0, (k / ell) * 2.0 ** (-(c - 3) * ell))
-    return BoundReport(redundancy_bits=redundancy, rate=rate, failure_bound=fb,
+    return BoundReport(redundancy_bits=bits, rate=rate, failure_bound=fb,
                        regime=_regime(k, w), windows=1)
 
 
@@ -55,11 +56,10 @@ def bound_multi(k, w, c, z):
     at 1, where t_max is the exact case count maximized over the number of
     missing bits."""
     ell, m, last = multi_dims(k, w, c, z)
-    r = z * w + 1
-    redundancy = c * ell * r
-    rate = k / (k + redundancy)
+    bits = redundancy(ell, w, c, z * w + 1)
+    rate = k / (k + bits)
     fb = min(1.0, max_case_count(k, w, c, z) * 2.0 ** (-ell * (c - 3 * z)))
-    return BoundReport(redundancy_bits=redundancy, rate=rate, failure_bound=fb,
+    return BoundReport(redundancy_bits=bits, rate=rate, failure_bound=fb,
                        regime=_regime(k, w), windows=z)
 
 

@@ -76,14 +76,13 @@ class CodeParams(mds._Frozen):
     passed: ell, m, last_block_len, the field ctx, the generator gen and
     the code length n. Equality and hash read the six init fields, repr
     every field but n, and pickle and copy build the code again from the
-    six (mds._Frozen)."""
+    six (mds._Frozen). _tables, empty until the first decode, is the one
+    store of the decoder's tables, each under a key of the layout module
+    that fills it: "pair screen" (single_window; evaluate_guess runs it
+    on any code), "case screen" and each delta (multi_window)."""
 
     __slots__ = ("k", "w", "c", "kind", "z", "r", "ell", "m", "last_block_len", "ctx", "gen",
-                 "n",
-                 # the repetition decoder's tables, filled on its first
-                 # call: the placement table, the screen's layout and
-                 # masks, and per delta the case table
-                 "_placements", "_lanes", "_cases")
+                 "n", "_tables")
     _init = _compare = __slots__[:6]
     _shown = __slots__[:11]
 
@@ -91,17 +90,22 @@ class CodeParams(mds._Frozen):
         _check_ints(w=w, z=z, r=r)      # before z * w + 1 reads them
         if r == 1 and z == 1:
             ell, m, last = derive_dims(k, w, c)
-            n = k + c * ell + w + 1
         elif r == z * w + 1:
             ell, m, last = multi_dims(k, w, c, z)
-            n = k + c * ell * r
         else:
             raise InvalidConfigError(f"r={r} must be z*w + 1 = {z * w + 1}, or 1 with z = 1")
         ctx = FieldContext(ell)
         gen = mds.make_generator(m, c, ctx, kind)
-        for name, value in zip(self.__slots__,
-                               (k, w, c, kind, z, r, ell, m, last, ctx, gen, n, [], [], {})):
+        for name, value in zip(self.__slots__, (k, w, c, kind, z, r, ell, m, last, ctx, gen,
+                                                k + redundancy(ell, w, c, r), {})):
             object.__setattr__(self, name, value)
+
+
+def redundancy(ell, w, c, r):
+    """The bits a code adds to its message: c parity blocks of ell bits
+    behind a buffer of w zeros and a one at r = 1, each parity bit
+    repeated r times otherwise."""
+    return c * ell + w + 1 if r == 1 else c * ell * r
 
 
 def derive_dims(k, w, c):
@@ -270,10 +274,10 @@ def evaluate_guess(s, i, parities, p):
     if not all(type(v) is int and 0 <= v < 1 << p.ell for v in parities):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
     delta = p.k - len(s)
-    lanes, passed = single_window._screen(s, mds.pack(parities[::-1], p.ell), p)
+    screened, passed = single_window._screen(s, mds.pack(parities[::-1], p.ell), p)
     top = 1 << (p.m - i) * p.ell - 1          # the top bit of guess i's lane
     parities_ok = bool(passed & top)
-    [(_, _, _, pair)] = single_window._solved(lanes, top, p, delta)
+    [(_, _, _, pair)] = single_window._solved(screened, top, p, delta)
     region, dec, padding_ok, superseq_ok = _damaged_pair(s, p, i, 0, delta, *pair)
     cand = _candidate(s, p, (i,), (delta,), pair) if parities_ok else None
     return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
@@ -299,8 +303,8 @@ def decode(y, p):
         return DecodeResult(SUCCESS, message=y[:p.k], guess=None)
     s = y[:p.k - delta]
     if p.r == 1:
-        lanes, passed = single_window._screen(s, int(y[len(y) - p.c * ell:], 2), p)
-        guesses = single_window._solved(lanes, passed, p, delta)
+        screened, passed = single_window._screen(s, int(y[len(y) - p.c * ell:], 2), p)
+        guesses = single_window._solved(screened, passed, p, delta)
     else:
         tail = y[len(y) - p.c * ell * p.r + delta:]
         bits = multi_window.repetition_decode(tail, p.c * ell, p.r, delta)

@@ -3,11 +3,12 @@ and erasure solving over a shared field context.
 
 The decoders solve the same small erasure systems again and again: which
 blocks are erased fixes the system, the received word only fixes its
-right-hand side. log_solver inverts each system once per generator and
-keeps the inverse and the spare-parity rows in log form, so a decoder's
-case loop does products, not elimination. A generator's weights follow
-from its (m, c, kind, field), which keeps every such system nonsingular:
-the elimination needs no pivot search and no solve can fail.
+right-hand side. log_solver inverts one system into log-form rows and
+keeps nothing: a layout module solves each system once, when it builds a
+code's decoder tables, and keeps the rows there, so a decoder's case
+loop does products, not elimination. A generator's weights follow from
+its (m, c, kind, field), which keeps every such system nonsingular: the
+elimination needs no pivot search and no solve can fail.
 
 A vector of c parity values, or of partial sums towards them, is kept
 packed in one int: parity r+1 sits in bits [r*ell, (r+1)*ell). Adding two
@@ -26,10 +27,10 @@ padded so that exp[log[a] + log[b]] is a product even when a or b is
 zero, so each product is one table lookup. Both screens take their spare
 weights from log_solver's rows.
 
-Generator derives its rows once, when built, and refuses assignment. It
-is a plain __slots__ class, not a dataclass: _Frozen gives it and
-codec.CodeParams their equality, hash, repr and pickling, with the kept
-tables out of all four.
+Generator derives its rows once, when built, and refuses assignment; its
+one kept table is the encoder's parity planes. It is a plain __slots__
+class, not a dataclass: _Frozen gives it and codec.CodeParams their
+equality, hash, repr and pickling, with the kept tables out of all four.
 
 Block and parity positions in the public functions are numbered from 1,
 matching the way code blocks are counted everywhere else in this package.
@@ -87,11 +88,8 @@ class Generator(_Frozen):
     """
 
     __slots__ = ("m", "c", "kind", "ctx", "rows",
-                 # Filled on first request, so building a generator builds
-                 # none of them: erased blocks -> log_solver result, the
-                 # parity_planes result, and single_window.lane_tables
-                 # result, its one entry
-                 "_log_solvers", "_planes", "_lanes")
+                 # the parity_planes result, filled on the first encode
+                 "_planes")
     _init = __slots__[:4]
     _compare = _shown = __slots__[:5]
 
@@ -106,7 +104,7 @@ class Generator(_Frozen):
             rows = tuple(tuple(ctx.inv(i ^ (m + j)) for j in range(c)) for i in range(m))
         else:
             rows = tuple(tuple(ctx.exp[i * r % ctx.order] for r in range(c)) for i in range(m))
-        for name, value in zip(self.__slots__, (m, c, kind, ctx, rows, {}, [], [])):
+        for name, value in zip(self.__slots__, (m, c, kind, ctx, rows, [])):
             object.__setattr__(self, name, value)
 
 
@@ -181,8 +179,7 @@ def packed_parities(x, gen):
 
 
 def log_solver(gen, erased):
-    """The erasure system of the blocks in erased, solved in log form;
-    kept on the generator.
+    """The erasure system of the blocks in erased, solved in log form.
 
     erased is an ascending tuple of t <= c block numbers (from 1); the
     system is parities 1..t restricted to those blocks. With syn the
@@ -190,42 +187,36 @@ def log_solver(gen, erased):
     lv[r] = log syn[r], the result is a pair (solve, spare). solve[j], for
     j < t, holds the logs of row j of the inverse: block erased[j] is
     xor_r exp[solve[j][r] + lv[r]]. spare holds one row per spare parity
-    q+1 > t: the logs of its t weights, then q*ell, the bit of syndrome
-    q+1 in the packed syndromes; the check holds exactly when
+    q+1 > t, the logs of its t weights: the check holds exactly when
     xor_r exp[row[r] + lv[r]] equals syndrome q+1. Zero weights keep
     log[0], which the padded antilog table turns into zero products.
 
-    The first request runs one Gauss-Jordan pass on the columns of the
-    c x t parity matrix stacked on a t x t identity; once the top t rows
-    are the identity, the bottom block is the inverse and rows t..c-1 are
-    the spare rows. It takes the pivots in order, with no search and no
-    swap: the pivot of row s is the ratio of the leading minors of orders
-    s+1 and s, each the system of parities 1..s+1 on s+1 erased blocks,
-    which make_generator keeps nonsingular. Its products are done in log
-    form inline, exp[log a + log b], the pivot's inverse as
-    exp[order - log a]; the padded antilog table keeps a zero factor's
-    product zero.
+    Each call runs one Gauss-Jordan pass on the columns of the c x t
+    parity matrix stacked on a t x t identity; once the top t rows are
+    the identity, the bottom block is the inverse and rows t..c-1 are the
+    spare rows. It takes the pivots in order, with no search and no swap:
+    the pivot of row s is the ratio of the leading minors of orders s+1
+    and s, each the system of parities 1..s+1 on s+1 erased blocks, which
+    make_generator keeps nonsingular. Its products are done in log form
+    inline, exp[log a + log b], the pivot's inverse as exp[order - log a];
+    the padded antilog table keeps a zero factor's product zero.
     """
-    view = gen._log_solvers.get(erased)
-    if view is None:
-        t, c, ctx = len(erased), gen.c, gen.ctx
-        if not 1 <= t <= c:
-            raise ValueError(f"{t} erased blocks need 1..c = {c} parities")
-        exp, log, ell = ctx.exp, ctx.log, ctx.ell
-        cols = [list(gen.rows[e - 1]) + [int(j == i) for i in range(t)]
-                for j, e in enumerate(erased)]
-        for row in range(t):
-            scale = ctx.order - log[cols[row][row]]     # log of the pivot's inverse
-            top = cols[row] = [exp[scale + log[v]] for v in cols[row]]
-            for j in range(t):
-                f = cols[j][row]
-                if j != row and f:
-                    lf = log[f]
-                    cols[j] = [x ^ exp[lf + log[y]] for x, y in zip(cols[j], top)]
-        view = gen._log_solvers[erased] = (
-            tuple(tuple(log[col[q]] for col in cols) for q in range(c, c + t)),
-            tuple((*(log[col[q]] for col in cols), q * ell) for q in range(t, c)))
-    return view
+    t, c, ctx = len(erased), gen.c, gen.ctx
+    if not 1 <= t <= c:
+        raise ValueError(f"{t} erased blocks need 1..c = {c} parities")
+    exp, log = ctx.exp, ctx.log
+    cols = [list(gen.rows[e - 1]) + [int(j == i) for i in range(t)]
+            for j, e in enumerate(erased)]
+    for row in range(t):
+        scale = ctx.order - log[cols[row][row]]     # log of the pivot's inverse
+        top = cols[row] = [exp[scale + log[v]] for v in cols[row]]
+        for j in range(t):
+            f = cols[j][row]
+            if j != row and f:
+                lf = log[f]
+                cols[j] = [x ^ exp[lf + log[y]] for x, y in zip(cols[j], top)]
+    return (tuple(tuple(log[col[q]] for col in cols) for q in range(c, c + t)),
+            tuple(tuple(log[col[q]] for col in cols) for q in range(t, c)))
 
 
 def lane_powers(x, ctx, low, lsb):

@@ -42,9 +42,9 @@ and zero elsewhere, runs the case. That is exact:
   first case to yield each candidate, which is the guess reported and
   fixes the order of the candidates, is unchanged.
 
-The placements, each with its solver and the zero-share patterns it owns,
-are listed once per params on the first decode; each delta's case table
-is built from those rows on its first decode.
+On the first decode, _lanes lists the placements in p._tables, each with
+its solve rows and the zero-share patterns it owns; each delta's case
+table is built from those rows on its first decode, and kept there too.
 
 The cases assume that every deletion hit the message bits and that no
 two windows share a block pair, so some compliant words match no case
@@ -125,30 +125,6 @@ def enumerate_cases(p, delta):
             yield pairs, deltas
 
 
-def _placement_table(p):
-    """Every pair placement in enumerate_cases order, with the log-form
-    solver of its 2z blocks (mds.log_solver) and the zero-share patterns
-    it owns. A pattern is a z-bit mask, bit j set when pair j gets a zero
-    share; bit mask of the placement's owned int is set when it is the
-    first placement to contain the pairs the pattern leaves damaged.
-    Built on the first decode and kept on p."""
-    table = p._placements
-    if not table:
-        gen, z = p.gen, p.z
-        rows = []
-        first = {}  # damaged pairs -> the first placement containing them
-        for pairs in _pair_placements(p.m, z):
-            owned = 0
-            for mask in range(1 << z):
-                damaged = tuple(i for j, i in enumerate(pairs) if not mask >> j & 1)
-                if first.setdefault(damaged, pairs) == pairs:
-                    owned |= 1 << mask
-            rows.append((pairs, mds.log_solver(gen, tuple(e for i in pairs for e in (i, i + 1))),
-                         owned))
-        table.extend(rows)
-    return table
-
-
 def _table_top(p, delta, shift):
     """The last block whose prefix sum at shift is read for a word missing
     delta bits: block m when block m ends inside s (it ends at k - shift),
@@ -159,8 +135,16 @@ def _table_top(p, delta, shift):
     return min(p.m - 1, (p.k - delta + shift) // p.ell)
 
 
-def _lanes(p, table):
-    """The layout of the case screen, and its masks, kept on p.
+def _lanes(p):
+    """The layout of the case screen, its masks and its placements, kept
+    in p._tables under "case screen".
+
+    placements lists every pair placement in enumerate_cases order as
+    (pairs, solve, owned): its pairs, the solve rows of mds.log_solver on
+    its 2z blocks, and the zero-share patterns it owns. A pattern is a
+    z-bit mask, bit j set when pair j gets a zero share; bit mask of owned
+    is set when the placement is the first to contain the pairs the
+    pattern leaves damaged. Each placement's system is solved once, here.
 
     The screen's ints are cut into blocks of nb bytes, each of width lanes
     of ell bits, lane 0 lowest. lsb and low mask bit 0 and bits 0..ell-2
@@ -182,16 +166,29 @@ def _lanes(p, table):
     lanes 0..2z-1 (solve) into every group; lane0 masks lane 0 of every
     block and groups lane 0 of every group; ladder lists the shifts that
     or the bits of a lane into its bit 0. spares[row] is the block of
-    placement row's spare weights, as bytes. Filled with the first case
+    placement row's spare weights, as bytes. Built with the first case
     table.
     """
-    if p._lanes:
-        return p._lanes[0]
-    z, ell, c, m = p.z, p.ell, p.c, p.m
+    lanes = p._tables.get("case screen")
+    if lanes is not None:
+        return lanes
+    z, ell, c, m, exp = p.z, p.ell, p.c, p.m, p.ctx.exp
     group = 2 * z
     width = max((c - group) * group, c)
     nb = -(-width * ell // 8)
-    owners = [sum(owned >> mask & 1 for _, _, owned in table) for mask in range(1 << z)]
+    placements, spares, owners = [], [], [0] * (1 << z)
+    first = {}  # damaged pairs -> the first placement containing them
+    for pairs in _pair_placements(m, z):
+        owned = 0
+        for mask in range(1 << z):
+            damaged = tuple(i for j, i in enumerate(pairs) if not mask >> j & 1)
+            if first.setdefault(damaged, pairs) == pairs:
+                owned |= 1 << mask
+                owners[mask] += 1
+        solve, spare = mds.log_solver(p.gen, tuple(e for i in pairs for e in (i, i + 1)))
+        placements.append((pairs, solve, owned))
+        spares.append(sum(exp[lw] << (q * group + r) * ell for q, row in enumerate(spare)
+                          for r, lw in enumerate(row)).to_bytes(nb, "little"))
     most = max(sum(owners[_zeros(deltas)] for deltas in _compositions(delta, z, p.w))
                for delta in range(z * p.w + 1))
     shifts = z * p.w + 1                  # distinct shifts 0..delta, or 0 twice
@@ -215,19 +212,14 @@ def _lanes(p, table):
         step *= 2
     block_weights = sum(mds.pack(p.gen.rows[m - 1 - e % (m + 1)], ell) << bits * e
                         for e in range(entries) if e % (m + 1) < m)
-    exp = p.ctx.exp
-    spares = [sum(exp[lw] << (q * group + r) * ell
-                  for q, row in enumerate(spare) for r, lw in enumerate(row[:group])
-                  ).to_bytes(nb, "little") for _, (_, spare), _ in table]
-    lanes = SimpleNamespace(
-        nb=nb, steps=steps, copy=sum(1 << r * ell for r in range(c)),
+    lanes = p._tables["case screen"] = SimpleNamespace(
+        placements=placements, nb=nb, steps=steps, copy=sum(1 << r * ell for r in range(c)),
         weights=mds.lane_powers(block_weights, p.ctx, low, lsb), scan=scan,
         ones=sum(1 << bits * t for t in range(m + 1)), syndromes=full,
         spares=spares, spread=sum(1 << h for h in heads),
         solve=repeat_block((1 << group * ell) - 1), lsb=lsb, low=low,
         lane0=repeat_block(lane), groups=repeat_block(sum(lane << h for h in heads)),
         ladder=[1 << i for i in range((ell - 1).bit_length())])
-    p._lanes.append(lanes)
     return lanes
 
 
@@ -239,10 +231,12 @@ def _zeros(deltas):
 
 def _case_table(p, delta):
     """Every case the decoder runs for delta missing bits, in
-    enumerate_cases order, laid out for the screen; kept on p per delta.
+    enumerate_cases order, laid out for the screen; kept in p._tables
+    under delta, with the code's layout (_lanes) as lanes, so that a
+    screen takes every table it reads from one lookup.
 
     A placement runs the splits of delta whose zero-share pattern it owns
-    (_placement_table). Its cases are consecutive: used lists the
+    (_lanes' placements). Its cases are consecutive: used lists the
     placements that run any, stops where each one's cases end, runs the
     splits each runs (indices into splits). A case's syndromes are the
     parities xor the intact segments, each read at the shift of the
@@ -269,13 +263,12 @@ def _case_table(p, delta):
     (_table_top) hold no prefix sum, and a read of one raises IndexError,
     so no case takes such an entry. weights is mds.lane_powers of the
     spare weights of each case's placement, in the groups _lanes
-    describes. Built from the kept placement rows: no solver is requested.
+    describes. Built from the kept placement rows: no system is solved.
     """
-    found = p._cases.get(delta)
-    if found is not None:
-        return found
-    table = _placement_table(p)
-    lanes = _lanes(p, table)
+    cases = p._tables.get(delta)
+    if cases is not None:
+        return cases
+    lanes = _lanes(p)
     z, ell, m = p.z, p.ell, p.m
     splits = list(_compositions(delta, z, p.w))
     cuts = [tuple(sum(deltas[:j]) for j in range(1, z)) for deltas in splits]
@@ -292,7 +285,7 @@ def _case_table(p, delta):
     by_owned = {}
     used, counts, runs = array("I"), array("I"), []
     reads = [[] for _ in range(2 * max(1, z - 1))]
-    for row, (pairs, _, owned) in enumerate(table):
+    for row, (pairs, _, owned) in enumerate(lanes.placements):
         entry = by_owned.get(owned)
         if entry is None:
             run = [i for i, deltas in enumerate(splits) if owned >> _zeros(deltas) & 1]
@@ -317,14 +310,14 @@ def _case_table(p, delta):
             reads[2 * j + 1] += [pool[b + hi] for b in base]
     chunks = map(lanes.spares.__getitem__, used)
     weights = int.from_bytes(b"".join(map(mul, chunks, counts)), "little")
-    found = p._cases[delta] = SimpleNamespace(
-        splits=splits, shifts=shifts, align=align, layout=layout, used=used, runs=runs,
-        stops=array("I", accumulate(counts)),
+    cases = p._tables[delta] = SimpleNamespace(
+        lanes=lanes, splits=splits, shifts=shifts, align=align, layout=layout, used=used,
+        runs=runs, stops=array("I", accumulate(counts)),
         reads=[itemgetter(*read) if len(read) > 1 else itemgetter(slice(read[0], read[0] + 1))
                for read in reads],
         unpack=Struct(f"{lanes.nb}s" * (len(layout) * size)).unpack,
         weights=mds.lane_powers(weights, p.ctx, lanes.low, lanes.lsb))
-    return found
+    return cases
 
 
 def _prefix_sums(s, parities, p, cases):
@@ -351,7 +344,7 @@ def _prefix_sums(s, parities, p, cases):
     group, two entries along and repeated over the groups, as bytes.
     cases.unpack cuts the entries out.
     """
-    lanes = p._lanes[0]
+    lanes = cases.lanes
     word, x = int(s, 2), 0
     for left, mask in cases.align:
         x |= word << left & mask
@@ -395,7 +388,7 @@ def _screen(s, parities, p):
     """
     ell, group = p.ell, 2 * p.z
     cases = _case_table(p, p.k - len(s))
-    lanes = p._lanes[0]
+    lanes = cases.lanes
     entries = _prefix_sums(s, parities, p, cases)
     nb, order = lanes.nb, "little"
     syn = 0
@@ -424,7 +417,7 @@ def _screen(s, parities, p):
 
     def case(i):
         at = bisect_right(cases.stops, i)
-        pairs, (solve, _), _ = p._placements[cases.used[at]]
+        pairs, solve, _ = lanes.placements[cases.used[at]]
         deltas = cases.splits[cases.runs[at][i - (cases.stops[at - 1] if at else 0)]]
         return pairs, deltas, solve, syn >> 8 * nb * i & lanes.syndromes
 

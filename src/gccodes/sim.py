@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from .analysis import bound_multi, bound_single
 from .channel import delete_localized, sample_pattern
-from .codec import SUCCESS, InvalidConfigError, decode, encode, gc_params, multi_params
+from .codec import (SUCCESS, InvalidConfigError, _check_ints, decode, encode, gc_params,
+                    multi_params)
 
 CSV_HEADER = "k,w,ell,c,z,delta,trials,failures,pr_failure,rate,bound"
 
@@ -36,17 +37,20 @@ class SimConfig(namedtuple("SimConfig", "k_list c trials z delta delta_frac mast
             raise InvalidConfigError("set exactly one of delta and delta_frac")
         if not k_list:
             raise InvalidConfigError("k_list must not be empty")
-        # type(), not isinstance: a bool is refused too. c and z as well:
-        # _make_params' cache takes 3.0 for 3, and its z == 1 test True for 1.
-        for name, value in (("trials", trials), ("c", c), ("z", z), *(("k", k) for k in k_list)):
-            if type(value) is not int:
-                raise InvalidConfigError(f"{name}={value!r} is not an int")
-        if delta is not None and type(delta) is not int:
-            raise InvalidConfigError(f"delta={delta!r} is not an int")
+        # A bool is refused too. c and z as well: _make_params' cache
+        # takes 3.0 for 3, and its z == 1 test True for 1.
+        _check_ints(trials=trials, c=c, z=z)
+        for k in k_list:
+            _check_ints(k=k)
+        if delta is not None:
+            _check_ints(delta=delta)
         if trials < 1:
             raise InvalidConfigError("trials must be positive")
-        if delta_frac is not None and not 0 <= delta_frac <= 1:
-            raise InvalidConfigError(f"delta_frac={delta_frac} outside [0, 1]")
+        if delta_frac is not None:
+            if isinstance(delta_frac, bool) or not isinstance(delta_frac, (int, float)):
+                raise InvalidConfigError(f"delta_frac={delta_frac!r} is not a number")
+            if not 0 <= delta_frac <= 1:
+                raise InvalidConfigError(f"delta_frac={delta_frac} outside [0, 1]")
         if sampling_mode not in ("whole-codeword", "systematic-only"):
             raise InvalidConfigError(f"unknown sampling mode {sampling_mode!r}")
         for k in k_list:                # refused before any k runs
@@ -78,8 +82,8 @@ def _make_params(k, c, z, kind):
     """The code for one k, kept across run_trials calls: SimConfig builds
     it first, so a k whose code cannot be built is refused before any
     trial; its parity planes fill on the first encode, its decoder tables
-    (lane tables, solvers) on the first decode, and every later trial in
-    this process reuses them."""
+    (_tables) on the first decode, and every later trial in this process
+    reuses them."""
     w = (k - 1).bit_length()
     if z == 1:
         return gc_params(k, w, c, kind)
@@ -124,6 +128,7 @@ def run_trials(cfg, workers=1, progress=False):
     workers > 1 spreads the trial blocks over processes; the outcome is
     identical either way because every trial seeds its own streams.
     """
+    _check_ints(workers=workers)
     if workers < 1:
         raise InvalidConfigError(f"workers={workers} must be at least 1")
     rows = []

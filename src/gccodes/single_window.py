@@ -33,10 +33,11 @@ def _screen(s, tail, p):
     blocks (i, i+1) damaged, so its syndromes are the parities xor the
     contributions of blocks 1..i-1 read at their nominal offsets and of
     blocks i+2..m read delta bits early (right-aligned against the end of
-    s). Returns (syn, passed), laid out as lane_tables describes:
-    syndrome r+1 of guess i is lane m - 1 - i of syn's segment r, and the
-    top bit of lane m - 1 - i of passed is set iff every spare parity
-    agrees with syndromes 1 and 2.
+    s). Returns ((tables, syn), passed): the lane_tables namespace, for
+    _solved, and two ints laid out as it describes: syndrome r+1 of guess
+    i is lane m - 1 - i of syn's segment r, and the top bit of lane
+    m - 1 - i of passed is set iff every spare parity agrees with
+    syndromes 1 and 2.
 
     s is read as one int holding both readings of its blocks, copied into
     c segments, and every block's contribution to every parity is one
@@ -47,10 +48,10 @@ def _screen(s, tail, p):
     products on copies of syndromes 1 and 2, xored with the spare
     syndromes: a zero lane passes, and a lane is nonzero iff its top bit
     is set in (d & low) + low | d. Every size and mask that depends only
-    on the generator comes from the lane tables.
+    on the code comes from the lane tables.
     """
     ell, m, c = p.ell, p.m, p.c
-    t = lane_tables(p.gen)
+    t = lane_tables(p)
     seg, lsb, full = t.seg, t.lsb, (1 << ell) - 1
     word, right = int(s, 2), max(p.k - 2 * ell, 0)   # bits of blocks 3..m
     x = word >> len(s) - (m - 2) * ell << right | word & (1 << right) - 1
@@ -70,31 +71,33 @@ def _screen(s, tail, p):
     failed = ((d & t.low) + t.low | d) & t.high
     for _ in range(c - 3):
         failed |= failed >> size
-    return syn, (failed & t.tops) ^ t.tops
+    return (t, syn), (failed & t.tops) ^ t.tops
 
 
-def _solved(lanes, passed, p, delta):
+def _solved(screened, passed, p, delta):
     """(i, (i,), (delta,), (block i, block i + 1)) for each guess i whose
     lane has its top bit set in passed, lowest guess (highest lane) first:
     guess i as the case of pair i with share delta, and the pair solved
     from syndromes 1 and 2 of guess i, lane m - 1 - i of segments 0 and 1
-    of _screen's lanes, by the solve rows the lane tables keep for it."""
+    of the lanes in screened, _screen's (tables, syn), by the solve rows
+    the tables keep for it."""
     ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
-    t, shares, out = lane_tables(p.gen), (delta,), []
+    (t, syn), shares, out = screened, (delta,), []
     seg, solves = t.seg, t.solves
     while passed:
         top = passed.bit_length() - 1
         passed ^= 1 << top
         i = p.m - 1 - top // ell
         (a0, a1), (b0, b1) = solves[i]
-        l0 = log[lanes >> top + 1 - ell & mask]
-        l1 = log[lanes >> seg + top + 1 - ell & mask]
+        l0 = log[syn >> top + 1 - ell & mask]
+        l1 = log[syn >> seg + top + 1 - ell & mask]
         out.append((i, (i,), shares, (exp[a0 + l0] ^ exp[a1 + l1], exp[b0 + l0] ^ exp[b1 + l1])))
     return out
 
 
-def lane_tables(gen):
-    """The constants of the single-window screen, kept on the generator.
+def lane_tables(p):
+    """The constants of the pair screen, kept in p._tables under "pair
+    screen".
 
     The screen packs field elements into ints, one ell-bit lane each, lane
     0 lowest. A segment of the word has max(2m - 4, 1) lanes and holds,
@@ -108,8 +111,8 @@ def lane_tables(gen):
     A spare segment holds only the m - 1 guess lanes. spares[b] has
     2(c - 2) of them: segment q, for spare parity q+3, holds alpha^b times
     the weight a of syndrome 1 in that parity's spare row of
-    log_solver(gen, (i, i+1)), for guess i, segment c - 2 + q the weight b
-    of syndrome 2.
+    mds.log_solver(gen, (i, i+1)), for guess i, segment c - 2 + q the
+    weight b of syndrome 2.
 
     The result is a namespace: seg, and the tuples blocks and spares
     (entry b for bit b); scan, a (shift, mask) pair per doubling step of
@@ -121,15 +124,17 @@ def lane_tables(gen):
     bits of one spare segment, and one, their mask; half, the bits of the
     c - 2 copies of syndrome 1, and firsts, their mask; tops, bit ell-1 of
     every lane of one spare segment. solves[i] holds the solve rows of
-    log_solver(gen, (i, i+1)) for guess i (entry 0 is None). Every entry
-    depends only on the generator, so no decode computes one.
+    mds.log_solver(gen, (i, i+1)) for guess i (entry 0 is None). Every
+    entry depends only on the code, so no decode computes one.
 
     The weights are one int(''.join(...)) each, and lane_powers gives
-    alpha^b times them. Filled on the first request, which also fills the
-    log_solver of every adjacent pair.
+    alpha^b times them. Built on the first request, which solves every
+    adjacent pair's system once.
     """
-    if gen._lanes:
-        return gen._lanes[0]
+    tables = p._tables.get("pair screen")
+    if tables is not None:
+        return tables
+    gen = p.gen
     pairs = [mds.log_solver(gen, (i, i + 1)) for i in range(1, gen.m)]
     exp, ell, m, c = gen.ctx.exp, gen.ctx.ell, gen.m, gen.c
     lanes = max(2 * m - 4, 1)
@@ -164,5 +169,5 @@ def lane_tables(gen):
         high=pattern(top, m - 1, c - 2, m - 1), size=span, one=(1 << span) - 1,
         half=(c - 2) * span, firsts=(1 << (c - 2) * span) - 1,
         tops=pattern(top, m - 1, 1, m - 1), solves=[None, *(solve for solve, _ in pairs)])
-    gen._lanes.append(tables)
+    p._tables["pair screen"] = tables
     return tables

@@ -114,18 +114,19 @@ def test_lane_tables_fill_on_first_decode(make):
     and repr."""
     params = make()                               # fresh, so no table is filled yet
     gen, ctx, ell, m, c = params.gen, params.ctx, params.ell, params.m, params.c
-    assert gen._lanes == []                       # nothing until requested
+    assert params._tables == {}                   # nothing until requested
     u = "01" * (params.k // 2) + "1" * (params.k % 2)
     x = encode(u, params)
-    assert gen._lanes == []                       # encoding builds none
+    assert params._tables == {}                   # encoding builds none
     assert decode(x, params).message == u         # the parity path neither
-    assert gen._lanes == []
+    assert params._tables == {}
     assert decode(x[1:], params).message == u     # the guess path fills them
-    tables = lane_tables(gen)
-    assert gen._lanes == [tables] and lane_tables(gen) is tables   # kept, not rebuilt
-    assert "_lanes" not in repr(gen) and "namespace" not in repr(params)
-    twin = copy.copy(gen)                         # the same fields, no tables
-    assert twin._lanes == [] and twin == gen and hash(twin) == hash(gen)
+    tables = lane_tables(params)
+    assert params._tables == {"pair screen": tables}
+    assert lane_tables(params) is tables          # kept, not rebuilt
+    assert "_tables" not in repr(params) and "namespace" not in repr(params)
+    twin = copy.copy(params)                      # the same fields, no tables
+    assert twin._tables == {} and twin == params and hash(twin) == hash(params)
     lanes = max(2 * m - 4, 1)
     assert tables.seg == lanes * ell and len(tables.blocks) == len(tables.spares) == ell
 
@@ -150,18 +151,27 @@ def test_lane_tables_fill_on_first_decode(make):
 
 @pytest.mark.parametrize("params", [gc_params(100, 7, 5), gc_params(64, 4, 5, "vandermonde"),
                                     gc_params(16, 4, 3)])
-def test_pair_checks_are_spare_solver_rows(params):
-    """lane_tables requests the solver of every adjacent pair and of no
-    other erased set; a pair's spare rows times its weights in parities 1
-    and 2 are its weights in the spare parities."""
-    gen, ctx, ell = params.gen, params.ctx, params.ell
-    lane_tables(gen)
-    assert sorted(gen._log_solvers) == [(i, i + 1) for i in range(1, gen.m)]
-    for erased, (_, spare) in gen._log_solvers.items():
+def test_pair_checks_are_spare_solver_rows(params, monkeypatch):
+    """lane_tables solves the system of every adjacent pair once and of
+    no other erased set; a pair's spare rows, two weights each, times its
+    weights in parities 1 and 2 are its weights in the spare parities."""
+    params = copy.copy(params)                    # a fresh code, its tables empty
+    gen, ctx = params.gen, params.ctx
+    solved = {}
+
+    def recorded(on, erased):
+        assert on is gen and erased not in solved
+        solved[erased] = view = log_solver(on, erased)
+        return view
+
+    monkeypatch.setattr(mds, "log_solver", recorded)
+    lane_tables(params)
+    assert sorted(solved) == [(i, i + 1) for i in range(1, gen.m)]
+    for erased, (_, spare) in solved.items():
         cols = [[gen.rows[e - 1][r] for e in erased] for r in range(gen.c)]
-        rows = [[ctx.exp[lw] for lw in row[:2]] for row in spare]
+        rows = [[ctx.exp[lw] for lw in row] for row in spare]
+        assert [len(row) for row in spare] == [2] * (gen.c - 2)
         assert matmul(rows, cols[:2], ctx) == cols[2:], erased
-        assert [row[2] for row in spare] == [r * ell for r in range(2, gen.c)]
 
 
 @pytest.mark.parametrize("z", [1, 2, 3])
@@ -178,8 +188,8 @@ def test_log_solver_reproduces_erasure_solver(kind, z):
     for erased in placements:
         solver = check_solver(gen, erased, rng)
         solve, spare = view = log_solver(gen, erased)
-        assert log_solver(gen, erased) is view     # kept on the generator
-        rows = list(solve) + [row[:t] for row in spare]
+        assert log_solver(gen, erased) == view     # solved again, the same rows
+        rows = [*solve, *spare]
         for _ in range(4):
             syn = [rng.choice((0, rng.randrange(1 << ell))) for _ in range(t)]
             for logs, row in zip(rows, solver):
@@ -190,8 +200,7 @@ def test_log_solver_reproduces_erasure_solver(kind, z):
                 for lg, v in zip(logs, syn):
                     got ^= ctx.exp[lg + ctx.log[v]]
                 assert got == want, (erased, syn)
-    assert len(gen._log_solvers) == len(placements)
-    assert "_log_solvers" not in repr(gen)
+    assert mp._tables == {} and gen._planes == []  # solving keeps nothing
 
 
 @pytest.mark.parametrize("make", [
@@ -253,10 +262,10 @@ def test_encoders_read_only_the_planes(monkeypatch):
 
     monkeypatch.setattr(multi_window, "_prefix_sums", banned)
     monkeypatch.setattr(codec, "read_symbols", banned)
+    monkeypatch.setattr(mds, "log_solver", banned)
     for params in (gc_params(128, 7, 3), multi_params(64, 4, 8, 2)):   # fresh codes
         encode("01" * (params.k // 2), params)
-        assert params.gen._log_solvers == {} and params.gen._lanes == []
-        assert params._lanes == [] and params._cases == {}
+        assert params._tables == {}
         assert len(params.gen._planes) == params.c * params.ell
 
 
@@ -396,8 +405,9 @@ def check_solver(gen, erased, rng):
     blocks, by direct products."""
     ctx, t = gen.ctx, len(erased)
     solve, spare = log_solver(gen, erased)
-    assert len(solve) == t and [row[t] for row in spare] == [q * ctx.ell for q in range(t, gen.c)]
-    rows = [[ctx.exp[lw] for lw in row[:t]] for row in (*solve, *spare)]
+    assert len(solve) == t and len(spare) == gen.c - t
+    assert {len(row) for row in (*solve, *spare)} == {t}
+    rows = [[ctx.exp[lw] for lw in row] for row in (*solve, *spare)]
     cols = [[gen.rows[e - 1][r] for e in erased] for r in range(gen.c)]
     assert matmul(rows[:t], cols[:t], ctx) == [[int(i == j) for j in range(t)] for i in range(t)]
     assert matmul(rows[t:], cols[:t], ctx) == cols[t:], erased
@@ -448,18 +458,18 @@ def test_erasure_solver_against_oracle(params, placements):
         check_solver(gen, erased, rng)
 
 
-def test_log_solver_is_cached_per_generator():
+def test_log_solver_keeps_nothing():
+    # each call solves again and gives the same rows; the one table a
+    # generator keeps is its parity planes, filled by an encode only
     ctx = FieldContext(8)
     gen = make_generator(6, 4, ctx, "cauchy")
-    assert gen._log_solvers == {}
     first = log_solver(gen, (2, 3))
-    assert log_solver(gen, (2, 3)) is first
-    assert list(gen._log_solvers) == [(2, 3)]
-    # the table is not part of the generator's value
+    again = log_solver(gen, (2, 3))
+    assert again == first and again is not first
+    assert Generator.__slots__ == ("m", "c", "kind", "ctx", "rows", "_planes")
+    assert gen._planes == []
     twin = make_generator(6, 4, ctx, "cauchy")
-    assert twin._log_solvers == {}
     assert gen == twin and hash(gen) == hash(twin)
-    assert "_log_solvers" not in repr(gen)
     with pytest.raises(ValueError):
         log_solver(gen, (1, 2, 3, 4, 5))
 
@@ -475,16 +485,15 @@ def test_filled_solvers_make_decoders_eliminate_nothing(monkeypatch):
             pat = sample_pattern(params, params.w, rng, "systematic-only")
             words.append((u, delete_localized(enc(u, params), pat)))
         cases.append((params, dec, words))
-        dec(words[0][1], params)                  # fills every solver it uses
+        dec(words[0][1], params)                  # solves every system it uses
 
     def no_elimination(*args):
-        raise AssertionError("elimination after the solvers were filled")
+        raise AssertionError("elimination after the tables were filled")
 
     monkeypatch.setattr(FieldContext, "mul", no_elimination)
     monkeypatch.setattr(FieldContext, "inv", no_elimination)
+    monkeypatch.setattr(mds, "log_solver", no_elimination)
     for params, dec, words in cases:
-        filled = dict(params.gen._log_solvers)
         for u, y in words:
             res = dec(y, params)
             assert res.status != SUCCESS or res.message == u
-        assert params.gen._log_solvers == filled

@@ -32,6 +32,7 @@ from gccodes.codec import (
     decode_multi,
     encode,
     encode_multi,
+    evaluate_guess,
     gc_params,
     is_subsequence,
     max_case_count,
@@ -366,13 +367,21 @@ def test_decode_multi_three_windows():
 
 
 def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
+    solved = []
+    real = mds.log_solver
+
+    def counted(gen, erased):
+        solved.append(erased)
+        return real(gen, erased)
+
+    monkeypatch.setattr(mds, "log_solver", counted)
     mp = multi_params(64, 4, 8, 2)
-    assert mp.gen._log_solvers == {}      # building params builds no solver
+    assert solved == []                   # building params solves no system
     words = feasible_words(mp, 6, seed=5)
     u, y = words[0]
     assert decode_multi(y, mp).message == u
     placements = comb(mp.m - mp.z, mp.z)
-    assert len(mp.gen._log_solvers) == placements
+    assert len(solved) == len(set(solved)) == placements
 
     def no_elimination(*args):
         raise AssertionError("elimination on a cached placement")
@@ -382,7 +391,38 @@ def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
     for u, y in words[1:]:
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
-    assert len(mp.gen._log_solvers) == placements
+    assert len(solved) == placements
+
+
+def test_one_code_keeps_both_screens_tables():
+    # evaluate_guess runs the pair screen on any code, so one
+    # multi-window code can keep both screens' tables in its one store:
+    # the pair screen, then the case screen, then both again, each give
+    # what they give on a fresh code
+    args = (64, 4, 8, 2)
+    mp = multi_params(*args)
+    words = feasible_words(mp, 6, seed=41)
+    rng = random.Random(41)
+    guesses = []
+    for u, _ in words:
+        bits = message_parity_bits(u, mp.gen)
+        parities = [int(bits[q * mp.ell:(q + 1) * mp.ell], 2) for q in range(mp.c)]
+        guesses.append((u[:mp.k - rng.randrange(mp.w + 1)], rng.randrange(1, mp.m), parities))
+
+    def pair_screen(p):
+        return [evaluate_guess(s, i, parities, p) for s, i, parities in guesses]
+
+    def case_screen(p):
+        return [decode_multi(y, p) for _, y in words]
+
+    want_pairs, want_cases = pair_screen(multi_params(*args)), case_screen(multi_params(*args))
+    assert all(res.message == u for res, (u, _) in zip(want_cases, words))
+    assert any(g.parities_ok for g in want_pairs) and not all(g.parities_ok for g in want_pairs)
+    assert pair_screen(mp) == want_pairs and list(mp._tables) == ["pair screen"]
+    assert case_screen(mp) == want_cases
+    deltas = {mp.n - len(y) for _, y in words}
+    assert mp._tables.keys() == {"pair screen", "case screen", *deltas}
+    assert pair_screen(mp) == want_pairs and case_screen(mp) == want_cases
 
 
 def subsequence(sub, sup):
@@ -598,7 +638,7 @@ def test_case_off_the_last_shift_raises(monkeypatch):
     monkeypatch.setattr(multi_window, "_table_top", shorter)
     with pytest.raises(IndexError, match="past the end"):
         _case_table(mp, delta)
-    assert delta not in mp._cases
+    assert delta not in mp._tables
     monkeypatch.setattr(multi_window, "_table_top", real)
     cases = _case_table(mp, delta)
     g = cases.shifts.index(2)
@@ -651,7 +691,7 @@ def test_prefix_sums_match_the_oracle(args):
         size = len(cases.shifts) * (m + 1)
         assert cases.layout == (("head", "tail", "sums")[:mp.z] if mp.z > 1 else ("sums",))
         assert len(entries) == len(cases.layout) * size
-        assert {len(e) for e in entries} == {mp._lanes[0].nb}
+        assert {len(e) for e in entries} == {cases.lanes.nb}
         assert cases.shifts[0] == 0 and cases.shifts[-1] == delta
         last, top = len(cases.shifts) - 1, _table_top(mp, delta, 0)
         after = parities ^ oracle_prefix(s, delta, m, mp)   # parities xor all of s at delta
@@ -777,7 +817,7 @@ def test_screen_lanes_match_the_oracle(args, count):
         filled = erasure_decode([0] * mp.m, erased, values, range(1, t + 1), mp.gen)
         by_pairs.setdefault(pairs, [filled[e - 1] for e in erased])
     assert fixed == [by_pairs[pairs] for pairs, _, _, _ in lanes]
-    assert len(by_pairs) > 1 or len(multi_window._placement_table(mp)) == 1
+    assert len(by_pairs) > 1 or len(multi_window._lanes(mp).placements) == 1
     assert verdicts == {False, True}
     assert shared or mp.z == 1                # a solve was reused
     assert single                             # a read of one case, at delta 0 at least
@@ -785,11 +825,11 @@ def test_screen_lanes_match_the_oracle(args, count):
 
 def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
     mp = multi_params(64, 4, 8, 2)
-    assert mp._placements == []           # building params builds no table
+    assert mp._tables == {}               # building params builds no table
     words = feasible_words(mp, 8, seed=9)
     u, y = words[0]
     assert decode_multi(y, mp).message == u
-    table = list(mp._placements)
+    table = list(multi_window._lanes(mp).placements)
     assert [pairs for pairs, _, _ in table] == sorted({pairs for pairs, _ in enumerate_cases(mp, 3)})
 
     def no_solver(*args):
@@ -799,7 +839,7 @@ def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
     for u, y in words[1:]:
         res = decode_multi(y, mp)
         assert res.status == SUCCESS and res.message == u
-    assert mp._placements == table
+    assert multi_window._lanes(mp).placements == table
 
 
 @pytest.mark.parametrize("args", [(64, 4, 8, 2), (48, 2, 7, 3), (20, 2, 5, 2)])
@@ -808,7 +848,7 @@ def test_placement_table_owners(args):
     # placement holds every pair that pattern leaves damaged; every
     # pattern of every placement has exactly one owner
     mp = multi_params(*args)
-    table = multi_window._placement_table(mp)
+    table = multi_window._lanes(mp).placements
     owners = {}
     for t, (pairs, _, owned) in enumerate(table):
         for mask in range(1 << mp.z):

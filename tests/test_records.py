@@ -169,7 +169,7 @@ def _filled(args):
     u = "1100101001111000"
     x = gccodes.encode(u, p)
     assert gccodes.decode(x[:5] + x[7:], p).message == u
-    assert p.gen._planes and p.gen._log_solvers and (p.gen._lanes or p._cases)
+    assert p.gen._planes and p._tables
     return p
 
 
@@ -183,7 +183,7 @@ def test_params_and_generator_reprs_are_the_dataclasses(args):
 @pytest.mark.parametrize("args", PARAMS_REPRS)
 def test_params_and_generator_refuse_assignment_and_replace(args):
     p = _params(args)
-    for obj, name in ((p, "w"), (p, "n"), (p, "gen"), (p, "_cases"), (p.gen, "rows"),
+    for obj, name in ((p, "w"), (p, "n"), (p, "gen"), (p, "_tables"), (p.gen, "rows"),
                       (p.gen, "_planes")):
         before = getattr(obj, name)
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
@@ -212,9 +212,9 @@ def test_params_and_generator_copies_derive_again(args, copy_of):
     assert twin == p and hash(twin) == hash(p) and twin is not p
     assert (twin.ell, twin.m, twin.last_block_len, twin.n) == (p.ell, p.m, p.last_block_len, p.n)
     assert twin.gen == p.gen and twin.gen is not p.gen and twin.gen.rows == p.gen.rows
-    assert twin._placements == twin._lanes == [] and twin._cases == {}
+    assert twin._tables == {}
     gen = copy_of(p.gen)
     assert gen == p.gen and hash(gen) == hash(p.gen) and gen is not p.gen
     for g in (twin.gen, gen):
-        assert g._log_solvers == {} and g._planes == g._lanes == []
+        assert g._planes == []
     assert gccodes.decode(gccodes.encode("0" * 16, twin)[1:], twin).message == "0" * 16

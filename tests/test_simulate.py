@@ -143,6 +143,11 @@ def test_workers_outside_one_to_cpu_count_refused(monkeypatch, capsys):
     for workers in (0, -1):
         with pytest.raises(InvalidConfigError, match=f"workers={workers} must be at least 1"):
             run_trials(small_cfg(trials=1), workers=workers)
+    # a float would fail inside the pool, a str on <, and True run as 1
+    for workers in (2.5, "2", True):
+        with pytest.raises(InvalidConfigError,
+                           match=f"^workers={re.escape(repr(workers))} is not an int$"):
+            run_trials(small_cfg(trials=1), workers=workers)
     cpus = os.cpu_count() or 1
     for workers in (0, -1, cpus + 1):
         code = cli.main(["simulate", "--k-list", "64", "--c", "3", "--delta", "1",
@@ -178,11 +183,14 @@ def test_unbuildable_code_refused_before_any_trial(monkeypatch, kw, error):
     (dict(k_list=(64, 64.0)), "k=64.0 is not an int"),
     (dict(c=3.0), "c=3.0 is not an int"),
     (dict(z=True), "z=True is not an int"),
+    (dict(delta=None, delta_frac="0.5"), "delta_frac='0.5' is not a number"),
+    (dict(delta=None, delta_frac=True), "delta_frac=True is not a number"),
 ], ids=["trials-bool", "trials-float", "delta-bool", "delta-float", "mode", "k-float",
-        "c-float", "z-bool"])
+        "c-float", "z-bool", "delta-frac-str", "delta-frac-bool"])
 def test_values_that_would_fail_later_refused_before_any_trial(monkeypatch, kw, error):
     # each would run (trials=True as one trial, z=True as the z = 1 code,
-    # c=3.0 off the cache entry of c=3) or fail only inside a trial
+    # c=3.0 off the cache entry of c=3, delta_frac=True as 1.0) or fail
+    # later (delta_frac='0.5' with a bare TypeError)
     def no_trial(*args):
         raise AssertionError("a trial ran")
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gccodes import codec, single_window
+from gccodes import codec, mds, single_window
 from gccodes.analysis import bound_single, exhaustive_oracle
 from gccodes.channel import DeletionPattern, Window, delete_localized, sample_pattern
 from gccodes.codec import (
@@ -346,8 +346,16 @@ def test_is_subsequence_against_dp_oracle():
 
 
 def test_pair_solvers_cached_and_bounded(monkeypatch):
+    solved = []
+    real = mds.log_solver
+
+    def counted(gen, erased):
+        solved.append(erased)
+        return real(gen, erased)
+
+    monkeypatch.setattr(mds, "log_solver", counted)
     p = gc_params(128, 7, 3)
-    assert p.gen._log_solvers == {}       # building params builds no solver
+    assert solved == []                   # building params solves no system
     rng = random.Random(12)
     words = []
     for _ in range(8):
@@ -356,7 +364,7 @@ def test_pair_solvers_cached_and_bounded(monkeypatch):
         words.append((u, delete_localized(encode(u, p), pat)))
     u, y = words[0]
     assert decode(y, p).message == u
-    assert len(p.gen._log_solvers) == p.m - 1
+    assert solved == [(i, i + 1) for i in range(1, p.m)]
 
     def no_elimination(*args):
         raise AssertionError("elimination on a cached pair")
@@ -366,7 +374,7 @@ def test_pair_solvers_cached_and_bounded(monkeypatch):
     for u, y in words[1:]:
         res = decode(y, p)
         assert res.status != SUCCESS or res.message == u
-    assert len(p.gen._log_solvers) == p.m - 1
+    assert len(solved) == p.m - 1
 
 
 def reference_decode(y, p):
@@ -460,8 +468,8 @@ def screen_lanes(s, parities, p):
     decoder reads, parity 1 highest. Asserts that nothing sits outside
     them."""
     tail = int("".join(format(v, f"0{p.ell}b") for v in parities), 2)
-    syn, passed = single_window._screen(s, tail, p)
-    ell, seg, lanes = p.ell, single_window.lane_tables(p.gen).seg, p.m - 1
+    (tables, syn), passed = single_window._screen(s, tail, p)
+    ell, seg, lanes = p.ell, tables.seg, p.m - 1
     assert passed >> lanes * ell == 0 and syn >> p.c * seg == 0
     out = []
     for i in range(1, p.m):
