@@ -188,9 +188,7 @@ def _cmd_simulate(args):
         k_list = tuple(int(x) for x in args.k_list.split(","))
     except ValueError as exc:
         raise CliError(f"bad --k-list {args.k_list!r}") from exc
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        raise CliError(f"--workers {args.workers} must be in 1..{cpus}, the CPU count")
+    sim._check_workers(args.workers, "--workers ")
     cfg = sim.SimConfig(
         k_list=k_list, c=args.c, z=args.z, trials=args.trials,
         delta=args.delta, delta_frac=args.delta_frac,

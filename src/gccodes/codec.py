@@ -24,14 +24,38 @@ front (the parity path). Otherwise the parities are intact at the tail
 and decode guesses where the damage is. A guess names the adjacent block
 pairs that absorbed the deletions and the share of each (one pair with
 every deletion on the single-window code). The layout's screen checks
-the spare parities of every guess at once, and solves each guess that
-passes from two parities per pair: single_window._screen and _solved,
-multi_window._screen and _solved. Each solved guess then goes, in the
-order tried, through _candidate: every pair must pass _damaged_pair's
-padding and supersequence checks. decide turns the candidates into the
-result. A single surviving candidate is provably the sent message when
-the channel respected the window contract; distinct candidates mean the
-decoder refuses to choose (Failure).
+the spare parities of every guess at once and hands over the guesses
+that pass (single_window._screen and _solved, multi_window._screen and
+_solved); the engine has each solved from two parities per pair
+(_solve) and, in the order tried, checked by _candidate: every pair
+must pass _damaged_pair's padding and supersequence checks. decide turns
+the candidates into the result. A single surviving candidate is provably
+the sent message when the channel respected the window contract;
+distinct candidates mean the decoder refuses to choose (Failure).
+
+Once a guess has given a candidate, a later guess whose block readings
+differ in at most c blocks from those of a guess that gave one is
+neither solved nor checked (_differing). A guess reads each block off
+the received word at a shift, the bits deleted before it, or solves it
+when it damages it. Like the (Q, E) rule of multi_window, the skip is
+exact:
+
+* every candidate of a word has all c of the word's parities: the 2z
+  solving parities by construction, the spare parities because its guess
+  passed the screen. So two candidates differ by a word that every
+  parity row annihilates;
+* two guesses' candidates can differ only on blocks their readings
+  differ on: a block either damages, or one both read at different
+  shifts;
+* on any t <= c blocks, the c parity rows have rank t: every square
+  submatrix of a Cauchy generator is nonsingular, and the rows of a
+  Vandermonde generator are the powers 0..c-1 of the distinct nodes
+  alpha^(j-1). So a skipped guess gives the candidate of the guess it
+  is near, or none;
+* so the first guess to give each candidate is never skipped, and decide
+  sees the same candidates, in the same order, with the same first
+  guesses. On the single-window code the rule skips guess i' after guess
+  i gave a candidate when i' - i <= c - 2.
 """
 
 from collections import namedtuple
@@ -77,9 +101,10 @@ class CodeParams(mds._Frozen):
     the code length n. Equality and hash read the six init fields, repr
     every field but n, and pickle and copy build the code again from the
     six (mds._Frozen). _tables, empty until the first decode, is the one
-    store of the decoder's tables, each under a key of the layout module
-    that fills it: "pair screen" (single_window; evaluate_guess runs it
-    on any code), "case screen" and each delta (multi_window)."""
+    store of the decoder's tables, each under a key of the module that
+    fills it: "pair screen" (single_window; evaluate_guess runs it on any
+    code), "case screen" and each delta (multi_window), and "readings"
+    (the engine's skip, _differing)."""
 
     __slots__ = ("k", "w", "c", "kind", "z", "r", "ell", "m", "last_block_len", "ctx", "gen",
                  "n", "_tables")
@@ -275,9 +300,9 @@ def evaluate_guess(s, i, parities, p):
         raise ValueError(f"parities must be field elements in [0, {1 << p.ell})")
     delta = p.k - len(s)
     screened, passed = single_window._screen(s, mds.pack(parities[::-1], p.ell), p)
-    top = 1 << (p.m - i) * p.ell - 1          # the top bit of guess i's lane
-    parities_ok = bool(passed & top)
-    [(_, _, _, pair)] = single_window._solved(screened, top, p, delta)
+    top = (p.m - i) * p.ell - 1               # the top bit of guess i's lane
+    parities_ok = bool(passed >> top & 1)
+    pair = single_window._solve((screened, top), p)
     region, dec, padding_ok, superseq_ok = _damaged_pair(s, p, i, 0, delta, *pair)
     cand = _candidate(s, p, (i,), (delta,), pair) if parities_ok else None
     return GuessEval(guess=i, decoded_pair=pair, erased_region=region,
@@ -304,14 +329,21 @@ def decode(y, p):
     s = y[:p.k - delta]
     if p.r == 1:
         screened, passed = single_window._screen(s, int(y[len(y) - p.c * ell:], 2), p)
-        guesses = single_window._solved(screened, passed, p, delta)
+        guesses, solve = single_window._solved(screened, passed, p, delta), single_window._solve
     else:
         tail = y[len(y) - p.c * ell * p.r + delta:]
         bits = multi_window.repetition_decode(tail, p.c * ell, p.r, delta)
         passed, case = multi_window._screen(s, mds.pack(read_symbols(bits, ell), ell), p)
-        guesses = multi_window._solved(passed, case, p)
-    return decide([(guess, _candidate(s, p, pairs, deltas, sol))
-                   for guess, pairs, deltas, sol in guesses])
+        guesses, solve = multi_window._solved(passed, case, p), multi_window._solve
+    found, kept = [], []                # kept: (pairs, deltas) of each guess that gave one
+    for guess, pairs, deltas, at in guesses:
+        if kept and _near(pairs, deltas, kept, p):
+            continue
+        cand = _candidate(s, p, pairs, deltas, solve(at, p))
+        found.append((guess, cand))
+        if cand is not None:
+            kept.append((pairs, deltas))
+    return decide(found)
 
 
 encode_multi, decode_multi = encode, decode
@@ -332,6 +364,45 @@ def decide(found):
         cand, guess = next(iter(winners.items()))
         return DecodeResult(SUCCESS, message=cand, guess=guess)
     return DecodeResult(FAILURE, candidates=tuple(winners))
+
+
+def _near(pairs, deltas, kept, p):
+    """True when the case (pairs, deltas) reads at most c blocks
+    differently from a kept case (_differing)."""
+    for pairs2, deltas2 in kept:
+        if _differing(pairs, deltas, pairs2, deltas2, p) <= p.c:
+            return True
+    return False
+
+
+def _differing(pairs, deltas, pairs2, deltas2, p):
+    """The number of blocks whose readings differ between two cases of
+    one word: blocks either case damages, and blocks both read at
+    different shifts (the bits deleted before the block).
+
+    One byte lane per block, block j in lane m - j: a lane starts at
+    0x40, gains the shift of the first case and loses that of the second
+    (each at most z*w <= 60, so no lane carries or borrows), and is set to
+    0xFF where either case damages its block. A lane differs from 0x40
+    exactly where the readings differ, and the lanes that do are counted
+    with one lane test. Each pair i adds its share to the lanes of blocks
+    i+2..m, a prefix mask of the lanes with bit 0 set, and marks blocks i
+    and i + 1. Those lanes (ones) and the masks of bits 0..6, bit 6 and
+    bit 7 of every lane are kept in p._tables under "readings"."""
+    masks = p._tables.get("readings")
+    if masks is None:
+        ones = int.from_bytes(b"\1" * p.m, "big")
+        masks = p._tables["readings"] = ones, 0x7F * ones, 0x40 * ones, 0x80 * ones
+    ones, low, mid, high = masks
+    x, damaged, top = mid, 0, 8 * p.m - 8
+    for i, d in zip(pairs, deltas):
+        x += d * (ones >> 8 * i + 8)
+        damaged |= 0xFFFF << top - 8 * i
+    for i, d in zip(pairs2, deltas2):
+        x -= d * (ones >> 8 * i + 8)
+        damaged |= 0xFFFF << top - 8 * i
+    x = (x | damaged) ^ mid
+    return (((x & low) + low | x) & high).bit_count()
 
 
 def _damaged_pair(s, p, i, before, d, a, b):

@@ -20,8 +20,9 @@ operator.itemgetter per read and the spare weights of its placement's
 log-form solver rows (mds.log_solver) in lanes. _screen gathers the
 syndromes of every case into one int, a block per case, one join per
 read, and checks every spare parity of every case as lane products: no
-Python code runs per case. Only the cases that pass are solved
-(_solved), each distinct (placement, solving syndromes) once.
+Python code runs per case. Only the cases that pass are handed to the
+engine (_solved), and solved when the engine asks (_solve), each
+distinct (placement, solving syndromes) once.
 
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: only the
@@ -425,28 +426,32 @@ def _screen(s, parities, p):
 
 
 def _solved(passed, case, p):
-    """(guess, pairs, deltas, sol) for each case that passed _screen, in
-    enumerate_cases order: the guess is (pairs, deltas), and sol the 2z
-    blocks solved from the case's solving syndromes by its solve rows.
-    Cases of one placement with the same solving syndromes share one
-    solve: every split of a placement whose middle segments are empty
+    """(guess, pairs, deltas, at) for each case that passed _screen, in
+    enumerate_cases order: the guess is (pairs, deltas), and at what
+    _solve needs to solve it when the engine asks. Every case of one
+    decode shares at's last entry, the decode's solves."""
+    sols = {}
+    return [((pairs, deltas), pairs, deltas, (pairs, solve, syn, sols))
+            for pairs, deltas, solve, syn in map(case, compress(range(len(passed)), passed))]
+
+
+def _solve(at, p):
+    """The 2z blocks of the case at = (pairs, solve, syn, sols) of
+    _solved, solved from its solving syndromes by its solve rows. Cases of
+    one placement with the same solving syndromes share one solve, kept
+    in sols: every split of a placement whose middle segments are empty
     reads the same syndromes."""
+    pairs, solve, syn, sols = at
     ell = p.ell
-    log, exp, mask = p.ctx.log, p.ctx.exp, (1 << ell) - 1
-    heads = range(0, 2 * p.z * ell, ell)
-    solving = (1 << 2 * p.z * ell) - 1
-    out, sols = [], {}
-    for i in compress(range(len(passed)), passed):
-        pairs, deltas, solve, syn = case(i)
-        key = pairs, syn & solving
-        sol = sols.get(key)
-        if sol is None:
-            lh = [log[syn >> sh & mask] for sh in heads]
-            sol = sols[key] = []
-            for lws in solve:
-                acc = 0
-                for lw, lv in zip(lws, lh):
-                    acc ^= exp[lw + lv]
-                sol.append(acc)
-        out.append(((pairs, deltas), pairs, deltas, sol))
-    return out
+    key = pairs, syn & (1 << 2 * p.z * ell) - 1
+    sol = sols.get(key)
+    if sol is None:
+        log, exp, mask = p.ctx.log, p.ctx.exp, (1 << ell) - 1
+        lh = [log[syn >> sh & mask] for sh in range(0, 2 * p.z * ell, ell)]
+        sol = sols[key] = []
+        for lws in solve:
+            acc = 0
+            for lw, lv in zip(lws, lh):
+                acc ^= exp[lw + lv]
+            sol.append(acc)
+    return sol

@@ -7,6 +7,7 @@ used in the published failure-rate figures, the window size is tied to the
 message length: w = ceil(log2 k).
 """
 
+import os
 import random
 import sys
 from collections import namedtuple
@@ -127,10 +128,9 @@ def run_trials(cfg, workers=1, progress=False):
 
     workers > 1 spreads the trial blocks over processes; the outcome is
     identical either way because every trial seeds its own streams.
+    _check_workers refuses workers first.
     """
-    _check_ints(workers=workers)
-    if workers < 1:
-        raise InvalidConfigError(f"workers={workers} must be at least 1")
+    _check_workers(workers)
     rows = []
     for k in cfg.k_list:
         params = _make_params(k, cfg.c, cfg.z, cfg.kind)
@@ -164,6 +164,17 @@ def run_trials(cfg, workers=1, progress=False):
             print(f"k={k}: done, {failures} failures / {cfg.trials} trials",
                   file=sys.stderr, flush=True)
     return TrialReport(rows=tuple(rows))
+
+
+def _check_workers(workers, name="workers="):
+    """Refuse a worker count that is not an int in 1..the CPU count, each
+    worker being a process, with InvalidConfigError naming it as name
+    followed by the count; run_trials calls it before it splits any block
+    or starts any pool, and cli with the flag's name."""
+    _check_ints(workers=workers)
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise InvalidConfigError(f"{name}{workers} must be in 1..{cpus}, the CPU count")
 
 
 def _split_blocks(k, cfg, workers):

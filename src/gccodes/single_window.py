@@ -15,8 +15,9 @@ The guesses are screened all at once (_screen): one Python int holds one
 ell-bit field element per lane, so each big-int operation acts on every
 block or every guess, about 10*ell + 3*log2(2m) + 20*c of them per word;
 every size, mask and solve row that depends only on the code is read off
-lane_tables, and the parity tail is read as one int. Only the few
-guesses that pass the spare parities are solved (_solved).
+lane_tables, and the parity tail is read as one int. The few guesses
+that pass the spare parities are handed to the engine (_solved), and
+each is solved only when the engine asks (_solve).
 """
 
 from types import SimpleNamespace
@@ -34,7 +35,7 @@ def _screen(s, tail, p):
     contributions of blocks 1..i-1 read at their nominal offsets and of
     blocks i+2..m read delta bits early (right-aligned against the end of
     s). Returns ((tables, syn), passed): the lane_tables namespace, for
-    _solved, and two ints laid out as it describes: syndrome r+1 of guess
+    _solve, and two ints laid out as it describes: syndrome r+1 of guess
     i is lane m - 1 - i of syn's segment r, and the top bit of lane
     m - 1 - i of passed is set iff every spare parity agrees with
     syndromes 1 and 2.
@@ -75,24 +76,31 @@ def _screen(s, tail, p):
 
 
 def _solved(screened, passed, p, delta):
-    """(i, (i,), (delta,), (block i, block i + 1)) for each guess i whose
-    lane has its top bit set in passed, lowest guess (highest lane) first:
-    guess i as the case of pair i with share delta, and the pair solved
-    from syndromes 1 and 2 of guess i, lane m - 1 - i of segments 0 and 1
-    of the lanes in screened, _screen's (tables, syn), by the solve rows
-    the tables keep for it."""
-    ell, mask, exp, log = p.ell, (1 << p.ell) - 1, p.ctx.exp, p.ctx.log
-    (t, syn), shares, out = screened, (delta,), []
-    seg, solves = t.seg, t.solves
+    """(i, (i,), (delta,), (screened, top)) for each guess i whose lane
+    has its top bit set in passed, lowest guess (highest lane) first:
+    guess i as the case of pair i with share delta, and what _solve needs
+    to solve its pair when the engine asks. top is the top bit of guess
+    i's lane, screened _screen's (tables, syn)."""
+    ell, m, shares, out = p.ell, p.m, (delta,), []
     while passed:
         top = passed.bit_length() - 1
         passed ^= 1 << top
-        i = p.m - 1 - top // ell
-        (a0, a1), (b0, b1) = solves[i]
-        l0 = log[syn >> top + 1 - ell & mask]
-        l1 = log[syn >> seg + top + 1 - ell & mask]
-        out.append((i, (i,), shares, (exp[a0 + l0] ^ exp[a1 + l1], exp[b0 + l0] ^ exp[b1 + l1])))
+        i = m - 1 - top // ell
+        out.append((i, (i,), shares, (screened, top)))
     return out
+
+
+def _solve(at, p):
+    """(block i, block i + 1) of the guess at = (screened, top) of
+    _solved, solved from syndromes 1 and 2 of guess i, lane m - 1 - i of
+    segments 0 and 1 of the lanes in screened, by the solve rows the
+    tables keep for it."""
+    ((t, syn), top), ell = at, p.ell
+    mask, exp, log = (1 << ell) - 1, p.ctx.exp, p.ctx.log
+    (a0, a1), (b0, b1) = t.solves[p.m - 1 - top // ell]
+    l0 = log[syn >> top + 1 - ell & mask]
+    l1 = log[syn >> t.seg + top + 1 - ell & mask]
+    return exp[a0 + l0] ^ exp[a1 + l1], exp[b0 + l0] ^ exp[b1 + l1]
 
 
 def lane_tables(p):

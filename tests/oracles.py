@@ -139,6 +139,26 @@ def _deletion_sets(n, w, z, delta):
     return sorted(out)
 
 
+def block_readings(pairs, deltas, m):
+    """What a case reads for each block 1..m, one block at a time: None
+    when one of its pairs holds the block, else the bits its shares
+    delete before the block (the shares of the pairs that end before it)."""
+    readings = []
+    for b in range(1, m + 1):
+        if any(i <= b <= i + 1 for i in pairs):
+            readings.append(None)
+        else:
+            readings.append(sum(d for i, d in zip(pairs, deltas) if i + 1 < b))
+    return readings
+
+
+def differing_blocks(case, other, m):
+    """How many of blocks 1..m two cases read differently: damaged in
+    either, or read at different shifts."""
+    return sum(a is None or b is None or a != b
+               for a, b in zip(block_readings(*case, m), block_readings(*other, m)))
+
+
 def layout_tail(u, p):
     """What follows message u in its codeword: the buffer of w zeros and a
     one, then the parity blocks, when p.r = 1; each parity bit repeated r

@@ -348,6 +348,46 @@ def test_cauchy_mds_exhaustive(ell):
             assert cauchy_submatrices_nonsingular(m, c, ctx), (ell, m, c)
 
 
+def rank(matrix, ctx):
+    """Rank by elimination, local to the tests."""
+    a, done = [row[:] for row in matrix], 0
+    for col in range(len(a[0])):
+        piv = next((r for r in range(done, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[done], a[piv] = a[piv], a[done]
+        inv = ctx.inv(a[done][col])
+        for r in range(len(a)):
+            if r != done and a[r][col]:
+                f = ctx.mul(a[r][col], inv)
+                a[r] = [x ^ ctx.mul(f, y) for x, y in zip(a[r], a[done])]
+        done += 1
+    return done
+
+
+@pytest.mark.parametrize("ell", [4, 5, 8])
+def test_vandermonde_parities_have_full_rank_on_any_c_blocks(ell):
+    # the decoder's skip (codec._differing) rests on this: on any t <= c
+    # blocks the c parity rows have rank t, so two messages with the same
+    # parities that differ in at most c blocks are one message. A Cauchy
+    # generator has it as every square submatrix is nonsingular
+    # (test_cauchy_mds_exhaustive); a Vandermonde one as its rows are the
+    # powers 0..c-1 of the distinct nodes alpha^(j-1)
+    ctx = FieldContext(ell)
+    checked = 0
+    for m in range(1, 7):
+        for c in range(1, 7):
+            if m + c > (1 << ell):
+                continue
+            gen = make_generator(m, c, ctx, "vandermonde")
+            for t in range(1, min(m, c) + 1):
+                for blocks in combinations(range(m), t):
+                    matrix = [[gen.rows[j][r] for j in blocks] for r in range(c)]
+                    assert rank(matrix, ctx) == t, (ell, m, c, blocks)
+                    checked += 1
+    assert checked > 500, checked
+
+
 def test_cauchy_field_too_small():
     with pytest.raises(FieldTooSmallError):
         make_generator(10, 7, GF16, "cauchy")

@@ -7,6 +7,7 @@ from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import xor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,11 +35,12 @@ from gccodes.codec import (
     encode_multi,
     evaluate_guess,
     gc_params,
+    MAX_Z,
     is_subsequence,
     max_case_count,
     multi_params,
 )
-from gccodes.gf2e import FieldContext
+from gccodes.gf2e import MAX_ELL, FieldContext
 from gccodes.multi_window import (
     _case_table,
     _prefix_sums,
@@ -48,7 +50,8 @@ from gccodes.multi_window import (
     repetition_decode,
     repetition_encode,
 )
-from oracles import erasure_decode, loop_parities, message_parity_bits, verify_parities
+from oracles import (differing_blocks, erasure_decode, loop_parities, message_parity_bits,
+                     verify_parities)
 
 
 def test_repetition_encode_golden():
@@ -421,7 +424,8 @@ def test_one_code_keeps_both_screens_tables():
     assert pair_screen(mp) == want_pairs and list(mp._tables) == ["pair screen"]
     assert case_screen(mp) == want_cases
     deltas = {mp.n - len(y) for _, y in words}
-    assert mp._tables.keys() == {"pair screen", "case screen", *deltas}
+    # and the engine's block-reading masks, once a case was tested
+    assert mp._tables.keys() - {"readings"} == {"pair screen", "case screen", *deltas}
     assert pair_screen(mp) == want_pairs and case_screen(mp) == want_cases
 
 
@@ -601,6 +605,65 @@ def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
     assert calls and any(0 in deltas for _, deltas in checked), (len(calls), len(checked))
 
 
+def test_skipped_cases_change_no_result(monkeypatch):
+    # The engine skips a passing case whose block readings differ in at
+    # most c blocks from those of a case that gave a candidate: every
+    # candidate of a word has the word's c parities, and c parity rows
+    # have full rank on any c blocks, so the skipped case gives that
+    # candidate or none. With the skip turned off, every result is the
+    # same, and on each code the skip fired.
+    near = codec._near
+    for args, count in (((64, 4, 8, 2), 2000), ((48, 2, 7, 3), 500),
+                        ((50, 3, 6, 2, "vandermonde"), 500)):
+        mp = multi_params(*args)
+        rng = random.Random(f"skip/{args}")
+        words = []
+        for _ in range(count):
+            u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+            deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
+            words.append(delete_localized(encode_multi(u, mp), sample_pattern(mp, deltas, rng)))
+        skips = []
+
+        def counted(*case):
+            skips.append(near(*case))
+            return skips[-1]
+
+        monkeypatch.setattr(codec, "_near", counted)
+        skipping = [decode_multi(y, mp) for y in words]
+        monkeypatch.setattr(codec, "_near", lambda *case: False)
+        assert [decode_multi(y, mp) for y in words] == skipping, args
+        assert any(skips), args
+
+
+@st.composite
+def case_pairs(draw):
+    """Two cases on m blocks: z disjoint adjacent pairs each, named by
+    their lower block, with a share of 0..MAX_ELL (w <= ell <= MAX_ELL)."""
+    z = draw(st.integers(1, MAX_Z))
+    m = draw(st.integers(2 * z, 400))
+    cases = []
+    for _ in range(2):
+        lows = sorted(draw(st.lists(st.integers(1, m - z), min_size=z, max_size=z, unique=True)))
+        shares = draw(st.lists(st.integers(0, MAX_ELL), min_size=z, max_size=z))
+        cases.append((tuple(q + t for t, q in enumerate(lows)), tuple(shares)))
+    return m, cases
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case_pairs())
+@example((11, [((3,), (4,)), ((4,), (4,))]))            # adjacent guesses: 3 blocks differ
+@example((11, [((2, 7), (0, 3)), ((2, 7), (0, 3))]))    # one case: only its 4 damaged blocks
+@example((20, [((1, 5, 18), (20, 20, 20)), ((3, 9, 12), (0, 0, 0))]))  # shifts 60 apart
+def test_lane_count_is_the_block_count(pair):
+    # codec._differing counts in byte lanes what the oracle counts block
+    # by block, either way round; of a code it reads m and the table
+    # store only
+    m, (case, other) = pair
+    code = SimpleNamespace(m=m, _tables={})
+    assert codec._differing(*case, *other, code) == differing_blocks(case, other, m)
+    assert codec._differing(*other, *case, code) == differing_blocks(case, other, m)
+
+
 @pytest.mark.parametrize("pairs, deltas, cut", [
     ((1, 10), (0, 3), (55, 58)),          # the last pair lost bits 55..57
     ((1, 10), (3, 0), (2, 5)),            # the first pair lost bits 2..4
@@ -734,6 +797,13 @@ def oracle_case(s, parities, pairs, deltas, mp):
     return syndromes, ok, [filled[e - 1] for e in erased]
 
 
+def solved(passed, case, mp):
+    """multi_window._solved with every case solved (_solve), as the
+    engine solves the cases it does not skip."""
+    return [(guess, pairs, deltas, multi_window._solve(at, mp))
+            for guess, pairs, deltas, at in multi_window._solved(passed, case, mp)]
+
+
 @pytest.mark.parametrize("args, count", [
     ((16, 2, 5, 2), 30),                  # one placement
     ((64, 4, 8, 1), 30),
@@ -747,7 +817,8 @@ def test_screen_lanes_match_the_oracle(args, count):
     """Every lane of the case screen, not only the survivors: its case is
     the next one of enumerate_cases that checks a new (damaged pairs,
     shares) set, its syndromes and its spare verdict are the oracle's, and
-    _solved gives every lane that passed the oracle's erased blocks.
+    _solved hands over every lane that passed, which _solve solves to the
+    oracle's erased blocks.
     The words are channel words with their true parities (the true case
     passes), random bits and parities (most fail) and zeros (all pass),
     then one all-tail word per delta: every deletion in the parity tail,
@@ -796,12 +867,12 @@ def test_screen_lanes_match_the_oracle(args, count):
             oracle.append(blocks)
             if ok:
                 sols.setdefault((pairs, want), []).append(shares)
-        assert multi_window._solved(passed, case, mp) == [
+        assert solved(passed, case, mp) == [
             ((pairs, shares), pairs, shares, blocks)
             for (pairs, shares, _, _), blocks, ok in zip(lanes, oracle, passed) if ok]
         # every lane solved, passed or not: a solve is shared only by cases
         # with the same syndromes
-        every = multi_window._solved(b"\1" * len(passed), case, mp)
+        every = solved(b"\1" * len(passed), case, mp)
         assert [sol for _, _, _, sol in every] == oracle
         shared += sum(len(splits) > 1 for splits in sols.values())
         single += len(passed) == 1
@@ -809,7 +880,7 @@ def test_screen_lanes_match_the_oracle(args, count):
     # shared only by cases of one placement
     t = 2 * mp.z
     values = [rng.randrange(1, 1 << ell) for _ in range(t)]
-    fixed = [sol for _, pairs, _, sol in multi_window._solved(
+    fixed = [sol for _, pairs, _, sol in solved(
         b"\1" * len(passed), lambda i: (*case(i)[:3], mds.pack(values, ell)), mp)]
     by_pairs = {}
     for pairs, _, _, _ in lanes:

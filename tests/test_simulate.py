@@ -140,21 +140,36 @@ def test_workers_outside_one_to_cpu_count_refused(monkeypatch, capsys):
         raise AssertionError("a worker pool was requested")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    for workers in (0, -1):
-        with pytest.raises(InvalidConfigError, match=f"workers={workers} must be at least 1"):
+    cpus = os.cpu_count() or 1
+    for workers in (0, -1, cpus + 1):
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"workers={workers} must be in 1..{cpus}, the CPU count")):
             run_trials(small_cfg(trials=1), workers=workers)
     # a float would fail inside the pool, a str on <, and True run as 1
     for workers in (2.5, "2", True):
         with pytest.raises(InvalidConfigError,
                            match=f"^workers={re.escape(repr(workers))} is not an int$"):
             run_trials(small_cfg(trials=1), workers=workers)
-    cpus = os.cpu_count() or 1
     for workers in (0, -1, cpus + 1):
         code = cli.main(["simulate", "--k-list", "64", "--c", "3", "--delta", "1",
                          "--trials", "1", "--workers", str(workers)])
         out, err = capsys.readouterr()
         assert code == 1 and out == "", workers
         assert err == f"gccodes: error: --workers {workers} must be in 1..{cpus}, the CPU count\n"
+
+
+def test_workers_past_the_cpu_count_refused_before_any_block(monkeypatch):
+    # run_trials bounds workers by the CPU count itself, not only the cli:
+    # with two CPUs, three workers are refused before any block is split
+    # or any pool is started
+    def refused(*args, **kwargs):
+        raise AssertionError("a block was split or a pool requested")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", refused)
+    monkeypatch.setattr(sim, "_split_blocks", refused)
+    with pytest.raises(InvalidConfigError, match=r"^workers=3 must be in 1\.\.2, the CPU count$"):
+        run_trials(small_cfg(trials=1), workers=3)
 
 
 @pytest.mark.parametrize("kw, error", [
