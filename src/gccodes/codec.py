@@ -28,10 +28,17 @@ the spare parities of every guess at once and hands over the guesses
 that pass (single_window._screen and _solved, multi_window._screen and
 _solved); the engine has each solved from two parities per pair
 (_solve) and, in the order tried, checked by _candidate: every pair
-must pass _damaged_pair's padding and supersequence checks. decide turns
-the candidates into the result. A single surviving candidate is provably
-the sent message when the channel respected the window contract;
-distinct candidates mean the decoder refuses to choose (Failure).
+must pass _damaged_pair's padding and supersequence checks. With r > 1
+and delta >= 1 one more candidate follows the cases, with guess None:
+the tail candidate, the first k bits of the word, when their c parities
+are the ones read off the repetition tail (_parities_hold). When every
+deletion hit the tail it is the message, untouched, and the readout
+exact, as fewer than r bits are missing. It is not checked when a case
+already gave it, since decide keeps the first guess of a candidate and
+a repeat changes nothing. decide turns the candidates into the result.
+A single surviving candidate is provably the sent message when the
+channel respected the window contract; distinct candidates mean the
+decoder refuses to choose (Failure).
 
 Once a guess has given a candidate, a later guess whose block readings
 differ in at most c blocks from those of a guess that gave one is
@@ -64,7 +71,7 @@ from itertools import repeat
 from operator import contains
 
 from . import mds, multi_window, single_window
-from .gf2e import MAX_ELL, FieldContext, is_binary, read_symbols
+from .gf2e import MAX_ELL, FieldContext, is_binary
 
 
 class InvalidConfigError(ValueError):
@@ -316,9 +323,9 @@ def decode(y, p):
 
     Success carries the recovered message and how it was reached (a pair
     index, None for the parity path, or with r > 1 the (pairs, deltas)
-    case). Failure carries every distinct surviving candidate. InvalidInput
-    flags a word no compliant channel could have produced, or a word with
-    characters other than 0 and 1.
+    case, None for the tail candidate). Failure carries every distinct
+    surviving candidate. InvalidInput flags a word no compliant channel
+    could have produced, or a word with characters other than 0 and 1.
     """
     refused = _check_received(y, p)
     if refused is not None:
@@ -331,10 +338,9 @@ def decode(y, p):
         screened, passed = single_window._screen(s, int(y[len(y) - p.c * ell:], 2), p)
         guesses, solve = single_window._solved(screened, passed, p, delta), single_window._solve
     else:
-        tail = y[len(y) - p.c * ell * p.r + delta:]
-        bits = multi_window.repetition_decode(tail, p.c * ell, p.r, delta)
-        passed, case = multi_window._screen(s, mds.pack(read_symbols(bits, ell), ell), p)
-        guesses, solve = multi_window._solved(passed, case, p), multi_window._solve
+        parities = multi_window._tail_parities(y, p)
+        screened, passed = multi_window._screen(s, parities, p)
+        guesses, solve = multi_window._solved(screened, passed, p), multi_window._solve
     found, kept = [], []                # kept: (pairs, deltas) of each guess that gave one
     for guess, pairs, deltas, at in guesses:
         if kept and _near(pairs, deltas, kept, p):
@@ -343,7 +349,25 @@ def decode(y, p):
         found.append((guess, cand))
         if cand is not None:
             kept.append((pairs, deltas))
+    if p.r > 1 and delta:
+        u = y[:p.k]
+        # the tail candidate; decide keeps a candidate's first guess, so a
+        # u that a case gave needs no check
+        if all(cand != u for _, cand in found) and _parities_hold(u, parities, p):
+            found.append((None, u))
     return decide(found)
+
+
+def _parities_hold(u, parities, p):
+    """True when the c parities of message u are the packed parities,
+    checked one bit at a time (mds.parity_planes), parity 1 first, up to
+    the first that differs: a word with damaged message bits mostly fails
+    within parity 1."""
+    x = int(u, 2) << p.m * p.ell - p.k
+    for b, plane in enumerate(mds.parity_planes(p.gen)):
+        if (x & plane).bit_count() & 1 != parities >> b & 1:
+            return False
+    return True
 
 
 encode_multi, decode_multi = encode, decode

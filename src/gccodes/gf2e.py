@@ -53,7 +53,7 @@ class FieldContext:
     cannot produce a usable context. The antilog table holds alpha^i at
     double length, so products never need a modular reduction of the
     exponent sum, and then zeros: log[0] = 2 * order points into them, so
-    exp[log[a] + log[b]] == mul(a, b) for every a and b, zero included.
+    exp[log[a] + log[b]] is the product a*b for every a and b, zero included.
     """
 
     def __init__(self, ell):
@@ -82,9 +82,6 @@ class FieldContext:
         log[0] = zero_log
         self.exp = exp
         self.log = log
-
-    def mul(self, a, b):
-        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a):
         if a == 0:

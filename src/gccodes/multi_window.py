@@ -48,24 +48,29 @@ its solve rows and the zero-share patterns it owns; each delta's case
 table is built from those rows on its first decode, and kept there too.
 
 The cases assume that every deletion hit the message bits and that no
-two windows share a block pair, so some compliant words match no case
-and decode to InvalidInput: at k = 64, w = 4, c = 8, z = 2, about half
-of whole-codeword draws with w each.
+two windows share a block pair. A word whose deletions all hit the
+repetition tail, which no case explains when they number more than w,
+is left to the engine's one further candidate: its first k bits, kept
+when their c parities are the ones _tail_parities reads (codec.decode).
+So the compliant words that still decode to InvalidInput have
+deletions on both sides of bit k or windows that share a block pair: at
+k = 64, w = 4, c = 8, z = 2, 37 of 1500 whole-codeword draws with w
+deletions each, and 35 of 1500 systematic-only draws, all with both
+windows in two or three consecutive blocks.
 """
 
 from array import array
-from bisect import bisect_right
-from itertools import accumulate, combinations, compress
+from itertools import combinations, compress
 from math import comb
-from operator import itemgetter, mul
+from operator import itemgetter
 from struct import Struct
 from types import SimpleNamespace
 
 from . import mds
 from .mds import _times
 
-# Byte -> 1 when its bit 0 is clear: the screen passed that case's block.
-_PASSED = bytes(1 - (b & 1) for b in range(256))
+# Byte -> 1 when its top bit is clear: the screen passed that case's block.
+_PASSED = bytes(1 - (b >> 7) for b in range(256))
 
 
 def repetition_encode(bits, r):
@@ -87,6 +92,16 @@ def repetition_decode(bits, m_bits, r, d):
             f"expected {m_bits * r - d} bits for m_bits={m_bits}, r={r}, d={d}; got {len(bits)}"
         )
     return bits[::r]
+
+
+def _tail_parities(y, p):
+    """The c parities of received word y, packed (mds.pack), read off its
+    repetition tail as repetition_decode reads it: y[k:] misses fewer
+    than r bits, so bit i of parity q+1 is y[k + q*ell*r + i*r]. One int()
+    of the symbols in reverse order puts parity 1 in the low lane."""
+    step = p.ell * p.r
+    starts = range(p.k + (p.c - 1) * step, p.k - 1, -step)     # parity c first
+    return int("".join([y[at:at + step:p.r] for at in starts]), 2)
 
 
 def _compositions(total, parts, cap):
@@ -164,11 +179,14 @@ def _lanes(p):
     spare checks it holds one group of 2z lanes per spare parity: group
     q, lanes q*2z..q*2z+2z-1, holds the 2z solving syndromes times the
     weights of spare parity 2z+q+1 in the solver rows. spread copies
-    lanes 0..2z-1 (solve) into every group; lane0 masks lane 0 of every
-    block and groups lane 0 of every group; ladder lists the shifts that
-    or the bits of a lane into its bit 0. spares[row] is the block of
-    placement row's spare weights, as bytes. Built with the first case
-    table.
+    lanes 0..2z-1 (solve) into every group, and groups masks lane 0 of
+    every group. moves lists the (mask, shift) steps that take lane q of
+    every block, for q < c - 2z, to group q's lane 0, lane q*2z. high
+    masks the top bit of every block, which no group's lane 0 reaches (a
+    group has 2z >= 2 lanes), and below the bits under it, so that adding
+    below to the group lanes carries into a block's top bit exactly when
+    one of them is nonzero. spares[row] is the block of placement row's
+    spare weights, as bytes. Built with the first case table.
     """
     lanes = p._tables.get("case screen")
     if lanes is not None:
@@ -211,6 +229,10 @@ def _lanes(p):
         scan.append((bits * step, sum(full << bits * e for e in range(entries)
                                       if e % (m + 1) <= m - step)))
         step *= 2
+    # lane q moves up by q * (2z - 1) lanes, (2z - 1) << b at the step of its bit b
+    moves = [(repeat_block(sum(lane << (q + (group - 1) * (q >> b + 1 << b + 1)) * ell
+                               for q in range(c - group) if q >> b & 1)), (group - 1 << b) * ell)
+             for b in reversed(range((c - group - 1).bit_length()))]
     block_weights = sum(mds.pack(p.gen.rows[m - 1 - e % (m + 1)], ell) << bits * e
                         for e in range(entries) if e % (m + 1) < m)
     lanes = p._tables["case screen"] = SimpleNamespace(
@@ -219,8 +241,8 @@ def _lanes(p):
         ones=sum(1 << bits * t for t in range(m + 1)), syndromes=full,
         spares=spares, spread=sum(1 << h for h in heads),
         solve=repeat_block((1 << group * ell) - 1), lsb=lsb, low=low,
-        lane0=repeat_block(lane), groups=repeat_block(sum(lane << h for h in heads)),
-        ladder=[1 << i for i in range((ell - 1).bit_length())])
+        groups=repeat_block(sum(lane << h for h in heads)), moves=moves,
+        high=repeat_block(1 << bits - 1), below=repeat_block((1 << bits - 1) - 1))
     return lanes
 
 
@@ -237,14 +259,13 @@ def _case_table(p, delta):
     screen takes every table it reads from one lookup.
 
     A placement runs the splits of delta whose zero-share pattern it owns
-    (_lanes' placements). Its cases are consecutive: used lists the
-    placements that run any, stops where each one's cases end, runs the
-    splits each runs (indices into splits). A case's syndromes are the
-    parities xor the intact segments, each read at the shift of the
-    deletions before it, as entries of the prefix groups at shifts
-    (_lanes). The entries come in one copy of every group per name in
-    layout (_prefix_sums); block j of group g is entry g*(m+1) + m - j of
-    a copy. reads holds one operator.itemgetter per read, which takes that
+    (_lanes' placements). Its cases are consecutive; rows holds each
+    case's placement row and shares its split (an index into splits),
+    one array entry per case. A case's syndromes are the parities xor
+    the intact segments, each read at the shift of the deletions before
+    it, as entries of the prefix groups at shifts (_lanes). The entries
+    come in one copy of every group per name in layout (_prefix_sums);
+    block j of group g is entry g*(m+1) + m - j of a copy. reads holds one operator.itemgetter per read, which takes that
     read's entry of every case at once; a case's syndromes are the xor of
     its reads:
 
@@ -283,8 +304,9 @@ def _case_table(p, delta):
     layout = ("head", "tail", "sums")[:z] if z > 1 else ("sums",)
     copy = {name: t * size for t, name in enumerate(layout)}
     pool = tuple(range(len(layout) * size))   # one int object per entry index
-    by_owned = {}
-    used, counts, runs = array("I"), array("I"), []
+    by_owned, chunks = {}, []
+    rows = array("H")                     # placements < 2**16 under MAX_CASES and MAX_ELL
+    shares = array("B" if len(splits) <= 256 else "H")
     reads = [[] for _ in range(2 * max(1, z - 1))]
     for row, (pairs, _, owned) in enumerate(lanes.placements):
         entry = by_owned.get(owned)
@@ -298,9 +320,9 @@ def _case_table(p, delta):
             continue
         if pairs[0] - 1 > tops[0] or any(pairs[j + 1] - 1 > ends[j] for j in range(z - 1)):
             raise IndexError(f"a case of placement {pairs} reads past the end of a prefix group")
-        used.append(row)
-        counts.append(len(run))
-        runs.append(run)
+        rows.extend([row] * len(run))
+        shares.extend(run)
+        chunks.append(lanes.spares[row] * len(run))
         if z == 1:
             reads[0] += [pool[m - (pairs[0] - 1)]] * len(run)
             reads[1] += [pool[size - 1 - (pairs[0] + 1)]] * len(run)
@@ -309,11 +331,10 @@ def _case_table(p, delta):
             hi = copy["tail" if j == z - 2 else "sums"] - (pairs[j + 1] - 1)
             reads[2 * j] += [pool[b + lo] for b in base]
             reads[2 * j + 1] += [pool[b + hi] for b in base]
-    chunks = map(lanes.spares.__getitem__, used)
-    weights = int.from_bytes(b"".join(map(mul, chunks, counts)), "little")
+    weights = int.from_bytes(b"".join(chunks), "little")
     cases = p._tables[delta] = SimpleNamespace(
-        lanes=lanes, splits=splits, shifts=shifts, align=align, layout=layout, used=used,
-        runs=runs, stops=array("I", accumulate(counts)),
+        lanes=lanes, splits=splits, shifts=shifts, align=align, layout=layout, rows=rows,
+        shares=shares,
         reads=[itemgetter(*read) if len(read) > 1 else itemgetter(slice(read[0], read[0] + 1))
                for read in reads],
         unpack=Struct(f"{lanes.nb}s" * (len(layout) * size)).unpack,
@@ -372,20 +393,22 @@ def _screen(s, parities, p):
     """Every case's spare-parity verdict, in lanes.
 
     s is the received word cut to its first k - delta bits, parities the
-    c parity symbols packed (mds.pack). Returns (passed, case): passed has
-    one byte per case of _case_table(p, delta), in its order, 1 when every
-    spare parity holds; case(i) gives case i's pairs, shares, solve rows
-    (mds.log_solver) and packed syndromes, read off the gathered int.
+    c parity symbols packed (mds.pack). Returns ((cases, syn), passed):
+    cases is _case_table(p, delta), syn the packed syndromes of every case
+    gathered into one int, case i's in block i, and passed one byte per
+    case, in the table's order, 1 when every spare parity holds.
 
     The syndromes of every case are gathered into one int, a block of nb
     bytes each (_lanes), out of the prefix sums (_prefix_sums): one join
     per read of the case table, each of the entries its itemgetter takes,
     so the gather runs no Python code per case. The solving syndromes are
     copied into every group, and each lane is multiplied by its spare
-    weight (mds._times). A group's 2z products are summed into
-    its lane 0 by doubling and xored with its spare syndrome; a case
-    passes when every group's lane 0 is zero. Every product is exact, so
-    the verdict is the one a product-by-product check gives.
+    weight (mds._times). A group's 2z products are summed into its lane 0
+    by doubling and xored with its spare syndrome, which a few masked
+    moves (_lanes' moves) bring to that lane; a case passes when
+    every group's lane 0 is zero, which one add of the lanes' below mask
+    carries into its block's top bit. Every product is exact, so the
+    verdict is the one a product-by-product check gives.
     """
     ell, group = p.ell, 2 * p.z
     cases = _case_table(p, p.k - len(s))
@@ -396,7 +419,8 @@ def _screen(s, parities, p):
     for read in cases.reads:
         syn ^= int.from_bytes(b"".join(read(entries)), order)
 
-    acc = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
+    solving = syn & lanes.solve
+    acc = _times(solving * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
     total, done, span = 0, 0, 1           # sums of 1, 2, 4, ... lanes
     while True:
         if group & span:
@@ -406,47 +430,43 @@ def _screen(s, parities, p):
             break
         acc ^= acc >> span * ell
         span *= 2
-    for q in range(p.c - group):
-        total ^= (syn >> (group + q) * ell & lanes.lane0) << q * group * ell
-    total &= lanes.groups
-    for step in lanes.ladder:             # a lane's bits into its bit 0
-        total |= total >> step
-    failed = total
-    for q in range(1, p.c - group):       # the groups into the block's bit 0
-        failed |= total >> q * group * ell
-    passed = failed.to_bytes(cases.stops[-1] * nb, order)[::nb].translate(_PASSED)
-
-    def case(i):
-        at = bisect_right(cases.stops, i)
-        pairs, solve, _ = lanes.placements[cases.used[at]]
-        deltas = cases.splits[cases.runs[at][i - (cases.stops[at - 1] if at else 0)]]
-        return pairs, deltas, solve, syn >> 8 * nb * i & lanes.syndromes
-
-    return passed, case
+    spare = (syn ^ solving) >> group * ell  # spare syndrome q in lane q
+    for mask, shift in lanes.moves:       # and then in group q's lane 0
+        moved = spare & mask
+        spare ^= moved ^ moved << shift
+    failed = (((total ^ spare) & lanes.groups) + lanes.below) & lanes.high
+    passed = failed.to_bytes(len(cases.rows) * nb, order)[nb - 1::nb].translate(_PASSED)
+    return (cases, syn), passed
 
 
-def _solved(passed, case, p):
+def _solved(screened, passed, p):
     """(guess, pairs, deltas, at) for each case that passed _screen, in
-    enumerate_cases order: the guess is (pairs, deltas), and at what
-    _solve needs to solve it when the engine asks. Every case of one
-    decode shares at's last entry, the decode's solves."""
-    sols = {}
-    return [((pairs, deltas), pairs, deltas, (pairs, solve, syn, sols))
-            for pairs, deltas, solve, syn in map(case, compress(range(len(passed)), passed))]
+    enumerate_cases order: the guess is (pairs, deltas), read off the case
+    table's rows and shares, and at what _solve needs to solve it when the
+    engine asks. Every case of one decode shares at's last entry, the
+    decode's solves."""
+    cases, syn = screened
+    placements, splits, bits, sols = cases.lanes.placements, cases.splits, 8 * cases.lanes.nb, {}
+    handed = []
+    for i in compress(range(len(passed)), passed):
+        pairs, solve, _ = placements[cases.rows[i]]
+        deltas = splits[cases.shares[i]]
+        handed.append(((pairs, deltas), pairs, deltas, (pairs, solve, syn, bits * i, sols)))
+    return handed
 
 
 def _solve(at, p):
-    """The 2z blocks of the case at = (pairs, solve, syn, sols) of
-    _solved, solved from its solving syndromes by its solve rows. Cases of
-    one placement with the same solving syndromes share one solve, kept
-    in sols: every split of a placement whose middle segments are empty
-    reads the same syndromes."""
-    pairs, solve, syn, sols = at
+    """The 2z blocks of the case at = (pairs, solve, syn, shift, sols) of
+    _solved, solved by its solve rows from its solving syndromes, shifted
+    out of the gathered syn here. Cases of one placement with the same
+    solving syndromes share one solve, kept in sols: every split of a
+    placement whose middle segments are empty reads the same syndromes."""
+    pairs, solve, syn, shift, sols = at
     ell = p.ell
-    key = pairs, syn & (1 << 2 * p.z * ell) - 1
+    key = pairs, syn >> shift & (1 << 2 * p.z * ell) - 1
     sol = sols.get(key)
     if sol is None:
-        log, exp, mask = p.ctx.log, p.ctx.exp, (1 << ell) - 1
+        log, exp, mask, syn = p.ctx.log, p.ctx.exp, (1 << ell) - 1, key[1]
         lh = [log[syn >> sh & mask] for sh in range(0, 2 * p.z * ell, ell)]
         sol = sols[key] = []
         for lws in solve:

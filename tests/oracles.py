@@ -2,8 +2,8 @@
 
 They share no code with the encoder or the decoders: symbols are sliced
 off bit strings by hand, every parity is built one field product at a
-time (FieldContext.mul), and erasure systems are solved by elimination
-with those products. Only the field comes from the package. The one
+time (mul), and erasure systems are solved by elimination with those
+products. Only the field's tables come from the package. The one
 exception is sweep_every_pattern, a reference for exhaustive_oracle's
 bookkeeping, not for decoding: it runs the package's channel and codec.
 list_delete is the channel as it was before its one-pass walk: it builds
@@ -21,13 +21,20 @@ class SingularMatrixError(ArithmeticError):
     """solve_square's system has no unique solution."""
 
 
+def mul(ctx, a, b):
+    """The product a*b in ctx's field, off its log and antilog tables:
+    exp[log a + log b], which the padded antilog table makes zero when a
+    or b is (tests/test_gf2e.py holds it to a table-free product)."""
+    return ctx.exp[ctx.log[a] + ctx.log[b]]
+
+
 def loop_parities(symbols, gen):
     """c parities of the leading symbols, one field product at a time."""
     out = []
     for r in range(gen.c):
         acc = 0
         for i, v in enumerate(symbols):
-            acc ^= gen.ctx.mul(v, gen.rows[i][r])
+            acc ^= mul(gen.ctx, v, gen.rows[i][r])
         out.append(acc)
     return out
 
@@ -80,11 +87,11 @@ def solve_square(matrix, rhs, ctx):
             raise SingularMatrixError("erasure system has no unique solution")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         scale = ctx.inv(rows[col][col])
-        rows[col] = [ctx.mul(scale, v) for v in rows[col]]
+        rows[col] = [mul(ctx, scale, v) for v in rows[col]]
         for r in range(size):
             f = rows[r][col]
             if r != col and f:
-                rows[r] = [x ^ ctx.mul(f, y) for x, y in zip(rows[r], rows[col])]
+                rows[r] = [x ^ mul(ctx, f, y) for x, y in zip(rows[r], rows[col])]
     return [row[size] for row in rows]
 
 
@@ -109,7 +116,7 @@ def erasure_decode(symbols, erased, parity_values, parity_nums, gen):
         acc = val
         for i, v in enumerate(symbols):
             if i + 1 not in erased:
-                acc ^= gen.ctx.mul(v, gen.rows[i][num - 1])
+                acc ^= mul(gen.ctx, v, gen.rows[i][num - 1])
         syndromes.append(acc)
         matrix.append([gen.rows[e - 1][num - 1] for e in erased])
     filled = list(symbols)

@@ -18,7 +18,7 @@ import random
 from gccodes.channel import delete_localized, sample_pattern
 from gccodes.codec import decode, decode_multi, encode, encode_multi, gc_params, multi_params
 
-DIGEST = "fc29e46acb98509b4c769add7bb58d695c0ff5cceda095c95bb4345bcf745d02"
+DIGEST = "d1a0b2dc892ba914d34d92036323c6fe628a24a55dce1c53e33543e88d5e7538"
 
 # (k, w, c, z, kind); z = 0 stands for the single-window code
 CODES = [

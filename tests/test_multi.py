@@ -8,6 +8,7 @@ from itertools import combinations
 from math import comb
 from operator import xor
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -96,6 +97,22 @@ def test_repetition_decode_content_spot_checks():
         gone = sorted(rng.sample(range(len(full)), d))
         damaged = "".join(ch for i, ch in enumerate(full) if i not in set(gone))
         assert repetition_decode(damaged, m_bits, r, d) == bits
+
+
+@pytest.mark.parametrize("args", [(64, 4, 8, 2), (48, 2, 7, 3), (32, 3, 4, 1)])
+def test_tail_parities_read_the_repetition_tail(args):
+    """The packed parities _tail_parities reads are the message's, parity
+    1 in the low lane, for any z*w or fewer deletions anywhere in the
+    codeword: fewer than r leave bit i*r of y[k:] in run i."""
+    mp = multi_params(*args)
+    rng = random.Random(f"tail parities/{args}")
+    for _ in range(200):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        gone = set(rng.sample(range(mp.n), rng.randrange(mp.z * mp.w + 1)))
+        y = "".join(b for i, b in enumerate(encode(u, mp)) if i not in gone)
+        bits = message_parity_bits(u, mp.gen)
+        want = sum(int(bits[r * mp.ell:(r + 1) * mp.ell], 2) << r * mp.ell for r in range(mp.c))
+        assert multi_window._tail_parities(y, mp) == want, (args, sorted(gone))
 
 
 def test_multi_params_golden():
@@ -324,7 +341,8 @@ def test_decode_multi_randomized_supported_channel():
 
 def test_decode_multi_never_wrong_tiny_exhaustive():
     # every disjoint two-window pattern starting in the first 40 bits,
-    # including merged windows and straddles into the parity region
+    # including merged windows and straddles into the parity region; the
+    # tail candidate decodes every word whose deletions all hit the tail
     mp = multi_params(16, 2, 5, 2)
     assert (mp.ell, mp.m, mp.n) == (4, 4, 116)
     u = "1100101001111000"
@@ -342,7 +360,7 @@ def test_decode_multi_never_wrong_tiny_exhaustive():
                         assert res.message == u, (s1, s2, o1, o2)
                     if pair_feasible(pat, mp):
                         assert res.status == SUCCESS, (s1, s2, o1, o2)
-    assert outcomes == {SUCCESS: 4375, FAILURE: 0, INVALID_INPUT: 2294}
+    assert outcomes == {SUCCESS: 6026, FAILURE: 0, INVALID_INPUT: 643}
 
 
 def feasible_words(mp, count, seed):
@@ -389,7 +407,6 @@ def test_decode_multi_solvers_cached_and_bounded(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("elimination on a cached placement")
 
-    monkeypatch.setattr(FieldContext, "mul", no_elimination)
     monkeypatch.setattr(FieldContext, "inv", no_elimination)
     for u, y in words[1:]:
         res = decode_multi(y, mp)
@@ -443,7 +460,8 @@ def reference_decode_multi(y, mp):
     intact block at the shift of the windows before it, erasure-decode the
     2z damaged blocks from parities 1..2z, check the spare parities, the
     padding and each pair's supersequence test, and rebuild the message
-    from the blocks."""
+    from the blocks. Then the tail candidate: with delta >= 1, y[:k] when
+    its c parities are the ones read off the tail, with guess None."""
     k, w, c, z, ell, m = mp.k, mp.w, mp.c, mp.z, mp.ell, mp.m
     last, n, t = mp.last_block_len, mp.n, 2 * mp.z
     if len(y) > n:
@@ -482,6 +500,8 @@ def reference_decode_multi(y, mp):
                 break
         else:
             winners.setdefault(blocks[:k], (pairs, deltas))
+    if delta and message_parity_bits(y[:k], mp.gen) == parity_bits:
+        winners.setdefault(y[:k], None)
     if not winners:
         return DecodeResult(INVALID_INPUT, reason="no deletion placement is consistent")
     if len(winners) == 1:
@@ -558,6 +578,107 @@ def word_for(k, w, c, z, kind, deltas, mode, seed):
 def test_decode_multi_matches_reference_property(word):
     y, mp = word
     assert decode_multi(y, mp) == reference_decode_multi(y, mp)
+
+
+def plain_tail_rule(y, mp):
+    """decode with the tail candidate by its plain rule: the result of the
+    screened cases alone (decode with the tail check turned off), then,
+    for a word missing delta >= 1 bits, y[:k] added with guess None
+    whenever parity_bits(y[:k]) is the bit string read off the tail,
+    whatever the cases found. No skip and no parity-1-first test."""
+    with patch.object(codec, "_parities_hold", lambda *args: False):
+        cases = decode(y, mp)
+    u, delta = y[:mp.k], mp.n - len(y)
+    if codec._check_received(y, mp) or not delta:
+        return cases
+    if codec.parity_bits(u, mp) != y[mp.k::mp.r][:mp.c * mp.ell]:
+        return cases
+    found = {SUCCESS: (cases.message,), FAILURE: cases.candidates}.get(cases.status, ())
+    if u in found:
+        return cases
+    if not found:
+        return DecodeResult(SUCCESS, message=u, guess=None)
+    return DecodeResult(FAILURE, candidates=(*found, u))
+
+
+@pytest.mark.parametrize("args", [
+    (32, 3, 4, 1), (40, 2, 3, 1, "vandermonde"), (64, 4, 8, 2), (50, 3, 6, 2, "vandermonde"),
+    (48, 2, 7, 3), (60, 2, 8, 3, "vandermonde"),
+], ids=["z1", "z1-vandermonde", "z2", "z2-vandermonde", "z3", "z3-vandermonde"])
+def test_tail_candidate_is_the_plain_rule(args):
+    """Seeded words of the channel, both sampling modes in turn, each
+    window's deletions uniform in 0..w: decode equals the plain rule. So
+    skipping the tail check when a case already found y[:k] is exact
+    (every candidate has all c parities, and decide keeps the first guess
+    of a candidate), and so is testing parity 1 first. At z > 1 the tail
+    candidate decodes some words no case explains."""
+    mp = multi_params(*args)
+    rng = random.Random(f"tail/{args}")
+    kinds = set()
+    for t in range(300):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
+        pat = sample_pattern(mp, deltas, rng, ("whole-codeword", "systematic-only")[t % 2])
+        y = delete_localized(encode(u, mp), pat)
+        res = decode(y, mp)
+        assert res == plain_tail_rule(y, mp), (args, y)
+        assert res.status != SUCCESS or res.message == u
+        tail = y[:mp.k] == u and mp.n > len(y)
+        kinds.add("found" if tail and res.guess else "added" if tail else "cases")
+    assert kinds == {"found", "cases", "added"} if mp.z > 1 else {"found", "cases"}, kinds
+
+
+def test_tail_candidate_is_skipped_only_when_a_case_gave_it(monkeypatch):
+    """A word with one window in the tail: a case gives the message, so
+    the tail candidate adds nothing. When every case gives another
+    message (_candidate patched), the tail candidate still follows it and
+    decide refuses to choose; when no case gives one, it decodes alone."""
+    mp = multi_params(64, 4, 8, 2)
+    u = format(0x7CE42C8218072E8C, "064b")
+    y = delete_localized(encode(u, mp), pattern_from_text(f"{mp.k + 9}:0,2,3"))
+    res = decode(y, mp)
+    assert res.status == SUCCESS and res.message == u and res.guess is not None
+    other = u[::-1]
+    monkeypatch.setattr(codec, "_candidate", lambda *args: other)
+    assert decode(y, mp) == DecodeResult(FAILURE, candidates=(other, u))
+    monkeypatch.setattr(codec, "_candidate", lambda *args: None)
+    assert decode(y, mp) == DecodeResult(SUCCESS, message=u, guess=None)
+
+
+def tail_words(mp, count, seed):
+    """Seeded (message, received) pairs whose z windows all sit in the
+    parity tail, starts uniform over the disjoint placements there and
+    each window's deletions uniform in 0..w."""
+    rng = random.Random(seed)
+    room = mp.n - mp.k - mp.w + 1 - (mp.z - 1) * (mp.w - 1)
+    words = []
+    for _ in range(count):
+        u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+        starts = sorted(rng.sample(range(1, room + 1), mp.z))
+        pat = DeletionPattern(tuple(
+            Window(mp.k + t + j * (mp.w - 1), tuple(sorted(rng.sample(range(mp.w),
+                                                                       rng.randrange(mp.w + 1)))))
+            for j, t in enumerate(starts)))
+        words.append((u, delete_localized(encode(u, mp), pat, w=mp.w, z=mp.z)))
+    return words
+
+
+@pytest.mark.parametrize("args, count", [((64, 4, 8, 2), 1500), ((48, 2, 7, 3), 500)],
+                         ids=["z2", "z3"])
+def test_no_all_tail_word_is_invalid(args, count):
+    """Every deletion in the repetition tail leaves y[:k] the message and
+    the tail's readout its parities (fewer than r bits missing), so the
+    word decodes, with more than w deletions too, where no case explains
+    it: without the tail candidate, 392 of the z = 2 words and 312 of the
+    z = 3 words come back InvalidInput."""
+    mp = multi_params(*args)
+    statuses, beyond = {}, 0
+    for u, y in tail_words(mp, count, seed=f"all-tail/{args}"):
+        res = decode(y, mp)
+        assert res.status == SUCCESS and res.message == u, (args, y, res)
+        statuses[res.guess is None] = statuses.get(res.guess is None, 0) + 1
+        beyond += mp.n - len(y) > mp.w
+    assert statuses.keys() == {True, False} and beyond > count // 3, (statuses, beyond)
 
 
 def test_decode_multi_tests_only_damaged_pairs_once(monkeypatch):
@@ -797,11 +918,21 @@ def oracle_case(s, parities, pairs, deltas, mp):
     return syndromes, ok, [filled[e - 1] for e in erased]
 
 
-def solved(passed, case, mp):
+def solved(screened, passed, mp):
     """multi_window._solved with every case solved (_solve), as the
     engine solves the cases it does not skip."""
     return [(guess, pairs, deltas, multi_window._solve(at, mp))
-            for guess, pairs, deltas, at in multi_window._solved(passed, case, mp)]
+            for guess, pairs, deltas, at in multi_window._solved(screened, passed, mp)]
+
+
+def screen_case(screened, i):
+    """Case i of a _screen result as (pairs, shares, solve rows, packed
+    syndromes): its placement row and split off the case table, its
+    syndromes off block i of the gathered int."""
+    cases, syn = screened
+    pairs, solve, _ = cases.lanes.placements[cases.rows[i]]
+    return (pairs, cases.splits[cases.shares[i]], solve,
+            syn >> 8 * cases.lanes.nb * i & cases.lanes.syndromes)
 
 
 @pytest.mark.parametrize("args, count", [
@@ -851,13 +982,13 @@ def test_screen_lanes_match_the_oracle(args, count):
     verdicts, shared, single = set(), 0, 0
     for s, parities in words:
         delta = mp.k - len(s)
-        passed, case = _screen(s, mds.pack(parities, ell), mp)
+        screened, passed = _screen(s, mds.pack(parities, ell), mp)
         firsts = {}
         for pairs, shares in enumerate_cases(mp, delta):
             firsts.setdefault(tuple((i, d) for i, d in zip(pairs, shares) if d), (pairs, shares))
         assert len(passed) == len(firsts)
         assert set(passed) <= {0, 1}
-        lanes = [case(i) for i in range(len(passed))]
+        lanes = [screen_case(screened, i) for i in range(len(passed))]
         assert [(pairs, shares) for pairs, shares, _, _ in lanes] == list(firsts.values())
         sols, oracle = {}, []
         for (pairs, shares, _, syndromes), ok in zip(lanes, passed):
@@ -867,12 +998,12 @@ def test_screen_lanes_match_the_oracle(args, count):
             oracle.append(blocks)
             if ok:
                 sols.setdefault((pairs, want), []).append(shares)
-        assert solved(passed, case, mp) == [
+        assert solved(screened, passed, mp) == [
             ((pairs, shares), pairs, shares, blocks)
             for (pairs, shares, _, _), blocks, ok in zip(lanes, oracle, passed) if ok]
         # every lane solved, passed or not: a solve is shared only by cases
         # with the same syndromes
-        every = solved(b"\1" * len(passed), case, mp)
+        every = solved(screened, b"\1" * len(passed), mp)
         assert [sol for _, _, _, sol in every] == oracle
         shared += sum(len(splits) > 1 for splits in sols.values())
         single += len(passed) == 1
@@ -880,8 +1011,9 @@ def test_screen_lanes_match_the_oracle(args, count):
     # shared only by cases of one placement
     t = 2 * mp.z
     values = [rng.randrange(1, 1 << ell) for _ in range(t)]
-    fixed = [sol for _, pairs, _, sol in solved(
-        b"\1" * len(passed), lambda i: (*case(i)[:3], mds.pack(values, ell)), mp)]
+    cases, nb = screened[0], screened[0].lanes.nb
+    same = int.from_bytes(mds.pack(values, ell).to_bytes(nb, "little") * len(passed), "little")
+    fixed = [sol for _, pairs, _, sol in solved((cases, same), b"\1" * len(passed), mp)]
     by_pairs = {}
     for pairs, _, _, _ in lanes:
         erased = [e for i in pairs for e in (i, i + 1)]
@@ -892,6 +1024,59 @@ def test_screen_lanes_match_the_oracle(args, count):
     assert verdicts == {False, True}
     assert shared or mp.z == 1                # a solve was reused
     assert single                             # a read of one case, at delta 0 at least
+
+
+def oracle_spares(s, parities, pairs, deltas, mp):
+    """Whether each spare parity 2z+1..c of a case holds, product by
+    product: the case's blocks (intact ones read off s, damaged ones
+    erasure-decoded from parities 1..2z), then each spare parity
+    recomputed from them one field product at a time."""
+    ell, m, t = mp.ell, mp.m, 2 * mp.z
+    erased = [e for i in pairs for e in (i, i + 1)]
+    symbols = [None] * m
+    for j in range(1, m + 1):
+        if j not in erased:
+            shift = sum(d for i, d in zip(pairs, deltas) if i < j)
+            start, blen = (j - 1) * ell - shift, mp.last_block_len if j == m else ell
+            symbols[j - 1] = int(s[start:start + blen], 2) << (ell - blen)
+    filled = erasure_decode(symbols, erased, parities[:t], range(1, t + 1), mp.gen)
+    return [got == want for got, want in zip(loop_parities(filled, mp.gen)[t:], parities[t:])]
+
+
+@pytest.mark.parametrize("args", [(64, 4, 8, 2), (48, 2, 8, 3)], ids=["z2", "z3"])
+def test_screen_verdict_is_every_spare_group(args):
+    """The screen's verdict, case by case, against the product-by-product
+    oracle, on codes whose spare groups fill the case block: its top bit,
+    where the verdict's carry lands, is the top bit of the last group's
+    last lane. Each word is a channel word whose spare parity q has one
+    bit b flipped, for every q and b, so that some case fails in group
+    q - 2z alone with one bit set in that group's lane 0, at every bit of
+    every group, and then the same word unflipped, where its true case
+    passes; a case passes exactly when every spare parity holds."""
+    mp = multi_params(*args)
+    ell, c, t = mp.ell, mp.c, 2 * mp.z
+    assert (c - t) * t * ell == 8 * multi_window._lanes(mp).nb
+    rng = random.Random(f"verdict/{args}")
+    alone, verdicts = set(), set()
+    for q in range(t, c):
+        for b in range(ell):
+            u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
+            deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
+            s = delete_localized(u, sample_pattern(mp, deltas, rng, "systematic-only"))
+            bits = message_parity_bits(u, mp.gen)
+            for flip in (0, 1 << b):
+                parities = [int(bits[r * ell:(r + 1) * ell], 2) for r in range(c)]
+                parities[q] ^= flip
+                screened, passed = _screen(s, mds.pack(parities, ell), mp)
+                for i, ok in enumerate(passed):
+                    pairs, shares, _, _ = screen_case(screened, i)
+                    holds = oracle_spares(s, parities, pairs, shares, mp)
+                    assert ok == all(holds), (args, q, b, flip, pairs, shares)
+                    verdicts.add(ok)
+                    if flip and holds.count(False) == 1 and not holds[q - t]:
+                        alone.add((q, b))
+    assert alone == {(q, b) for q in range(t, c) for b in range(ell)}
+    assert verdicts == {0, 1}
 
 
 def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
