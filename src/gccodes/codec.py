@@ -26,16 +26,18 @@ pairs that absorbed the deletions and the share of each (one pair with
 every deletion on the single-window code). The layout's screen checks
 the spare parities of every guess at once and hands over the guesses
 that pass (single_window._screen and _solved, multi_window._screen and
-_solved); the engine has each solved from two parities per pair
-(_solve) and, in the order tried, checked by _candidate: every pair
-must pass _damaged_pair's padding and supersequence checks. With r > 1
-and delta >= 1 one more candidate follows the cases, with guess None:
-the tail candidate, the first k bits of the word, when their c parities
-are the ones read off the repetition tail (_parities_hold). When every
-deletion hit the tail it is the message, untouched, and the readout
-exact, as fewer than r bits are missing. It is not checked when a case
-already gave it, since decide keeps the first guess of a candidate and
-a repeat changes nothing. decide turns the candidates into the result.
+_solved; with r > 1 the screen checks at most two spare parities and
+_solve the rest); the engine has each solved from two parities per pair
+(_solve), drops a guess whose solve refuses it, and, in the order tried,
+checks the others by _candidate: every pair must pass _damaged_pair's
+padding and supersequence checks. With r > 1 and delta >= 1 one more
+candidate follows the cases, with guess None: the tail candidate, the
+first k bits of the word, when their c parities are the ones read off
+the repetition tail (_parities_hold). When every deletion hit the tail
+it is the message, untouched, and the readout exact, as fewer than r
+bits are missing. It is not checked when a case already gave it, since
+decide keeps the first guess of a candidate and a repeat changes
+nothing. decide turns the candidates into the result.
 A single surviving candidate is provably the sent message when the
 channel respected the window contract; distinct candidates mean the
 decoder refuses to choose (Failure).
@@ -49,8 +51,9 @@ exact:
 
 * every candidate of a word has all c of the word's parities: the 2z
   solving parities by construction, the spare parities because its guess
-  passed the screen. So two candidates differ by a word that every
-  parity row annihilates;
+  passed the screen and the spare rows the screen leaves to _solve (with
+  r > 1, every spare parity past the second). So two candidates differ
+  by a word that every parity row annihilates;
 * two guesses' candidates can differ only on blocks their readings
   differ on: a block either damages, or one both read at different
   shifts;
@@ -345,7 +348,8 @@ def decode(y, p):
     for guess, pairs, deltas, at in guesses:
         if kept and _near(pairs, deltas, kept, p):
             continue
-        cand = _candidate(s, p, pairs, deltas, solve(at, p))
+        sol = solve(at, p)              # None: a spare parity left to the solve failed
+        cand = None if sol is None else _candidate(s, p, pairs, deltas, sol)
         found.append((guess, cand))
         if cand is not None:
             kept.append((pairs, deltas))

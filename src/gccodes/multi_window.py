@@ -16,13 +16,17 @@ partial sums at every shift a segment is read at, in one lane pass over
 s, with copies that fold the first and last segments into the ends of
 the middle ones, so that a case is 2*max(1, z-1) reads. _case_table
 lists, once per delta, every case the decoder runs, with one
-operator.itemgetter per read and the spare weights of its placement's
-log-form solver rows (mds.log_solver) in lanes. _screen gathers the
-syndromes of every case into one int, a block per case, one join per
-read, and checks every spare parity of every case as lane products: no
-Python code runs per case. Only the cases that pass are handed to the
+operator.itemgetter per read and the weights of its placement's first
+min(2, c - 2z) spare rows (mds.log_solver) in lanes. _screen gathers
+the syndromes of every case into one int, a block per case, one join
+per read, and checks those screened spare parities of every case as
+lane products: no Python code runs per case, and a case block is only
+as wide as its c syndromes need, or two groups of 2z lanes. A wrong
+case survives two spare parities with probability 2^(-2*ell), so the
+cases that pass are almost all true ones. Only they are handed to the
 engine (_solved), and solved when the engine asks (_solve), each
-distinct (placement, solving syndromes) once.
+distinct (placement, syndromes) once: the solve checks the remaining
+c - 2z - 2 spare parities, if any, and refuses the case when one fails.
 
 A case is checked once per set of damaged pairs and their shares. Call
 Q the pairs a split gives a positive share and E those shares: only the
@@ -72,9 +76,12 @@ from .mds import _times
 # Byte -> 1 when its top bit is clear: the screen passed that case's block.
 _PASSED = bytes(1 - (b >> 7) for b in range(256))
 
+# What _solve's kept solves give for a case not solved yet; None is a refusal.
+_UNSOLVED = object()
+
 
 def repetition_encode(bits, r):
-    return "".join(ch * r for ch in bits)
+    return "".join([ch * r for ch in bits])
 
 
 def repetition_decode(bits, m_bits, r, d):
@@ -156,11 +163,13 @@ def _lanes(p):
     in p._tables under "case screen".
 
     placements lists every pair placement in enumerate_cases order as
-    (pairs, solve, owned): its pairs, the solve rows of mds.log_solver on
-    its 2z blocks, and the zero-share patterns it owns. A pattern is a
-    z-bit mask, bit j set when pair j gets a zero share; bit mask of owned
-    is set when the placement is the first to contain the pairs the
-    pattern leaves damaged. Each placement's system is solved once, here.
+    (pairs, rows, owned): its pairs, the rows of mds.log_solver on its 2z
+    blocks that _solve reads (the 2z solve rows, then the spare rows of
+    the spare parities the screen leaves to it), and the zero-share
+    patterns it owns. A pattern is a z-bit mask, bit j set when pair j
+    gets a zero share; bit mask of owned is set when the placement is the
+    first to contain the pairs the pattern leaves damaged. Each
+    placement's system is solved once, here.
 
     The screen's ints are cut into blocks of nb bytes, each of width lanes
     of ell bits, lane 0 lowest. lsb and low mask bit 0 and bits 0..ell-2
@@ -175,25 +184,28 @@ def _lanes(p):
     doubling step of the running xor down each group. ones has bit 0 of
     every block of one group, and syndromes lanes 0..c-1 of one block.
 
-    A case's block holds its packed syndromes in lanes 0..c-1. For the
-    spare checks it holds one group of 2z lanes per spare parity: group
-    q, lanes q*2z..q*2z+2z-1, holds the 2z solving syndromes times the
-    weights of spare parity 2z+q+1 in the solver rows. spread copies
-    lanes 0..2z-1 (solve) into every group, and groups masks lane 0 of
-    every group. moves lists the (mask, shift) steps that take lane q of
-    every block, for q < c - 2z, to group q's lane 0, lane q*2z. high
-    masks the top bit of every block, which no group's lane 0 reaches (a
-    group has 2z >= 2 lanes), and below the bits under it, so that adding
-    below to the group lanes carries into a block's top bit exactly when
-    one of them is nonzero. spares[row] is the block of placement row's
-    spare weights, as bytes. Built with the first case table.
+    A case's block holds its packed syndromes in lanes 0..c-1. The
+    screen checks the first min(2, c - 2z) spare parities, so the block
+    has max(min(2, c - 2z) * 2z, c) lanes. For those checks it holds one
+    group of 2z lanes per screened spare parity: group q, lanes
+    q*2z..q*2z+2z-1, holds the 2z solving syndromes times the weights of
+    spare parity 2z+q+1 in the solver rows. spread copies lanes 0..2z-1
+    (solve) into every group, and groups masks lane 0 of every group.
+    move masks lane 1 of every block when two spare parities are
+    screened, and is 0 otherwise: _screen moves it to group 1's lane 0,
+    lane 2z. high masks the top bit of every block, which no group's lane
+    0 reaches (a group has 2z >= 2 lanes), and below the bits under it,
+    so that adding below to the group lanes carries into a block's top
+    bit exactly when one of them is nonzero. spares[row] is the block of
+    placement row's screened spare weights, as bytes. Built with the
+    first case table.
     """
     lanes = p._tables.get("case screen")
     if lanes is not None:
         return lanes
     z, ell, c, m, exp = p.z, p.ell, p.c, p.m, p.ctx.exp
-    group = 2 * z
-    width = max((c - group) * group, c)
+    group, screened = 2 * z, min(2, c - 2 * z)
+    width = max(screened * group, c)
     nb = -(-width * ell // 8)
     placements, spares, owners = [], [], [0] * (1 << z)
     first = {}  # damaged pairs -> the first placement containing them
@@ -205,15 +217,16 @@ def _lanes(p):
                 owned |= 1 << mask
                 owners[mask] += 1
         solve, spare = mds.log_solver(p.gen, tuple(e for i in pairs for e in (i, i + 1)))
-        placements.append((pairs, solve, owned))
-        spares.append(sum(exp[lw] << (q * group + r) * ell for q, row in enumerate(spare)
+        placements.append((pairs, solve + spare[screened:], owned))
+        spares.append(sum(exp[lw] << (q * group + r) * ell
+                          for q, row in enumerate(spare[:screened])
                           for r, lw in enumerate(row)).to_bytes(nb, "little"))
     most = max(sum(owners[_zeros(deltas)] for deltas in _compositions(delta, z, p.w))
                for delta in range(z * p.w + 1))
     shifts = z * p.w + 1                  # distinct shifts 0..delta, or 0 twice
     entries, bits = shifts * (m + 1), 8 * nb
     lane, gap = (1 << ell) - 1, bits - ell
-    heads = range(0, (c - group) * group * ell, group * ell)
+    heads = range(0, screened * group * ell, group * ell)
 
     def repeat_block(block):
         return int.from_bytes(block.to_bytes(nb, "little") * max(most, entries), "little")
@@ -229,10 +242,6 @@ def _lanes(p):
         scan.append((bits * step, sum(full << bits * e for e in range(entries)
                                       if e % (m + 1) <= m - step)))
         step *= 2
-    # lane q moves up by q * (2z - 1) lanes, (2z - 1) << b at the step of its bit b
-    moves = [(repeat_block(sum(lane << (q + (group - 1) * (q >> b + 1 << b + 1)) * ell
-                               for q in range(c - group) if q >> b & 1)), (group - 1 << b) * ell)
-             for b in reversed(range((c - group - 1).bit_length()))]
     block_weights = sum(mds.pack(p.gen.rows[m - 1 - e % (m + 1)], ell) << bits * e
                         for e in range(entries) if e % (m + 1) < m)
     lanes = p._tables["case screen"] = SimpleNamespace(
@@ -241,7 +250,8 @@ def _lanes(p):
         ones=sum(1 << bits * t for t in range(m + 1)), syndromes=full,
         spares=spares, spread=sum(1 << h for h in heads),
         solve=repeat_block((1 << group * ell) - 1), lsb=lsb, low=low,
-        groups=repeat_block(sum(lane << h for h in heads)), moves=moves,
+        groups=repeat_block(sum(lane << h for h in heads)),
+        move=repeat_block(lane << ell) if screened == 2 else 0,
         high=repeat_block(1 << bits - 1), below=repeat_block((1 << bits - 1) - 1))
     return lanes
 
@@ -265,9 +275,9 @@ def _case_table(p, delta):
     the intact segments, each read at the shift of the deletions before
     it, as entries of the prefix groups at shifts (_lanes). The entries
     come in one copy of every group per name in layout (_prefix_sums);
-    block j of group g is entry g*(m+1) + m - j of a copy. reads holds one operator.itemgetter per read, which takes that
-    read's entry of every case at once; a case's syndromes are the xor of
-    its reads:
+    block j of group g is entry g*(m+1) + m - j of a copy. reads holds
+    one operator.itemgetter per read, which takes that read's entry of
+    every case at once; a case's syndromes are the xor of its reads:
 
     * z = 1: the first segment in "sums" at shift 0 (the first group) and
       the last at delta (the last group, which has one of its own, also
@@ -284,7 +294,7 @@ def _case_table(p, delta):
     shift into its lanes. Blocks past a group's last block whole inside s
     (_table_top) hold no prefix sum, and a read of one raises IndexError,
     so no case takes such an entry. weights is mds.lane_powers of the
-    spare weights of each case's placement, in the groups _lanes
+    screened spare weights of each case's placement, in the groups _lanes
     describes. Built from the kept placement rows: no system is solved.
     """
     cases = p._tables.get(delta)
@@ -390,13 +400,14 @@ def _prefix_sums(s, parities, p, cases):
 
 
 def _screen(s, parities, p):
-    """Every case's spare-parity verdict, in lanes.
+    """Every case's verdict on the screened spare parities, in lanes.
 
     s is the received word cut to its first k - delta bits, parities the
     c parity symbols packed (mds.pack). Returns ((cases, syn), passed):
     cases is _case_table(p, delta), syn the packed syndromes of every case
     gathered into one int, case i's in block i, and passed one byte per
-    case, in the table's order, 1 when every spare parity holds.
+    case, in the table's order, 1 when the first min(2, c - 2z) spare
+    parities hold. _solve checks the rest, once per case that passed.
 
     The syndromes of every case are gathered into one int, a block of nb
     bytes each (_lanes), out of the prefix sums (_prefix_sums): one join
@@ -404,11 +415,14 @@ def _screen(s, parities, p):
     so the gather runs no Python code per case. The solving syndromes are
     copied into every group, and each lane is multiplied by its spare
     weight (mds._times). A group's 2z products are summed into its lane 0
-    by doubling and xored with its spare syndrome, which a few masked
-    moves (_lanes' moves) bring to that lane; a case passes when
-    every group's lane 0 is zero, which one add of the lanes' below mask
-    carries into its block's top bit. Every product is exact, so the
-    verdict is the one a product-by-product check gives.
+    by doubling and xored with its spare syndrome: the spare syndromes are
+    shifted down to lanes 0..2z-1 and masked there, which keeps the ones
+    the screen does not check, and the next block's, out of lane 2z, and
+    one masked move (_lanes' move) brings the second to that lane. A
+    case passes when every group's lane 0 is zero, which one add of the
+    lanes' below mask carries into its block's top bit. Every product is
+    exact, so the verdict is the one a product-by-product check of the
+    screened spare parities gives.
     """
     ell, group = p.ell, 2 * p.z
     cases = _case_table(p, p.k - len(s))
@@ -419,8 +433,7 @@ def _screen(s, parities, p):
     for read in cases.reads:
         syn ^= int.from_bytes(b"".join(read(entries)), order)
 
-    solving = syn & lanes.solve
-    acc = _times(solving * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
+    acc = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
     total, done, span = 0, 0, 1           # sums of 1, 2, 4, ... lanes
     while True:
         if group & span:
@@ -430,10 +443,9 @@ def _screen(s, parities, p):
             break
         acc ^= acc >> span * ell
         span *= 2
-    spare = (syn ^ solving) >> group * ell  # spare syndrome q in lane q
-    for mask, shift in lanes.moves:       # and then in group q's lane 0
-        moved = spare & mask
-        spare ^= moved ^ moved << shift
+    spare = syn >> group * ell & lanes.solve    # spare syndrome q in lane q, q < 2z
+    moved = spare & lanes.move            # and the second in group 1's lane 0
+    spare ^= moved ^ moved << (group - 1) * ell
     failed = (((total ^ spare) & lanes.groups) + lanes.below) & lanes.high
     passed = failed.to_bytes(len(cases.rows) * nb, order)[nb - 1::nb].translate(_PASSED)
     return (cases, syn), passed
@@ -449,29 +461,43 @@ def _solved(screened, passed, p):
     placements, splits, bits, sols = cases.lanes.placements, cases.splits, 8 * cases.lanes.nb, {}
     handed = []
     for i in compress(range(len(passed)), passed):
-        pairs, solve, _ = placements[cases.rows[i]]
+        pairs, rows, _ = placements[cases.rows[i]]
         deltas = splits[cases.shares[i]]
-        handed.append(((pairs, deltas), pairs, deltas, (pairs, solve, syn, bits * i, sols)))
+        handed.append(((pairs, deltas), pairs, deltas, (pairs, rows, syn, bits * i, sols)))
     return handed
 
 
 def _solve(at, p):
-    """The 2z blocks of the case at = (pairs, solve, syn, shift, sols) of
-    _solved, solved by its solve rows from its solving syndromes, shifted
-    out of the gathered syn here. Cases of one placement with the same
-    solving syndromes share one solve, kept in sols: every split of a
-    placement whose middle segments are empty reads the same syndromes."""
-    pairs, solve, syn, shift, sols = at
-    ell = p.ell
-    key = pairs, syn >> shift & (1 << 2 * p.z * ell) - 1
-    sol = sols.get(key)
-    if sol is None:
+    """The 2z blocks of the case at = (pairs, rows, syn, shift, sols) of
+    _solved, or None when a spare parity the screen left unchecked fails.
+
+    The case's c syndromes are shifted out of the gathered syn here. Its
+    blocks are solved by the placement's solve rows, rows[:2z], from the
+    logs of its 2z solving syndromes; each further row, a spare row of
+    parity c - len(rows) + 2z + 1 and on, is taken from the same logs and
+    must equal that parity's syndrome, else the case is refused at the
+    first that differs. Cases of one placement with the same syndromes
+    share one solve or refusal, kept in sols: every split of a placement
+    whose middle segments are empty reads the same syndromes."""
+    pairs, rows, syn, shift, sols = at
+    ell, group = p.ell, 2 * p.z
+    key = pairs, syn >> shift & (1 << p.c * ell) - 1
+    sol = sols.get(key, _UNSOLVED)
+    if sol is _UNSOLVED:
         log, exp, mask, syn = p.ctx.log, p.ctx.exp, (1 << ell) - 1, key[1]
-        lh = [log[syn >> sh & mask] for sh in range(0, 2 * p.z * ell, ell)]
-        sol = sols[key] = []
-        for lws in solve:
+        lh = [log[syn >> sh & mask] for sh in range(0, group * ell, ell)]
+        sol = []
+        for lws in rows[:group]:
             acc = 0
             for lw, lv in zip(lws, lh):
                 acc ^= exp[lw + lv]
             sol.append(acc)
+        for lws, sh in zip(rows[group:], range((p.c + group - len(rows)) * ell, p.c * ell, ell)):
+            acc = 0
+            for lw, lv in zip(lws, lh):
+                acc ^= exp[lw + lv]
+            if acc != syn >> sh & mask:
+                sol = None
+                break
+        sols[key] = sol
     return sol

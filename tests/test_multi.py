@@ -896,9 +896,9 @@ def test_prefix_sums_match_the_oracle(args):
 
 
 def oracle_case(s, parities, pairs, deltas, mp):
-    """The packed syndromes of a case, whether its spare parities hold and
-    its 2z damaged blocks, by the definition: every intact block sliced
-    off s at the shift of the windows before it, the damaged blocks
+    """The packed syndromes of a case, whether each of its spare parities
+    holds and its 2z damaged blocks, by the definition: every intact block
+    sliced off s at the shift of the windows before it, the damaged blocks
     erasure-decoded from parities 1..2z, then parities 2z+1..c recomputed
     from all blocks."""
     ell, m, t = mp.ell, mp.m, 2 * mp.z
@@ -914,8 +914,8 @@ def oracle_case(s, parities, pairs, deltas, mp):
     intact = loop_parities([v or 0 for v in symbols], mp.gen)
     syndromes = mds.pack([a ^ b for a, b in zip(parities, intact)], ell)
     filled = erasure_decode(symbols, erased, parities[:t], range(1, t + 1), mp.gen)
-    ok = verify_parities(filled, parities[t:], range(t + 1, mp.c + 1), mp.gen)
-    return syndromes, ok, [filled[e - 1] for e in erased]
+    holds = [got == want for got, want in zip(loop_parities(filled, mp.gen)[t:], parities[t:])]
+    return syndromes, holds, [filled[e - 1] for e in erased]
 
 
 def solved(screened, passed, mp):
@@ -947,9 +947,11 @@ def screen_case(screened, i):
 def test_screen_lanes_match_the_oracle(args, count):
     """Every lane of the case screen, not only the survivors: its case is
     the next one of enumerate_cases that checks a new (damaged pairs,
-    shares) set, its syndromes and its spare verdict are the oracle's, and
-    _solved hands over every lane that passed, which _solve solves to the
-    oracle's erased blocks.
+    shares) set, its syndromes are the oracle's and its verdict is the
+    oracle's on the screened spare parities, the first min(2, c - 2z).
+    _solved hands over every lane that passed, and _solve, on any lane,
+    gives the oracle's erased blocks exactly when every other spare
+    parity holds, and None otherwise.
     The words are channel words with their true parities (the true case
     passes), random bits and parities (most fail) and zeros (all pass),
     then one all-tail word per delta: every deletion in the parity tail,
@@ -979,7 +981,8 @@ def test_screen_lanes_match_the_oracle(args, count):
         u = format(rng.getrandbits(mp.k), f"0{mp.k}b")
         bits = message_parity_bits(u, mp.gen)
         words.append((u[:mp.k - delta], [int(bits[q * ell:(q + 1) * ell], 2) for q in range(c)]))
-    verdicts, shared, single = set(), 0, 0
+    screened_spares = min(2, c - 2 * mp.z)
+    verdicts, shared, single, refused = set(), 0, 0, 0
     for s, parities in words:
         delta = mp.k - len(s)
         screened, passed = _screen(s, mds.pack(parities, ell), mp)
@@ -992,10 +995,12 @@ def test_screen_lanes_match_the_oracle(args, count):
         assert [(pairs, shares) for pairs, shares, _, _ in lanes] == list(firsts.values())
         sols, oracle = {}, []
         for (pairs, shares, _, syndromes), ok in zip(lanes, passed):
-            want, want_ok, blocks = oracle_case(s, parities, pairs, shares, mp)
+            want, holds, blocks = oracle_case(s, parities, pairs, shares, mp)
+            want_ok = all(holds[:screened_spares])
             assert (syndromes, bool(ok)) == (want, want_ok), (args, delta, pairs, shares)
             verdicts.add(bool(ok))
-            oracle.append(blocks)
+            oracle.append(blocks if all(holds[screened_spares:]) else None)
+            refused += oracle[-1] is None
             if ok:
                 sols.setdefault((pairs, want), []).append(shares)
         assert solved(screened, passed, mp) == [
@@ -1007,21 +1012,32 @@ def test_screen_lanes_match_the_oracle(args, count):
         assert [sol for _, _, _, sol in every] == oracle
         shared += sum(len(splits) > 1 for splits in sols.values())
         single += len(passed) == 1
-    # one nonzero syndrome for every lane of the last word: a solve is
+    # the same syndromes for every lane of the last word, nonzero solving
+    # ones and the spare ones the first lane's blocks give: a solve is
     # shared only by cases of one placement
     t = 2 * mp.z
+
+    def blocks_and_spares(pairs):
+        erased = [e for i in pairs for e in (i, i + 1)]
+        filled = erasure_decode([0] * mp.m, erased, values, range(1, t + 1), mp.gen)
+        return [filled[e - 1] for e in erased], loop_parities(filled, mp.gen)[t:]
+
     values = [rng.randrange(1, 1 << ell) for _ in range(t)]
+    spares = blocks_and_spares(lanes[0][0])[1]
     cases, nb = screened[0], screened[0].lanes.nb
-    same = int.from_bytes(mds.pack(values, ell).to_bytes(nb, "little") * len(passed), "little")
+    same = int.from_bytes(mds.pack(values + spares, ell).to_bytes(nb, "little") * len(passed),
+                          "little")
     fixed = [sol for _, pairs, _, sol in solved((cases, same), b"\1" * len(passed), mp)]
     by_pairs = {}
     for pairs, _, _, _ in lanes:
-        erased = [e for i in pairs for e in (i, i + 1)]
-        filled = erasure_decode([0] * mp.m, erased, values, range(1, t + 1), mp.gen)
-        by_pairs.setdefault(pairs, [filled[e - 1] for e in erased])
+        blocks, own = blocks_and_spares(pairs)
+        by_pairs.setdefault(pairs, blocks if own[screened_spares:] == spares[screened_spares:]
+                            else None)
     assert fixed == [by_pairs[pairs] for pairs, _, _, _ in lanes]
+    assert fixed[0] is not None
     assert len(by_pairs) > 1 or len(multi_window._lanes(mp).placements) == 1
     assert verdicts == {False, True}
+    assert refused or c - t <= 2              # a solve refused a case
     assert shared or mp.z == 1                # a solve was reused
     assert single                             # a read of one case, at delta 0 at least
 
@@ -1045,17 +1061,19 @@ def oracle_spares(s, parities, pairs, deltas, mp):
 
 @pytest.mark.parametrize("args", [(64, 4, 8, 2), (48, 2, 8, 3)], ids=["z2", "z3"])
 def test_screen_verdict_is_every_spare_group(args):
-    """The screen's verdict, case by case, against the product-by-product
-    oracle, on codes whose spare groups fill the case block: its top bit,
-    where the verdict's carry lands, is the top bit of the last group's
-    last lane. Each word is a channel word whose spare parity q has one
-    bit b flipped, for every q and b, so that some case fails in group
-    q - 2z alone with one bit set in that group's lane 0, at every bit of
-    every group, and then the same word unflipped, where its true case
-    passes; a case passes exactly when every spare parity holds."""
+    """The screen's verdict and _solve's, case by case, against the
+    product-by-product oracle, on codes whose two screened spare groups
+    fill the case block: its top bit, where the verdict's carry lands, is
+    the top bit of the second group's last lane. Each word is a channel
+    word whose spare parity q has one bit b flipped, for every q and b, so
+    that some case fails spare parity q alone: in group q - 2z, with one
+    bit set in that group's lane 0, at every bit of both groups, and past
+    them in _solve. Then the same word unflipped, where its true case
+    passes. A lane passes exactly when the first two spare parities hold,
+    and _solve gives blocks exactly when the others hold, None otherwise."""
     mp = multi_params(*args)
     ell, c, t = mp.ell, mp.c, 2 * mp.z
-    assert (c - t) * t * ell == 8 * multi_window._lanes(mp).nb
+    assert 8 * multi_window._lanes(mp).nb == max(2 * t, c) * ell == 2 * t * ell
     rng = random.Random(f"verdict/{args}")
     alone, verdicts = set(), set()
     for q in range(t, c):
@@ -1068,15 +1086,78 @@ def test_screen_verdict_is_every_spare_group(args):
                 parities = [int(bits[r * ell:(r + 1) * ell], 2) for r in range(c)]
                 parities[q] ^= flip
                 screened, passed = _screen(s, mds.pack(parities, ell), mp)
+                sols = solved(screened, b"\1" * len(passed), mp)
                 for i, ok in enumerate(passed):
                     pairs, shares, _, _ = screen_case(screened, i)
                     holds = oracle_spares(s, parities, pairs, shares, mp)
-                    assert ok == all(holds), (args, q, b, flip, pairs, shares)
+                    assert ok == all(holds[:2]), (args, q, b, flip, pairs, shares)
+                    assert (sols[i][3] is None) == (not all(holds[2:])), (args, q, b, pairs)
                     verdicts.add(ok)
                     if flip and holds.count(False) == 1 and not holds[q - t]:
                         alone.add((q, b))
     assert alone == {(q, b) for q in range(t, c) for b in range(ell)}
     assert verdicts == {0, 1}
+
+
+@pytest.mark.parametrize("args", [(64, 4, 8, 1), (64, 4, 8, 2), (100, 4, 10, 2)],
+                         ids=["z1", "z2", "z2-c10"])
+def test_solve_checks_the_spares_the_screen_leaves(args):
+    """Spare parities 2z+3..c are left by the screen to _solve. A channel
+    word whose parity q among them has bit b flipped in all r copies, for
+    every such q and b: the case decode reports for the unflipped word
+    still passes its lane, _solve refuses it, and decode equals the
+    reference, which checks all c parities. Then words cut short with
+    such a flip, their parities read in full: at z = 2 several splits of
+    the placement of the last four blocks pass and share one refused
+    solve, which is computed once."""
+    mp = multi_params(*args)
+    k, ell, c, t, r = mp.k, mp.ell, mp.c, 2 * mp.z, mp.r
+    rng = random.Random(f"solve-spares/{args}")
+
+    def flipped(x, q, b):
+        at = k + (q * ell + b) * r
+        return x[:at] + "".join("10"[int(ch)] for ch in x[at:at + r]) + x[at + r:]
+
+    for q in range(t + 2, c):
+        for b in range(ell):
+            while True:                   # a word a case decodes
+                u = format(rng.getrandbits(k), f"0{k}b")
+                deltas = tuple(rng.randrange(mp.w + 1) for _ in range(mp.z))
+                pat = sample_pattern(mp, deltas, rng, "systematic-only")
+                res = decode(delete_localized(encode(u, mp), pat), mp)
+                if res.status == SUCCESS and res.guess is not None:
+                    break
+            y = delete_localized(flipped(encode(u, mp), q, b), pat)
+            screened, passed = _screen(y[:k - sum(deltas)], multi_window._tail_parities(y, mp),
+                                       mp)
+            handed = {guess: at for guess, _, _, at in multi_window._solved(screened, passed, mp)}
+            assert res.guess in handed, (args, q, b)
+            assert multi_window._solve(handed[res.guess], mp) is None
+            assert decode(y, mp) == reference_decode_multi(y, mp), (args, q, b)
+
+    class Kept(dict):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    shared = 0
+    for delta in range(2, mp.z * mp.w + 1):
+        u = format(rng.getrandbits(k), f"0{k}b")
+        bits = message_parity_bits(u, mp.gen)
+        parities = [int(bits[q * ell:(q + 1) * ell], 2) for q in range(c)]
+        parities[rng.randrange(t + 2, c)] ^= 1 << rng.randrange(ell)
+        screened, passed = _screen(u[:k - delta], mds.pack(parities, ell), mp)
+        writes, sols = [], Kept()
+        results = {}
+        for _, pairs, _, at in multi_window._solved(screened, passed, mp):
+            at = (*at[:4], sols)
+            results.setdefault((pairs, at[2] >> at[3] & (1 << c * ell) - 1), []).append(
+                multi_window._solve(at, mp))
+        assert len(writes) == len(set(writes)) == len(results)
+        for (pairs, _), sols_of_key in results.items():
+            assert len({id(sol) for sol in sols_of_key}) == 1
+            shared += len(sols_of_key) > 1 and sols_of_key[0] is None and pairs[0] == mp.m - 3
+    assert shared or mp.z == 1
 
 
 def test_decode_multi_requests_no_solver_after_first_decode(monkeypatch):
