@@ -25,9 +25,11 @@ and decode guesses where the damage is. A guess names the adjacent block
 pairs that absorbed the deletions and the share of each (one pair with
 every deletion on the single-window code). The layout's screen checks
 the spare parities of every guess at once and hands over the guesses
-that pass (single_window._screen and _solved, multi_window._screen and
-_solved; with r > 1 the screen checks at most two spare parities and
-_solve the rest); the engine has each solved from two parities per pair
+that pass as their (pairs, deltas) (single_window._screen and _solved,
+multi_window._screen and _solved; with r > 1 the screen checks at most
+two spare parities and _solve the rest), and the engine names each guess
+as DecodeResult reports it: the pair index at r = 1, the (pairs, deltas)
+case otherwise. It has each solved from two parities per pair
 (_solve), drops a guess whose solve refuses it, and, in the order tried,
 checks the others by _candidate: every pair must pass _damaged_pair's
 padding and supersequence checks. With r > 1 and delta >= 1 one more
@@ -345,12 +347,12 @@ def decode(y, p):
         screened, passed = multi_window._screen(s, parities, p)
         guesses, solve = multi_window._solved(screened, passed, p), multi_window._solve
     found, kept = [], []                # kept: (pairs, deltas) of each guess that gave one
-    for guess, pairs, deltas, at in guesses:
+    for pairs, deltas, at in guesses:
         if kept and _near(pairs, deltas, kept, p):
             continue
         sol = solve(at, p)              # None: a spare parity left to the solve failed
         cand = None if sol is None else _candidate(s, p, pairs, deltas, sol)
-        found.append((guess, cand))
+        found.append((pairs[0] if p.r == 1 else (pairs, deltas), cand))
         if cand is not None:
             kept.append((pairs, deltas))
     if p.r > 1 and delta:

@@ -107,8 +107,9 @@ def is_binary(bits):
     bytes is one C pass, about twice as fast as counting them; isascii,
     a flag check, refuses first what str.encode could not turn into ASCII.
     A bits that is not a str (bytes, None, an int) is a TypeError naming
-    its type: decode's word, encode's message, evaluate_guess's s and
-    bits_to_symbols' bits come through here before any other use."""
+    its type: decode's word, encode's message, evaluate_guess's s and the
+    bits of bits_to_symbols and repetition_decode come through here before
+    any other use."""
     if not isinstance(bits, str):
         raise TypeError(f"a bit string must be a str, not {type(bits).__name__}")
     return bits.isascii() and not bits.encode().translate(None, b"01")
@@ -120,37 +121,11 @@ def bits_to_symbols(bits, ctx):
     A short final chunk keeps its bits in the high coefficient positions;
     the missing low positions read as zero. Any other character raises
     ValueError, including what int(bits, 2) alone would take ('_', spaces,
-    a sign, non-ASCII digits).
+    a sign, non-ASCII digits). One int() per chunk keeps the read linear
+    in the length: a shift of one int of the whole string would copy it.
     """
     if not is_binary(bits):
         raise ValueError("bits must contain only '0' and '1'")
-    return read_symbols(bits, ctx.ell)
-
-
-# Symbols per int in read_symbols: a string of up to this many symbols is
-# one int; a longer one is read a segment at a time.
-SEGMENT = 64
-
-
-def read_symbols(bits, ell):
-    """bits_to_symbols for a string already known to hold only '0' and '1'.
-
-    A string of up to SEGMENT symbols is read as one int, padded on the
-    right to whole symbols, and each symbol is taken out with a shift and
-    a mask. Each shift copies the int, so a longer string is cut into
-    whole segments of SEGMENT symbols and a shorter rest, each read the
-    same way: the time grows linearly with the length, not quadratically.
-    """
-    mask = (1 << ell) - 1
-    span = SEGMENT * ell
-    if len(bits) > span:
-        whole = len(bits) // span * span
-        shifts = range(span - ell, -1, -ell)
-        return [word >> sh & mask
-                for word in [int(bits[q:q + span], 2) for q in range(0, whole, span)]
-                for sh in shifts] + read_symbols(bits[whole:], ell)
-    if not bits:
-        return []
-    top = (len(bits) - 1) // ell * ell
-    word = int(bits, 2) << (top + ell - len(bits))
-    return [word >> sh & mask for sh in range(top, -1, -ell)]
+    ell = ctx.ell
+    bits += "0" * (-len(bits) % ell)
+    return [int(bits[q:q + ell], 2) for q in range(0, len(bits), ell)]

@@ -64,13 +64,15 @@ windows in two or three consecutive blocks.
 """
 
 from array import array
-from itertools import combinations, compress
+from collections import Counter
+from itertools import combinations, compress, product
 from math import comb
 from operator import itemgetter
 from struct import Struct
 from types import SimpleNamespace
 
 from . import mds
+from .gf2e import is_binary
 from .mds import _times
 
 # Byte -> 1 when its top bit is clear: the screen passed that case's block.
@@ -90,8 +92,12 @@ def repetition_decode(bits, m_bits, r, d):
     Bit i is taken at position (i-1)*r + 1 of the damaged block. However
     the d missing bits are split between interior deletions and front
     truncation, that position still falls inside bit i's original run of r
-    copies, so the readout is exact.
+    copies, so the readout is exact. bits is checked as bits_to_symbols
+    checks it: a non-str is a TypeError, any character but 0 and 1 a
+    ValueError.
     """
+    if not is_binary(bits):
+        raise ValueError("bits must contain only '0' and '1'")
     if not 0 <= d < r:
         raise ValueError(f"d={d} must satisfy 0 <= d < r={r}")
     if len(bits) != m_bits * r - d:
@@ -112,19 +118,15 @@ def _tail_parities(y, p):
 
 
 def _compositions(total, parts, cap):
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for head in range(min(cap, total) + 1):
-        for rest in _compositions(total - head, parts - 1, cap):
-            yield (head,) + rest
+    """The splits of total over parts shares in [0, cap], in lexicographic
+    order, which is enumerate_cases' order."""
+    return (shares for shares in product(range(cap + 1), repeat=parts) if sum(shares) == total)
 
 
 def _case_count(m, w, z):
-    """max_case_count's closed form: placements times the most splits."""
-    splits = max(sum(1 for _ in _compositions(d, z, w)) for d in range(z * w + 1))
-    return comb(m - z, z) * splits
+    """max_case_count's closed form: placements times the most splits of
+    any delta."""
+    return comb(m - z, z) * max(Counter(map(sum, product(range(w + 1), repeat=z))).values())
 
 
 def _pair_placements(m, z):
@@ -404,25 +406,19 @@ def _screen(s, parities, p):
 
     s is the received word cut to its first k - delta bits, parities the
     c parity symbols packed (mds.pack). Returns ((cases, syn), passed):
-    cases is _case_table(p, delta), syn the packed syndromes of every case
-    gathered into one int, case i's in block i, and passed one byte per
-    case, in the table's order, 1 when the first min(2, c - 2z) spare
-    parities hold. _solve checks the rest, once per case that passed.
+    cases is _case_table(p, delta), syn the packed syndromes of every case,
+    case i's in block i of nb bytes (_lanes), and passed one byte per case,
+    1 when the first min(2, c - 2z) spare parities hold; _solve checks the
+    rest.
 
-    The syndromes of every case are gathered into one int, a block of nb
-    bytes each (_lanes), out of the prefix sums (_prefix_sums): one join
-    per read of the case table, each of the entries its itemgetter takes,
-    so the gather runs no Python code per case. The solving syndromes are
-    copied into every group, and each lane is multiplied by its spare
-    weight (mds._times). A group's 2z products are summed into its lane 0
-    by doubling and xored with its spare syndrome: the spare syndromes are
-    shifted down to lanes 0..2z-1 and masked there, which keeps the ones
-    the screen does not check, and the next block's, out of lane 2z, and
-    one masked move (_lanes' move) brings the second to that lane. A
-    case passes when every group's lane 0 is zero, which one add of the
-    lanes' below mask carries into its block's top bit. Every product is
-    exact, so the verdict is the one a product-by-product check of the
-    screened spare parities gives.
+    The gather is one join per read of the case table, so no Python code
+    runs per case. Each group's 2z lane products are summed into its lane
+    0 and xored with its spare syndrome: the spare syndromes are shifted
+    down to lanes 0..2z-1 and masked there, which keeps the unscreened
+    ones and the next block's out of lane 2z, and move brings the second
+    to that lane. One add of below carries a nonzero lane 0 into its
+    block's top bit. Every product is exact, so the verdict is the one a
+    product-by-product check of the screened spare parities gives.
     """
     ell, group = p.ell, 2 * p.z
     cases = _case_table(p, p.k - len(s))
@@ -433,16 +429,10 @@ def _screen(s, parities, p):
     for read in cases.reads:
         syn ^= int.from_bytes(b"".join(read(entries)), order)
 
-    acc = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb, (1 << ell) - 1)
-    total, done, span = 0, 0, 1           # sums of 1, 2, 4, ... lanes
-    while True:
-        if group & span:
-            total ^= acc >> done * ell
-            done += span
-        if 2 * span > group:
-            break
-        acc ^= acc >> span * ell
-        span *= 2
+    acc = total = _times((syn & lanes.solve) * lanes.spread, cases.weights, lanes.lsb,
+                         (1 << ell) - 1)
+    for r in range(1, group):
+        total ^= acc >> r * ell
     spare = syn >> group * ell & lanes.solve    # spare syndrome q in lane q, q < 2z
     moved = spare & lanes.move            # and the second in group 1's lane 0
     spare ^= moved ^ moved << (group - 1) * ell
@@ -452,18 +442,15 @@ def _screen(s, parities, p):
 
 
 def _solved(screened, passed, p):
-    """(guess, pairs, deltas, at) for each case that passed _screen, in
-    enumerate_cases order: the guess is (pairs, deltas), read off the case
-    table's rows and shares, and at what _solve needs to solve it when the
-    engine asks. Every case of one decode shares at's last entry, the
-    decode's solves."""
+    """(pairs, deltas, at) for each case that passed _screen, in
+    enumerate_cases order, at what _solve needs to solve it. Every case of
+    one decode shares at's last entry, the decode's solves."""
     cases, syn = screened
     placements, splits, bits, sols = cases.lanes.placements, cases.splits, 8 * cases.lanes.nb, {}
     handed = []
     for i in compress(range(len(passed)), passed):
         pairs, rows, _ = placements[cases.rows[i]]
-        deltas = splits[cases.shares[i]]
-        handed.append(((pairs, deltas), pairs, deltas, (pairs, rows, syn, bits * i, sols)))
+        handed.append((pairs, splits[cases.shares[i]], (pairs, rows, syn, bits * i, sols)))
     return handed
 
 

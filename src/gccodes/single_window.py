@@ -76,17 +76,14 @@ def _screen(s, tail, p):
 
 
 def _solved(screened, passed, p, delta):
-    """(i, (i,), (delta,), (screened, top)) for each guess i whose lane
-    has its top bit set in passed, lowest guess (highest lane) first:
-    guess i as the case of pair i with share delta, and what _solve needs
-    to solve its pair when the engine asks. top is the top bit of guess
-    i's lane, screened _screen's (tables, syn)."""
+    """((i,), (delta,), (screened, top)) for each guess i that passed,
+    lowest guess (highest lane) first: guess i as the case of pair i with
+    share delta, and top, the top bit of its lane, for _solve."""
     ell, m, shares, out = p.ell, p.m, (delta,), []
     while passed:
         top = passed.bit_length() - 1
         passed ^= 1 << top
-        i = m - 1 - top // ell
-        out.append((i, (i,), shares, (screened, top)))
+        out.append(((m - 1 - top // ell,), shares, (screened, top)))
     return out
 
 

@@ -6,17 +6,15 @@ import random
 
 import pytest
 
-from gccodes import codec, gf2e
+from gccodes import codec, gf2e, multi_window
 from gccodes.gf2e import (
     DEFAULT_POLYS,
     MAX_ELL,
     MIN_ELL,
     FieldContext,
-    SEGMENT,
     NonPrimitivePolynomialError,
     UnsupportedExponentError,
     bits_to_symbols,
-    read_symbols,
 )
 from oracles import mul
 
@@ -171,7 +169,7 @@ def chunked_symbols(bits, ell):
 def test_bits_to_symbols_matches_per_chunk_reading(ell):
     ctx = FieldContext(ell)
     rng = random.Random(ell)
-    span = SEGMENT * ell      # longer strings are read a segment at a time
+    span = 64 * ell           # lengths around whole runs of 64 symbols
     for length in [*range(1, 3 * ell + 2), span - 1, span, span + 1,
                    2 * span, 2 * span + ell - 1, 3 * span + ell + 1]:
         for bits in ("0" * length, "1" * length,
@@ -194,9 +192,10 @@ def test_bits_to_symbols_refuses_what_int_accepts(bad):
         bits_to_symbols(bad, GF16)
 
 
-def test_read_symbols_reads_bounded_segments(monkeypatch):
-    """Each int() in the read covers at most SEGMENT symbols, so no shift
-    copies more than a segment and the read is linear in the length."""
+def test_bits_to_symbols_reads_one_chunk_per_int(monkeypatch):
+    """Each int() in the read covers at most one chunk of ell bits, so no
+    int of the whole string is shifted and the read is linear in the
+    length."""
     lengths = []
 
     def counting_int(text, base):
@@ -205,17 +204,15 @@ def test_read_symbols_reads_bounded_segments(monkeypatch):
 
     monkeypatch.setattr(gf2e, "int", counting_int, raising=False)
     ell = 12
-    bits = format(random.Random(3).getrandbits(10 * SEGMENT * ell + 7), "b")
-    assert read_symbols(bits, ell) == chunked_symbols(bits, ell)
-    assert max(lengths) == SEGMENT * ell and len(lengths) == -(-len(bits) // (SEGMENT * ell))
-    lengths.clear()
-    read_symbols(bits[:SEGMENT * ell], ell)        # a short string is one int
-    assert lengths == [SEGMENT * ell]
+    bits = format(random.Random(3).getrandbits(640 * ell + 7), "b")
+    assert bits_to_symbols(bits, FieldContext(ell)) == chunked_symbols(bits, ell)
+    assert max(lengths) == ell and len(lengths) == -(-len(bits) // ell)
 
 
 def test_decoders_check_the_word_once(monkeypatch):
-    """decode and decode_multi validate the received word themselves and
-    then read it through read_symbols, not the checking bits_to_symbols."""
+    """decode checks the received word through codec.is_binary exactly
+    once, in both layouts, and reads it through neither bits_to_symbols
+    nor repetition_decode, which would check it again."""
     p = codec.gc_params(64, 6, 3)
     mp = codec.multi_params(64, 4, 8, 2)
     u = format(random.Random(4).getrandbits(64), "064b")
@@ -223,10 +220,19 @@ def test_decoders_check_the_word_once(monkeypatch):
     y = y[:10] + y[13:]                             # three deletions in the message
     ym = codec.encode_multi(u, mp)
     ym = ym[:10] + ym[12:40] + ym[41:]              # two windows
+    checked, is_binary = [], gf2e.is_binary
+
+    def counting(bits):
+        checked.append(bits)
+        return is_binary(bits)
 
     def banned(bits):
         raise AssertionError("a decoder checked the word twice")
 
-    monkeypatch.setattr(gf2e, "is_binary", banned)
-    assert codec.decode(y, p).message == u
-    assert codec.decode_multi(ym, mp).message == u
+    monkeypatch.setattr(codec, "is_binary", counting)
+    monkeypatch.setattr(gf2e, "is_binary", banned)             # bits_to_symbols' check
+    monkeypatch.setattr(multi_window, "is_binary", banned)     # repetition_decode's
+    for word, params in ((y, p), (ym, mp)):
+        checked.clear()
+        assert codec.decode(word, params).message == u
+        assert checked == [word]

@@ -72,6 +72,10 @@ def test_repetition_decode_validation():
         repetition_decode("10001110", 3, 3, 2)   # wrong length
     with pytest.raises(ValueError):
         repetition_decode("1111", 2, 3, 3)       # d = r loses a whole run
+    with pytest.raises(ValueError, match=r"^bits must contain only '0' and '1'$"):
+        repetition_decode("aabbx", 3, 2, 1)      # the right length, not bits
+    with pytest.raises(TypeError, match="not bytes"):
+        repetition_decode(b"001100", 3, 2, 0)
 
 
 def test_repetition_positional_rule_exhaustive():
@@ -202,10 +206,22 @@ def brute_cases(m, z, w, delta):
 
 
 def test_enumerate_cases_against_brute_force():
-    mp = multi_params(96, 2, 5, 2)      # ell 7, m 14
-    for delta in (0, 1, 2, 3, 4):
-        got = set(enumerate_cases(mp, delta))
-        assert got == brute_cases(mp.m, 2, mp.w, delta), delta
+    """The cases and their order: placements ascending, then splits in
+    lexicographic order. The reported guess and the order of candidates
+    follow this order."""
+    for args in ((96, 2, 5, 2), (48, 2, 7, 3)):     # ell 7, m 14; ell 6, m 8
+        mp = multi_params(*args)
+        for delta in range(mp.z * mp.w + 1):
+            got = list(enumerate_cases(mp, delta))
+            assert got == sorted(brute_cases(mp.m, mp.z, mp.w, delta)), (args, delta)
+
+
+@pytest.mark.parametrize("args", [(16, 4, 3, 1), (40, 3, 5, 1), (96, 2, 5, 2), (36, 3, 5, 2),
+                                  (48, 2, 7, 3), (60, 3, 7, 3)])
+def test_max_case_count_against_brute_force(args):
+    m, w, z = multi_params(*args).m, args[1], args[3]
+    assert max_case_count(*args) == max(len(brute_cases(m, z, w, delta))
+                                        for delta in range(z * w + 1))
 
 
 def test_enumerate_cases_counts():
@@ -921,8 +937,8 @@ def oracle_case(s, parities, pairs, deltas, mp):
 def solved(screened, passed, mp):
     """multi_window._solved with every case solved (_solve), as the
     engine solves the cases it does not skip."""
-    return [(guess, pairs, deltas, multi_window._solve(at, mp))
-            for guess, pairs, deltas, at in multi_window._solved(screened, passed, mp)]
+    return [(pairs, deltas, multi_window._solve(at, mp))
+            for pairs, deltas, at in multi_window._solved(screened, passed, mp)]
 
 
 def screen_case(screened, i):
@@ -1004,12 +1020,12 @@ def test_screen_lanes_match_the_oracle(args, count):
             if ok:
                 sols.setdefault((pairs, want), []).append(shares)
         assert solved(screened, passed, mp) == [
-            ((pairs, shares), pairs, shares, blocks)
+            (pairs, shares, blocks)
             for (pairs, shares, _, _), blocks, ok in zip(lanes, oracle, passed) if ok]
         # every lane solved, passed or not: a solve is shared only by cases
         # with the same syndromes
         every = solved(screened, b"\1" * len(passed), mp)
-        assert [sol for _, _, _, sol in every] == oracle
+        assert [sol for _, _, sol in every] == oracle
         shared += sum(len(splits) > 1 for splits in sols.values())
         single += len(passed) == 1
     # the same syndromes for every lane of the last word, nonzero solving
@@ -1027,7 +1043,7 @@ def test_screen_lanes_match_the_oracle(args, count):
     cases, nb = screened[0], screened[0].lanes.nb
     same = int.from_bytes(mds.pack(values + spares, ell).to_bytes(nb, "little") * len(passed),
                           "little")
-    fixed = [sol for _, pairs, _, sol in solved((cases, same), b"\1" * len(passed), mp)]
+    fixed = [sol for _, _, sol in solved((cases, same), b"\1" * len(passed), mp)]
     by_pairs = {}
     for pairs, _, _, _ in lanes:
         blocks, own = blocks_and_spares(pairs)
@@ -1091,7 +1107,7 @@ def test_screen_verdict_is_every_spare_group(args):
                     pairs, shares, _, _ = screen_case(screened, i)
                     holds = oracle_spares(s, parities, pairs, shares, mp)
                     assert ok == all(holds[:2]), (args, q, b, flip, pairs, shares)
-                    assert (sols[i][3] is None) == (not all(holds[2:])), (args, q, b, pairs)
+                    assert (sols[i][2] is None) == (not all(holds[2:])), (args, q, b, pairs)
                     verdicts.add(ok)
                     if flip and holds.count(False) == 1 and not holds[q - t]:
                         alone.add((q, b))
@@ -1130,7 +1146,8 @@ def test_solve_checks_the_spares_the_screen_leaves(args):
             y = delete_localized(flipped(encode(u, mp), q, b), pat)
             screened, passed = _screen(y[:k - sum(deltas)], multi_window._tail_parities(y, mp),
                                        mp)
-            handed = {guess: at for guess, _, _, at in multi_window._solved(screened, passed, mp)}
+            handed = {(pairs, deltas): at
+                      for pairs, deltas, at in multi_window._solved(screened, passed, mp)}
             assert res.guess in handed, (args, q, b)
             assert multi_window._solve(handed[res.guess], mp) is None
             assert decode(y, mp) == reference_decode_multi(y, mp), (args, q, b)
@@ -1149,7 +1166,7 @@ def test_solve_checks_the_spares_the_screen_leaves(args):
         screened, passed = _screen(u[:k - delta], mds.pack(parities, ell), mp)
         writes, sols = [], Kept()
         results = {}
-        for _, pairs, _, at in multi_window._solved(screened, passed, mp):
+        for pairs, _, at in multi_window._solved(screened, passed, mp):
             at = (*at[:4], sols)
             results.setdefault((pairs, at[2] >> at[3] & (1 << c * ell) - 1), []).append(
                 multi_window._solve(at, mp))
