@@ -83,6 +83,14 @@ _UNSOLVED = object()
 
 
 def repetition_encode(bits, r):
+    """Each bit of bits repeated r times. bits is checked as
+    repetition_decode checks it (a non-str is a TypeError, any character
+    but 0 and 1 a ValueError), and an r that is not an int of at least 1
+    is a ValueError."""
+    if not is_binary(bits):
+        raise ValueError("bits must contain only '0' and '1'")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"r={r!r} must be an int of at least 1")
     return "".join([ch * r for ch in bits])
 
 

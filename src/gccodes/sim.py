@@ -5,6 +5,11 @@ purpose), so reports are byte-identical for a given seed no matter how
 trials are ordered or spread over worker processes. Per the construction
 used in the published failure-rate figures, the window size is tied to the
 message length: w = ceil(log2 k).
+
+A block of trials runs in stages of at most _STAGE trials, each step done
+for the whole stage before the next: draw, then encode and cut, then
+decode. Decoding words one after another keeps the decoder's code and
+tables warm in the CPU caches; _STAGE bounds the words held at once.
 """
 
 import os
@@ -20,6 +25,12 @@ from .codec import (SUCCESS, InvalidConfigError, _check_ints, decode, encode, gc
                     multi_params)
 
 CSV_HEADER = "k,w,ell,c,z,delta,trials,failures,pr_failure,rate,bound"
+
+# Trials per stage of _run_block. Timed over 512-trial blocks at k = 128
+# and 4096, stages of 32 to 512 cost the same per trial within noise;
+# stages of 16 cost up to 7% more at k = 128, and of 1 (no staging)
+# 15-35% more. 64 sits past that knee at both.
+_STAGE = 64
 
 
 class SimConfig(namedtuple("SimConfig", "k_list c trials z delta delta_frac master_seed "
@@ -94,32 +105,43 @@ def _make_params(k, c, z, kind):
 def _run_block(args):
     """Trials [t0, t1) for one k. Top-level so worker processes can pick it
     up; params come from the per-process cache, so a worker builds each k
-    once, not once per block."""
+    once, not once per block.
+
+    The trials go in stages of at most _STAGE: every message and pattern
+    of a stage is drawn, then every word encoded and cut, then the words
+    decoded one after another, so the decoder's code and tables stay in
+    the CPU caches instead of being evicted by the sampling and encoding
+    between two decodes. Each trial still seeds its own streams and makes
+    each public call once; only the order of work changes. _STAGE, not
+    the block, bounds the words held at once: a block is trials/8 trials
+    at workers=1 (125 000 of a 10^6-trial run), about 1 GB of words at
+    k = 4096 if staged whole.
+    """
     k, cfg, t0, t1 = args
     params = _make_params(k, cfg.c, cfg.z, cfg.kind)
     delta = resolve_delta(cfg, params.w)
+    seed, mode, width = cfg.master_seed, cfg.sampling_mode, f"0{k}b"
     failures = 0
     miscorrections = 0
-    for t in range(t0, t1):
-        u = format(
-            random.Random(f"{cfg.master_seed}/{k}/{t}/msg").getrandbits(k), f"0{k}b"
-        )
-        pat = sample_pattern(
-            params, delta,
-            random.Random(f"{cfg.master_seed}/{k}/{t}/pattern"),
-            cfg.sampling_mode,
-        )
-        res = decode(delete_localized(encode(u, params), pat), params)
-        if res.status == SUCCESS:
-            if res.message != u:
-                miscorrections += 1
-        else:
-            # InvalidInput counts as a failure too: the decoder gave no
-            # answer. Under the default sampling modes it occurs in the
-            # multi-window code when no enumerated case explains the word:
-            # two windows share a block, or deletions behind the message
-            # bits (more than w of them, say) leave a shift no case covers.
-            failures += 1
+    for s0 in range(t0, t1, _STAGE):
+        stage = range(s0, min(s0 + _STAGE, t1))
+        msgs = [format(random.Random(f"{seed}/{k}/{t}/msg").getrandbits(k), width)
+                for t in stage]
+        pats = [sample_pattern(params, delta, random.Random(f"{seed}/{k}/{t}/pattern"), mode)
+                for t in stage]
+        words = [delete_localized(encode(u, params), pat) for u, pat in zip(msgs, pats)]
+        for u, y in zip(msgs, words):
+            res = decode(y, params)
+            if res.status == SUCCESS:
+                if res.message != u:
+                    miscorrections += 1
+            else:
+                # InvalidInput counts as a failure too: the decoder gave no
+                # answer. Under the default sampling modes it occurs in the
+                # multi-window code when no enumerated case explains the word:
+                # two windows share a block, or deletions behind the message
+                # bits (more than w of them, say) leave a shift no case covers.
+                failures += 1
     return failures, miscorrections
 
 

@@ -61,6 +61,21 @@ def test_repetition_encode_golden():
     assert repetition_encode("1", 1) == "1"
 
 
+def test_repetition_encode_validation():
+    # checked as repetition_decode checks its bits: "ab" gave "aabb"
+    with pytest.raises(ValueError, match=r"^bits must contain only '0' and '1'$"):
+        repetition_encode("ab", 2)
+    with pytest.raises(ValueError, match=r"^bits must contain only '0' and '1'$"):
+        repetition_encode("1_0", 2)
+    with pytest.raises(TypeError, match="not bytes"):
+        repetition_encode(b"01", 2)
+    with pytest.raises(TypeError, match="not list"):
+        repetition_encode(["0", "1"], 2)
+    for r in (0, -1, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match=rf"^r={re.escape(repr(r))} must be an int of at least 1$"):
+            repetition_encode("01", r)
+
+
 def test_repetition_decode_golden():
     assert repetition_decode("1000111", 3, 3, 2) == "101"
     for bits in ("101", "0110", "111111"):

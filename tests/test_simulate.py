@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -117,6 +118,93 @@ def test_csv_golden_row():
     lines = text.strip().split("\n")
     assert lines[0] == "k,w,ell,c,z,delta,trials,failures,pr_failure,rate,bound,rate_2dp"
     assert lines[1] == "128,7,7,3,1,7,10000,563,0.0563,0.815287,1,0.82"
+
+
+def _reference_rows(cfg):
+    """The per-trial loop run_trials stood for before it was staged:
+    draw, encode, cut and decode one trial after another, through the
+    public calls only."""
+    rows = []
+    for k in cfg.k_list:
+        p = (gccodes.gc_params(k, (k - 1).bit_length(), cfg.c, cfg.kind) if cfg.z == 1
+             else gccodes.multi_params(k, (k - 1).bit_length(), cfg.c, cfg.z, cfg.kind))
+        delta = resolve_delta(cfg, p.w)
+        failures = miscorrections = 0
+        for t in range(cfg.trials):
+            u = format(random.Random(f"{cfg.master_seed}/{k}/{t}/msg").getrandbits(k), f"0{k}b")
+            pat = gccodes.sample_pattern(p, delta, random.Random(f"{cfg.master_seed}/{k}/{t}/pattern"),
+                                         cfg.sampling_mode)
+            res = gccodes.decode(gccodes.delete_localized(gccodes.encode(u, p), pat), p)
+            if res.status != gccodes.SUCCESS:
+                failures += 1
+            elif res.message != u:
+                miscorrections += 1
+        rows.append((k, p.w, delta, failures, miscorrections))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["whole-codeword", "systematic-only"])
+@pytest.mark.parametrize("z, kw", [
+    (1, dict(k_list=(64, 128), c=3)),
+    (2, dict(k_list=(32,), c=8)),
+], ids=["z1", "z2"])
+def test_staged_loop_matches_the_per_trial_loop(z, kw, mode, workers):
+    # 9 stages and 5 trials: every block (trials/8) holds a full stage and
+    # a part of one, whatever the worker count
+    cfg = SimConfig(trials=9 * sim._STAGE + 5, z=z, delta_frac=1.0, master_seed=11,
+                    sampling_mode=mode, **kw)
+    assert max(t1 - t0 for _, _, t0, t1 in sim._split_blocks(kw["k_list"][0], cfg, workers)) \
+        > sim._STAGE
+    rows = run_trials(cfg, workers=workers).rows
+    assert [(r.k, r.w, r.delta, r.failures, r.miscorrections) for r in rows] == \
+        _reference_rows(cfg)
+    assert sum(r.failures for r in rows) > 0
+
+
+def test_each_decode_is_paired_with_its_own_trial(monkeypatch):
+    # every third decode returns a wrong message: a decode checked against
+    # another trial's message would count a miscorrection on every trial
+    real, flips = sim.decode, []
+
+    def flipping(y, p):
+        res = real(y, p)
+        flips.append(len(flips) % 3 == 2 and res.status == gccodes.SUCCESS)
+        if flips[-1]:
+            flipped = ("1" if res.message[0] == "0" else "0") + res.message[1:]
+            return gccodes.DecodeResult(gccodes.SUCCESS, message=flipped, guess=res.guess)
+        return res
+
+    # 8 blocks, each of two full stages and 3 trials more
+    cfg = small_cfg(trials=8 * (2 * sim._STAGE + 3))
+    honest = run_trials(cfg).rows[0]
+    monkeypatch.setattr(sim, "decode", flipping)
+    row = run_trials(cfg, workers=1).rows[0]
+    assert len(flips) == cfg.trials                 # one sim.decode call per trial
+    assert row.miscorrections == sum(flips) > 0
+    assert row.failures == honest.failures > 0
+
+
+def test_stage_bounds_the_words_held(monkeypatch):
+    # words encoded but not yet decoded never number more than _STAGE
+    real_encode, real_decode = sim.encode, sim.decode
+    held, peak, decoded = [0], [0], [0]
+
+    def encode(u, p):
+        held[0] += 1
+        peak[0] = max(peak[0], held[0])
+        return real_encode(u, p)
+
+    def decode(y, p):
+        held[0] -= 1
+        decoded[0] += 1
+        return real_decode(y, p)
+
+    monkeypatch.setattr(sim, "encode", encode)
+    monkeypatch.setattr(sim, "decode", decode)
+    run_trials(small_cfg(trials=1000), workers=1)   # blocks of 125 trials
+    assert decoded[0] == 1000 and held[0] == 0
+    assert 1 < peak[0] <= sim._STAGE
 
 
 def test_csv_empty_report():
